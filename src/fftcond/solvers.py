@@ -33,11 +33,16 @@ from .spectral_ops import (
     VectorField,
     _compensated_total,
     _gamma1_arr,
+    _gamma1_sqnorm,
+    _local_arrays,
+    _local_packed,
     _mean_vec,
+    _pack,
+    _scatter,
+    _shifted_inverse_coefs,
+    _unpack,
     apply_local_A,
     gamma0_aug,
-    gamma1,
-    norm,
 )
 from .transform import (
     SchemeKind,
@@ -189,7 +194,8 @@ def equilibrium_residual(j: VectorField) -> float:
     den = float(np.linalg.norm(_mean_vec(j.data)))
     if den < _TINY:
         raise ContractError("mean flux vanishes; residual is undefined")
-    return norm(gamma1(j)) / den
+    npix = j.data.shape[-1] * j.data.shape[-2]
+    return math.sqrt(_gamma1_sqnorm(j.data) / npix) / den
 
 
 def equilibrium_residual_aug(jaug: AugmentedField, pmap: PhaseMap) -> float:
@@ -198,8 +204,7 @@ def equilibrium_residual_aug(jaug: AugmentedField, pmap: PhaseMap) -> float:
     if den < _TINY:
         raise ContractError("mean flux vanishes; residual is undefined")
     npix = pmap.chi.size
-    g = _gamma1_arr(jaug.Q.data)
-    total = _compensated_total(np.abs(g) ** 2)
+    total = _gamma1_sqnorm(jaug.Q.data)
     total += _compensated_total(np.abs(jaug.S.data) ** 2 * pmap.chi)
     return math.sqrt(total / npix) / den
 
@@ -277,53 +282,74 @@ class _Monitor:
         self.status = TerminationStatus.DIVERGED
 
 
+def _reflect(r: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """shift - 2 gamma1(r) + r for a constant 2-vector shift, in the array gamma1 returns."""
+    w = _gamma1_arr(r)
+    w *= -2.0
+    w += r
+    w += shift[:, None, None]
+    return w
+
+
 def _solve_h(pmap: PhaseMap, cfg: SolverConfig, accelerated: bool) -> SolveResult:
     sigma1 = complex(cfg.sigma1)
     sigma0 = _reference_h(cfg, accelerated)
     chi = pmap.chi
-    ny, nx = chi.shape
     npix = chi.size
     sigma = np.where(chi, sigma1, 1.0 + 0j)
     e0v = cfg.e0_vector()
     e0sq = np.vdot(e0v, e0v).real
-    e0f = np.empty((2, ny, nx), dtype=np.complex128)
-    e0f[0], e0f[1] = e0v[0], e0v[1]
+    e_raw = np.empty((2, *chi.shape), dtype=np.complex128)
+    e_raw[0], e_raw[1] = e0v[0], e0v[1]
+    j = np.empty_like(e_raw)
+    if accelerated:
+        sigma_minus = sigma - sigma0
+        inv_sigma_plus = 1.0 / (sigma + sigma0)
+        two_s0_e0 = 2.0 * sigma0 * e0v
+        work = np.empty_like(e_raw)
 
     mon = _Monitor(cfg)
-    if accelerated:
-        w = (sigma + sigma0) * e0f
-    else:
-        e_raw = e0f.copy()
-    e = j = g = None
+    g = None
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.max_iters + 1):
             if k > 1:
                 if accelerated:
-                    rw = (sigma - sigma0) * e_raw
-                    w = 2.0 * sigma0 * e0f - 2.0 * _gamma1_arr(rw) + rw
+                    # e_raw = w / (sigma + sigma0) with
+                    # w = 2 sigma0 e0 - 2 gamma1(r) + r, r = (sigma - sigma0) e_raw
+                    e_raw *= sigma_minus
+                    np.multiply(_reflect(e_raw, two_s0_e0), inv_sigma_plus, out=e_raw)
                 else:
-                    e_raw = e - g / sigma0
+                    # e_raw holds the mean-pinned field of the last iteration
+                    g /= sigma0
+                    e_raw -= g
+            dfield = (e0v - _mean_vec(e_raw))[:, None, None]
             if accelerated:
-                e_raw = w / (sigma + sigma0)
-            delta = e0v - _mean_vec(e_raw)
-            e = e_raw + delta[:, None, None]
-            j = sigma * e
+                # the update runs on the raw iterate; pin the mean of a copy
+                np.add(e_raw, dfield, out=j)
+                j *= sigma
+            else:
+                e_raw += dfield
+                np.multiply(sigma, e_raw, out=j)
             jmean = _mean_vec(j)
             den = float(np.linalg.norm(jmean))
             sstar = complex(np.vdot(e0v, jmean)) / e0sq
             if den < _TINY and math.isfinite(den):
                 mon.flag_degenerate()
                 break
-            g = _gamma1_arr(j)
-            res = math.sqrt(_compensated_total(np.abs(g) ** 2) / npix) / den
+            if accelerated:
+                total = _gamma1_sqnorm(j, work)
+            else:
+                g = _gamma1_arr(j)
+                total = _compensated_total(np.abs(g) ** 2)
+            res = math.sqrt(total / npix) / den
             if mon.step(k, sstar, res):
                 break
 
     sigma_star = mon.history.records[-1].sigma_star if len(mon.history) else sstar
     return SolveResult(
         sigma_star=sigma_star,
-        E_field=VectorField(e),
+        E_field=VectorField(e_raw + dfield if accelerated else e_raw),
         J_field=VectorField(j),
         history=mon.history,
         status=mon.status,
@@ -353,14 +379,8 @@ def _reference_aug(cfg: SolverConfig, t: complex, accelerated: bool) -> complex:
 
 
 def _apply_A_arrays(q, s, t_arr, t, params, chi):
-    """A = (t - 1) chi'' + I on a raw (Q, S, T) array triple."""
-    u = np.where(chi, params.p1 * q + params.p2 * s + params.p3 * t_arr, 0.0)
-    tm1 = t - 1.0
-    return (
-        tm1 * params.p1 * u + q,
-        np.where(chi, tm1 * params.p2 * u + s, 0.0),
-        np.where(chi, tm1 * params.p3 * u + t_arr, 0.0),
-    )
+    """A = (t - 1) chi'' + I on a raw full-grid (Q, S, T) array triple."""
+    return _local_arrays(q, s, t_arr, chi, params, t - 1.0)
 
 
 def _solve_aug(pmap: PhaseMap, cfg: SolverConfig, accelerated: bool) -> SolveResult:
@@ -370,68 +390,87 @@ def _solve_aug(pmap: PhaseMap, cfg: SolverConfig, accelerated: bool) -> SolveRes
     params = solve_p(interval)
     sigma0 = _reference_aug(cfg, t, accelerated)
     chi = pmap.chi
-    ny, nx = chi.shape
     npix = chi.size
-    p1, p2, p3 = params.p1, params.p2, params.p3
     e0v = cfg.e0_vector()
     e0sq = np.vdot(e0v, e0v).real
-    e0f = np.empty((2, ny, nx), dtype=np.complex128)
-    e0f[0], e0f[1] = e0v[0], e0v[1]
-    zeros = np.zeros((2, ny, nx), dtype=np.complex128)
-    chi_f = chi.astype(np.float64)
+    # S and T vanish off the inclusion, so the phase-1 pixels ``support``
+    # carry all three slots packed in ``x`` = (Q, S, T), each (2, m); the
+    # full-grid Q slot lives in ``fq``. A is the identity on the Q slot of
+    # phase-2 pixels; ``y`` holds A x on phase 1.
+    support = np.flatnonzero(chi)
+    tm1 = t - 1.0
+    # A applied to a constant Q-slot shift delta adds pin_q delta to the Q
+    # slot and pin_s delta to the S slot on phase 1
+    pin_q, pin_s = tm1 * params.p1 * params.p1, tm1 * params.p2 * params.p1
+    fq = np.empty((2, *chi.shape), dtype=np.complex128)
+    fq[0], fq[1] = e0v[0], e0v[1]
+    x = np.zeros((3, 2, support.size), dtype=np.complex128)
+    x[0] = _pack(fq, support)
+    y = np.empty_like(x)
+    jq = np.empty_like(fq)
+    if accelerated:
+        inv_coef, inv_scale = _shifted_inverse_coefs(t, sigma0)
+        two_s0_e0 = 2.0 * sigma0 * e0v
+        w = np.empty_like(x)
+        work = np.empty_like(fq)
 
     mon = _Monitor(cfg)
-    fq_raw, fs_raw, ft_raw = e0f.copy(), zeros.copy(), zeros.copy()
-    if accelerated:
-        aq, as_, at = _apply_A_arrays(fq_raw, fs_raw, ft_raw, t, params, chi)
-        wq, ws, wt = aq + sigma0 * fq_raw, as_ + sigma0 * fs_raw, at + sigma0 * ft_raw
-        inv_scale = 1.0 / (1.0 + sigma0)
-        inv_c = (t - 1.0) / (t + sigma0)
-    fq = fs = ft = jq = js = g = None
-    jq_raw = js_raw = jt_raw = None
-    tm1p1 = (t - 1.0) * p1 * chi_f
+    js = g = None
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.max_iters + 1):
             if k > 1:
                 if accelerated:
-                    rq = jq_raw - sigma0 * fq_raw
-                    rs = js_raw - sigma0 * fs_raw
-                    rt = jt_raw - sigma0 * ft_raw
-                    wq = 2.0 * sigma0 * e0f - 2.0 * _gamma1_arr(rq) + rq
-                    ws = -rs
-                    wt = rt
+                    # r = (A - sigma0 I) F_raw is (1 - sigma0) F_raw on the Q
+                    # slot of phase 2 and y - sigma0 x on phase 1;
+                    # w = (2 sigma0 e0 - 2 gamma1(r_Q) + r_Q, -r_S, r_T);
+                    # F_raw = (A + sigma0 I)^-1 w
+                    np.multiply(fq, 1.0 - sigma0, out=work)
+                    _scatter(work, support, y[0] - sigma0 * x[0])
+                    wq = _reflect(work, two_s0_e0)
+                    w[0] = _pack(wq, support)
+                    np.subtract(sigma0 * x[1], y[1], out=w[1])
+                    np.subtract(y[2], sigma0 * x[2], out=w[2])
+                    _local_packed(w, params, inv_coef, inv_scale, out=x)
+                    np.multiply(wq, inv_scale, out=fq)
+                    _scatter(fq, support, x[0])
                 else:
-                    fq_raw = fq - g / sigma0
-                    fs_raw = np.where(chi, fs - js / sigma0, 0.0)
-            if accelerated:
-                u = np.where(chi, p1 * wq + p2 * ws + p3 * wt, 0.0)
-                fq_raw = inv_scale * (wq - inv_c * p1 * u)
-                fs_raw = np.where(chi, inv_scale * (ws - inv_c * p2 * u), 0.0)
-                ft_raw = np.where(chi, inv_scale * (wt - inv_c * p3 * u), 0.0)
-            jq_raw, js_raw, jt_raw = _apply_A_arrays(fq_raw, fs_raw, ft_raw, t, params, chi)
+                    # fq holds the mean-pinned Q slot of the last iteration
+                    g /= sigma0
+                    fq -= g
+                    x[0] = _pack(fq, support)
+                    x[1] -= js / sigma0
+            _local_packed(x, params, tm1, out=y)
             # Constant Q-slot correction pins the mean field at e0 for
-            # reporting; the update path keeps the raw iterate so the map
-            # stays exact.
-            delta = e0v - _mean_vec(fq_raw)
+            # reporting; the accelerated update keeps the raw iterate so
+            # the map stays exact.
+            delta = e0v - _mean_vec(fq)
             dfield = delta[:, None, None]
-            fq, fs, ft = fq_raw + dfield, fs_raw, ft_raw
-            jq = jq_raw + p1 * tm1p1 * dfield + dfield
-            js = js_raw + p2 * tm1p1 * dfield
+            dpacked = delta[:, None]
+            np.add(fq, dfield, out=jq)
+            _scatter(jq, support, y[0] + pin_q * dpacked + dpacked)
+            js = y[1] + pin_s * dpacked
+            if not accelerated:
+                fq += dfield
             jmean = _mean_vec(jq)
             den = float(np.linalg.norm(jmean))
             sstar = complex(np.vdot(e0v, jmean)) / e0sq
             if den < _TINY and math.isfinite(den):
                 mon.flag_degenerate()
                 break
-            g = _gamma1_arr(jq)
-            total = _compensated_total(np.abs(g) ** 2)
-            total += _compensated_total(np.abs(js) ** 2 * chi)
+            if accelerated:
+                total = _gamma1_sqnorm(jq, work)
+            else:
+                g = _gamma1_arr(jq)
+                total = _compensated_total(np.abs(g) ** 2)
+            total += _compensated_total(np.abs(js) ** 2)
             res = math.sqrt(total / npix) / den
             if mon.step(k, sstar, res):
                 break
 
     sigma_star = mon.history.records[-1].sigma_star if len(mon.history) else sstar
+    if accelerated:
+        fq += dfield
     return SolveResult(
         sigma_star=sigma_star,
         E_field=VectorField(fq),
@@ -439,7 +478,11 @@ def _solve_aug(pmap: PhaseMap, cfg: SolverConfig, accelerated: bool) -> SolveRes
         history=mon.history,
         status=mon.status,
         degenerate_flux=mon.degenerate_flux,
-        aug_field=AugmentedField(VectorField(fq), VectorField(fs), VectorField(ft)),
+        aug_field=AugmentedField(
+            VectorField(fq),
+            VectorField(_unpack(x[1], support, chi.shape)),
+            VectorField(_unpack(x[2], support, chi.shape)),
+        ),
     )
 
 

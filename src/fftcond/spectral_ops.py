@@ -7,7 +7,9 @@ m in {-n/2, ..., n/2 - 1}; the zero mode is dropped and Nyquist rows use
 the same formula. An AugmentedField is a (Q, S, T) triple of
 VectorFields whose S and T slots vanish off the inclusion; the local
 operators couple the three slots through a complex parameter triple p
-with p.p = 1 and are inverted pixel-wise in closed form.
+with p.p = 1 and are inverted pixel-wise in closed form. One packed
+kernel applies them to slots stored on the inclusion pixels only; the
+public operators and the solvers both go through it.
 
 All arithmetic is complex double precision. Reductions (means, norms)
 run row-wise with a pairwise sum and combine rows with an exactly
@@ -32,6 +34,8 @@ _gamma1_scale = 1.0
 
 def _compensated_total(values: np.ndarray) -> float:
     """Deterministic total of a real array: pairwise rows, exact combine."""
+    if values.size == 0:
+        return 0.0
     m = values.reshape(-1, values.shape[-1]) if values.ndim > 1 else values.reshape(1, -1)
     rows = np.sum(m, axis=-1)
     if not np.all(np.isfinite(rows)):
@@ -118,14 +122,36 @@ def _wavevectors(ny: int, nx: int):
 
 
 def _gamma1_arr(data: np.ndarray) -> np.ndarray:
+    kx, ky, inv_k2 = _wavevectors(data.shape[-2], data.shape[-1])
+    fh = np.fft.fft2(data, axes=(-2, -1))
+    dot = kx * fh[0]
+    dot += ky * fh[1]
+    dot *= inv_k2
+    if _gamma1_scale != 1.0:
+        dot *= _gamma1_scale
+    np.multiply(kx, dot, out=fh[0])
+    np.multiply(ky, dot, out=fh[1])
+    # ifftn, not ifft2: numpy's ifft2 ignores ``out``
+    return np.fft.ifftn(fh, axes=(-2, -1), out=fh)
+
+
+def _gamma1_sqnorm(data: np.ndarray, work: np.ndarray | None = None) -> float:
+    """Sum over pixels of |gamma1(data)|^2, from one forward FFT.
+
+    By Parseval the sum is (1/N) sum_k |k . f(k)|^2 / |k|^2 times the
+    squared multiplier scale, so no inverse transform is needed. ``work``,
+    if given, is a buffer shaped like ``data`` that receives the transform.
+    """
     ny, nx = data.shape[-2], data.shape[-1]
     kx, ky, inv_k2 = _wavevectors(ny, nx)
-    fh = np.fft.fft2(data, axes=(-2, -1))
-    dot = (kx * fh[0] + ky * fh[1]) * (inv_k2 * _gamma1_scale)
-    out = np.empty_like(fh)
-    out[0] = kx * dot
-    out[1] = ky * dot
-    return np.fft.ifft2(out, axes=(-2, -1))
+    fh = np.fft.fft2(data, axes=(-2, -1), out=work)
+    dot = fh[0]
+    dot *= kx
+    dot += ky * fh[1]
+    power = dot.real**2
+    power += dot.imag**2
+    power *= inv_k2
+    return _compensated_total(power) * _gamma1_scale**2 / (ny * nx)
 
 
 def gamma1(f: VectorField) -> VectorField:
@@ -212,16 +238,38 @@ def gamma1_aug(f: AugmentedField, pmap: PhaseMap) -> AugmentedField:
     return AugmentedField(gamma1(f.Q), f.S.copy(), VectorField.zeros(ny, nx))
 
 
-def _chi_aug_arrays(
-    q: np.ndarray,
-    s: np.ndarray,
-    t_arr: np.ndarray,
-    params: SubstitutionParams,
-    chi: np.ndarray,
-):
-    u = params.p1 * q + params.p2 * s + params.p3 * t_arr
-    u = np.where(chi, u, 0.0)
-    return params.p1 * u, params.p2 * u, params.p3 * u
+def _pack(data: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """(2, ny, nx) slot samples on the flat pixel indices ``support``, as (2, m)."""
+    return data.reshape(2, -1).take(support, axis=1)
+
+
+def _scatter(dst: np.ndarray, support: np.ndarray, packed: np.ndarray):
+    """Write (2, m) samples onto the pixels ``support`` of a C-contiguous (2, ny, nx) array."""
+    flat = dst.reshape(2, -1)
+    flat[0][support] = packed[0]
+    flat[1][support] = packed[1]
+
+
+def _unpack(packed: np.ndarray, support: np.ndarray, shape) -> np.ndarray:
+    """Inverse of :func:`_pack`: a (2, ny, nx) array, zero off ``support``."""
+    out = np.zeros((2, *shape), dtype=np.complex128)
+    _scatter(out, support, packed)
+    return out
+
+
+def _pack_slots(q, s, t_arr, support: np.ndarray) -> np.ndarray:
+    """Full-grid (Q, S, T) slot arrays on the pixels ``support``, as (3, 2, m)."""
+    return np.stack([_pack(q, support), _pack(s, support), _pack(t_arr, support)])
+
+
+def _slot_mix(x: np.ndarray, params: SubstitutionParams) -> np.ndarray:
+    """u = p . x per pixel for packed (3, 2, m) slots, as (2, m)."""
+    u = np.multiply(x[0], params.p1)
+    tmp = np.multiply(x[1], params.p2)
+    u += tmp
+    np.multiply(x[2], params.p3, out=tmp)
+    u += tmp
+    return u
 
 
 def apply_chi_aug(
@@ -231,23 +279,61 @@ def apply_chi_aug(
 
     Idempotent because p.p = 1; not self-adjoint for complex p.
     """
-    qo, so, to = _chi_aug_arrays(
-        f.Q.data, f.S.data, f.T.data, params, pmap.chi
-    )
-    return AugmentedField(VectorField(qo), VectorField(so), VectorField(to))
+    support = np.flatnonzero(pmap.chi)
+    u = _slot_mix(_pack_slots(f.Q.data, f.S.data, f.T.data, support), params)
+    slots = [_unpack(p * u, support, pmap.chi.shape) for p in (params.p1, params.p2, params.p3)]
+    return AugmentedField(*map(VectorField, slots))
+
+
+def _local_packed(x, params: SubstitutionParams, coef, scale=1.0, out=None) -> np.ndarray:
+    """scale * (I + coef chi'') on phase-1 pixels; x packs the (Q, S, T) slots as (3, 2, m).
+
+    chi'' is the rank-one slot mixer p (x) p. On phase-2 pixels the
+    operator is scale * I on the Q slot, which the caller applies. With
+    coef = t - 1 and scale = 1 this is A; with the coefficients of
+    :func:`_shifted_inverse_coefs` it is the inverse of A + sigma0 I.
+    """
+    u = _slot_mix(x, params)
+    if out is None:
+        out = np.empty_like(x)
+    tmp = np.empty_like(u) if scale != 1.0 else None
+    for slot, p in enumerate((params.p1, params.p2, params.p3)):
+        np.multiply(u, scale * coef * p, out=out[slot])
+        if tmp is not None:
+            np.multiply(x[slot], scale, out=tmp)
+            out[slot] += tmp
+        else:
+            out[slot] += x[slot]
+    return out
+
+
+def _local_arrays(q, s, t_arr, chi, params, coef, scale=1.0):
+    """:func:`_local_packed` on full-grid (2, ny, nx) slot arrays; S and T are read on chi."""
+    support = np.flatnonzero(chi)
+    y = _local_packed(_pack_slots(q, s, t_arr, support), params, coef, scale)
+    q_out = np.array(q, dtype=np.complex128, order="C")
+    if scale != 1.0:
+        q_out *= scale
+    _scatter(q_out, support, y[0])
+    return q_out, _unpack(y[1], support, chi.shape), _unpack(y[2], support, chi.shape)
 
 
 def apply_local_A(
     f: AugmentedField, t: complex, params: SubstitutionParams, pmap: PhaseMap
 ) -> AugmentedField:
     """The local constitutive operator A = (t - 1) chi'' + I."""
-    chi = pmap.chi
-    qo, so, to = _chi_aug_arrays(f.Q.data, f.S.data, f.T.data, params, chi)
-    tm1 = complex(t) - 1.0
-    q = tm1 * qo + f.Q.data
-    s = np.where(chi, tm1 * so + f.S.data, 0.0)
-    t_out = np.where(chi, tm1 * to + f.T.data, 0.0)
-    return AugmentedField(VectorField(q), VectorField(s), VectorField(t_out))
+    arrays = _local_arrays(f.Q.data, f.S.data, f.T.data, pmap.chi, params, complex(t) - 1.0)
+    return AugmentedField(*map(VectorField, arrays))
+
+
+def _shifted_inverse_coefs(t: complex, sigma0: complex) -> tuple[complex, complex]:
+    """(coef, scale) of :func:`_local_packed` that invert A + sigma0 I."""
+    tt, s0 = complex(t), complex(sigma0)
+    if 1.0 + s0 == 0:
+        raise DegenerateParamError("shift sigma0 = -1 makes A + sigma0 I singular")
+    if tt + s0 == 0:
+        raise DegenerateParamError("shift sigma0 = -t makes A + sigma0 I singular")
+    return -(tt - 1.0) / (tt + s0), 1.0 / (1.0 + s0)
 
 
 def invert_shifted_A(
@@ -263,16 +349,6 @@ def invert_shifted_A(
     (1 + sigma0); on phase-1 pixels additionally removes the p-direction
     excess via the factor (t - 1)/(t + sigma0).
     """
-    tt, s0 = complex(t), complex(sigma0)
-    if 1.0 + s0 == 0:
-        raise DegenerateParamError("shift sigma0 = -1 makes A + sigma0 I singular")
-    if tt + s0 == 0:
-        raise DegenerateParamError("shift sigma0 = -t makes A + sigma0 I singular")
-    chi = pmap.chi
-    qo, so, to = _chi_aug_arrays(f.Q.data, f.S.data, f.T.data, params, chi)
-    c = (tt - 1.0) / (tt + s0)
-    scale = 1.0 / (1.0 + s0)
-    q = scale * (f.Q.data - c * qo)
-    s = np.where(chi, scale * (f.S.data - c * so), 0.0)
-    t_out = np.where(chi, scale * (f.T.data - c * to), 0.0)
-    return AugmentedField(VectorField(q), VectorField(s), VectorField(t_out))
+    coef, scale = _shifted_inverse_coefs(t, sigma0)
+    arrays = _local_arrays(f.Q.data, f.S.data, f.T.data, pmap.chi, params, coef, scale)
+    return AugmentedField(*map(VectorField, arrays))

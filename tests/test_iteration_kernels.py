@@ -1,0 +1,169 @@
+"""Kernels of the accelerated iteration: Parseval residual, packed local
+operators, and the residual the solvers record."""
+
+import numpy as np
+import pytest
+
+import fftcond.spectral_ops as spectral_ops
+from fftcond import (
+    AugmentedField,
+    SchemeKind,
+    SolverConfig,
+    SpectralInterval,
+    VectorField,
+    apply_chi_aug,
+    apply_local_A,
+    build_disk_array,
+    build_square_array,
+    equilibrium_residual,
+    equilibrium_residual_aug,
+    invert_shifted_A,
+    map_t,
+    solve,
+    solve_p,
+)
+from fftcond.solvers import _apply_A_arrays
+from fftcond.spectral_ops import (
+    _compensated_total,
+    _gamma1_arr,
+    _gamma1_sqnorm,
+)
+
+BENCH = SpectralInterval(0.25, 4.0)
+
+
+def random_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestGamma1Sqnorm:
+    @pytest.mark.parametrize("shape", [(16, 16), (16, 24)])
+    @pytest.mark.parametrize("scale", [1.0, 1.001])
+    def test_matches_real_space_sum(self, monkeypatch, shape, scale):
+        monkeypatch.setattr(spectral_ops, "_gamma1_scale", scale)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            x = random_complex(rng, (2, *shape))
+            direct = _compensated_total(np.abs(_gamma1_arr(x)) ** 2)
+            assert _gamma1_sqnorm(x) == pytest.approx(direct, rel=1e-12)
+
+    def test_work_buffer_receives_transform_only(self):
+        rng = np.random.default_rng(12)
+        x = random_complex(rng, (2, 16, 24))
+        before = x.copy()
+        work = np.empty_like(x)
+        assert _gamma1_sqnorm(x, work) == _gamma1_sqnorm(x)
+        assert np.array_equal(x, before)
+
+
+def _dense_chi_u(q, s, t_arr, params, chi):
+    return np.where(chi, params.p1 * q + params.p2 * s + params.p3 * t_arr, 0.0)
+
+
+def _dense_A(q, s, t_arr, t, params, chi):
+    """The local operator A written over the full grid with np.where masks."""
+    u = _dense_chi_u(q, s, t_arr, params, chi)
+    tm1 = t - 1.0
+    return (
+        tm1 * params.p1 * u + q,
+        np.where(chi, tm1 * params.p2 * u + s, 0.0),
+        np.where(chi, tm1 * params.p3 * u + t_arr, 0.0),
+    )
+
+
+def _dense_inverse(q, s, t_arr, t, sigma0, params, chi):
+    """(A + sigma0 I)^-1 written over the full grid with np.where masks."""
+    u = _dense_chi_u(q, s, t_arr, params, chi)
+    c = (t - 1.0) / (t + sigma0)
+    scale = 1.0 / (1.0 + sigma0)
+    return (
+        scale * (q - c * params.p1 * u),
+        np.where(chi, scale * (s - c * params.p2 * u), 0.0),
+        np.where(chi, scale * (t_arr - c * params.p3 * u), 0.0),
+    )
+
+
+def _max_rel_diff(got, expected):
+    scale = max(np.max(np.abs(e)) for e in expected)
+    return max(np.max(np.abs(g - e)) for g, e in zip(got, expected)) / scale
+
+
+class TestPackedLocalOperators:
+    """The packed kernels reproduce the full-grid masked formulas."""
+
+    PMAPS = [build_square_array(16, 0.5), build_disk_array(16, 0.35)]
+    SIGMA1 = [2.0, 0.7 + 0.4j, 0.0, 10.0]
+
+    def _field(self, rng, pmap):
+        shape = (2, *pmap.chi.shape)
+        q = random_complex(rng, shape)
+        s = np.where(pmap.chi, random_complex(rng, shape), 0.0)
+        t_arr = np.where(pmap.chi, random_complex(rng, shape), 0.0)
+        return q, s, t_arr
+
+    @pytest.mark.parametrize("pmap", PMAPS)
+    def test_apply_chi_aug(self, pmap):
+        rng = np.random.default_rng(16)
+        params = solve_p(BENCH)
+        q, s, t_arr = self._field(rng, pmap)
+        u = _dense_chi_u(q, s, t_arr, params, pmap.chi)
+        expected = (params.p1 * u, params.p2 * u, params.p3 * u)
+        out = apply_chi_aug(
+            AugmentedField(VectorField(q), VectorField(s), VectorField(t_arr)), params, pmap
+        )
+        assert _max_rel_diff((out.Q.data, out.S.data, out.T.data), expected) <= 1e-15
+
+    @pytest.mark.parametrize("pmap", PMAPS)
+    @pytest.mark.parametrize("sigma1", SIGMA1)
+    def test_apply_local_A(self, pmap, sigma1):
+        rng = np.random.default_rng(14)
+        params = solve_p(BENCH)
+        t = map_t(sigma1, BENCH)
+        q, s, t_arr = self._field(rng, pmap)
+        expected = _dense_A(q, s, t_arr, t, params, pmap.chi)
+        out = apply_local_A(
+            AugmentedField(VectorField(q), VectorField(s), VectorField(t_arr)), t, params, pmap
+        )
+        assert _max_rel_diff((out.Q.data, out.S.data, out.T.data), expected) <= 1e-15
+        assert _max_rel_diff(_apply_A_arrays(q, s, t_arr, t, params, pmap.chi), expected) <= 1e-15
+
+    @pytest.mark.parametrize("pmap", PMAPS)
+    @pytest.mark.parametrize("sigma1", SIGMA1)
+    def test_invert_shifted_A(self, pmap, sigma1):
+        rng = np.random.default_rng(15)
+        params = solve_p(BENCH)
+        t = map_t(sigma1, BENCH)
+        for sigma0 in (complex(np.sqrt(complex(t))), 0.3 + 0.1j):
+            q, s, t_arr = self._field(rng, pmap)
+            expected = _dense_inverse(q, s, t_arr, t, sigma0, params, pmap.chi)
+            out = invert_shifted_A(
+                AugmentedField(VectorField(q), VectorField(s), VectorField(t_arr)),
+                t,
+                sigma0,
+                params,
+                pmap,
+            )
+            assert _max_rel_diff((out.Q.data, out.S.data, out.T.data), expected) <= 1e-15
+
+
+class TestRecordedResidual:
+    """The residual a solver records is the one the public functions compute."""
+
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    @pytest.mark.parametrize("sigma1", [2.0, 0.7 + 0.4j])
+    def test_last_residual_matches_public_residual(self, scheme, sigma1):
+        pmap = build_disk_array(32, 0.35)
+        cfg = SolverConfig(
+            scheme=scheme,
+            sigma1=sigma1,
+            interval=BENCH if scheme.substituted else None,
+            tol=1e-10,
+        )
+        r = solve(pmap, cfg)
+        if scheme.substituted:
+            t = map_t(sigma1, BENCH)
+            flux = apply_local_A(r.aug_field, t, solve_p(BENCH), pmap)
+            public = equilibrium_residual_aug(flux, pmap)
+        else:
+            public = equilibrium_residual(r.J_field)
+        assert r.history.residuals()[-1] == pytest.approx(public, rel=1e-12)

@@ -1,0 +1,101 @@
+"""Milliseconds per iteration of the four schemes, and 2-D FFTs per iteration.
+
+Each scheme runs the 25% square array at sigma1 = 2 with an unreachable
+tolerance, so every run does exactly ITERS = 30 iterations; the time per
+iteration is the median over ``--repeats`` runs of wall time divided by
+iterations. 2-D FFTs are counted by wrapping the ``numpy.fft`` 2-D and
+n-D transforms on a small grid: the count per iteration is the
+difference between a run of ITERS and one of ITERS - 10
+iterations, divided by 10, and a transform of a (2, ny, nx) stack counts
+as two.
+
+    PYTHONPATH=src python tools/bench_per_iteration.py --sizes 128 512 1024
+
+prints one JSON object to stdout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import time
+
+import numpy as np
+
+from fftcond import SchemeKind, SolverConfig, SpectralInterval, build_square_array, solve
+
+INTERVAL = SpectralInterval(0.25, 4.0)
+ITERS = 30
+
+
+def _config(scheme: SchemeKind, iters: int = ITERS) -> SolverConfig:
+    return SolverConfig(
+        scheme=scheme,
+        sigma1=2.0,
+        interval=INTERVAL if scheme.substituted else None,
+        tol=1e-300,
+        max_iters=iters,
+    )
+
+
+def ms_per_iteration(scheme: SchemeKind, n: int, repeats: int) -> float:
+    pmap = build_square_array(n, 0.5)
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = solve(pmap, _config(scheme))
+        elapsed = time.perf_counter() - start
+        if result.iterations != ITERS:
+            raise RuntimeError(f"{scheme.value} stopped early: {result.status.value}")
+        samples.append(1e3 * elapsed / ITERS)
+    return statistics.median(samples)
+
+
+def ffts_per_iteration(scheme: SchemeKind, n: int = 16) -> float:
+    names = ("fft2", "ifft2", "fftn", "ifftn")
+    originals = {name: getattr(np.fft, name) for name in names}
+    count = 0
+
+    def counted(fn):
+        def wrapper(a, *args, **kwargs):
+            nonlocal count
+            count += a.shape[0] if a.ndim == 3 else 1
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    pmap = build_square_array(n, 0.5)
+    totals = []
+    for name, fn in originals.items():
+        setattr(np.fft, name, counted(fn))
+    try:
+        for k in (ITERS - 10, ITERS):
+            count = 0
+            solve(pmap, _config(scheme, k))
+            totals.append(count)
+    finally:
+        for name, fn in originals.items():
+            setattr(np.fft, name, fn)
+    return (totals[1] - totals[0]) / 10
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sizes", type=int, nargs="+", default=[128, 512, 1024])
+    parser.add_argument("--repeats", type=int, default=3)
+    args = parser.parse_args(argv)
+    report = {"ms_per_iteration": {}, "ffts_per_iteration": {}}
+    for scheme in SchemeKind:
+        report["ffts_per_iteration"][scheme.value] = ffts_per_iteration(scheme)
+    for n in args.sizes:
+        report["ms_per_iteration"][str(n)] = {
+            scheme.value: round(ms_per_iteration(scheme, n, args.repeats), 2)
+            for scheme in SchemeKind
+        }
+    print(json.dumps(report, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
