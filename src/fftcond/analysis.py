@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BranchCutError, IntervalError, PoleError
 from .geometry import PhaseMap
-from .solvers import SolveResult, SolverConfig, TerminationStatus, estimate_rate, solve_em_sub
+from .solvers import SolveResult, SolverConfig, TerminationStatus, _tail_rate, solve_em_sub
 from .transform import SchemeKind, SpectralInterval, map_z
 
 #: Exact branch-cut endpoints of the square-array effective conductivity.
@@ -133,16 +133,11 @@ class MisestimationRun:
 
     @classmethod
     def from_result(cls, interval, result: SolveResult, window, wall_time):
-        rate = None
-        if len(result.history) >= window + 1 and all(
-            r > 0 for r in result.history.residuals()[-(window + 1):]
-        ):
-            rate = estimate_rate(result.history, window)
         return cls(
             interval=interval,
             status=result.status,
             iterations=result.iterations,
-            estimated_rate=rate,
+            estimated_rate=_tail_rate(result.history, window),
             sigma_star=result.sigma_star,
             wall_time=wall_time,
         )

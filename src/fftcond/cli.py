@@ -39,7 +39,7 @@ from .solvers import (
     SolveResult,
     SolverConfig,
     TerminationStatus,
-    estimate_rate,
+    _tail_rate,
     solve,
 )
 from .transform import SchemeKind, SpectralInterval
@@ -241,21 +241,25 @@ def build_phase_map(cfg: RunConfig) -> PhaseMap:
         raise ConfigError(f"geometry: {exc}") from None
 
 
+def _interval(cfg: RunConfig, scheme: SchemeKind) -> SpectralInterval | None:
+    """The [scheme] spectral interval; None, when it is absent, for a physical scheme only."""
+    if "alpha" in cfg.scheme:
+        return SpectralInterval(cfg.scheme["alpha"], cfg.scheme["beta"])
+    if scheme.substituted:
+        raise ConfigError(f"scheme {scheme.value} needs [scheme] alpha and beta")
+    return None
+
+
 def _solver_config(cfg: RunConfig, scheme_name: str) -> SolverConfig:
     scheme = _SCHEME_NAMES[scheme_name]
     sch = cfg.scheme
-    interval = None
-    if "alpha" in sch:
-        interval = SpectralInterval(sch["alpha"], sch["beta"])
-    if scheme.substituted and interval is None:
-        raise ConfigError(f"scheme {scheme_name} needs [scheme] alpha and beta")
     sigma0 = None
     if "sigma0_re" in sch:
         sigma0 = complex(sch["sigma0_re"], sch.get("sigma0_im", 0.0))
     return SolverConfig(
         scheme=scheme,
         sigma1=complex(cfg.physics["sigma1_re"], cfg.physics["sigma1_im"]),
-        interval=interval,
+        interval=_interval(cfg, scheme),
         tol=sch["tol"],
         max_iters=sch["max_iters"],
         sigma0_override=sigma0,
@@ -281,22 +285,11 @@ def _write_history_csv(path: Path, result: SolveResult | None):
             )
 
 
-def _estimated_rate(result: SolveResult) -> float | None:
-    if len(result.history) < RATE_WINDOW + 1:
-        return None
-    if any(r <= 0 for r in result.history.residuals()[-(RATE_WINDOW + 1):]):
-        return None
-    return estimate_rate(result.history, RATE_WINDOW)
-
-
 def _predicted_rate_or_none(cfg: RunConfig, scheme_name: str) -> float | None:
     scheme = _SCHEME_NAMES[scheme_name]
     sigma1 = complex(cfg.physics["sigma1_re"], cfg.physics["sigma1_im"])
-    interval = None
-    if "alpha" in cfg.scheme:
-        interval = SpectralInterval(cfg.scheme["alpha"], cfg.scheme["beta"])
     try:
-        return predicted_rate(scheme, sigma1, interval)
+        return predicted_rate(scheme, sigma1, _interval(cfg, scheme))
     except (BranchCutError, PoleError, ValueError):
         return None
 
@@ -331,7 +324,7 @@ def cmd_solve(config_path: Path, overrides: list[str]) -> int:
             "sigma_star": {"re": result.sigma_star.real, "im": result.sigma_star.imag},
             "status": result.status.value,
             "iterations": result.iterations,
-            "estimated_rate": _estimated_rate(result),
+            "estimated_rate": _tail_rate(result.history, RATE_WINDOW),
             "predicted_rate": _predicted_rate_or_none(cfg, scheme_name),
             "config": cfg.echo(),
         }
@@ -379,7 +372,7 @@ def cmd_compare(config_path: Path, overrides: list[str]) -> int:
         if result.status is not TerminationStatus.CONVERGED:
             all_converged = False
         err_exact = abs(result.sigma_star - exact) if exact is not None else None
-        est = _estimated_rate(result)
+        est = _tail_rate(result.history, RATE_WINDOW)
         pred = _predicted_rate_or_none(cfg, name)
         rows.append(
             (
@@ -415,15 +408,10 @@ def cmd_contours(config_path: Path, overrides: list[str]) -> int:
     if not cfg.contours:
         raise ConfigError("contours needs a [contours] section")
     scheme = _SCHEME_NAMES[cfg.scheme["name"]]
-    interval = None
-    if "alpha" in cfg.scheme:
-        interval = SpectralInterval(cfg.scheme["alpha"], cfg.scheme["beta"])
-    if scheme.substituted and interval is None:
-        raise ConfigError(f"scheme {scheme.value} needs [scheme] alpha and beta")
     win = cfg.contours
     grid: RateGrid = rate_contours(
         scheme,
-        interval,
+        _interval(cfg, scheme),
         (win["re_min"], win["re_max"], win["im_min"], win["im_max"]),
         (win["nr"], win["ni"]),
     )

@@ -2,14 +2,18 @@
 
 Four schemes share one contract: drive the equilibrium residual of the
 flux to zero and report the effective conductivity along the applied
-field. ``basic`` and ``em`` iterate on the physical electric field (the
-latter through the polarization-like variable w = (sigma + sigma0) e
-with reference sigma0 = sqrt(sigma1)); ``basic_sub`` and ``em_sub`` run
-the same two iterations in the augmented (Q, S, T) space, where the
-inclusion conductivity is replaced by the mapped parameter
-t = map_t(sigma1) whose disk coordinate is closer to the origin whenever
-the singularities of the effective conductivity are confined to the
-assumed interval. All four converge to the same discrete solution.
+field. One iteration kernel runs them all, on slots coupled on the
+inclusion by a coefficient tuple p through the local operator
+A = (t - 1) chi p (x) p + I. ``basic_sub`` and ``em_sub`` work in the
+augmented (Q, S, T) space, p = (p1, p2, p3), where the inclusion
+conductivity is replaced by the mapped parameter t = map_t(sigma1) whose
+disk coordinate is closer to the origin whenever the singularities of
+the effective conductivity are confined to the assumed interval.
+``basic`` and ``em`` are the one-slot case, p = (1,) and t = sigma1,
+whose slot is the physical electric field. The basic schemes use the
+reference sigma0 = (t + 1)/2; the accelerated ones iterate on the
+polarization-like variable w = (A + sigma0) F with sigma0 = sqrt(t). All
+four converge to the same discrete solution.
 
 Stopping: equilibrium residual <= tol and a relative change in the
 effective-conductivity estimate <= tol, with a divergence guard at 1e6
@@ -26,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BranchCutError, ContractError, DegenerateParamError, IntervalError
+from .errors import ContractError, DegenerateParamError, IntervalError
 from .geometry import PhaseMap
 from .spectral_ops import (
     AugmentedField,
@@ -48,6 +52,7 @@ from .transform import (
     SchemeKind,
     SpectralInterval,
     SubstitutionParams,
+    _require_off_cut,
     map_t,
     solve_p,
 )
@@ -223,24 +228,27 @@ def estimate_rate(history: ConvergenceHistory, window: int) -> float:
     return (tail[-1] / tail[0]) ** (1.0 / window)
 
 
-def _reference_h(cfg: SolverConfig, accelerated: bool) -> complex:
-    sigma1 = complex(cfg.sigma1)
+def _tail_rate(history: ConvergenceHistory, window: int) -> float | None:
+    """:func:`estimate_rate`, or None when the history is too short or not positive."""
+    if len(history) < window + 1 or any(r <= 0 for r in history.residuals()[-(window + 1):]):
+        return None
+    return estimate_rate(history, window)
+
+
+def _reference(cfg: SolverConfig, t: complex, label: str) -> complex:
+    """Reference conductivity at inclusion value ``t``, called ``label`` in errors.
+
+    A vanishing A + sigma0 I is caught by :func:`_shifted_inverse_coefs`.
+    """
     if cfg.sigma0_override is not None:
         sigma0 = complex(cfg.sigma0_override)
-    elif accelerated:
-        if sigma1.imag == 0.0 and sigma1.real <= 0.0:
-            raise BranchCutError(
-                f"sigma1 = {sigma1} lies on the closed negative real axis; "
-                "the square-root reference is undefined"
-            )
-        sigma0 = cmath.sqrt(sigma1)
+    elif cfg.scheme.accelerated:
+        sigma0 = cmath.sqrt(_require_off_cut(t, label))
     else:
-        sigma0 = (sigma1 + 1.0) / 2.0
+        sigma0 = (t + 1.0) / 2.0
     if sigma0 == 0:
-        raise DegenerateParamError("reference conductivity sigma0 vanishes")
-    if accelerated and (sigma1 + sigma0 == 0 or 1.0 + sigma0 == 0):
         raise DegenerateParamError(
-            f"sigma + sigma0 vanishes in one phase (sigma0 = {sigma0})"
+            f"reference sigma0 vanishes ({label} = {t}, sigma0_override = {cfg.sigma0_override})"
         )
     return sigma0
 
@@ -291,120 +299,39 @@ def _reflect(r: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return w
 
 
-def _solve_h(pmap: PhaseMap, cfg: SolverConfig, accelerated: bool) -> SolveResult:
-    sigma1 = complex(cfg.sigma1)
-    sigma0 = _reference_h(cfg, accelerated)
-    chi = pmap.chi
-    npix = chi.size
-    sigma = np.where(chi, sigma1, 1.0 + 0j)
-    e0v = cfg.e0_vector()
-    e0sq = np.vdot(e0v, e0v).real
-    e_raw = np.empty((2, *chi.shape), dtype=np.complex128)
-    e_raw[0], e_raw[1] = e0v[0], e0v[1]
-    j = np.empty_like(e_raw)
-    if accelerated:
-        sigma_minus = sigma - sigma0
-        inv_sigma_plus = 1.0 / (sigma + sigma0)
-        two_s0_e0 = 2.0 * sigma0 * e0v
-        work = np.empty_like(e_raw)
-
-    mon = _Monitor(cfg)
-    g = None
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, cfg.max_iters + 1):
-            if k > 1:
-                if accelerated:
-                    # e_raw = w / (sigma + sigma0) with
-                    # w = 2 sigma0 e0 - 2 gamma1(r) + r, r = (sigma - sigma0) e_raw
-                    e_raw *= sigma_minus
-                    np.multiply(_reflect(e_raw, two_s0_e0), inv_sigma_plus, out=e_raw)
-                else:
-                    # e_raw holds the mean-pinned field of the last iteration
-                    g /= sigma0
-                    e_raw -= g
-            dfield = (e0v - _mean_vec(e_raw))[:, None, None]
-            if accelerated:
-                # the update runs on the raw iterate; pin the mean of a copy
-                np.add(e_raw, dfield, out=j)
-                j *= sigma
-            else:
-                e_raw += dfield
-                np.multiply(sigma, e_raw, out=j)
-            jmean = _mean_vec(j)
-            den = float(np.linalg.norm(jmean))
-            sstar = complex(np.vdot(e0v, jmean)) / e0sq
-            if den < _TINY and math.isfinite(den):
-                mon.flag_degenerate()
-                break
-            if accelerated:
-                total = _gamma1_sqnorm(j, work)
-            else:
-                g = _gamma1_arr(j)
-                total = _compensated_total(np.abs(g) ** 2)
-            res = math.sqrt(total / npix) / den
-            if mon.step(k, sstar, res):
-                break
-
-    sigma_star = mon.history.records[-1].sigma_star if len(mon.history) else sstar
-    return SolveResult(
-        sigma_star=sigma_star,
-        E_field=VectorField(e_raw + dfield if accelerated else e_raw),
-        J_field=VectorField(j),
-        history=mon.history,
-        status=mon.status,
-        degenerate_flux=mon.degenerate_flux,
-    )
-
-
-def _reference_aug(cfg: SolverConfig, t: complex, accelerated: bool) -> complex:
-    if cfg.sigma0_override is not None:
-        sigma0 = complex(cfg.sigma0_override)
-    elif accelerated:
-        if t.imag == 0.0 and t.real <= 0.0:
-            raise BranchCutError(
-                f"t = {t} lies on the closed negative real axis; sigma1 sits "
-                "inside the assumed singular interval"
-            )
-        sigma0 = cmath.sqrt(t)
-    else:
-        if t == -1.0:
-            raise DegenerateParamError("t = -1 makes the reference (t+1)/2 vanish")
-        sigma0 = (t + 1.0) / 2.0
-    if sigma0 == 0:
-        raise DegenerateParamError("reference sigma0 vanishes")
-    if accelerated and (1.0 + sigma0 == 0 or t + sigma0 == 0):
-        raise DegenerateParamError(f"A + sigma0 I is singular for sigma0 = {sigma0}")
-    return sigma0
-
-
 def _apply_A_arrays(q, s, t_arr, t, params, chi):
     """A = (t - 1) chi'' + I on a raw full-grid (Q, S, T) array triple."""
     return _local_arrays(q, s, t_arr, chi, params, t - 1.0)
 
 
-def _solve_aug(pmap: PhaseMap, cfg: SolverConfig, accelerated: bool) -> SolveResult:
+def _solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
+    """The iteration kernel of all four schemes, selected by ``cfg.scheme``."""
+    accelerated = cfg.scheme.accelerated
     sigma1 = complex(cfg.sigma1)
-    interval = cfg.interval
-    t = map_t(sigma1, interval)
-    params = solve_p(interval)
-    sigma0 = _reference_aug(cfg, t, accelerated)
+    if cfg.scheme.substituted:
+        t = map_t(sigma1, cfg.interval)
+        params = solve_p(cfg.interval)
+        p, label = (params.p1, params.p2, params.p3), "t"
+    else:
+        t, p, label = sigma1, (1.0,), "sigma1"
+    sigma0 = _reference(cfg, t, label)
     chi = pmap.chi
     npix = chi.size
     e0v = cfg.e0_vector()
     e0sq = np.vdot(e0v, e0v).real
-    # S and T vanish off the inclusion, so the phase-1 pixels ``support``
-    # carry all three slots packed in ``x`` = (Q, S, T), each (2, m); the
+    # Slots past Q vanish off the inclusion, so the phase-1 pixels
+    # ``support`` carry all len(p) slots packed in ``x``, each (2, m); the
     # full-grid Q slot lives in ``fq``. A is the identity on the Q slot of
-    # phase-2 pixels; ``y`` holds A x on phase 1.
+    # phase-2 pixels; ``y`` holds A x on phase 1. The S and T lines below
+    # act on the slices [1:2] and [2:], empty for the physical schemes.
     support = np.flatnonzero(chi)
     tm1 = t - 1.0
-    # A applied to a constant Q-slot shift delta adds pin_q delta to the Q
-    # slot and pin_s delta to the S slot on phase 1
-    pin_q, pin_s = tm1 * params.p1 * params.p1, tm1 * params.p2 * params.p1
+    # A maps a constant Q-slot shift delta to pin[i] delta in slot i on phase 1
+    pin = tm1 * p[0] * np.array(p)[:, None, None]
+    pin[0] += 1.0
     fq = np.empty((2, *chi.shape), dtype=np.complex128)
     fq[0], fq[1] = e0v[0], e0v[1]
-    x = np.zeros((3, 2, support.size), dtype=np.complex128)
+    x = np.zeros((len(p), 2, support.size), dtype=np.complex128)
     x[0] = _pack(fq, support)
     y = np.empty_like(x)
     jq = np.empty_like(fq)
@@ -429,9 +356,9 @@ def _solve_aug(pmap: PhaseMap, cfg: SolverConfig, accelerated: bool) -> SolveRes
                     _scatter(work, support, y[0] - sigma0 * x[0])
                     wq = _reflect(work, two_s0_e0)
                     w[0] = _pack(wq, support)
-                    np.subtract(sigma0 * x[1], y[1], out=w[1])
-                    np.subtract(y[2], sigma0 * x[2], out=w[2])
-                    _local_packed(w, params, inv_coef, inv_scale, out=x)
+                    np.subtract(sigma0 * x[1:2], y[1:2], out=w[1:2])
+                    np.subtract(y[2:], sigma0 * x[2:], out=w[2:])
+                    _local_packed(w, p, inv_coef, inv_scale, out=x)
                     np.multiply(wq, inv_scale, out=fq)
                     _scatter(fq, support, x[0])
                 else:
@@ -439,8 +366,8 @@ def _solve_aug(pmap: PhaseMap, cfg: SolverConfig, accelerated: bool) -> SolveRes
                     g /= sigma0
                     fq -= g
                     x[0] = _pack(fq, support)
-                    x[1] -= js / sigma0
-            _local_packed(x, params, tm1, out=y)
+                    x[1:2] -= js / sigma0
+            _local_packed(x, p, tm1, out=y)
             # Constant Q-slot correction pins the mean field at e0 for
             # reporting; the accelerated update keeps the raw iterate so
             # the map stays exact.
@@ -448,8 +375,8 @@ def _solve_aug(pmap: PhaseMap, cfg: SolverConfig, accelerated: bool) -> SolveRes
             dfield = delta[:, None, None]
             dpacked = delta[:, None]
             np.add(fq, dfield, out=jq)
-            _scatter(jq, support, y[0] + pin_q * dpacked + dpacked)
-            js = y[1] + pin_s * dpacked
+            _scatter(jq, support, y[0] + pin[0] * dpacked)
+            js = y[1:2] + pin[1:2] * dpacked
             if not accelerated:
                 fq += dfield
             jmean = _mean_vec(jq)
@@ -479,10 +406,8 @@ def _solve_aug(pmap: PhaseMap, cfg: SolverConfig, accelerated: bool) -> SolveRes
         status=mon.status,
         degenerate_flux=mon.degenerate_flux,
         aug_field=AugmentedField(
-            VectorField(fq),
-            VectorField(_unpack(x[1], support, chi.shape)),
-            VectorField(_unpack(x[2], support, chi.shape)),
-        ),
+            VectorField(fq), *(VectorField(_unpack(s, support, chi.shape)) for s in x[1:])
+        ) if cfg.scheme.substituted else None,
     )
 
 
@@ -496,7 +421,7 @@ def _check_scheme(cfg: SolverConfig, expected: SchemeKind):
 def solve_basic(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     """Fixed-point iteration with reference sigma0 = (sigma1 + 1)/2."""
     _check_scheme(cfg, SchemeKind.BASIC)
-    return _solve_h(pmap, cfg, accelerated=False)
+    return _solve(pmap, cfg)
 
 
 def solve_em(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
@@ -506,29 +431,21 @@ def solve_em(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     the same magnitude in both phases, which is what buys the speedup.
     """
     _check_scheme(cfg, SchemeKind.EYRE_MILTON)
-    return _solve_h(pmap, cfg, accelerated=True)
+    return _solve(pmap, cfg)
 
 
 def solve_basic_sub(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     """Basic iteration in the augmented space with t = map_t(sigma1)."""
     _check_scheme(cfg, SchemeKind.BASIC_SUB)
-    return _solve_aug(pmap, cfg, accelerated=False)
+    return _solve(pmap, cfg)
 
 
 def solve_em_sub(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     """Accelerated iteration in the augmented space, reference sqrt(t)."""
     _check_scheme(cfg, SchemeKind.EYRE_MILTON_SUB)
-    return _solve_aug(pmap, cfg, accelerated=True)
-
-
-_DISPATCH = {
-    SchemeKind.BASIC: solve_basic,
-    SchemeKind.EYRE_MILTON: solve_em,
-    SchemeKind.BASIC_SUB: solve_basic_sub,
-    SchemeKind.EYRE_MILTON_SUB: solve_em_sub,
-}
+    return _solve(pmap, cfg)
 
 
 def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     """Run the scheme selected by ``cfg.scheme``."""
-    return _DISPATCH[cfg.scheme](pmap, cfg)
+    return _solve(pmap, cfg)

@@ -9,7 +9,8 @@ VectorFields whose S and T slots vanish off the inclusion; the local
 operators couple the three slots through a complex parameter triple p
 with p.p = 1 and are inverted pixel-wise in closed form. One packed
 kernel applies them to slots stored on the inclusion pixels only; the
-public operators and the solvers both go through it.
+public operators and all four solvers go through it, the physical
+schemes with the Q slot alone.
 
 All arithmetic is complex double precision. Reductions (means, norms)
 run row-wise with a pairwise sum and combine rows with an exactly
@@ -169,8 +170,9 @@ class AugmentedField:
     """Triple (Q, S, T) of vector fields on one grid.
 
     Q lives on the whole cell; S and T must vanish identically on
-    phase-2 pixels of the map they are used with. Operators enforce the
-    support by masking after every application.
+    phase-2 pixels of the map they are used with. The local operators
+    read S and T on the inclusion pixels only and return them zero
+    elsewhere; :func:`gamma1_aug` raises SupportError on off-support data.
     """
 
     Q: VectorField
@@ -262,13 +264,13 @@ def _pack_slots(q, s, t_arr, support: np.ndarray) -> np.ndarray:
     return np.stack([_pack(q, support), _pack(s, support), _pack(t_arr, support)])
 
 
-def _slot_mix(x: np.ndarray, params: SubstitutionParams) -> np.ndarray:
-    """u = p . x per pixel for packed (3, 2, m) slots, as (2, m)."""
-    u = np.multiply(x[0], params.p1)
-    tmp = np.multiply(x[1], params.p2)
-    u += tmp
-    np.multiply(x[2], params.p3, out=tmp)
-    u += tmp
+def _slot_mix(x: np.ndarray, p: tuple) -> np.ndarray:
+    """u = p . x per pixel for packed (len(p), 2, m) slots, as (2, m)."""
+    u = np.multiply(x[0], p[0])
+    tmp = np.empty_like(u)
+    for slot in range(1, len(p)):
+        np.multiply(x[slot], p[slot], out=tmp)
+        u += tmp
     return u
 
 
@@ -280,25 +282,28 @@ def apply_chi_aug(
     Idempotent because p.p = 1; not self-adjoint for complex p.
     """
     support = np.flatnonzero(pmap.chi)
-    u = _slot_mix(_pack_slots(f.Q.data, f.S.data, f.T.data, support), params)
-    slots = [_unpack(p * u, support, pmap.chi.shape) for p in (params.p1, params.p2, params.p3)]
+    p = (params.p1, params.p2, params.p3)
+    u = _slot_mix(_pack_slots(f.Q.data, f.S.data, f.T.data, support), p)
+    slots = [_unpack(ps * u, support, pmap.chi.shape) for ps in p]
     return AugmentedField(*map(VectorField, slots))
 
 
-def _local_packed(x, params: SubstitutionParams, coef, scale=1.0, out=None) -> np.ndarray:
-    """scale * (I + coef chi'') on phase-1 pixels; x packs the (Q, S, T) slots as (3, 2, m).
+def _local_packed(x, p: tuple, coef, scale=1.0, out=None) -> np.ndarray:
+    """scale * (I + coef chi'') on phase-1 pixels; x packs len(p) slots as (len(p), 2, m).
 
-    chi'' is the rank-one slot mixer p (x) p. On phase-2 pixels the
-    operator is scale * I on the Q slot, which the caller applies. With
-    coef = t - 1 and scale = 1 this is A; with the coefficients of
+    chi'' is the rank-one slot mixer p (x) p: p = (p1, p2, p3) on the
+    augmented (Q, S, T) slots, or p = (1,) on the Q slot alone, where A is
+    the physical conductivity. On phase-2 pixels the operator is scale * I
+    on the Q slot, which the caller applies. With coef = t - 1 and
+    scale = 1 this is A; with the coefficients of
     :func:`_shifted_inverse_coefs` it is the inverse of A + sigma0 I.
     """
-    u = _slot_mix(x, params)
+    u = _slot_mix(x, p)
     if out is None:
         out = np.empty_like(x)
     tmp = np.empty_like(u) if scale != 1.0 else None
-    for slot, p in enumerate((params.p1, params.p2, params.p3)):
-        np.multiply(u, scale * coef * p, out=out[slot])
+    for slot, ps in enumerate(p):
+        np.multiply(u, scale * coef * ps, out=out[slot])
         if tmp is not None:
             np.multiply(x[slot], scale, out=tmp)
             out[slot] += tmp
@@ -310,7 +315,8 @@ def _local_packed(x, params: SubstitutionParams, coef, scale=1.0, out=None) -> n
 def _local_arrays(q, s, t_arr, chi, params, coef, scale=1.0):
     """:func:`_local_packed` on full-grid (2, ny, nx) slot arrays; S and T are read on chi."""
     support = np.flatnonzero(chi)
-    y = _local_packed(_pack_slots(q, s, t_arr, support), params, coef, scale)
+    p = (params.p1, params.p2, params.p3)
+    y = _local_packed(_pack_slots(q, s, t_arr, support), p, coef, scale)
     q_out = np.array(q, dtype=np.complex128, order="C")
     if scale != 1.0:
         q_out *= scale
@@ -330,9 +336,9 @@ def _shifted_inverse_coefs(t: complex, sigma0: complex) -> tuple[complex, comple
     """(coef, scale) of :func:`_local_packed` that invert A + sigma0 I."""
     tt, s0 = complex(t), complex(sigma0)
     if 1.0 + s0 == 0:
-        raise DegenerateParamError("shift sigma0 = -1 makes A + sigma0 I singular")
+        raise DegenerateParamError(f"shift sigma0 = {s0} = -1 makes A + sigma0 I singular")
     if tt + s0 == 0:
-        raise DegenerateParamError("shift sigma0 = -t makes A + sigma0 I singular")
+        raise DegenerateParamError(f"shift sigma0 = {s0} = -t makes A + sigma0 I singular")
     return -(tt - 1.0) / (tt + s0), 1.0 / (1.0 + s0)
 
 

@@ -1,10 +1,12 @@
 """Frozen solver behaviour: statuses, iteration counts and sigma_star.
 
-The table was recorded from the full-grid implementation that preceded
-the packed S/T storage, the Parseval residual and the Fourier-space
-reflection. Those changes only reorder floating-point work, so every
-scheme must stop for the same reason after the same number of
-iterations, with sigma_star equal to roundoff.
+FROZEN was recorded from the full-grid implementation that preceded the
+packed S/T storage and the Parseval residual; FROZEN_OVERRIDE, with the
+reference conductivity fixed at SIGMA0_OVERRIDE, from the implementation
+that still ran the physical schemes in a loop of their own. Those
+changes only reorder floating-point work, so every scheme must stop for
+the same reason after the same number of iterations, with sigma_star
+equal to roundoff.
 
 Each row: geometry, sigma1, scheme, status, iterations, sigma_star, for
 n = 64, tol = 1e-8, max_iters = 200 and the interval (1/4, 4).
@@ -55,9 +57,20 @@ FROZEN = [
     ("disk", (0.02+0j), "em_sub", "MaxIters", 200, (0.4562868068120081+2.2885771443627127e-19j)),
 ]
 
+SIGMA0_OVERRIDE = 1.7
+FROZEN_OVERRIDE = [
+    ("square", (2+0j), "basic", "Converged", 14, (1.1832158895302987-1.6889042874862698e-19j)),
+    ("square", (2+0j), "em", "Converged", 10, (1.1832158887444855+7.184559928390577e-20j)),
+    ("square", (2+0j), "basic_sub", "Converged", 19, (1.1832158892035294+1.4723814903443893e-20j)),
+    ("square", (2+0j), "em_sub", "Converged", 13, (1.1832158891707758+5.383092903148091e-19j)),
+    ("square", (0.7+0.4j), "basic", "Converged", 28, (0.9370249356365797+0.1232875201749012j)),
+    ("square", (0.7+0.4j), "em", "Converged", 17, (0.9370249360119903+0.1232875195130012j)),
+    ("square", (0.7+0.4j), "basic_sub", "Converged", 25, (0.9370249360106293+0.12328751985402954j)),
+    ("square", (0.7+0.4j), "em_sub", "Converged", 16, (0.9370249362053246+0.12328752000534292j)),
+]
 
-@pytest.mark.parametrize("geometry, sigma1, scheme, status, iterations, sigma_star", FROZEN)
-def test_matches_frozen_run(geometry, sigma1, scheme, status, iterations, sigma_star):
+
+def _check_frozen(geometry, sigma1, scheme, status, iterations, sigma_star, sigma0_override=None):
     kind = SchemeKind(scheme)
     cfg = SolverConfig(
         scheme=kind,
@@ -65,8 +78,48 @@ def test_matches_frozen_run(geometry, sigma1, scheme, status, iterations, sigma_
         interval=BENCH if kind.substituted else None,
         tol=1e-8,
         max_iters=200,
+        sigma0_override=sigma0_override,
     )
     r = solve(GEOMETRY[geometry], cfg)
     assert r.status.value == status
     assert r.iterations == iterations
     assert abs(r.sigma_star - sigma_star) <= 1e-12 * abs(sigma_star)
+
+
+@pytest.mark.parametrize("geometry, sigma1, scheme, status, iterations, sigma_star", FROZEN)
+def test_matches_frozen_run(geometry, sigma1, scheme, status, iterations, sigma_star):
+    _check_frozen(geometry, sigma1, scheme, status, iterations, sigma_star)
+
+
+@pytest.mark.parametrize(
+    "geometry, sigma1, scheme, status, iterations, sigma_star", FROZEN_OVERRIDE
+)
+def test_matches_frozen_run_with_sigma0_override(
+    geometry, sigma1, scheme, status, iterations, sigma_star
+):
+    _check_frozen(geometry, sigma1, scheme, status, iterations, sigma_star, SIGMA0_OVERRIDE)
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+@pytest.mark.parametrize("geometry", sorted(GEOMETRY))
+@pytest.mark.parametrize("sigma1", [2.0, 0.7 + 0.4j])
+def test_applied_field_direction(scheme, geometry, sigma1):
+    """Both geometries are symmetric under x <-> y, so e0 = (0, 1) must
+    repeat the run along e0 = (1, 0): same count, sigma_star to roundoff."""
+    runs = [
+        solve(
+            GEOMETRY[geometry],
+            SolverConfig(
+                scheme=scheme,
+                sigma1=sigma1,
+                interval=BENCH if scheme.substituted else None,
+                e0=e0,
+                tol=1e-10,
+                max_iters=200,
+            ),
+        )
+        for e0 in [(1.0, 0.0), (0.0, 1.0)]
+    ]
+    assert runs[0].converged
+    assert runs[1].iterations == runs[0].iterations
+    assert abs(runs[1].sigma_star - runs[0].sigma_star) <= 1e-14 * abs(runs[0].sigma_star)

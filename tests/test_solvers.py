@@ -36,7 +36,7 @@ from fftcond import (
     solve_em_sub,
     solve_p,
 )
-from fftcond.solvers import ConvergenceHistory
+from fftcond.solvers import ConvergenceHistory, _tail_rate
 
 BENCH = SpectralInterval(0.25, 4.0)
 
@@ -459,6 +459,12 @@ class TestEstimateRate:
         assert r.converged
         assert estimate_rate(r.history, min(10, r.iterations - 1)) < 1.0
 
+    def test_tail_rate_is_none_where_estimate_rate_refuses(self):
+        assert _tail_rate(self._history([0.5, 0.25]), 10) is None
+        assert _tail_rate(self._history([0.5] * 11 + [0.0]), 11) is None
+        h = self._history([2.0 ** -k for k in range(12)])
+        assert _tail_rate(h, 10) == estimate_rate(h, 10)
+
 
 class TestStoppingAndGuards:
     def test_max_iters_status(self):
@@ -481,6 +487,11 @@ class TestStoppingAndGuards:
         iters = [rec.iteration for rec in r.history]
         assert iters == sorted(set(iters))
         assert r.converged and r.history.residuals()[-1] <= 1e-10
+
+    @pytest.mark.parametrize("scheme", [SchemeKind.BASIC, SchemeKind.EYRE_MILTON])
+    def test_physical_schemes_carry_no_aug_field(self, scheme):
+        r = solve(build_square_array(16, 0.5), cfg_for(scheme, 2.0, max_iters=3))
+        assert r.aug_field is None
 
     def test_mean_field_pinned_to_applied(self):
         pm = build_square_array(32, 0.5)
