@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -174,15 +174,7 @@ def misestimation_report(
     """
 
     def run(interval: SpectralInterval) -> MisestimationRun:
-        local = SolverConfig(
-            scheme=SchemeKind.EYRE_MILTON_SUB,
-            sigma1=sigma1,
-            interval=interval,
-            e0=cfg.e0,
-            tol=cfg.tol,
-            max_iters=cfg.max_iters,
-            sigma0_override=cfg.sigma0_override,
-        )
+        local = replace(cfg, scheme=SchemeKind.EYRE_MILTON_SUB, sigma1=sigma1, interval=interval)
         start = time.perf_counter()
         result = solve_em_sub(pmap, local)
         return MisestimationRun.from_result(

@@ -250,6 +250,11 @@ def _interval(cfg: RunConfig, scheme: SchemeKind) -> SpectralInterval | None:
     return None
 
 
+def _sigma1(cfg: RunConfig) -> complex:
+    """The inclusion conductivity of the [physics] section."""
+    return complex(cfg.physics["sigma1_re"], cfg.physics["sigma1_im"])
+
+
 def _solver_config(cfg: RunConfig, scheme_name: str) -> SolverConfig:
     scheme = _SCHEME_NAMES[scheme_name]
     sch = cfg.scheme
@@ -258,7 +263,7 @@ def _solver_config(cfg: RunConfig, scheme_name: str) -> SolverConfig:
         sigma0 = complex(sch["sigma0_re"], sch.get("sigma0_im", 0.0))
     return SolverConfig(
         scheme=scheme,
-        sigma1=complex(cfg.physics["sigma1_re"], cfg.physics["sigma1_im"]),
+        sigma1=_sigma1(cfg),
         interval=_interval(cfg, scheme),
         tol=sch["tol"],
         max_iters=sch["max_iters"],
@@ -287,9 +292,8 @@ def _write_history_csv(path: Path, result: SolveResult | None):
 
 def _predicted_rate_or_none(cfg: RunConfig, scheme_name: str) -> float | None:
     scheme = _SCHEME_NAMES[scheme_name]
-    sigma1 = complex(cfg.physics["sigma1_re"], cfg.physics["sigma1_im"])
     try:
-        return predicted_rate(scheme, sigma1, _interval(cfg, scheme))
+        return predicted_rate(scheme, _sigma1(cfg), _interval(cfg, scheme))
     except (BranchCutError, PoleError, ValueError):
         return None
 
@@ -299,9 +303,8 @@ def _exact_reference(cfg: RunConfig) -> complex | None:
     geo = cfg.geometry
     if geo["kind"] != "square" or geo.get("side_fraction") != 0.5:
         return None
-    sigma1 = complex(cfg.physics["sigma1_re"], cfg.physics["sigma1_im"])
     try:
-        return obnosov(sigma1)
+        return obnosov(_sigma1(cfg))
     except PoleError:
         return None
 

@@ -3,8 +3,11 @@
 Four schemes share one contract: drive the equilibrium residual of the
 flux to zero and report the effective conductivity along the applied
 field. One iteration kernel runs them all, on slots coupled on the
-inclusion by a coefficient tuple p through the local operator
-A = (t - 1) chi p (x) p + I. ``basic_sub`` and ``em_sub`` work in the
+inclusion by a coefficient tuple p. Its local operators have the form
+on chi'' + off (I - chi'') with chi'' = chi p (x) p: A is (t, 1) and the
+shifted inverse (A + sigma0 I)^-1 is (1/(t + sigma0), 1/(1 + sigma0)).
+On the inclusion each is a len(p)-square slot matrix; the mean pin is
+column 0 of A's matrix. ``basic_sub`` and ``em_sub`` work in the
 augmented (Q, S, T) space, p = (p1, p2, p3), where the inclusion
 conductivity is replaced by the mapped parameter t = map_t(sigma1) whose
 disk coordinate is closer to the origin whenever the singularities of
@@ -35,15 +38,16 @@ from .geometry import PhaseMap
 from .spectral_ops import (
     AugmentedField,
     VectorField,
+    _apply_slots,
     _compensated_total,
     _gamma1_arr,
     _gamma1_sqnorm,
     _local_arrays,
-    _local_packed,
     _mean_vec,
     _pack,
     _scatter,
     _shifted_inverse_coefs,
+    _slot_matrix,
     _unpack,
     apply_local_A,
     gamma0_aug,
@@ -126,13 +130,20 @@ class SolverConfig:
             raise IntervalError(
                 f"scheme {self.scheme.value} needs a spectral interval"
             )
-        if abs(complex(self.e0[0])) == 0 and abs(complex(self.e0[1])) == 0:
-            raise ContractError("applied field e0 must be nonzero")
+        _e0_vector(self.e0)
 
-    def e0_vector(self) -> np.ndarray:
-        return np.array(
-            [complex(self.e0[0]), complex(self.e0[1])], dtype=np.complex128
-        )
+
+def _e0_vector(e0) -> np.ndarray:
+    """The applied field as a complex 2-vector; ContractError if its squared norm is 0."""
+    e0v = np.array([complex(e0[0]), complex(e0[1])], dtype=np.complex128)
+    if np.vdot(e0v, e0v).real == 0:
+        raise ContractError("applied field e0 must be nonzero")
+    return e0v
+
+
+def _along(e0v: np.ndarray, jmean: np.ndarray) -> complex:
+    """Effective conductivity read off a mean flux: its component along e0 per unit e0."""
+    return complex(np.vdot(e0v, jmean)) / np.vdot(e0v, e0v).real
 
 
 @dataclass
@@ -156,13 +167,9 @@ class SolveResult:
 
 def extract_sigma_star(e: VectorField, pmap: PhaseMap, sigma1: complex, e0=(1.0, 0.0)) -> complex:
     """Effective conductivity along e0 from an electric field iterate."""
-    e0v = np.array([complex(e0[0]), complex(e0[1])])
-    e0sq = np.vdot(e0v, e0v).real
-    if e0sq == 0:
-        raise ContractError("applied field e0 must be nonzero")
+    e0v = _e0_vector(e0)
     sigma = np.where(pmap.chi, complex(sigma1), 1.0 + 0j)
-    jmean = _mean_vec(sigma * e.data)
-    return complex(np.vdot(e0v, jmean)) / e0sq
+    return _along(e0v, _mean_vec(sigma * e.data))
 
 
 def extract_sigma_star_aug(
@@ -173,12 +180,9 @@ def extract_sigma_star_aug(
     e0=(1.0, 0.0),
 ) -> complex:
     """Effective conductivity from an augmented iterate: mean flux Q-slot."""
-    e0v = np.array([complex(e0[0]), complex(e0[1])])
-    e0sq = np.vdot(e0v, e0v).real
-    if e0sq == 0:
-        raise ContractError("applied field e0 must be nonzero")
+    e0v = _e0_vector(e0)
     flux = apply_local_A(f, t, params, pmap)
-    return complex(np.vdot(e0v, flux.Q.mean())) / e0sq
+    return _along(e0v, flux.Q.mean())
 
 
 def recover_physical_fields(
@@ -300,8 +304,8 @@ def _reflect(r: np.ndarray, shift: np.ndarray) -> np.ndarray:
 
 
 def _apply_A_arrays(q, s, t_arr, t, params, chi):
-    """A = (t - 1) chi'' + I on a raw full-grid (Q, S, T) array triple."""
-    return _local_arrays(q, s, t_arr, chi, params, t - 1.0)
+    """A = t chi'' + (I - chi'') on a raw full-grid (Q, S, T) array triple."""
+    return _local_arrays(q, s, t_arr, chi, params, t, 1.0)
 
 
 def _solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
@@ -317,18 +321,16 @@ def _solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     sigma0 = _reference(cfg, t, label)
     chi = pmap.chi
     npix = chi.size
-    e0v = cfg.e0_vector()
-    e0sq = np.vdot(e0v, e0v).real
+    e0v = _e0_vector(cfg.e0)
     # Slots past Q vanish off the inclusion, so the phase-1 pixels
     # ``support`` carry all len(p) slots packed in ``x``, each (2, m); the
     # full-grid Q slot lives in ``fq``. A is the identity on the Q slot of
-    # phase-2 pixels; ``y`` holds A x on phase 1. The S and T lines below
-    # act on the slices [1:2] and [2:], empty for the physical schemes.
+    # phase-2 pixels; ``y`` holds A x on phase 1. The S line of the basic
+    # update acts on the slice [1:2], empty for the physical schemes.
     support = np.flatnonzero(chi)
-    tm1 = t - 1.0
-    # A maps a constant Q-slot shift delta to pin[i] delta in slot i on phase 1
-    pin = tm1 * p[0] * np.array(p)[:, None, None]
-    pin[0] += 1.0
+    a_mat = _slot_matrix(p, t, 1.0)
+    # A maps a constant Q-slot shift delta to a_mat[i, 0] delta in slot i on phase 1
+    pin = a_mat[:, 0, None, None]
     fq = np.empty((2, *chi.shape), dtype=np.complex128)
     fq[0], fq[1] = e0v[0], e0v[1]
     x = np.zeros((len(p), 2, support.size), dtype=np.complex128)
@@ -336,7 +338,10 @@ def _solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     y = np.empty_like(x)
     jq = np.empty_like(fq)
     if accelerated:
-        inv_coef, inv_scale = _shifted_inverse_coefs(t, sigma0)
+        inv_on, inv_off = _shifted_inverse_coefs(t, sigma0)
+        inv_mat = _slot_matrix(p, inv_on, inv_off)
+        # the reflection negates the S slot of r; the inverse applies that sign
+        inv_mat[:, 1:2] *= -1
         two_s0_e0 = 2.0 * sigma0 * e0v
         w = np.empty_like(x)
         work = np.empty_like(fq)
@@ -350,16 +355,16 @@ def _solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
                 if accelerated:
                     # r = (A - sigma0 I) F_raw is (1 - sigma0) F_raw on the Q
                     # slot of phase 2 and y - sigma0 x on phase 1;
-                    # w = (2 sigma0 e0 - 2 gamma1(r_Q) + r_Q, -r_S, r_T);
-                    # F_raw = (A + sigma0 I)^-1 w
+                    # w = (2 sigma0 e0 - 2 gamma1(r_Q) + r_Q, -r_S, r_T), whose
+                    # S sign inv_mat carries; F_raw = (A + sigma0 I)^-1 w
+                    np.multiply(x, sigma0, out=w)
+                    np.subtract(y, w, out=w)
                     np.multiply(fq, 1.0 - sigma0, out=work)
-                    _scatter(work, support, y[0] - sigma0 * x[0])
+                    _scatter(work, support, w[0])
                     wq = _reflect(work, two_s0_e0)
                     w[0] = _pack(wq, support)
-                    np.subtract(sigma0 * x[1:2], y[1:2], out=w[1:2])
-                    np.subtract(y[2:], sigma0 * x[2:], out=w[2:])
-                    _local_packed(w, p, inv_coef, inv_scale, out=x)
-                    np.multiply(wq, inv_scale, out=fq)
+                    _apply_slots(inv_mat, w, out=x)
+                    np.multiply(wq, inv_off, out=fq)
                     _scatter(fq, support, x[0])
                 else:
                     # fq holds the mean-pinned Q slot of the last iteration
@@ -367,7 +372,7 @@ def _solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
                     fq -= g
                     x[0] = _pack(fq, support)
                     x[1:2] -= js / sigma0
-            _local_packed(x, p, tm1, out=y)
+            _apply_slots(a_mat, x, out=y)
             # Constant Q-slot correction pins the mean field at e0 for
             # reporting; the accelerated update keeps the raw iterate so
             # the map stays exact.
@@ -381,7 +386,7 @@ def _solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
                 fq += dfield
             jmean = _mean_vec(jq)
             den = float(np.linalg.norm(jmean))
-            sstar = complex(np.vdot(e0v, jmean)) / e0sq
+            sstar = _along(e0v, jmean)
             if den < _TINY and math.isfinite(den):
                 mon.flag_degenerate()
                 break

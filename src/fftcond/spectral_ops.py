@@ -5,12 +5,16 @@ projection gamma1 (zero-mean curl-free part) acts mode-wise in Fourier
 space with multiplier k (x) k / |k|^2 on integer wave vectors
 m in {-n/2, ..., n/2 - 1}; the zero mode is dropped and Nyquist rows use
 the same formula. An AugmentedField is a (Q, S, T) triple of
-VectorFields whose S and T slots vanish off the inclusion; the local
-operators couple the three slots through a complex parameter triple p
-with p.p = 1 and are inverted pixel-wise in closed form. One packed
-kernel applies them to slots stored on the inclusion pixels only; the
-public operators and all four solvers go through it, the physical
-schemes with the Q slot alone.
+VectorFields whose S and T slots vanish off the inclusion. Every local
+operator has the form on chi'' + off (I - chi''), where chi'' is the
+rank-one slot mixer p (x) p on the inclusion for a complex triple p with
+p.p = 1: A is (t, 1), its shifted inverse (A + sigma0 I)^-1 is
+(1/(t + sigma0), 1/(1 + sigma0)) and chi'' itself is (1, 0). On a
+phase-1 pixel such an operator is a len(p)-square slot matrix, applied
+by one kernel to slots stored on the inclusion pixels only; on phase-2
+pixels it is ``off`` times the Q slot. The public operators and all four
+solvers go through that kernel, the physical schemes with the Q slot
+alone, p = (1,).
 
 All arithmetic is complex double precision. Reductions (means, norms)
 run row-wise with a pairwise sum and combine rows with an exactly
@@ -259,87 +263,72 @@ def _unpack(packed: np.ndarray, support: np.ndarray, shape) -> np.ndarray:
     return out
 
 
-def _pack_slots(q, s, t_arr, support: np.ndarray) -> np.ndarray:
-    """Full-grid (Q, S, T) slot arrays on the pixels ``support``, as (3, 2, m)."""
-    return np.stack([_pack(q, support), _pack(s, support), _pack(t_arr, support)])
+def _slot_matrix(p: tuple, on, off) -> np.ndarray:
+    """The len(p)-square slot matrix of on chi'' + off (I - chi'') on a phase-1 pixel.
+
+    chi'' is the rank-one slot mixer p (x) p: p = (p1, p2, p3) on the
+    augmented (Q, S, T) slots, or p = (1,) on the Q slot alone, where the
+    matrix is the scalar ``on``. Written as on p (x) p + off (I - p (x) p),
+    which is off I + (on - off) p (x) p with the one-slot case exact.
+    """
+    pp = np.outer(p, p)
+    return on * pp + off * (np.eye(len(p)) - pp)
 
 
-def _slot_mix(x: np.ndarray, p: tuple) -> np.ndarray:
-    """u = p . x per pixel for packed (len(p), 2, m) slots, as (2, m)."""
-    u = np.multiply(x[0], p[0])
-    tmp = np.empty_like(u)
-    for slot in range(1, len(p)):
-        np.multiply(x[slot], p[slot], out=tmp)
-        u += tmp
-    return u
+def _apply_slots(m: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
+    """out[i] = sum_j m[i, j] x[j] on packed (len(m), 2, npix) slots; ``out`` must not alias x."""
+    if out is None:
+        out = np.empty_like(x)
+    tmp = np.empty_like(x[0])
+    for i, row in enumerate(m):
+        np.multiply(x[0], row[0], out=out[i])
+        for j in range(1, len(row)):
+            np.multiply(x[j], row[j], out=tmp)
+            out[i] += tmp
+    return out
+
+
+def _local_arrays(q, s, t_arr, chi, params, on, off):
+    """on chi'' + off (I - chi'') on full-grid (2, ny, nx) slot arrays; S and T are read on chi.
+
+    On phase-2 pixels, where chi'' vanishes, the operator is ``off`` times
+    the Q slot; S and T come back zero there.
+    """
+    support = np.flatnonzero(chi)
+    x = np.stack([_pack(q, support), _pack(s, support), _pack(t_arr, support)])
+    y = _apply_slots(_slot_matrix((params.p1, params.p2, params.p3), on, off), x)
+    q_out = np.multiply(q, complex(off), order="C")
+    _scatter(q_out, support, y[0])
+    return q_out, _unpack(y[1], support, chi.shape), _unpack(y[2], support, chi.shape)
 
 
 def apply_chi_aug(
     f: AugmentedField, params: SubstitutionParams, pmap: PhaseMap
 ) -> AugmentedField:
-    """Rank-one slot mixer (p (x) p) restricted to phase-1 pixels.
+    """Rank-one slot mixer chi'' = p (x) p restricted to phase-1 pixels.
 
     Idempotent because p.p = 1; not self-adjoint for complex p.
     """
-    support = np.flatnonzero(pmap.chi)
-    p = (params.p1, params.p2, params.p3)
-    u = _slot_mix(_pack_slots(f.Q.data, f.S.data, f.T.data, support), p)
-    slots = [_unpack(ps * u, support, pmap.chi.shape) for ps in p]
-    return AugmentedField(*map(VectorField, slots))
-
-
-def _local_packed(x, p: tuple, coef, scale=1.0, out=None) -> np.ndarray:
-    """scale * (I + coef chi'') on phase-1 pixels; x packs len(p) slots as (len(p), 2, m).
-
-    chi'' is the rank-one slot mixer p (x) p: p = (p1, p2, p3) on the
-    augmented (Q, S, T) slots, or p = (1,) on the Q slot alone, where A is
-    the physical conductivity. On phase-2 pixels the operator is scale * I
-    on the Q slot, which the caller applies. With coef = t - 1 and
-    scale = 1 this is A; with the coefficients of
-    :func:`_shifted_inverse_coefs` it is the inverse of A + sigma0 I.
-    """
-    u = _slot_mix(x, p)
-    if out is None:
-        out = np.empty_like(x)
-    tmp = np.empty_like(u) if scale != 1.0 else None
-    for slot, ps in enumerate(p):
-        np.multiply(u, scale * coef * ps, out=out[slot])
-        if tmp is not None:
-            np.multiply(x[slot], scale, out=tmp)
-            out[slot] += tmp
-        else:
-            out[slot] += x[slot]
-    return out
-
-
-def _local_arrays(q, s, t_arr, chi, params, coef, scale=1.0):
-    """:func:`_local_packed` on full-grid (2, ny, nx) slot arrays; S and T are read on chi."""
-    support = np.flatnonzero(chi)
-    p = (params.p1, params.p2, params.p3)
-    y = _local_packed(_pack_slots(q, s, t_arr, support), p, coef, scale)
-    q_out = np.array(q, dtype=np.complex128, order="C")
-    if scale != 1.0:
-        q_out *= scale
-    _scatter(q_out, support, y[0])
-    return q_out, _unpack(y[1], support, chi.shape), _unpack(y[2], support, chi.shape)
+    arrays = _local_arrays(f.Q.data, f.S.data, f.T.data, pmap.chi, params, 1.0, 0.0)
+    return AugmentedField(*map(VectorField, arrays))
 
 
 def apply_local_A(
     f: AugmentedField, t: complex, params: SubstitutionParams, pmap: PhaseMap
 ) -> AugmentedField:
-    """The local constitutive operator A = (t - 1) chi'' + I."""
-    arrays = _local_arrays(f.Q.data, f.S.data, f.T.data, pmap.chi, params, complex(t) - 1.0)
+    """The local constitutive operator A = t chi'' + (I - chi'')."""
+    arrays = _local_arrays(f.Q.data, f.S.data, f.T.data, pmap.chi, params, complex(t), 1.0)
     return AugmentedField(*map(VectorField, arrays))
 
 
 def _shifted_inverse_coefs(t: complex, sigma0: complex) -> tuple[complex, complex]:
-    """(coef, scale) of :func:`_local_packed` that invert A + sigma0 I."""
+    """Eigenvalues (1/(t + sigma0), 1/(1 + sigma0)) of (A + sigma0 I)^-1 on chi'' and I - chi''."""
     tt, s0 = complex(t), complex(sigma0)
     if 1.0 + s0 == 0:
         raise DegenerateParamError(f"shift sigma0 = {s0} = -1 makes A + sigma0 I singular")
     if tt + s0 == 0:
         raise DegenerateParamError(f"shift sigma0 = {s0} = -t makes A + sigma0 I singular")
-    return -(tt - 1.0) / (tt + s0), 1.0 / (1.0 + s0)
+    return 1.0 / (tt + s0), 1.0 / (1.0 + s0)
 
 
 def invert_shifted_A(
@@ -351,10 +340,9 @@ def invert_shifted_A(
 ) -> AugmentedField:
     """Pixel-local closed-form inverse of (A + sigma0 I).
 
-    Uses the rank-one structure: on phase-2 pixels divides by
-    (1 + sigma0); on phase-1 pixels additionally removes the p-direction
-    excess via the factor (t - 1)/(t + sigma0).
+    A is t on the range of chi'' and 1 on that of I - chi'', so the
+    inverse divides the first by t + sigma0 and the second by 1 + sigma0.
     """
-    coef, scale = _shifted_inverse_coefs(t, sigma0)
-    arrays = _local_arrays(f.Q.data, f.S.data, f.T.data, pmap.chi, params, coef, scale)
+    on, off = _shifted_inverse_coefs(t, sigma0)
+    arrays = _local_arrays(f.Q.data, f.S.data, f.T.data, pmap.chi, params, on, off)
     return AugmentedField(*map(VectorField, arrays))

@@ -76,8 +76,10 @@ class SubstitutionParams:
         scale = max(1.0, abs(sq1) + abs(sq2) + abs(sq3))
         if abs(sq1 + sq2 + sq3 - 1.0) > _REL_TOL * scale:
             raise ValueError(f"p1^2+p2^2+p3^2 = {sq1 + sq2 + sq3} is not 1")
-        a_rec = -1.0 - self.p1 ** 2 / (self.p2 ** 2 - 1.0)
-        b_rec = -1.0 - self.p1 ** 2 / self.p2 ** 2
+        if sq2 == 0 or sq2 == 1:
+            raise ValueError(f"p2^2 = {sq2} recovers no interval; it must differ from 0 and 1")
+        a_rec = -1.0 - sq1 / (sq2 - 1.0)
+        b_rec = -1.0 - sq1 / sq2
         a, b = self.interval.alpha, self.interval.beta
         if abs(a_rec - a) > _REL_TOL * max(1.0, abs(a)) or abs(
             b_rec - b

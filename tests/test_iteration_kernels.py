@@ -1,5 +1,5 @@
 """Kernels of the accelerated iteration: Parseval residual, packed local
-operators, and the residual the solvers record."""
+operators and their slot matrices, and the residual the solvers record."""
 
 import numpy as np
 import pytest
@@ -24,9 +24,12 @@ from fftcond import (
 )
 from fftcond.solvers import _apply_A_arrays
 from fftcond.spectral_ops import (
+    _apply_slots,
     _compensated_total,
     _gamma1_arr,
     _gamma1_sqnorm,
+    _shifted_inverse_coefs,
+    _slot_matrix,
 )
 
 BENCH = SpectralInterval(0.25, 4.0)
@@ -144,6 +147,44 @@ class TestPackedLocalOperators:
                 pmap,
             )
             assert _max_rel_diff((out.Q.data, out.S.data, out.T.data), expected) <= 1e-15
+
+
+class TestSlotMatrix:
+    """The slot matrices the solvers use, checked without the full-grid wrappers."""
+
+    SIGMA1 = [2.0, 0.7 + 0.4j, 0.0, 10.0]
+
+    @staticmethod
+    def _one_slot(on, off):
+        x = random_complex(np.random.default_rng(17), (1, 2, 64))
+        return _apply_slots(_slot_matrix((1.0,), on, off), x), x
+
+    @pytest.mark.parametrize("sigma1", SIGMA1)
+    def test_one_slot_A_multiplies_by_sigma1(self, sigma1):
+        out, x = self._one_slot(sigma1, 1.0)
+        expected = sigma1 * x
+        assert np.max(np.abs(out - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("sigma1", SIGMA1)
+    def test_one_slot_shifted_inverse_divides_by_sigma1_plus_sigma0(self, sigma1):
+        for sigma0 in ((sigma1 + 1.0) / 2.0, 0.3 + 0.1j):
+            out, x = self._one_slot(*_shifted_inverse_coefs(sigma1, sigma0))
+            expected = 1.0 / (sigma1 + sigma0) * x
+            assert np.max(np.abs(out - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("sigma1", SIGMA1)
+    def test_mean_pin_is_column_zero_of_A(self, sigma1):
+        pmap = build_square_array(16, 0.5)
+        params = solve_p(BENCH)
+        t = map_t(sigma1, BENCH)
+        delta = np.array([0.3 - 0.2j, 1.1])
+        q = np.broadcast_to(delta[:, None, None], (2, *pmap.chi.shape))
+        zero = np.zeros_like(q)
+        dense = _dense_A(q, zero, zero, t, params, pmap.chi)
+        pin = _slot_matrix((params.p1, params.p2, params.p3), t, 1.0)[:, 0]
+        for slot, got in zip(pin, dense):
+            expected = slot * delta[:, None]
+            assert np.max(np.abs(got[:, pmap.chi] - expected)) <= 1e-15 * np.max(np.abs(dense[0]))
 
 
 class TestRecordedResidual:

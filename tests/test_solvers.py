@@ -509,9 +509,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(scheme=SchemeKind.BASIC, sigma1=2.0, tol=0.0)
 
-    def test_zero_applied_field(self):
+    @pytest.mark.parametrize("e0", [(0.0, 0.0), (1e-200, 0.0)], ids=["zero", "norm_underflows"])
+    def test_zero_applied_field(self, e0):
         with pytest.raises(ContractError):
-            SolverConfig(scheme=SchemeKind.BASIC, sigma1=2.0, e0=(0.0, 0.0))
+            SolverConfig(scheme=SchemeKind.BASIC, sigma1=2.0, e0=e0)
 
     def test_scheme_mismatch(self):
         pm = build_square_array(8, 0.5)

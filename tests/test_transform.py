@@ -187,6 +187,11 @@ class TestSolveP:
         with pytest.raises(ValueError):
             SubstitutionParams(BENCH, p1=1.0, p2=1.0, p3=1.0)
 
+    @pytest.mark.parametrize("p1, p2, p3", [(1, 0, 0), (0, 1, 0), (0, -1, 0)])
+    def test_p2_without_interval_rejected(self, p1, p2, p3):
+        with pytest.raises(ValueError, match="p2"):
+            SubstitutionParams(BENCH, p1=p1, p2=p2, p3=p3)
+
 
 class TestAuxConstants:
     def test_homogeneous_point(self):
