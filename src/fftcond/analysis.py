@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BranchCutError, IntervalError, PoleError
 from .geometry import PhaseMap
-from .solvers import SolveResult, SolverConfig, TerminationStatus, _tail_rate, solve_em_sub
+from .solvers import SolveResult, SolverConfig, TerminationStatus, _tail_rate, solve
 from .transform import SchemeKind, SpectralInterval, map_z
 
 #: Exact branch-cut endpoints of the square-array effective conductivity.
@@ -176,7 +176,7 @@ def misestimation_report(
     def run(interval: SpectralInterval) -> MisestimationRun:
         local = replace(cfg, scheme=SchemeKind.EYRE_MILTON_SUB, sigma1=sigma1, interval=interval)
         start = time.perf_counter()
-        result = solve_em_sub(pmap, local)
+        result = solve(pmap, local)
         return MisestimationRun.from_result(
             interval, result, rate_window, time.perf_counter() - start
         )

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,7 +33,7 @@ from .analysis import (
     predicted_rate,
     rate_contours,
 )
-from .errors import BranchCutError, ConfigError, PoleError
+from .errors import BranchCutError, ConfigError, DegenerateParamError, PoleError
 from .geometry import PhaseMap, build_disk_array, build_square_array, load_raster
 from .selftest import format_report, run_selftest
 from .solvers import (
@@ -200,8 +201,8 @@ def _validate_scheme(raw: dict) -> dict:
             raise ConfigError(f"[scheme] bad interval: {exc}") from None
         out["alpha"], out["beta"] = alpha, beta
     out["tol"] = _parse_number("scheme", "tol", raw.get("tol", "1e-8"), float)
-    if out["tol"] <= 0:
-        raise ConfigError("[scheme] tol must be positive")
+    if not (out["tol"] > 0 and math.isfinite(out["tol"])):
+        raise ConfigError(f"[scheme] tol must be positive and finite, got {out['tol']}")
     out["max_iters"] = _parse_number("scheme", "max_iters", raw.get("max_iters", "1000"), int)
     if out["max_iters"] < 1:
         raise ConfigError("[scheme] max_iters must be >= 1")
@@ -294,7 +295,7 @@ def _predicted_rate_or_none(cfg: RunConfig, scheme_name: str) -> float | None:
     scheme = _SCHEME_NAMES[scheme_name]
     try:
         return predicted_rate(scheme, _sigma1(cfg), _interval(cfg, scheme))
-    except (BranchCutError, PoleError, ValueError):
+    except ValueError:
         return None
 
 
@@ -360,7 +361,7 @@ def cmd_compare(config_path: Path, overrides: list[str]) -> int:
         try:
             solver_cfg = _solver_config(cfg, name)
             result = solve(pmap, solver_cfg)
-        except (BranchCutError, PoleError, ConfigError, ValueError) as exc:
+        except ValueError as exc:
             error = exc
         hist_path = _out_path(cfg, "history_csv")
         if hist_path:
@@ -463,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "contours":
             return cmd_contours(args.config, args.override)
         return cmd_selftest()
-    except (ConfigError, BranchCutError, PoleError) as exc:
+    except (ConfigError, BranchCutError, PoleError, DegenerateParamError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,7 +2,8 @@
 
 Four schemes share one contract: drive the equilibrium residual of the
 flux to zero and report the effective conductivity along the applied
-field. One iteration kernel runs them all, on slots coupled on the
+field. :func:`solve` is the one entry point and the one iteration
+kernel; ``cfg.scheme`` selects the scheme. It runs on slots coupled on the
 inclusion by a coefficient tuple p. Its local operators have the form
 on chi'' + off (I - chi'') with chi'' = chi p (x) p: A is (t, 1) and the
 shifted inverse (A + sigma0 I)^-1 is (1/(t + sigma0), 1/(1 + sigma0)).
@@ -17,6 +18,12 @@ whose slot is the physical electric field. The basic schemes use the
 reference sigma0 = (t + 1)/2; the accelerated ones iterate on the
 polarization-like variable w = (A + sigma0) F with sigma0 = sqrt(t). All
 four converge to the same discrete solution.
+
+All four record the same residual, the one :func:`equilibrium_residual`
+and :func:`equilibrium_residual_aug` compute: |gamma1 J_Q|^2 is summed by
+Parseval from the forward half of gamma1, and the basic schemes finish
+gamma1(J_Q) from that transform for their next update. sigma* is read
+off the flux of the local operator A in every path.
 
 Stopping: equilibrium residual <= tol and a relative change in the
 effective-conductivity estimate <= tol, with a divergence guard at 1e6
@@ -41,6 +48,7 @@ from .spectral_ops import (
     _apply_slots,
     _compensated_total,
     _gamma1_arr,
+    _gamma1_inverse,
     _gamma1_sqnorm,
     _local_arrays,
     _mean_vec,
@@ -122,8 +130,8 @@ class SolverConfig:
     sigma0_override: complex | None = None
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.scheme.substituted and self.interval is None:
@@ -168,8 +176,8 @@ class SolveResult:
 def extract_sigma_star(e: VectorField, pmap: PhaseMap, sigma1: complex, e0=(1.0, 0.0)) -> complex:
     """Effective conductivity along e0 from an electric field iterate."""
     e0v = _e0_vector(e0)
-    sigma = np.where(pmap.chi, complex(sigma1), 1.0 + 0j)
-    return _along(e0v, _mean_vec(sigma * e.data))
+    (flux,) = _local_arrays((e.data,), pmap.chi, (1.0,), complex(sigma1), 1.0)
+    return _along(e0v, _mean_vec(flux))
 
 
 def extract_sigma_star_aug(
@@ -198,24 +206,31 @@ def recover_physical_fields(
     return VectorField(f.Q.data.copy()), flux.Q
 
 
-def equilibrium_residual(j: VectorField) -> float:
-    """Norm of the curl-free part of the flux over the norm of its mean."""
-    den = float(np.linalg.norm(_mean_vec(j.data)))
+def _residual(jq: np.ndarray, js: np.ndarray, jmean: np.ndarray, work=None) -> float:
+    """Equilibrium residual of a flux with Q slot ``jq`` and mean ``jmean``.
+
+    The gradient-type part (gamma1 jq, js) over the norm of the mean, per
+    pixel, with |gamma1 jq|^2 summed by Parseval; ``js`` holds the S slot
+    on the inclusion pixels only, and is empty for a physical flux.
+    ``work`` receives the forward half of gamma1(jq). ContractError when
+    the mean flux vanishes.
+    """
+    den = float(np.linalg.norm(jmean))
     if den < _TINY:
         raise ContractError("mean flux vanishes; residual is undefined")
-    npix = j.data.shape[-1] * j.data.shape[-2]
-    return math.sqrt(_gamma1_sqnorm(j.data) / npix) / den
+    npix = jq.shape[-1] * jq.shape[-2]
+    total = _gamma1_sqnorm(jq, work) + _compensated_total(np.abs(js) ** 2)
+    return math.sqrt(total / npix) / den
+
+
+def equilibrium_residual(j: VectorField) -> float:
+    """Norm of the curl-free part of the flux over the norm of its mean."""
+    return _residual(j.data, np.empty(0), _mean_vec(j.data))
 
 
 def equilibrium_residual_aug(jaug: AugmentedField, pmap: PhaseMap) -> float:
     """Augmented-space analogue: gradient-type part over constant part."""
-    den = float(np.linalg.norm(gamma0_aug(jaug)))
-    if den < _TINY:
-        raise ContractError("mean flux vanishes; residual is undefined")
-    npix = pmap.chi.size
-    total = _gamma1_sqnorm(jaug.Q.data)
-    total += _compensated_total(np.abs(jaug.S.data) ** 2 * pmap.chi)
-    return math.sqrt(total / npix) / den
+    return _residual(jaug.Q.data, jaug.S.data[:, pmap.chi], gamma0_aug(jaug))
 
 
 def estimate_rate(history: ConvergenceHistory, window: int) -> float:
@@ -305,11 +320,11 @@ def _reflect(r: np.ndarray, shift: np.ndarray) -> np.ndarray:
 
 def _apply_A_arrays(q, s, t_arr, t, params, chi):
     """A = t chi'' + (I - chi'') on a raw full-grid (Q, S, T) array triple."""
-    return _local_arrays(q, s, t_arr, chi, params, t, 1.0)
+    return _local_arrays((q, s, t_arr), chi, (params.p1, params.p2, params.p3), t, 1.0)
 
 
-def _solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
-    """The iteration kernel of all four schemes, selected by ``cfg.scheme``."""
+def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
+    """Run the scheme selected by ``cfg.scheme``: the one iteration kernel of all four."""
     accelerated = cfg.scheme.accelerated
     sigma1 = complex(cfg.sigma1)
     if cfg.scheme.substituted:
@@ -320,7 +335,6 @@ def _solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
         t, p, label = sigma1, (1.0,), "sigma1"
     sigma0 = _reference(cfg, t, label)
     chi = pmap.chi
-    npix = chi.size
     e0v = _e0_vector(cfg.e0)
     # Slots past Q vanish off the inclusion, so the phase-1 pixels
     # ``support`` carry all len(p) slots packed in ``x``, each (2, m); the
@@ -337,6 +351,8 @@ def _solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     x[0] = _pack(fq, support)
     y = np.empty_like(x)
     jq = np.empty_like(fq)
+    # receives the forward half of gamma1(jq), which the basic update finishes
+    work = np.empty_like(fq)
     if accelerated:
         inv_on, inv_off = _shifted_inverse_coefs(t, sigma0)
         inv_mat = _slot_matrix(p, inv_on, inv_off)
@@ -344,10 +360,9 @@ def _solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
         inv_mat[:, 1:2] *= -1
         two_s0_e0 = 2.0 * sigma0 * e0v
         w = np.empty_like(x)
-        work = np.empty_like(fq)
 
     mon = _Monitor(cfg)
-    js = g = None
+    js = None
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.max_iters + 1):
@@ -368,6 +383,7 @@ def _solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
                     _scatter(fq, support, x[0])
                 else:
                     # fq holds the mean-pinned Q slot of the last iteration
+                    g = _gamma1_inverse(work)
                     g /= sigma0
                     fq -= g
                     x[0] = _pack(fq, support)
@@ -385,18 +401,12 @@ def _solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
             if not accelerated:
                 fq += dfield
             jmean = _mean_vec(jq)
-            den = float(np.linalg.norm(jmean))
             sstar = _along(e0v, jmean)
-            if den < _TINY and math.isfinite(den):
+            try:
+                res = _residual(jq, js, jmean, work)
+            except ContractError:
                 mon.flag_degenerate()
                 break
-            if accelerated:
-                total = _gamma1_sqnorm(jq, work)
-            else:
-                g = _gamma1_arr(jq)
-                total = _compensated_total(np.abs(g) ** 2)
-            total += _compensated_total(np.abs(js) ** 2)
-            res = math.sqrt(total / npix) / den
             if mon.step(k, sstar, res):
                 break
 
@@ -414,43 +424,3 @@ def _solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
             VectorField(fq), *(VectorField(_unpack(s, support, chi.shape)) for s in x[1:])
         ) if cfg.scheme.substituted else None,
     )
-
-
-def _check_scheme(cfg: SolverConfig, expected: SchemeKind):
-    if cfg.scheme is not expected:
-        raise ContractError(
-            f"config carries scheme {cfg.scheme.value!r}, expected {expected.value!r}"
-        )
-
-
-def solve_basic(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
-    """Fixed-point iteration with reference sigma0 = (sigma1 + 1)/2."""
-    _check_scheme(cfg, SchemeKind.BASIC)
-    return _solve(pmap, cfg)
-
-
-def solve_em(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
-    """Accelerated iteration with reference sigma0 = sqrt(sigma1).
-
-    Runs on w = (sigma + sigma0) e; the per-pixel contraction factor has
-    the same magnitude in both phases, which is what buys the speedup.
-    """
-    _check_scheme(cfg, SchemeKind.EYRE_MILTON)
-    return _solve(pmap, cfg)
-
-
-def solve_basic_sub(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
-    """Basic iteration in the augmented space with t = map_t(sigma1)."""
-    _check_scheme(cfg, SchemeKind.BASIC_SUB)
-    return _solve(pmap, cfg)
-
-
-def solve_em_sub(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
-    """Accelerated iteration in the augmented space, reference sqrt(t)."""
-    _check_scheme(cfg, SchemeKind.EYRE_MILTON_SUB)
-    return _solve(pmap, cfg)
-
-
-def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
-    """Run the scheme selected by ``cfg.scheme``."""
-    return _solve(pmap, cfg)

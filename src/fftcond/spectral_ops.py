@@ -4,7 +4,9 @@ A VectorField samples a complex 2-vector on the periodic pixel grid. The
 projection gamma1 (zero-mean curl-free part) acts mode-wise in Fourier
 space with multiplier k (x) k / |k|^2 on integer wave vectors
 m in {-n/2, ..., n/2 - 1}; the zero mode is dropped and Nyquist rows use
-the same formula. An AugmentedField is a (Q, S, T) triple of
+the same formula. It runs in two halves: a forward FFT that forms k . f(k),
+from which the squared norm of gamma1(f) is summed by Parseval, and a
+projection with the inverse FFT. An AugmentedField is a (Q, S, T) triple of
 VectorFields whose S and T slots vanish off the inclusion. Every local
 operator has the form on chi'' + off (I - chi''), where chi'' is the
 rank-one slot mixer p (x) p on the inclusion for a complex triple p with
@@ -12,9 +14,9 @@ p.p = 1: A is (t, 1), its shifted inverse (A + sigma0 I)^-1 is
 (1/(t + sigma0), 1/(1 + sigma0)) and chi'' itself is (1, 0). On a
 phase-1 pixel such an operator is a len(p)-square slot matrix, applied
 by one kernel to slots stored on the inclusion pixels only; on phase-2
-pixels it is ``off`` times the Q slot. The public operators and all four
-solvers go through that kernel, the physical schemes with the Q slot
-alone, p = (1,).
+pixels it is ``off`` times the Q slot. The public operators, the sigma*
+read-out and all four solvers go through that kernel, the physical ones
+with the Q slot alone, p = (1,).
 
 All arithmetic is complex double precision. Reductions (means, norms)
 run row-wise with a pairwise sum and combine rows with an exactly
@@ -126,33 +128,43 @@ def _wavevectors(ny: int, nx: int):
     return kx, ky, inv_k2
 
 
-def _gamma1_arr(data: np.ndarray) -> np.ndarray:
-    kx, ky, inv_k2 = _wavevectors(data.shape[-2], data.shape[-1])
-    fh = np.fft.fft2(data, axes=(-2, -1))
-    dot = kx * fh[0]
-    dot += ky * fh[1]
+def _gamma1_forward(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """First half of gamma1: the FFT of ``data`` into ``out``, with k . f(k) in row 0."""
+    kx, ky, _ = _wavevectors(data.shape[-2], data.shape[-1])
+    fh = np.fft.fft2(data, axes=(-2, -1), out=out)
+    fh[0] *= kx
+    fh[0] += ky * fh[1]
+    return fh
+
+
+def _gamma1_inverse(fh: np.ndarray) -> np.ndarray:
+    """Second half of gamma1, in place on what :func:`_gamma1_forward` returned."""
+    kx, ky, inv_k2 = _wavevectors(fh.shape[-2], fh.shape[-1])
+    dot = fh[0]
     dot *= inv_k2
     if _gamma1_scale != 1.0:
         dot *= _gamma1_scale
-    np.multiply(kx, dot, out=fh[0])
     np.multiply(ky, dot, out=fh[1])
+    dot *= kx
     # ifftn, not ifft2: numpy's ifft2 ignores ``out``
     return np.fft.ifftn(fh, axes=(-2, -1), out=fh)
 
 
+def _gamma1_arr(data: np.ndarray) -> np.ndarray:
+    return _gamma1_inverse(_gamma1_forward(data))
+
+
 def _gamma1_sqnorm(data: np.ndarray, work: np.ndarray | None = None) -> float:
-    """Sum over pixels of |gamma1(data)|^2, from one forward FFT.
+    """Sum over pixels of |gamma1(data)|^2, from the forward half of gamma1.
 
     By Parseval the sum is (1/N) sum_k |k . f(k)|^2 / |k|^2 times the
     squared multiplier scale, so no inverse transform is needed. ``work``,
-    if given, is a buffer shaped like ``data`` that receives the transform.
+    if given, is a buffer shaped like ``data`` that receives the forward
+    half, so :func:`_gamma1_inverse` can finish gamma1(data) from it.
     """
     ny, nx = data.shape[-2], data.shape[-1]
-    kx, ky, inv_k2 = _wavevectors(ny, nx)
-    fh = np.fft.fft2(data, axes=(-2, -1), out=work)
-    dot = fh[0]
-    dot *= kx
-    dot += ky * fh[1]
+    _, _, inv_k2 = _wavevectors(ny, nx)
+    dot = _gamma1_forward(data, work)[0]
     power = dot.real**2
     power += dot.imag**2
     power *= inv_k2
@@ -288,18 +300,26 @@ def _apply_slots(m: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _local_arrays(q, s, t_arr, chi, params, on, off):
-    """on chi'' + off (I - chi'') on full-grid (2, ny, nx) slot arrays; S and T are read on chi.
+def _local_arrays(slots: tuple, chi, p: tuple, on, off) -> tuple:
+    """on chi'' + off (I - chi'') on full-grid (2, ny, nx) slot arrays, Q first.
 
-    On phase-2 pixels, where chi'' vanishes, the operator is ``off`` times
-    the Q slot; S and T come back zero there.
+    ``slots`` holds one array per entry of p. On phase-2 pixels, where
+    chi'' vanishes, the operator is ``off`` times the Q slot; the slots
+    past Q are read on chi only and come back zero there.
     """
     support = np.flatnonzero(chi)
-    x = np.stack([_pack(q, support), _pack(s, support), _pack(t_arr, support)])
-    y = _apply_slots(_slot_matrix((params.p1, params.p2, params.p3), on, off), x)
-    q_out = np.multiply(q, complex(off), order="C")
+    x = np.stack([_pack(s, support) for s in slots])
+    y = _apply_slots(_slot_matrix(p, on, off), x)
+    q_out = np.multiply(slots[0], complex(off), order="C")
     _scatter(q_out, support, y[0])
-    return q_out, _unpack(y[1], support, chi.shape), _unpack(y[2], support, chi.shape)
+    return (q_out, *(_unpack(ys, support, chi.shape) for ys in y[1:]))
+
+
+def _local_aug(f: AugmentedField, params: SubstitutionParams, pmap: PhaseMap, on, off):
+    """:func:`_local_arrays` on the (Q, S, T) slots of an augmented field."""
+    p = (params.p1, params.p2, params.p3)
+    arrays = _local_arrays((f.Q.data, f.S.data, f.T.data), pmap.chi, p, on, off)
+    return AugmentedField(*map(VectorField, arrays))
 
 
 def apply_chi_aug(
@@ -309,16 +329,14 @@ def apply_chi_aug(
 
     Idempotent because p.p = 1; not self-adjoint for complex p.
     """
-    arrays = _local_arrays(f.Q.data, f.S.data, f.T.data, pmap.chi, params, 1.0, 0.0)
-    return AugmentedField(*map(VectorField, arrays))
+    return _local_aug(f, params, pmap, 1.0, 0.0)
 
 
 def apply_local_A(
     f: AugmentedField, t: complex, params: SubstitutionParams, pmap: PhaseMap
 ) -> AugmentedField:
     """The local constitutive operator A = t chi'' + (I - chi'')."""
-    arrays = _local_arrays(f.Q.data, f.S.data, f.T.data, pmap.chi, params, complex(t), 1.0)
-    return AugmentedField(*map(VectorField, arrays))
+    return _local_aug(f, params, pmap, complex(t), 1.0)
 
 
 def _shifted_inverse_coefs(t: complex, sigma0: complex) -> tuple[complex, complex]:
@@ -343,6 +361,4 @@ def invert_shifted_A(
     A is t on the range of chi'' and 1 on that of I - chi'', so the
     inverse divides the first by t + sigma0 and the second by 1 + sigma0.
     """
-    on, off = _shifted_inverse_coefs(t, sigma0)
-    arrays = _local_arrays(f.Q.data, f.S.data, f.T.data, pmap.chi, params, on, off)
-    return AugmentedField(*map(VectorField, arrays))
+    return _local_aug(f, params, pmap, *_shifted_inverse_coefs(t, sigma0))

@@ -222,7 +222,6 @@ def test_criterion_6_operator_properties():
         inner,
         norm,
         norm_aug,
-        solve_basic,
     )
 
     n = 32
@@ -276,7 +275,7 @@ def test_criterion_6_operator_properties():
     sigma1 = 2.0
     t = map_t(sigma1, BENCH)
     cfg = SolverConfig(scheme=SchemeKind.BASIC, sigma1=sigma1, tol=1e-12, max_iters=500)
-    res = solve_basic(pm, cfg)
+    res = solve(pm, cfg)
     e2p, j3p = aux_constants(t, params)
     E, J = res.E_field.data, res.J_field.data
     E_aug = AugmentedField(

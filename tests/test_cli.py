@@ -80,6 +80,30 @@ class TestSolveCommand:
     def test_missing_file(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.cfg")]) == 2
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_rejected(self, tmp_path, capsys, tol):
+        cfg = write_config(tmp_path, BENCH_SOLVE)
+        assert main(["solve", str(cfg), "--override", f"scheme.tol={tol}"]) == 2
+        assert "tol must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "result.json").exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ("scheme.name=basic", "physics.sigma1_re=-1"),
+            ("scheme.name=em", "physics.sigma1_re=2", "scheme.sigma0_re=-1"),
+        ],
+        ids=["basic_sigma0_zero", "em_shift_minus_one"],
+    )
+    def test_degenerate_reference_exits_2(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, BENCH_SOLVE)
+        argv = ["solve", str(cfg)]
+        for item in overrides:
+            argv += ["--override", item]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "result.json").exists()
+
     def test_override(self, tmp_path):
         cfg = write_config(tmp_path, BENCH_SOLVE)
         assert main(["solve", str(cfg), "--override", "physics.sigma1_re=1.0"]) == 0

@@ -1,5 +1,6 @@
-"""Kernels of the accelerated iteration: Parseval residual, packed local
-operators and their slot matrices, and the residual the solvers record."""
+"""Kernels of the iteration: the two halves of gamma1 and the Parseval
+residual, packed local operators and their slot matrices, and the
+residual the solvers record."""
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fftcond import (
     build_square_array,
     equilibrium_residual,
     equilibrium_residual_aug,
+    extract_sigma_star,
     invert_shifted_A,
     map_t,
     solve,
@@ -27,6 +29,7 @@ from fftcond.spectral_ops import (
     _apply_slots,
     _compensated_total,
     _gamma1_arr,
+    _gamma1_inverse,
     _gamma1_sqnorm,
     _shifted_inverse_coefs,
     _slot_matrix,
@@ -57,6 +60,15 @@ class TestGamma1Sqnorm:
         work = np.empty_like(x)
         assert _gamma1_sqnorm(x, work) == _gamma1_sqnorm(x)
         assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("scale", [1.0, 1.001])
+    def test_inverse_half_finishes_gamma1_from_work(self, monkeypatch, scale):
+        # the basic update finishes gamma1(j) from the residual's transform
+        monkeypatch.setattr(spectral_ops, "_gamma1_scale", scale)
+        x = random_complex(np.random.default_rng(13), (2, 16, 24))
+        work = np.empty_like(x)
+        _gamma1_sqnorm(x, work)
+        assert np.array_equal(_gamma1_inverse(work), _gamma1_arr(x))
 
 
 def _dense_chi_u(q, s, t_arr, params, chi):
@@ -148,6 +160,18 @@ class TestPackedLocalOperators:
             )
             assert _max_rel_diff((out.Q.data, out.S.data, out.T.data), expected) <= 1e-15
 
+    @pytest.mark.parametrize("pmap", PMAPS)
+    @pytest.mark.parametrize("sigma1", SIGMA1)
+    def test_extract_sigma_star(self, pmap, sigma1):
+        rng = np.random.default_rng(18)
+        e = random_complex(rng, (2, *pmap.chi.shape))
+        dense = np.where(pmap.chi, complex(sigma1), 1.0 + 0j) * e
+        for e0 in ((1.0, 0.0), (0.3, 0.8 - 0.2j)):
+            e0v = np.array(e0, dtype=np.complex128)
+            expected = complex(np.vdot(e0v, VectorField(dense).mean())) / np.vdot(e0v, e0v).real
+            got = extract_sigma_star(VectorField(e), pmap, sigma1, e0)
+            assert abs(got - expected) <= 1e-15 * np.max(np.abs(dense))
+
 
 class TestSlotMatrix:
     """The slot matrices the solvers use, checked without the full-grid wrappers."""
@@ -208,3 +232,15 @@ class TestRecordedResidual:
         else:
             public = equilibrium_residual(r.J_field)
         assert r.history.residuals()[-1] == pytest.approx(public, rel=1e-12)
+
+    @pytest.mark.parametrize("iters", [3, 7, 15])
+    @pytest.mark.parametrize("geometry", ["square", "disk"])
+    @pytest.mark.parametrize(
+        "sigma1", [2.0, 0.5, 10.0, 0.02, 50.0, 0.7 + 0.4j, 3.0 - 1.0j, 0.3 + 2.0j, 5.0 + 0.5j]
+    )
+    def test_basic_last_residual_is_public_residual(self, iters, geometry, sigma1):
+        pmap = build_square_array(32, 0.5) if geometry == "square" else build_disk_array(32, 0.35)
+        cfg = SolverConfig(scheme=SchemeKind.BASIC, sigma1=sigma1, tol=1e-300, max_iters=iters)
+        r = solve(pmap, cfg)
+        assert r.iterations == iters
+        assert r.history.residuals()[-1] == equilibrium_residual(r.J_field)
