@@ -21,9 +21,19 @@ four converge to the same discrete solution.
 
 All four record the same residual, the one :func:`equilibrium_residual`
 and :func:`equilibrium_residual_aug` compute: |gamma1 J_Q|^2 is summed by
-Parseval from the forward half of gamma1, and the basic schemes finish
-gamma1(J_Q) from that transform for their next update. sigma* is read
-off the flux of the local operator A in every path.
+Parseval from the FFT of the mean-pinned flux, taken in place, and
+J_field is rebuilt in real space after the loop. Each iteration takes one
+forward and one inverse 2-D FFT of a vector field. The basic schemes
+finish gamma1(J_Q) from the flux transform for their next update. The
+accelerated ones keep the Q slot of w in Fourier space: since
+F = (A + sigma0 I)^-1 D w, with D the S sign flip,
+r = (A - sigma0 I) F = 2 A F - D w has Q slot r_Q = 2 J_Q - w_Q, so the
+flux transform yields r_Q with no transform of its own. The mean pin
+J_Q - delta (1 + (pin0 - 1) chi) is undone there with the FFT of chi,
+taken once per solve. The reflection w_Q = 2 sigma0 e0 - 2 gamma1(r_Q) +
+r_Q is formed in Fourier space, and one inverse FFT returns w_Q to real
+space for the local inverse. sigma* is read off the flux of the local
+operator A in every path.
 
 Stopping: equilibrium residual <= tol and a relative change in the
 effective-conductivity estimate <= tol, with a divergence guard at 1e6
@@ -47,12 +57,13 @@ from .spectral_ops import (
     VectorField,
     _apply_slots,
     _compensated_total,
-    _gamma1_arr,
+    _gamma1_arr,  # unused here; perfbench/hooks.py wraps this name in this module
     _gamma1_inverse,
     _gamma1_sqnorm,
     _local_arrays,
     _mean_vec,
     _pack,
+    _reflect_hat,
     _scatter,
     _shifted_inverse_coefs,
     _slot_matrix,
@@ -212,8 +223,8 @@ def _residual(jq: np.ndarray, js: np.ndarray, jmean: np.ndarray, work=None) -> f
     The gradient-type part (gamma1 jq, js) over the norm of the mean, per
     pixel, with |gamma1 jq|^2 summed by Parseval; ``js`` holds the S slot
     on the inclusion pixels only, and is empty for a physical flux.
-    ``work`` receives the forward half of gamma1(jq). ContractError when
-    the mean flux vanishes.
+    ``work`` receives the FFT of jq and may be jq itself. ContractError
+    when the mean flux vanishes.
     """
     den = float(np.linalg.norm(jmean))
     if den < _TINY:
@@ -309,13 +320,23 @@ class _Monitor:
         self.status = TerminationStatus.DIVERGED
 
 
-def _reflect(r: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """shift - 2 gamma1(r) + r for a constant 2-vector shift, in the array gamma1 returns."""
-    w = _gamma1_arr(r)
-    w *= -2.0
-    w += r
-    w += shift[:, None, None]
-    return w
+def _r_hat(jh, what, chi_hat, delta, pin0, c, scratch):
+    """FFT of the Q slot of r = (A - sigma0 I) F_raw, the accelerated update's, into ``what``.
+
+    F_raw = (A + sigma0 I)^-1 D w, with D the S sign flip, so
+    r = 2 A F_raw - D w, and D leaves the Q slot: r_Q = 2 J_raw - w_Q, with
+    ``c`` = 2 and ``what`` the FFT of w_Q. At the start F = e0, so
+    r_Q = J_raw - sigma0 e0: ``c`` = 1 and ``what`` the FFT of the constant
+    sigma0 e0. ``jh`` is the FFT of the pinned flux
+    jq = J_raw + delta (1 + (pin0 - 1) chi), so ``chi_hat``, the FFT of chi,
+    undoes the pin. ``jh`` and ``scratch`` are overwritten.
+    """
+    np.multiply(chi_hat, (c * (pin0 - 1.0)) * delta[:, None, None], out=scratch)
+    jh *= c
+    jh -= scratch
+    jh[:, 0, 0] -= (c * chi_hat.size) * delta
+    np.subtract(jh, what, out=what)
+    return what
 
 
 def _apply_A_arrays(q, s, t_arr, t, params, chi):
@@ -350,9 +371,9 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     x = np.zeros((len(p), 2, support.size), dtype=np.complex128)
     x[0] = _pack(fq, support)
     y = np.empty_like(x)
+    # the pinned flux; the residual transforms it in place, and the basic
+    # update finishes gamma1 of it from that transform
     jq = np.empty_like(fq)
-    # receives the forward half of gamma1(jq), which the basic update finishes
-    work = np.empty_like(fq)
     if accelerated:
         inv_on, inv_off = _shifted_inverse_coefs(t, sigma0)
         inv_mat = _slot_matrix(p, inv_on, inv_off)
@@ -360,6 +381,10 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
         inv_mat[:, 1:2] *= -1
         two_s0_e0 = 2.0 * sigma0 * e0v
         w = np.empty_like(x)
+        chi_hat = np.fft.fft2(chi)
+        # the FFT of w_Q, with the start value that _r_hat takes at k = 2
+        what = np.zeros_like(fq)
+        what[:, 0, 0] = sigma0 * e0v * chi.size
 
     mon = _Monitor(cfg)
     js = None
@@ -368,42 +393,38 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
         for k in range(1, cfg.max_iters + 1):
             if k > 1:
                 if accelerated:
-                    # r = (A - sigma0 I) F_raw is (1 - sigma0) F_raw on the Q
-                    # slot of phase 2 and y - sigma0 x on phase 1;
-                    # w = (2 sigma0 e0 - 2 gamma1(r_Q) + r_Q, -r_S, r_T), whose
-                    # S sign inv_mat carries; F_raw = (A + sigma0 I)^-1 w
-                    np.multiply(x, sigma0, out=w)
-                    np.subtract(y, w, out=w)
-                    np.multiply(fq, 1.0 - sigma0, out=work)
-                    _scatter(work, support, w[0])
-                    wq = _reflect(work, two_s0_e0)
-                    w[0] = _pack(wq, support)
+                    # fq is free until the inverse FFT refills it with w_Q
+                    _r_hat(jq, what, chi_hat, delta, a_mat[0, 0], 1.0 if k == 2 else 2.0, fq)
+                    # w = (2 sigma0 e0 - 2 gamma1(r_Q) + r_Q, -r_S, r_T),
+                    # whose S sign inv_mat carries
+                    _reflect_hat(what, two_s0_e0, out=fq)
+                    w[0] = _pack(fq, support)
+                    np.multiply(x[1:], sigma0, out=w[1:])
+                    np.subtract(y[1:], w[1:], out=w[1:])
                     _apply_slots(inv_mat, w, out=x)
-                    np.multiply(wq, inv_off, out=fq)
+                    fq *= inv_off
                     _scatter(fq, support, x[0])
                 else:
-                    # fq holds the mean-pinned Q slot of the last iteration
-                    g = _gamma1_inverse(work)
+                    # jq holds the transform of the last pinned flux
+                    g = _gamma1_inverse(jq)
                     g /= sigma0
                     fq -= g
                     x[0] = _pack(fq, support)
                     x[1:2] -= js / sigma0
             _apply_slots(a_mat, x, out=y)
             # Constant Q-slot correction pins the mean field at e0 for
-            # reporting; the accelerated update keeps the raw iterate so
-            # the map stays exact.
+            # reporting; the accelerated update keeps the raw iterate in
+            # x and in the transforms so the map stays exact.
             delta = e0v - _mean_vec(fq)
-            dfield = delta[:, None, None]
-            dpacked = delta[:, None]
-            np.add(fq, dfield, out=jq)
-            _scatter(jq, support, y[0] + pin[0] * dpacked)
-            js = y[1:2] + pin[1:2] * dpacked
-            if not accelerated:
-                fq += dfield
+            fq += delta[:, None, None]
+            jp = y[:2] + pin[:2] * delta[:, None]
+            jq[...] = fq
+            _scatter(jq, support, jp[0])
+            js = jp[1:2]
             jmean = _mean_vec(jq)
             sstar = _along(e0v, jmean)
             try:
-                res = _residual(jq, js, jmean, work)
+                res = _residual(jq, js, jmean, jq)
             except ContractError:
                 mon.flag_degenerate()
                 break
@@ -411,8 +432,13 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
                 break
 
     sigma_star = mon.history.records[-1].sigma_star if len(mon.history) else sstar
+    # the residual left jq in Fourier space: rebuild it, bit for bit
+    jq[...] = fq
+    _scatter(jq, support, jp[0])
+    # drop the work arrays before the result's S and T grids are built
+    del y, jp
     if accelerated:
-        fq += dfield
+        del w, what, chi_hat
     return SolveResult(
         sigma_star=sigma_star,
         E_field=VectorField(fq),

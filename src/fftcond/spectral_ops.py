@@ -4,9 +4,13 @@ A VectorField samples a complex 2-vector on the periodic pixel grid. The
 projection gamma1 (zero-mean curl-free part) acts mode-wise in Fourier
 space with multiplier k (x) k / |k|^2 on integer wave vectors
 m in {-n/2, ..., n/2 - 1}; the zero mode is dropped and Nyquist rows use
-the same formula. It runs in two halves: a forward FFT that forms k . f(k),
-from which the squared norm of gamma1(f) is summed by Parseval, and a
-projection with the inverse FFT. An AugmentedField is a (Q, S, T) triple of
+the same formula. It runs in two halves: a forward FFT, from which the
+squared norm of gamma1(f) is summed by Parseval and which is left intact,
+and the projection with the inverse FFT. The reflection of the
+Eyre-Milton update, shift - 2 gamma1(r) + r, is formed in Fourier space
+on the transform of r with the same multiplier, followed by one inverse
+FFT. The Fourier-space sum and reflection run over bands of rows, so
+their temporaries stay small. An AugmentedField is a (Q, S, T) triple of
 VectorFields whose S and T slots vanish off the inclusion. Every local
 operator has the form on chi'' + off (I - chi''), where chi'' is the
 rank-one slot mixer p (x) p on the inclusion for a complex triple p with
@@ -37,6 +41,9 @@ from .transform import SubstitutionParams
 
 # Test hook: scales the nonzero-mode multiplier of gamma1. Leave at 1.0.
 _gamma1_scale = 1.0
+# Pixels per row band of the Fourier-space sums and reflection, which
+# bounds their temporaries
+_BAND_SIZE = 1 << 16
 
 
 def _compensated_total(values: np.ndarray) -> float:
@@ -44,7 +51,11 @@ def _compensated_total(values: np.ndarray) -> float:
     if values.size == 0:
         return 0.0
     m = values.reshape(-1, values.shape[-1]) if values.ndim > 1 else values.reshape(1, -1)
-    rows = np.sum(m, axis=-1)
+    return _combine_rows(np.sum(m, axis=-1))
+
+
+def _combine_rows(rows: np.ndarray) -> float:
+    """Exactly rounded total of row sums."""
     if not np.all(np.isfinite(rows)):
         return float(np.sum(rows))  # propagate inf/nan instead of fsum overflow
     return math.fsum(rows.tolist())
@@ -128,19 +139,19 @@ def _wavevectors(ny: int, nx: int):
     return kx, ky, inv_k2
 
 
-def _gamma1_forward(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """First half of gamma1: the FFT of ``data`` into ``out``, with k . f(k) in row 0."""
-    kx, ky, _ = _wavevectors(data.shape[-2], data.shape[-1])
-    fh = np.fft.fft2(data, axes=(-2, -1), out=out)
-    fh[0] *= kx
-    fh[0] += ky * fh[1]
-    return fh
+def _bands(ny: int, nx: int):
+    """Row slices of an ny-by-nx grid, each of about _BAND_SIZE pixels."""
+    step = max(1, _BAND_SIZE // nx)
+    return [slice(lo, lo + step) for lo in range(0, ny, step)]
 
 
 def _gamma1_inverse(fh: np.ndarray) -> np.ndarray:
-    """Second half of gamma1, in place on what :func:`_gamma1_forward` returned."""
+    """Second half of gamma1, in place on the FFT ``fh`` of a field: projection, inverse FFT."""
     kx, ky, inv_k2 = _wavevectors(fh.shape[-2], fh.shape[-1])
     dot = fh[0]
+    dot *= kx
+    fh[1] *= ky
+    dot += fh[1]
     dot *= inv_k2
     if _gamma1_scale != 1.0:
         dot *= _gamma1_scale
@@ -151,24 +162,51 @@ def _gamma1_inverse(fh: np.ndarray) -> np.ndarray:
 
 
 def _gamma1_arr(data: np.ndarray) -> np.ndarray:
-    return _gamma1_inverse(_gamma1_forward(data))
+    return _gamma1_inverse(np.fft.fft2(data, axes=(-2, -1)))
 
 
 def _gamma1_sqnorm(data: np.ndarray, work: np.ndarray | None = None) -> float:
-    """Sum over pixels of |gamma1(data)|^2, from the forward half of gamma1.
+    """Sum over pixels of |gamma1(data)|^2, from the FFT of ``data`` alone.
 
     By Parseval the sum is (1/N) sum_k |k . f(k)|^2 / |k|^2 times the
-    squared multiplier scale, so no inverse transform is needed. ``work``,
-    if given, is a buffer shaped like ``data`` that receives the forward
-    half, so :func:`_gamma1_inverse` can finish gamma1(data) from it.
+    squared multiplier scale, so no inverse transform is needed. It is
+    formed band by band, and the transform is left intact: ``work``, if
+    given, is a buffer shaped like ``data``, or ``data`` itself, that
+    receives it, for :func:`_gamma1_inverse` or :func:`_reflect_hat`.
     """
     ny, nx = data.shape[-2], data.shape[-1]
-    _, _, inv_k2 = _wavevectors(ny, nx)
-    dot = _gamma1_forward(data, work)[0]
-    power = dot.real**2
-    power += dot.imag**2
-    power *= inv_k2
-    return _compensated_total(power) * _gamma1_scale**2 / (ny * nx)
+    kx, ky, inv_k2 = _wavevectors(ny, nx)
+    fh = np.fft.fft2(data, axes=(-2, -1), out=work)
+    rows = []
+    for band in _bands(ny, nx):
+        dot = kx * fh[0, band]
+        dot += ky[band] * fh[1, band]
+        power = dot.real**2
+        power += dot.imag**2
+        power *= inv_k2[band]
+        rows.append(np.sum(power, axis=-1))
+    return _combine_rows(np.concatenate(rows)) * _gamma1_scale**2 / (ny * nx)
+
+
+def _reflect_hat(rh: np.ndarray, shift: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The reflection shift - 2 gamma1(r) + r of the Eyre-Milton update, in Fourier space.
+
+    In place on the FFT ``rh`` of r, band by band, with the multiplier of
+    gamma1; ``shift`` is a constant 2-vector, so it enters the zero mode
+    only. Returns the inverse FFT of the result in ``out``.
+    """
+    ny, nx = rh.shape[-2], rh.shape[-1]
+    kx, ky, inv_k2 = _wavevectors(ny, nx)
+    for band in _bands(ny, nx):
+        dot = kx * rh[0, band]
+        dot += ky[band] * rh[1, band]
+        dot *= inv_k2[band]
+        dot *= -2.0 * _gamma1_scale
+        rh[0, band] += kx * dot
+        dot *= ky[band]
+        rh[1, band] += dot
+    rh[:, 0, 0] += shift * (ny * nx)
+    return np.fft.ifftn(rh, axes=(-2, -1), out=out)
 
 
 def gamma1(f: VectorField) -> VectorField:

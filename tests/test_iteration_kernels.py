@@ -1,6 +1,11 @@
 """Kernels of the iteration: the two halves of gamma1 and the Parseval
-residual, packed local operators and their slot matrices, and the
-residual the solvers record."""
+residual, the Fourier-space reflection of the accelerated update, packed
+local operators and their slot matrices, the residual the solvers
+record, and the 2-D FFTs one iteration costs."""
+
+import cmath
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,18 +29,21 @@ from fftcond import (
     solve,
     solve_p,
 )
-from fftcond.solvers import _apply_A_arrays
+from fftcond.solvers import _apply_A_arrays, _r_hat
 from fftcond.spectral_ops import (
     _apply_slots,
     _compensated_total,
     _gamma1_arr,
     _gamma1_inverse,
     _gamma1_sqnorm,
+    _local_arrays,
+    _reflect_hat,
     _shifted_inverse_coefs,
     _slot_matrix,
 )
 
 BENCH = SpectralInterval(0.25, 4.0)
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
 def random_complex(rng, shape):
@@ -69,6 +77,108 @@ class TestGamma1Sqnorm:
         work = np.empty_like(x)
         _gamma1_sqnorm(x, work)
         assert np.array_equal(_gamma1_inverse(work), _gamma1_arr(x))
+
+
+class TestBands:
+    """Band by band, the Fourier-space sums and the reflection keep their bits."""
+
+    @pytest.mark.parametrize("shape", [(16, 16), (16, 24)])
+    def test_band_size_leaves_bits(self, monkeypatch, shape):
+        rng = np.random.default_rng(20)
+        x = random_complex(rng, (2, *shape))
+        shift = np.array([0.4 - 1.1j, 2.0 + 0.3j])
+        results = []
+        # one band, then bands of 3 rows (the last one ragged) or of 2 rows
+        for band_size in (1 << 16, 48):
+            monkeypatch.setattr(spectral_ops, "_BAND_SIZE", band_size)
+            rh = np.fft.fft2(x, axes=(-2, -1))
+            results.append((_gamma1_sqnorm(x), _reflect_hat(rh, shift, np.empty_like(x)), rh))
+        (s1, w1, h1), (s2, w2, h2) = results
+        assert s1 == s2
+        assert np.array_equal(w1, w2) and np.array_equal(h1, h2)
+
+
+class TestFourierReflection:
+    """The accelerated update in Fourier space: the reflection and its input r_Q."""
+
+    PMAPS = [build_square_array(16, 0.5), build_disk_array(16, 0.35)]
+    DELTA = np.array([0.3 - 0.2j, -1.1 + 0.4j])
+
+    @pytest.mark.parametrize("shape", [(16, 16), (16, 24)])
+    @pytest.mark.parametrize("scale", [1.0, 1.001])
+    def test_reflection_matches_real_space(self, monkeypatch, shape, scale):
+        monkeypatch.setattr(spectral_ops, "_gamma1_scale", scale)
+        rng = np.random.default_rng(21)
+        shift = np.array([0.4 - 1.1j, 2.0 + 0.3j])
+        for _ in range(3):
+            r = random_complex(rng, (2, *shape))
+            expected = shift[:, None, None] - 2.0 * _gamma1_arr(r) + r
+            rh = np.fft.fft2(r, axes=(-2, -1))
+            out = np.empty_like(r)
+            assert _reflect_hat(rh, shift, out) is out
+            assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+            # rh is left holding the transform of the result
+            expected_hat = np.fft.fft2(expected, axes=(-2, -1))
+            assert np.max(np.abs(rh - expected_hat)) <= 1e-13 * np.max(np.abs(expected_hat))
+
+    @staticmethod
+    def _problem(substituted, sigma1):
+        if substituted:
+            params = solve_p(BENCH)
+            p, t = (params.p1, params.p2, params.p3), map_t(sigma1, BENCH)
+        else:
+            p, t = (1.0,), complex(sigma1)
+        return p, t, cmath.sqrt(t)
+
+    def _pinned_transform(self, j_q, pmap, p, t):
+        """FFT of the flux pinned as the solver pins it, and the pin's Q coefficient."""
+        pin0 = _slot_matrix(p, t, 1.0)[0, 0]
+        jq = j_q + self.DELTA[:, None, None] * np.where(pmap.chi, pin0, 1.0)
+        return np.fft.fft2(jq, axes=(-2, -1)), pin0
+
+    @staticmethod
+    def _assert_close(got, expected):
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("pmap", PMAPS)
+    @pytest.mark.parametrize("substituted", [False, True], ids=["one_slot", "three_slots"])
+    @pytest.mark.parametrize("sigma1", [2.0, 0.7 + 0.4j, 10.0])
+    def test_r_hat_is_transform_of_shifted_flux(self, pmap, substituted, sigma1):
+        # r_Q = ((A - sigma0 I) F_raw)_Q with F_raw = (A + sigma0 I)^-1 D w
+        rng = np.random.default_rng(22)
+        p, t, sigma0 = self._problem(substituted, sigma1)
+        chi = pmap.chi
+        shape = (2, *chi.shape)
+        w = [random_complex(rng, shape)] + [
+            np.where(chi, random_complex(rng, shape), 0.0) for _ in p[1:]
+        ]
+        d_w = [w[0]] + [-s for s in w[1:2]] + w[2:]
+        f = _local_arrays(tuple(d_w), chi, p, *_shifted_inverse_coefs(t, sigma0))
+        j = _local_arrays(f, chi, p, t, 1.0)
+        direct = np.fft.fft2(j[0] - sigma0 * f[0], axes=(-2, -1))
+        jh, pin0 = self._pinned_transform(j[0], pmap, p, t)
+        what = np.fft.fft2(w[0], axes=(-2, -1))
+        chi_hat = np.fft.fft2(chi)
+        got = _r_hat(jh, what, chi_hat, self.DELTA, pin0, 2.0, np.empty_like(jh))
+        self._assert_close(got, direct)
+
+    @pytest.mark.parametrize("pmap", PMAPS)
+    @pytest.mark.parametrize("substituted", [False, True], ids=["one_slot", "three_slots"])
+    @pytest.mark.parametrize("e0", [(1.0, 0.0), (0.3, 0.8 - 0.2j)])
+    def test_r_hat_at_the_start(self, pmap, substituted, e0):
+        # F = e0 in the Q slot: r_Q = J_raw - sigma0 e0, from the start value of w_Q
+        p, t, sigma0 = self._problem(substituted, 0.7 + 0.4j)
+        chi = pmap.chi
+        e0v = np.array(e0, dtype=np.complex128)
+        f_q = np.broadcast_to(e0v[:, None, None], (2, *chi.shape))
+        zero = np.zeros_like(f_q)
+        j = _local_arrays((f_q, *(zero for _ in p[1:])), chi, p, t, 1.0)
+        direct = np.fft.fft2(j[0] - sigma0 * f_q, axes=(-2, -1))
+        jh, pin0 = self._pinned_transform(j[0], pmap, p, t)
+        what = np.zeros_like(jh)
+        what[:, 0, 0] = sigma0 * e0v * chi.size
+        got = _r_hat(jh, what, np.fft.fft2(chi), self.DELTA, pin0, 1.0, np.empty_like(jh))
+        self._assert_close(got, direct)
 
 
 def _dense_chi_u(q, s, t_arr, params, chi):
@@ -239,8 +349,34 @@ class TestRecordedResidual:
         "sigma1", [2.0, 0.5, 10.0, 0.02, 50.0, 0.7 + 0.4j, 3.0 - 1.0j, 0.3 + 2.0j, 5.0 + 0.5j]
     )
     def test_basic_last_residual_is_public_residual(self, iters, geometry, sigma1):
+        self._check_bitwise(SchemeKind.BASIC, iters, geometry, sigma1)
+
+    @pytest.mark.parametrize("iters", [3, 7, 15])
+    @pytest.mark.parametrize("geometry", ["square", "disk"])
+    @pytest.mark.parametrize(
+        "sigma1", [2.0, 0.5, 10.0, 0.02, 50.0, 0.7 + 0.4j, 3.0 - 1.0j, 0.3 + 2.0j, 5.0 + 0.5j]
+    )
+    def test_em_last_residual_is_public_residual(self, iters, geometry, sigma1):
+        # em transforms the flux in place and rebuilds J_field after the loop
+        self._check_bitwise(SchemeKind.EYRE_MILTON, iters, geometry, sigma1)
+
+    @staticmethod
+    def _check_bitwise(scheme, iters, geometry, sigma1):
         pmap = build_square_array(32, 0.5) if geometry == "square" else build_disk_array(32, 0.35)
-        cfg = SolverConfig(scheme=SchemeKind.BASIC, sigma1=sigma1, tol=1e-300, max_iters=iters)
+        cfg = SolverConfig(scheme=scheme, sigma1=sigma1, tol=1e-300, max_iters=iters)
         r = solve(pmap, cfg)
         assert r.iterations == iters
         assert r.history.residuals()[-1] == equilibrium_residual(r.J_field)
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_four_ffts_per_iteration(scheme):
+    # counted on a 16 x 16 grid by the benchmark tool's own counter
+    assert _load_tool("bench_per_iteration").ffts_per_iteration(scheme, 16) == 4.0
