@@ -35,6 +35,13 @@ r_Q is formed in Fourier space, and one inverse FFT returns w_Q to real
 space for the local inverse. sigma* is read off the flux of the local
 operator A in every path.
 
+A solve allocates its working set once: the full-grid Q slot of the
+field and the pinned flux, with the FFTs of w_Q and of chi when
+accelerated; the slot arrays x = F and y = A F on the inclusion pixels,
+where the accelerated update also forms w; and one packed scratch of one
+slot. Inside the loop only band-sized temporaries of the Fourier sweeps,
+one component of a gather and the residual's |js|^2 are allocated.
+
 Stopping: equilibrium residual <= tol and a relative change in the
 effective-conductivity estimate <= tol, with a divergence guard at 1e6
 times the initial residual. Runs are deterministic for a fixed
@@ -230,7 +237,11 @@ def _residual(jq: np.ndarray, js: np.ndarray, jmean: np.ndarray, work=None) -> f
     if den < _TINY:
         raise ContractError("mean flux vanishes; residual is undefined")
     npix = jq.shape[-1] * jq.shape[-2]
-    total = _gamma1_sqnorm(jq, work) + _compensated_total(np.abs(js) ** 2)
+    total = _gamma1_sqnorm(jq, work)
+    # squared in place: one temporary, whether or not numpy elides the second
+    power = np.abs(js)
+    power *= power
+    total += _compensated_total(power)
     return math.sqrt(total / npix) / den
 
 
@@ -361,7 +372,11 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     # ``support`` carry all len(p) slots packed in ``x``, each (2, m); the
     # full-grid Q slot lives in ``fq``. A is the identity on the Q slot of
     # phase-2 pixels; ``y`` holds A x on phase 1. The S line of the basic
-    # update acts on the slice [1:2], empty for the physical schemes.
+    # update acts on slot 1, which the physical schemes lack. ``scratch``,
+    # one packed slot, holds every packed temporary of the loop: the slot
+    # kernel's products, x[i] sigma0 of the accelerated update and the
+    # pinned flux on phase 1, slot by slot; its S slot ``js`` stays there
+    # for the residual and the next basic update.
     support = np.flatnonzero(chi)
     a_mat = _slot_matrix(p, t, 1.0)
     # A maps a constant Q-slot shift delta to a_mat[i, 0] delta in slot i on phase 1
@@ -369,8 +384,9 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     fq = np.empty((2, *chi.shape), dtype=np.complex128)
     fq[0], fq[1] = e0v[0], e0v[1]
     x = np.zeros((len(p), 2, support.size), dtype=np.complex128)
-    x[0] = _pack(fq, support)
+    _pack(fq, support, out=x[0])
     y = np.empty_like(x)
+    scratch = np.empty_like(x[0])
     # the pinned flux; the residual transforms it in place, and the basic
     # update finishes gamma1 of it from that transform
     jq = np.empty_like(fq)
@@ -380,14 +396,13 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
         # the reflection negates the S slot of r; the inverse applies that sign
         inv_mat[:, 1:2] *= -1
         two_s0_e0 = 2.0 * sigma0 * e0v
-        w = np.empty_like(x)
         chi_hat = np.fft.fft2(chi)
         # the FFT of w_Q, with the start value that _r_hat takes at k = 2
         what = np.zeros_like(fq)
         what[:, 0, 0] = sigma0 * e0v * chi.size
 
     mon = _Monitor(cfg)
-    js = None
+    js = np.empty(0)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.max_iters + 1):
@@ -396,12 +411,13 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
                     # fq is free until the inverse FFT refills it with w_Q
                     _r_hat(jq, what, chi_hat, delta, a_mat[0, 0], 1.0 if k == 2 else 2.0, fq)
                     # w = (2 sigma0 e0 - 2 gamma1(r_Q) + r_Q, -r_S, r_T),
-                    # whose S sign inv_mat carries
+                    # whose S sign inv_mat carries, is formed in y
                     _reflect_hat(what, two_s0_e0, out=fq)
-                    w[0] = _pack(fq, support)
-                    np.multiply(x[1:], sigma0, out=w[1:])
-                    np.subtract(y[1:], w[1:], out=w[1:])
-                    _apply_slots(inv_mat, w, out=x)
+                    _pack(fq, support, out=y[0])
+                    for i in range(1, len(p)):
+                        np.multiply(x[i], sigma0, out=scratch)
+                        y[i] -= scratch
+                    _apply_slots(inv_mat, y, out=x, tmp=scratch)
                     fq *= inv_off
                     _scatter(fq, support, x[0])
                 else:
@@ -409,18 +425,21 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
                     g = _gamma1_inverse(jq)
                     g /= sigma0
                     fq -= g
-                    x[0] = _pack(fq, support)
-                    x[1:2] -= js / sigma0
-            _apply_slots(a_mat, x, out=y)
+                    _pack(fq, support, out=x[0])
+                    if len(p) > 1:
+                        js /= sigma0
+                        x[1] -= js
+            _apply_slots(a_mat, x, out=y, tmp=scratch)
             # Constant Q-slot correction pins the mean field at e0 for
             # reporting; the accelerated update keeps the raw iterate in
             # x and in the transforms so the map stays exact.
             delta = e0v - _mean_vec(fq)
             fq += delta[:, None, None]
-            jp = y[:2] + pin[:2] * delta[:, None]
+            pin_delta = pin[:2] * delta[:, None]
             jq[...] = fq
-            _scatter(jq, support, jp[0])
-            js = jp[1:2]
+            _scatter(jq, support, np.add(y[0], pin_delta[0], out=scratch))
+            if len(p) > 1:
+                js = np.add(y[1], pin_delta[1], out=scratch)
             jmean = _mean_vec(jq)
             sstar = _along(e0v, jmean)
             try:
@@ -434,11 +453,11 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     sigma_star = mon.history.records[-1].sigma_star if len(mon.history) else sstar
     # the residual left jq in Fourier space: rebuild it, bit for bit
     jq[...] = fq
-    _scatter(jq, support, jp[0])
+    _scatter(jq, support, np.add(y[0], pin_delta[0], out=scratch))
     # drop the work arrays before the result's S and T grids are built
-    del y, jp
+    del y, scratch, js
     if accelerated:
-        del w, what, chi_hat
+        del what, chi_hat
     return SolveResult(
         sigma_star=sigma_star,
         E_field=VectorField(fq),

@@ -294,9 +294,18 @@ def gamma1_aug(f: AugmentedField, pmap: PhaseMap) -> AugmentedField:
     return AugmentedField(gamma1(f.Q), f.S.copy(), VectorField.zeros(ny, nx))
 
 
-def _pack(data: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """(2, ny, nx) slot samples on the flat pixel indices ``support``, as (2, m)."""
-    return data.reshape(2, -1).take(support, axis=1)
+def _pack(data: np.ndarray, support: np.ndarray, out=None) -> np.ndarray:
+    """(2, ny, nx) slot samples on the flat pixel indices ``support``, as (2, m), into ``out``.
+
+    One component at a time: ``take`` buffers a bounds-checked gather into
+    ``out``, so this keeps its transient to one component.
+    """
+    flat = data.reshape(2, -1)
+    if out is None:
+        out = np.empty((2, support.size), dtype=data.dtype)
+    for c in range(2):
+        flat[c].take(support, out=out[c])
+    return out
 
 
 def _scatter(dst: np.ndarray, support: np.ndarray, packed: np.ndarray):
@@ -325,11 +334,16 @@ def _slot_matrix(p: tuple, on, off) -> np.ndarray:
     return on * pp + off * (np.eye(len(p)) - pp)
 
 
-def _apply_slots(m: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
-    """out[i] = sum_j m[i, j] x[j] on packed (len(m), 2, npix) slots; ``out`` must not alias x."""
+def _apply_slots(m: np.ndarray, x: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """out[i] = sum_j m[i, j] x[j] on packed (len(m), 2, npix) slots.
+
+    ``out`` must not alias x; ``tmp``, one (2, npix) slot, is the scratch
+    of the sums and must alias neither.
+    """
     if out is None:
         out = np.empty_like(x)
-    tmp = np.empty_like(x[0])
+    if tmp is None and len(m) > 1:
+        tmp = np.empty_like(x[0])
     for i, row in enumerate(m):
         np.multiply(x[0], row[0], out=out[i])
         for j in range(1, len(row)):
@@ -346,7 +360,9 @@ def _local_arrays(slots: tuple, chi, p: tuple, on, off) -> tuple:
     past Q are read on chi only and come back zero there.
     """
     support = np.flatnonzero(chi)
-    x = np.stack([_pack(s, support) for s in slots])
+    x = np.empty((len(slots), 2, support.size), dtype=np.result_type(*slots))
+    for s, xs in zip(slots, x):
+        _pack(s, support, out=xs)
     y = _apply_slots(_slot_matrix(p, on, off), x)
     q_out = np.multiply(slots[0], complex(off), order="C")
     _scatter(q_out, support, y[0])

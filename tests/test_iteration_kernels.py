@@ -1,10 +1,11 @@
 """Kernels of the iteration: the two halves of gamma1 and the Parseval
 residual, the Fourier-space reflection of the accelerated update, packed
 local operators and their slot matrices, the residual the solvers
-record, and the 2-D FFTs one iteration costs."""
+record, the 2-D FFTs one iteration costs, and the memory a solve holds."""
 
 import cmath
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from fftcond.spectral_ops import (
     _gamma1_inverse,
     _gamma1_sqnorm,
     _local_arrays,
+    _pack,
     _reflect_hat,
     _shifted_inverse_coefs,
     _slot_matrix,
@@ -281,6 +283,85 @@ class TestPackedLocalOperators:
             expected = complex(np.vdot(e0v, VectorField(dense).mean())) / np.vdot(e0v, e0v).real
             got = extract_sigma_star(VectorField(e), pmap, sigma1, e0)
             assert abs(got - expected) <= 1e-15 * np.max(np.abs(dense))
+
+
+class TestCallerBuffers:
+    """The gather and the slot kernel fill caller buffers with the allocating calls' bits."""
+
+    @pytest.mark.parametrize(
+        "chi",
+        [
+            build_square_array(16, 0.5).chi,
+            build_disk_array(16, 0.35).chi,
+            np.random.default_rng(21).random((16, 24)) < 0.3,
+            np.zeros((16, 16), dtype=bool),
+        ],
+        ids=["square", "disk", "raster_16x24", "empty"],
+    )
+    def test_pack_into_out(self, chi):
+        support = np.flatnonzero(chi)
+        data = random_complex(np.random.default_rng(22), (2, *chi.shape))
+        expected = data.reshape(2, -1)[:, support]
+        out = np.full((2, support.size), np.nan, dtype=np.complex128)
+        assert _pack(data, support, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+        assert _pack(data, support).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("slots", [1, 3])
+    def test_apply_slots_with_caller_tmp(self, slots):
+        params = solve_p(BENCH)
+        p = (params.p1, params.p2, params.p3) if slots == 3 else (1.0,)
+        m = _slot_matrix(p, 0.7 + 0.4j, 1.3)
+        x = random_complex(np.random.default_rng(23), (slots, 2, 40))
+        out, tmp = np.empty_like(x), np.empty_like(x[0])
+        assert _apply_slots(m, x, out=out, tmp=tmp) is out
+        assert out.tobytes() == _apply_slots(m, x).tobytes()
+
+
+class TestWorkingSet:
+    """A solve allocates its working set once: its tracemalloc peak is the
+    larger of the loop's live set and the result's arrays, plus one packed
+    slot of slack. The slack covers the support indices, a quarter of a
+    packed slot, and the largest transient, half of one: a component of
+    the gather or the residual's |js|^2."""
+
+    @staticmethod
+    def _peak(pmap, scheme, iters):
+        cfg = SolverConfig(
+            scheme=scheme,
+            sigma1=2.0,
+            interval=BENCH if scheme.substituted else None,
+            tol=1e-300,
+            max_iters=iters,
+        )
+        tracemalloc.start()
+        try:
+            r = solve(pmap, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.iterations == iters
+        return peak
+
+    @pytest.mark.parametrize("geometry", ["square", "disk"])
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_peak_is_the_working_set(self, monkeypatch, scheme, geometry):
+        n = 256
+        pmap = build_square_array(n, 0.5) if geometry == "square" else build_disk_array(n, 0.25)
+        # small bands, and cached wave vectors, keep the sweeps out of the peak
+        monkeypatch.setattr(spectral_ops, "_BAND_SIZE", 4096)
+        spectral_ops._wavevectors(n, n)
+        slots = 3 if scheme.substituted else 1
+        grid = 2 * n * n * 16
+        packed = 2 * np.count_nonzero(pmap.chi) * 16
+        # fq and jq, with what and chi_hat when accelerated; x, y and the scratch
+        loop = (7 * grid // 2 if scheme.accelerated else 2 * grid) + (2 * slots + 1) * packed
+        # E_field, J_field, the S and T grids of aug_field, and x
+        result = (1 + slots) * grid + slots * packed
+        peak = self._peak(pmap, scheme, 6)
+        assert peak <= max(loop, result) + packed
+        # nothing accumulates per iteration; 16 KiB covers six more history records
+        assert self._peak(pmap, scheme, 12) <= peak + 16 * 1024
 
 
 class TestSlotMatrix:

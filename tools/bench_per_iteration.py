@@ -1,4 +1,4 @@
-"""Milliseconds per iteration of the four schemes, and 2-D FFTs per iteration.
+"""Milliseconds per iteration of the four schemes, 2-D FFTs per iteration, and peak memory.
 
 Each scheme runs the 25% square array at sigma1 = 2 with an unreachable
 tolerance, so every run does exactly ITERS = 30 iterations; the time per
@@ -7,7 +7,9 @@ iterations. 2-D FFTs are counted by wrapping the ``numpy.fft`` 2-D and
 n-D transforms on a small grid: the count per iteration is the
 difference between a run of ITERS and one of ITERS - 10
 iterations, divided by 10, and a transform of a (2, ny, nx) stack counts
-as two.
+as two. The peak is the ``tracemalloc`` peak, in MB, of a solve of
+PEAK_ITERS = 5 iterations, taken after an untraced warm-up solve so that
+cached wave vectors do not count.
 
     PYTHONPATH=src python tools/bench_per_iteration.py --sizes 128 512 1024
 
@@ -20,6 +22,7 @@ import argparse
 import json
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -27,6 +30,7 @@ from fftcond import SchemeKind, SolverConfig, SpectralInterval, build_square_arr
 
 INTERVAL = SpectralInterval(0.25, 4.0)
 ITERS = 30
+PEAK_ITERS = 5
 
 
 def _config(scheme: SchemeKind, iters: int = ITERS) -> SolverConfig:
@@ -80,18 +84,34 @@ def ffts_per_iteration(scheme: SchemeKind, n: int = 16) -> float:
     return (totals[1] - totals[0]) / 10
 
 
+def peak_mb(scheme: SchemeKind, n: int) -> float:
+    pmap = build_square_array(n, 0.5)
+    solve(pmap, _config(scheme, PEAK_ITERS))
+    tracemalloc.start()
+    try:
+        solve(pmap, _config(scheme, PEAK_ITERS))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 1e6
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[128, 512, 1024])
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
-    report = {"ms_per_iteration": {}, "ffts_per_iteration": {}}
+    report = {"ms_per_iteration": {}, "ffts_per_iteration": {}, "peak_mb": {}}
     for scheme in SchemeKind:
         report["ffts_per_iteration"][scheme.value] = ffts_per_iteration(scheme)
     for n in args.sizes:
         report["ms_per_iteration"][str(n)] = {
             scheme.value: round(ms_per_iteration(scheme, n, args.repeats), 2)
             for scheme in SchemeKind
+        }
+    for n in args.sizes:
+        report["peak_mb"][str(n)] = {
+            scheme.value: round(peak_mb(scheme, n), 1) for scheme in SchemeKind
         }
     print(json.dumps(report, indent=2))
     return 0
