@@ -39,13 +39,19 @@ A solve allocates its working set once: the full-grid Q slot of the
 field and the pinned flux, with the FFTs of w_Q and of chi when
 accelerated; the slot arrays x = F and y = A F on the inclusion pixels,
 where the accelerated update also forms w; and one packed scratch of one
-slot. Inside the loop only band-sized temporaries of the Fourier sweeps,
-one component of a gather and the residual's |js|^2 are allocated.
+slot. Inside the loop only band-sized temporaries of the Fourier sweeps
+and the residual's |js|^2 are allocated.
+
+On grids of at least 2^18 pixels per component, with two CPUs to run
+on, the FFT pair, the Fourier-space sweeps and r_Q split across two
+threads, with the bits of one thread; so does the slot kernel when the
+inclusion has that many pixels. The means, the monitor, the mean pin,
+gathers and scatters stay on the calling thread.
 
 Stopping: equilibrium residual <= tol and a relative change in the
 effective-conductivity estimate <= tol, with a divergence guard at 1e6
 times the initial residual. Runs are deterministic for a fixed
-configuration.
+configuration, whatever the CPU count.
 """
 
 from __future__ import annotations
@@ -74,6 +80,7 @@ from .spectral_ops import (
     _scatter,
     _shifted_inverse_coefs,
     _slot_matrix,
+    _split,
     _unpack,
     apply_local_A,
     gamma0_aug,
@@ -340,14 +347,24 @@ def _r_hat(jh, what, chi_hat, delta, pin0, c, scratch):
     r_Q = J_raw - sigma0 e0: ``c`` = 1 and ``what`` the FFT of the constant
     sigma0 e0. ``jh`` is the FFT of the pinned flux
     jq = J_raw + delta (1 + (pin0 - 1) chi), so ``chi_hat``, the FFT of chi,
-    undoes the pin. ``jh`` and ``scratch`` are overwritten.
+    undoes the pin. ``jh`` and ``scratch`` are overwritten. On a split each
+    thread forms one component.
     """
-    np.multiply(chi_hat, (c * (pin0 - 1.0)) * delta[:, None, None], out=scratch)
+    coef = (c * (pin0 - 1.0)) * delta
+    zero = (c * chi_hat.size) * delta
+    halves = ((jh[i], what[i], chi_hat, coef[i], zero[i], c, scratch[i]) for i in range(2))
+    if _split(chi_hat.size, _r_hat_part, *halves) is None:
+        _r_hat_part(jh, what, chi_hat, coef[:, None, None], zero, c, scratch)
+    return what
+
+
+def _r_hat_part(jh, what, chi_hat, coef, zero, c, scratch):
+    """:func:`_r_hat` on both components, or on one with scalar ``coef`` and ``zero``."""
+    np.multiply(chi_hat, coef, out=scratch)
     jh *= c
     jh -= scratch
-    jh[:, 0, 0] -= (c * chi_hat.size) * delta
+    jh[..., 0, 0] -= zero
     np.subtract(jh, what, out=what)
-    return what
 
 
 def _apply_A_arrays(q, s, t_arr, t, params, chi):

@@ -24,12 +24,20 @@ with the Q slot alone, p = (1,).
 
 All arithmetic is complex double precision. Reductions (means, norms)
 run row-wise with a pairwise sum and combine rows with an exactly
-rounded sum, so results are deterministic for a fixed grid.
+rounded sum, so results are deterministic for a fixed grid, whatever
+the CPU count. When a field component has at least _THREAD_PIXELS
+pixels and the process may run on two CPUs, the FFT pair, the
+Fourier-space sweeps and the slot kernel split across the calling
+thread and one worker thread (:func:`_split`): one component, or one
+half of the row bands, each. Each thread does the unsplit arithmetic on
+its part, so the bits do not change.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,6 +52,74 @@ _gamma1_scale = 1.0
 # Pixels per row band of the Fourier-space sums and reflection, which
 # bounds their temporaries
 _BAND_SIZE = 1 << 16
+# Pixels per field component from which a pass splits across two threads.
+# The measured crossover sets it: one (2, n, n) FFT took 0.44-0.54 ms on
+# two threads against 0.33 ms on one at n = 128, and 8.1-8.6 against
+# 10.3-13.0 ms at n = 512; a whole iteration at n = 256 was 20-28%
+# slower split.
+_THREAD_PIXELS = 1 << 18
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker():
+    """The one-worker thread pool of :func:`_split`, made on first use.
+
+    Imported here, not at module level: the import costs ~7 ms, which a
+    process that never splits should not pay.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fftcond")
+    return _pool
+
+
+def _forget_pool():
+    """In a forked child: the pool's thread did not survive the fork, so make a new pool."""
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _with_errstate(err: dict, fn, args: tuple):
+    with np.errstate(**err):
+        return fn(*args)
+
+
+def _split(npix: int, fn, args0: tuple, args1: tuple):
+    """(fn(*args0), fn(*args1)) on two threads, or None when the pass is not split.
+
+    A pass splits when a field component has at least _THREAD_PIXELS
+    pixels (``npix``) and the process may run on two CPUs; on None the
+    caller runs its whole pass itself. fn(*args1) runs on the pool's
+    worker under the caller's numpy error state, which is thread-local,
+    and fn(*args0) on the calling thread. The two calls must write
+    disjoint data. fn must not split again: the one worker would wait on
+    itself. An exception of either call is raised here, after both ended.
+    """
+    if npix < _THREAD_PIXELS or _cpus() < 2:
+        return None
+    future = _worker().submit(_with_errstate, np.geterr(), fn, args1)
+    try:
+        first = fn(*args0)
+    finally:
+        # wait even when this thread raised: the worker writes the caller's arrays
+        future.exception()
+    return first, future.result()
 
 
 def _compensated_total(values: np.ndarray) -> float:
@@ -139,10 +215,50 @@ def _wavevectors(ny: int, nx: int):
     return kx, ky, inv_k2
 
 
-def _bands(ny: int, nx: int):
-    """Row slices of an ny-by-nx grid, each of about _BAND_SIZE pixels."""
-    step = max(1, _BAND_SIZE // nx)
+def _bands(ny: int, nx: int, size: int) -> list:
+    """Row slices of an ny-by-nx grid, each of about ``size`` pixels."""
+    step = max(1, size // nx)
     return [slice(lo, lo + step) for lo in range(0, ny, step)]
+
+
+def _sweep(band_fn, ny: int, nx: int) -> list:
+    """[band_fn(rows) for each row band of an ny-by-nx grid], in band order.
+
+    Bands of about _BAND_SIZE pixels bound the temporaries of band_fn.
+    On a split each thread sweeps one half of the bands, and the bands are
+    half that size, so the two threads hold what one does unsplit.
+    """
+
+    def run(bands):
+        return [band_fn(band) for band in bands]
+
+    bands = _bands(ny, nx, _BAND_SIZE // 2)
+    half = len(bands) // 2
+    halves = _split(ny * nx, run, (bands[:half],), (bands[half:],))
+    if halves is None:
+        return run(_bands(ny, nx, _BAND_SIZE))
+    return halves[0] + halves[1]
+
+
+def _transform(name: str, data: np.ndarray, out: np.ndarray):
+    # looked up at call time, so that wrappers of numpy.fft see the call
+    getattr(np.fft, name)(data, axes=(-2, -1), out=out)
+
+
+def _fft2(data: np.ndarray, out: np.ndarray | None = None, inverse: bool = False) -> np.ndarray:
+    """2-D FFT, or inverse FFT, of each component of a (2, ny, nx) array, into ``out``.
+
+    ``out`` may be ``data``. On a split each thread transforms one
+    component, with the bits of the stacked call. ifftn, not ifft2: numpy's
+    ifft2 ignores ``out``.
+    """
+    name = "ifftn" if inverse else "fftn"
+    if out is None:
+        out = np.empty(data.shape, dtype=np.complex128)
+    halves = ((name, data[c], out[c]) for c in range(2))
+    if _split(data[0].size, _transform, *halves) is None:
+        _transform(name, data, out)
+    return out
 
 
 def _gamma1_inverse(fh: np.ndarray) -> np.ndarray:
@@ -157,12 +273,11 @@ def _gamma1_inverse(fh: np.ndarray) -> np.ndarray:
         dot *= _gamma1_scale
     np.multiply(ky, dot, out=fh[1])
     dot *= kx
-    # ifftn, not ifft2: numpy's ifft2 ignores ``out``
-    return np.fft.ifftn(fh, axes=(-2, -1), out=fh)
+    return _fft2(fh, fh, inverse=True)
 
 
 def _gamma1_arr(data: np.ndarray) -> np.ndarray:
-    return _gamma1_inverse(np.fft.fft2(data, axes=(-2, -1)))
+    return _gamma1_inverse(_fft2(data))
 
 
 def _gamma1_sqnorm(data: np.ndarray, work: np.ndarray | None = None) -> float:
@@ -176,16 +291,18 @@ def _gamma1_sqnorm(data: np.ndarray, work: np.ndarray | None = None) -> float:
     """
     ny, nx = data.shape[-2], data.shape[-1]
     kx, ky, inv_k2 = _wavevectors(ny, nx)
-    fh = np.fft.fft2(data, axes=(-2, -1), out=work)
-    rows = []
-    for band in _bands(ny, nx):
+    fh = _fft2(data, work)
+
+    def band_power(band):
         dot = kx * fh[0, band]
         dot += ky[band] * fh[1, band]
         power = dot.real**2
         power += dot.imag**2
         power *= inv_k2[band]
-        rows.append(np.sum(power, axis=-1))
-    return _combine_rows(np.concatenate(rows)) * _gamma1_scale**2 / (ny * nx)
+        return np.sum(power, axis=-1)
+
+    rows = np.concatenate(_sweep(band_power, ny, nx))
+    return _combine_rows(rows) * _gamma1_scale**2 / (ny * nx)
 
 
 def _reflect_hat(rh: np.ndarray, shift: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -197,7 +314,8 @@ def _reflect_hat(rh: np.ndarray, shift: np.ndarray, out: np.ndarray) -> np.ndarr
     """
     ny, nx = rh.shape[-2], rh.shape[-1]
     kx, ky, inv_k2 = _wavevectors(ny, nx)
-    for band in _bands(ny, nx):
+
+    def reflect(band):
         dot = kx * rh[0, band]
         dot += ky[band] * rh[1, band]
         dot *= inv_k2[band]
@@ -205,8 +323,10 @@ def _reflect_hat(rh: np.ndarray, shift: np.ndarray, out: np.ndarray) -> np.ndarr
         rh[0, band] += kx * dot
         dot *= ky[band]
         rh[1, band] += dot
+
+    _sweep(reflect, ny, nx)
     rh[:, 0, 0] += shift * (ny * nx)
-    return np.fft.ifftn(rh, axes=(-2, -1), out=out)
+    return _fft2(rh, out, inverse=True)
 
 
 def gamma1(f: VectorField) -> VectorField:
@@ -297,14 +417,18 @@ def gamma1_aug(f: AugmentedField, pmap: PhaseMap) -> AugmentedField:
 def _pack(data: np.ndarray, support: np.ndarray, out=None) -> np.ndarray:
     """(2, ny, nx) slot samples on the flat pixel indices ``support``, as (2, m), into ``out``.
 
-    One component at a time: ``take`` buffers a bounds-checked gather into
-    ``out``, so this keeps its transient to one component.
+    ``support`` is range-checked once, with numpy's bounds; the gather
+    then takes ``mode="wrap"``, which is the same map on that range and,
+    unlike the checked mode, writes ``out`` without buffering a copy.
     """
     flat = data.reshape(2, -1)
+    npix = flat.shape[1]
+    if support.size and (support.min() < -npix or support.max() >= npix):
+        raise IndexError(f"support index out of bounds for {npix} pixels")
     if out is None:
         out = np.empty((2, support.size), dtype=data.dtype)
     for c in range(2):
-        flat[c].take(support, out=out[c])
+        flat[c].take(support, out=out[c], mode="wrap")
     return out
 
 
@@ -338,18 +462,26 @@ def _apply_slots(m: np.ndarray, x: np.ndarray, out=None, tmp=None) -> np.ndarray
     """out[i] = sum_j m[i, j] x[j] on packed (len(m), 2, npix) slots.
 
     ``out`` must not alias x; ``tmp``, one (2, npix) slot, is the scratch
-    of the sums and must alias neither.
+    of the sums and must alias neither. On a split each thread sums one
+    component, in its row of ``tmp``.
     """
     if out is None:
         out = np.empty_like(x)
     if tmp is None and len(m) > 1:
         tmp = np.empty_like(x[0])
+    if len(m) == 1 or _split(
+        x.shape[-1], _slot_sums, *((m, x[:, c], out[:, c], tmp[c]) for c in range(2))
+    ) is None:
+        _slot_sums(m, x, out, tmp)
+    return out
+
+
+def _slot_sums(m, x, out, tmp):
     for i, row in enumerate(m):
         np.multiply(x[0], row[0], out=out[i])
         for j in range(1, len(row)):
             np.multiply(x[j], row[j], out=tmp)
             out[i] += tmp
-    return out
 
 
 def _local_arrays(slots: tuple, chi, p: tuple, on, off) -> tuple:

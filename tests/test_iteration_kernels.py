@@ -1,11 +1,15 @@
 """Kernels of the iteration: the two halves of gamma1 and the Parseval
 residual, the Fourier-space reflection of the accelerated update, packed
 local operators and their slot matrices, the residual the solvers
-record, the 2-D FFTs one iteration costs, and the memory a solve holds."""
+record, the 2-D FFTs one iteration costs, the memory a solve holds, and
+the split of large-grid passes across two threads."""
 
 import cmath
 import importlib.util
+import multiprocessing
+import os
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +34,11 @@ from fftcond import (
     solve,
     solve_p,
 )
-from fftcond.solvers import _apply_A_arrays, _r_hat
+from fftcond.solvers import TerminationStatus, _apply_A_arrays, _r_hat
 from fftcond.spectral_ops import (
     _apply_slots,
     _compensated_total,
+    _fft2,
     _gamma1_arr,
     _gamma1_inverse,
     _gamma1_sqnorm,
@@ -42,6 +47,7 @@ from fftcond.spectral_ops import (
     _reflect_hat,
     _shifted_inverse_coefs,
     _slot_matrix,
+    _split,
 )
 
 BENCH = SpectralInterval(0.25, 4.0)
@@ -50,6 +56,12 @@ TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def force_split(monkeypatch):
+    """Split every pass across two threads, whatever the grid and the CPU count."""
+    monkeypatch.setattr(spectral_ops, "_THREAD_PIXELS", 1)
+    monkeypatch.setattr(spectral_ops, "_cpus", lambda: 2)
 
 
 class TestGamma1Sqnorm:
@@ -307,6 +319,15 @@ class TestCallerBuffers:
         assert out.tobytes() == expected.tobytes()
         assert _pack(data, support).tobytes() == expected.tobytes()
 
+    def test_pack_checks_the_support_range(self):
+        # numpy's bounds: negative indices count from the end, down to -npix
+        data = random_complex(np.random.default_rng(24), (2, 16, 24))
+        support = np.array([-384, -1, 0, 383])
+        assert _pack(data, support).tobytes() == data.reshape(2, -1)[:, support].tobytes()
+        for bad in ([0, 384], [-385, 5]):
+            with pytest.raises(IndexError):
+                _pack(data, np.array(bad))
+
     @pytest.mark.parametrize("slots", [1, 3])
     def test_apply_slots_with_caller_tmp(self, slots):
         params = solve_p(BENCH)
@@ -322,8 +343,8 @@ class TestWorkingSet:
     """A solve allocates its working set once: its tracemalloc peak is the
     larger of the loop's live set and the result's arrays, plus one packed
     slot of slack. The slack covers the support indices, a quarter of a
-    packed slot, and the largest transient, half of one: a component of
-    the gather or the residual's |js|^2."""
+    packed slot, and the largest transient, half of one: the residual's
+    |js|^2."""
 
     @staticmethod
     def _peak(pmap, scheme, iters):
@@ -343,11 +364,18 @@ class TestWorkingSet:
         assert r.iterations == iters
         return peak
 
+    @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
     @pytest.mark.parametrize("geometry", ["square", "disk"])
     @pytest.mark.parametrize("scheme", list(SchemeKind))
-    def test_peak_is_the_working_set(self, monkeypatch, scheme, geometry):
+    def test_peak_is_the_working_set(self, monkeypatch, scheme, geometry, split):
         n = 256
         pmap = build_square_array(n, 0.5) if geometry == "square" else build_disk_array(n, 0.25)
+        if split:
+            # the two threads' half-size bands hold what one thread's bands
+            # do; the pool and its thread, made once per process, stay out
+            # of the peak
+            force_split(monkeypatch)
+            spectral_ops._worker().submit(int).result()
         # small bands, and cached wave vectors, keep the sweeps out of the peak
         monkeypatch.setattr(spectral_ops, "_BAND_SIZE", 4096)
         spectral_ops._wavevectors(n, n)
@@ -362,6 +390,125 @@ class TestWorkingSet:
         assert peak <= max(loop, result) + packed
         # nothing accumulates per iteration; 16 KiB covers six more history records
         assert self._peak(pmap, scheme, 12) <= peak + 16 * 1024
+
+
+def _split_into(queue):
+    queue.put(_split(1, divmod, (7, 2), (9, 4)))
+
+
+class TestSplit:
+    """Passes split across two threads give the bits of the unsplit passes."""
+
+    def test_split_needs_the_threshold_and_two_cpus(self, monkeypatch):
+        npix = spectral_ops._THREAD_PIXELS
+        monkeypatch.setattr(spectral_ops, "_cpus", lambda: 2)
+        assert _split(npix - 1, divmod, (7, 2), (9, 4)) is None
+        assert _split(npix, divmod, (7, 2), (9, 4)) == ((3, 1), (2, 1))
+        monkeypatch.setattr(spectral_ops, "_cpus", lambda: 1)
+        assert _split(npix, divmod, (7, 2), (9, 4)) is None
+
+    @pytest.mark.parametrize("raising", [0, 1])
+    def test_split_raises_either_half(self, monkeypatch, raising):
+        force_split(monkeypatch)
+        done = []
+
+        def half(i):
+            if i == raising:
+                raise ValueError(i)
+            done.append(i)
+
+        with pytest.raises(ValueError):
+            _split(1, half, (0,), (1,))
+        # the other half ran to its end before the exception reached the caller
+        assert done == [1 - raising]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_split_in_a_forked_child(self, monkeypatch):
+        # the child inherits the pool but not its thread
+        force_split(monkeypatch)
+        assert _split(1, divmod, (7, 2), (9, 4)) == ((3, 1), (2, 1))
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_split_into, args=(queue,))
+        child.start()
+        try:
+            assert queue.get(timeout=30) == ((3, 1), (2, 1))
+        finally:
+            child.join(timeout=30)
+            if child.is_alive():
+                child.kill()
+        assert child.exitcode == 0
+
+    @pytest.mark.parametrize("out", ["none", "data", "buffer"])
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_fft2_matches_numpy(self, monkeypatch, out, inverse, split):
+        if split:
+            force_split(monkeypatch)
+        data = random_complex(np.random.default_rng(30), (2, 16, 24))
+        if inverse:
+            expected = np.fft.ifftn(data, axes=(-2, -1))
+        else:
+            expected = np.fft.fft2(data, axes=(-2, -1))
+        buffer = {"none": None, "data": data, "buffer": np.empty_like(data)}[out]
+        got = _fft2(data, buffer, inverse)
+        if buffer is not None:
+            assert got is buffer
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("sigma1", [2.0, 0.7 + 0.4j])
+    @pytest.mark.parametrize("geometry", ["square", "disk"])
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_solve_bits_split_against_unsplit(self, monkeypatch, scheme, geometry, sigma1):
+        pmap = build_square_array(32, 0.5) if geometry == "square" else build_disk_array(32, 0.25)
+        cfg = SolverConfig(
+            scheme=scheme,
+            sigma1=sigma1,
+            interval=BENCH if scheme.substituted else None,
+            tol=1e-10,
+            max_iters=60,
+        )
+        monkeypatch.setattr(spectral_ops, "_THREAD_PIXELS", 1 << 60)
+        unsplit = solve(pmap, cfg)
+        force_split(monkeypatch)
+        split = solve(pmap, cfg)
+        assert split.status is unsplit.status
+        assert split.iterations == unsplit.iterations
+        assert split.sigma_star == unsplit.sigma_star
+        assert split.history.records == unsplit.history.records
+        assert split.E_field.data.tobytes() == unsplit.E_field.data.tobytes()
+        assert split.J_field.data.tobytes() == unsplit.J_field.data.tobytes()
+        if scheme.substituted:
+            for a, b in zip(
+                (split.aug_field.S, split.aug_field.T), (unsplit.aug_field.S, unsplit.aug_field.T)
+            ):
+                assert a.data.tobytes() == b.data.tobytes()
+
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_no_pool_below_the_threshold(self, monkeypatch, scheme):
+        # n = 128, the grid of the small benchmark workloads, stays on one thread
+        monkeypatch.setattr(spectral_ops, "_cpus", lambda: 2)
+        monkeypatch.setattr(spectral_ops, "_pool", None)
+        cfg = SolverConfig(
+            scheme=scheme,
+            sigma1=2.0,
+            interval=BENCH if scheme.substituted else None,
+            tol=1e-300,
+            max_iters=3,
+        )
+        assert solve(build_square_array(128, 0.5), cfg).iterations == 3
+        assert spectral_ops._pool is None
+
+    def test_worker_keeps_the_callers_error_state(self, monkeypatch):
+        # solve ignores overflow while the iterate blows up; so must the worker
+        force_split(monkeypatch)
+        cfg = SolverConfig(
+            scheme=SchemeKind.BASIC, sigma1=2.0, sigma0_override=0.01, max_iters=500
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = solve(build_square_array(16, 0.5), cfg)
+        assert r.status is TerminationStatus.DIVERGED
 
 
 class TestSlotMatrix:

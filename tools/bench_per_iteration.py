@@ -11,6 +11,11 @@ as two. The peak is the ``tracemalloc`` peak, in MB, of a solve of
 PEAK_ITERS = 5 iterations, taken after an untraced warm-up solve so that
 cached wave vectors do not count.
 
+``cpus`` is the number of CPUs the process may run on; on two or more,
+passes over large grids split across two threads. The single-thread
+baseline ``ms_per_iteration_one_cpu`` is timed the same way in a child
+process pinned to one of them (``--one-cpu``), where no pass splits.
+
     PYTHONPATH=src python tools/bench_per_iteration.py --sizes 128 512 1024
 
 prints one JSON object to stdout.
@@ -20,7 +25,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -96,23 +104,45 @@ def peak_mb(scheme: SchemeKind, n: int) -> float:
     return peak / 1e6
 
 
+def ms_table(sizes: list[int], repeats: int) -> dict:
+    return {
+        str(n): {
+            scheme.value: round(ms_per_iteration(scheme, n, repeats), 2) for scheme in SchemeKind
+        }
+        for n in sizes
+    }
+
+
+def one_cpu_ms_table(sizes: list[int], repeats: int) -> dict:
+    """:func:`ms_table` from a child process pinned to one CPU."""
+    argv = [sys.executable, __file__, "--one-cpu", "--repeats", str(repeats), "--sizes"]
+    child = subprocess.run(
+        argv + [str(n) for n in sizes], capture_output=True, text=True, check=True
+    )
+    return json.loads(child.stdout)["ms_per_iteration"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[128, 512, 1024])
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument(
+        "--one-cpu", action="store_true", help="pin to one CPU and report ms_per_iteration only"
+    )
     args = parser.parse_args(argv)
-    report = {"ms_per_iteration": {}, "ffts_per_iteration": {}, "peak_mb": {}}
+    if args.one_cpu:
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        print(json.dumps({"ms_per_iteration": ms_table(args.sizes, args.repeats)}))
+        return 0
+    report = {"cpus": len(os.sched_getaffinity(0)), "ffts_per_iteration": {}}
     for scheme in SchemeKind:
         report["ffts_per_iteration"][scheme.value] = ffts_per_iteration(scheme)
-    for n in args.sizes:
-        report["ms_per_iteration"][str(n)] = {
-            scheme.value: round(ms_per_iteration(scheme, n, args.repeats), 2)
-            for scheme in SchemeKind
-        }
-    for n in args.sizes:
-        report["peak_mb"][str(n)] = {
-            scheme.value: round(peak_mb(scheme, n), 1) for scheme in SchemeKind
-        }
+    report["ms_per_iteration"] = ms_table(args.sizes, args.repeats)
+    report["ms_per_iteration_one_cpu"] = one_cpu_ms_table(args.sizes, args.repeats)
+    report["peak_mb"] = {
+        str(n): {scheme.value: round(peak_mb(scheme, n), 1) for scheme in SchemeKind}
+        for n in args.sizes
+    }
     print(json.dumps(report, indent=2))
     return 0
 
