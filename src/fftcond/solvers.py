@@ -43,10 +43,14 @@ slot. Inside the loop only band-sized temporaries of the Fourier sweeps
 and the residual's |js|^2 are allocated.
 
 On grids of at least 2^18 pixels per component, with two CPUs to run
-on, the FFT pair, the Fourier-space sweeps and r_Q split across two
-threads, with the bits of one thread; so does the slot kernel when the
-inclusion has that many pixels. The means, the monitor, the mean pin,
-gathers and scatters stay on the calling thread.
+on, the FFT pair, the Fourier-space sweeps (the Parseval sum, the
+reflection and the basic update's projection) and r_Q split across two
+threads, with the bits of one thread. So does the real-space stretch of
+each iteration, from the field the inverse FFT returns to the pinned
+flux and its mean, as one split with one field component per thread:
+the gathers, the slot updates and kernels, the scatters, the mean pin
+and both compensated means. The monitor and the residual's Parseval
+combine and |js|^2 total stay on the calling thread.
 
 Stopping: equilibrium residual <= tol and a relative change in the
 effective-conductivity estimate <= tol, with a divergence guard at 1e6
@@ -68,7 +72,7 @@ from .geometry import PhaseMap
 from .spectral_ops import (
     AugmentedField,
     VectorField,
-    _apply_slots,
+    _compensated_ctotal,
     _compensated_total,
     _gamma1_arr,  # unused here; perfbench/hooks.py wraps this name in this module
     _gamma1_inverse,
@@ -80,6 +84,7 @@ from .spectral_ops import (
     _scatter,
     _shifted_inverse_coefs,
     _slot_matrix,
+    _slot_sums,
     _split,
     _unpack,
     apply_local_A,
@@ -395,18 +400,29 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     # pinned flux on phase 1, slot by slot; its S slot ``js`` stays there
     # for the residual and the next basic update.
     support = np.flatnonzero(chi)
+    npix = chi.size
     a_mat = _slot_matrix(p, t, 1.0)
-    # A maps a constant Q-slot shift delta to a_mat[i, 0] delta in slot i on phase 1
-    pin = a_mat[:, 0, None, None]
+    # A maps a constant Q-slot shift delta to a_mat[i, 0] delta in slot i on
+    # phase 1; the pin reads slots Q and S. It has both rows even for one
+    # slot: numpy rounds a one-element complex product in its scalar loop,
+    # unlike a longer one, so a one-component pin would change the bits.
+    pin = np.zeros((2, 1, 1), dtype=np.complex128)
+    pin[: len(p), 0, 0] = a_mat[:2, 0]
     fq = np.empty((2, *chi.shape), dtype=np.complex128)
     fq[0], fq[1] = e0v[0], e0v[1]
     x = np.zeros((len(p), 2, support.size), dtype=np.complex128)
     _pack(fq, support, out=x[0])
     y = np.empty_like(x)
     scratch = np.empty_like(x[0])
+    js = scratch if len(p) > 1 else np.empty(0)
     # the pinned flux; the residual transforms it in place, and the basic
     # update finishes gamma1 of it from that transform
     jq = np.empty_like(fq)
+    # per component: the mean pin delta, A's response to it on phase 1
+    # (slots Q and S), and the pinned flux's mean
+    delta = np.empty(2, dtype=np.complex128)
+    pin_delta = np.empty((2, 2, 1), dtype=np.complex128)
+    jmean = np.empty(2, dtype=np.complex128)
     if accelerated:
         inv_on, inv_off = _shifted_inverse_coefs(t, sigma0)
         inv_mat = _slot_matrix(p, inv_on, inv_off)
@@ -418,8 +434,50 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
         what = np.zeros_like(fq)
         what[:, 0, 0] = sigma0 * e0v * chi.size
 
+    def real_space(cs, update):
+        """The real-space stretch of one iteration on the field components ``cs``.
+
+        From the field the inverse FFT left (w_Q in fq when accelerated,
+        gamma1 of the last pinned flux in jq when basic) to the pinned
+        flux in jq, its S slot ``js`` and its mean. Every step acts on each
+        component alone, and scalars stay one-component arrays, so ``cs``
+        = c:c+1 on each thread of a split gives the bits of 0:2. Calls no
+        splitting helper, and no name that perfbench wraps in this module.
+        """
+        f, j, s, xs, ys = fq[cs], jq[cs], scratch[cs], x[:, cs], y[:, cs]
+        if update and accelerated:
+            # w = (2 sigma0 e0 - 2 gamma1(r_Q) + r_Q, -r_S, r_T), whose S
+            # sign inv_mat carries, is formed in y; x = (A + sigma0 I)^-1 D w
+            _pack(f, support, out=ys[0])
+            for i in range(1, len(p)):
+                np.multiply(xs[i], sigma0, out=s)
+                ys[i] -= s
+            _slot_sums(inv_mat, ys, xs, s)
+            f *= inv_off
+            _scatter(f, support, xs[0])
+        elif update:
+            # F -= (gamma1 J_Q, J_S) / sigma0, with J_S in scratch
+            j /= sigma0
+            f -= j
+            _pack(f, support, out=xs[0])
+            if len(p) > 1:
+                s /= sigma0
+                xs[1] -= s
+        _slot_sums(a_mat, xs, ys, s)
+        # Constant Q-slot correction pins the mean field at e0 for
+        # reporting; the accelerated update keeps the raw iterate in x and
+        # in the transforms so the map stays exact.
+        d = delta[cs]
+        np.subtract(e0v[cs], [_compensated_ctotal(c) / npix for c in f], out=d)
+        f += d[:, None, None]
+        pin_delta[:, cs] = pin * d[:, None]
+        j[...] = f
+        _scatter(j, support, np.add(ys[0], pin_delta[0, cs], out=s))
+        if len(p) > 1:
+            np.add(ys[1], pin_delta[1, cs], out=s)
+        jmean[cs] = [_compensated_ctotal(c) / npix for c in j]
+
     mon = _Monitor(cfg)
-    js = np.empty(0)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.max_iters + 1):
@@ -427,37 +485,13 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
                 if accelerated:
                     # fq is free until the inverse FFT refills it with w_Q
                     _r_hat(jq, what, chi_hat, delta, a_mat[0, 0], 1.0 if k == 2 else 2.0, fq)
-                    # w = (2 sigma0 e0 - 2 gamma1(r_Q) + r_Q, -r_S, r_T),
-                    # whose S sign inv_mat carries, is formed in y
                     _reflect_hat(what, two_s0_e0, out=fq)
-                    _pack(fq, support, out=y[0])
-                    for i in range(1, len(p)):
-                        np.multiply(x[i], sigma0, out=scratch)
-                        y[i] -= scratch
-                    _apply_slots(inv_mat, y, out=x, tmp=scratch)
-                    fq *= inv_off
-                    _scatter(fq, support, x[0])
                 else:
                     # jq holds the transform of the last pinned flux
-                    g = _gamma1_inverse(jq)
-                    g /= sigma0
-                    fq -= g
-                    _pack(fq, support, out=x[0])
-                    if len(p) > 1:
-                        js /= sigma0
-                        x[1] -= js
-            _apply_slots(a_mat, x, out=y, tmp=scratch)
-            # Constant Q-slot correction pins the mean field at e0 for
-            # reporting; the accelerated update keeps the raw iterate in
-            # x and in the transforms so the map stays exact.
-            delta = e0v - _mean_vec(fq)
-            fq += delta[:, None, None]
-            pin_delta = pin[:2] * delta[:, None]
-            jq[...] = fq
-            _scatter(jq, support, np.add(y[0], pin_delta[0], out=scratch))
-            if len(p) > 1:
-                js = np.add(y[1], pin_delta[1], out=scratch)
-            jmean = _mean_vec(jq)
+                    _gamma1_inverse(jq)
+            halves = ((slice(c, c + 1), k > 1) for c in range(2))
+            if _split(npix, real_space, *halves) is None:
+                real_space(slice(0, 2), k > 1)
             sstar = _along(e0v, jmean)
             try:
                 res = _residual(jq, js, jmean, jq)

@@ -27,10 +27,14 @@ run row-wise with a pairwise sum and combine rows with an exactly
 rounded sum, so results are deterministic for a fixed grid, whatever
 the CPU count. When a field component has at least _THREAD_PIXELS
 pixels and the process may run on two CPUs, the FFT pair, the
-Fourier-space sweeps and the slot kernel split across the calling
+Fourier-space sweeps (the Parseval sum, the reflection and the
+projection of gamma1) and the slot kernel split across the calling
 thread and one worker thread (:func:`_split`): one component, or one
-half of the row bands, each. Each thread does the unsplit arithmetic on
-its part, so the bits do not change.
+half of the row bands, each. The solvers split the real-space stretch of
+an iteration the same way, one component per thread, with the gathers,
+scatters, slot sums and compensated totals here. Each thread does the
+unsplit arithmetic on its part, so the bits do not change. What runs on
+the worker does not split again.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ _BAND_SIZE = 1 << 16
 _THREAD_PIXELS = 1 << 18
 _pool = None
 _pool_lock = threading.Lock()
+_local = threading.local()
 
 
 def _cpus() -> int:
@@ -80,8 +85,15 @@ def _worker():
         if _pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fftcond")
+            _pool = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="fftcond", initializer=_mark_worker
+            )
     return _pool
+
+
+def _mark_worker():
+    """Run by the pool's thread as it starts: marks it, for :func:`_split`'s check."""
+    _local.is_worker = True
 
 
 def _forget_pool():
@@ -109,10 +121,13 @@ def _split(npix: int, fn, args0: tuple, args1: tuple):
     worker under the caller's numpy error state, which is thread-local,
     and fn(*args0) on the calling thread. The two calls must write
     disjoint data. fn must not split again: the one worker would wait on
-    itself. An exception of either call is raised here, after both ended.
+    itself, so a split on the worker raises RuntimeError. An exception of
+    either call is raised here, after both ended.
     """
     if npix < _THREAD_PIXELS or _cpus() < 2:
         return None
+    if getattr(_local, "is_worker", False):
+        raise RuntimeError("_split called on the pool's worker thread, which would wait on itself")
     future = _worker().submit(_with_errstate, np.geterr(), fn, args1)
     try:
         first = fn(*args0)
@@ -262,17 +277,26 @@ def _fft2(data: np.ndarray, out: np.ndarray | None = None, inverse: bool = False
 
 
 def _gamma1_inverse(fh: np.ndarray) -> np.ndarray:
-    """Second half of gamma1, in place on the FFT ``fh`` of a field: projection, inverse FFT."""
-    kx, ky, inv_k2 = _wavevectors(fh.shape[-2], fh.shape[-1])
-    dot = fh[0]
-    dot *= kx
-    fh[1] *= ky
-    dot += fh[1]
-    dot *= inv_k2
-    if _gamma1_scale != 1.0:
-        dot *= _gamma1_scale
-    np.multiply(ky, dot, out=fh[1])
-    dot *= kx
+    """Second half of gamma1, in place on the FFT ``fh`` of a field: projection, inverse FFT.
+
+    The projection runs in place band by band, so it allocates nothing and
+    splits as the other Fourier-space sweeps do.
+    """
+    ny, nx = fh.shape[-2], fh.shape[-1]
+    kx, ky, inv_k2 = _wavevectors(ny, nx)
+
+    def project(band):
+        dot, f1 = fh[0, band], fh[1, band]
+        dot *= kx
+        f1 *= ky[band]
+        dot += f1
+        dot *= inv_k2[band]
+        if _gamma1_scale != 1.0:
+            dot *= _gamma1_scale
+        np.multiply(ky[band], dot, out=f1)
+        dot *= kx
+
+    _sweep(project, ny, nx)
     return _fft2(fh, fh, inverse=True)
 
 
@@ -415,28 +439,27 @@ def gamma1_aug(f: AugmentedField, pmap: PhaseMap) -> AugmentedField:
 
 
 def _pack(data: np.ndarray, support: np.ndarray, out=None) -> np.ndarray:
-    """(2, ny, nx) slot samples on the flat pixel indices ``support``, as (2, m), into ``out``.
+    """(c, ny, nx) slot samples on the flat pixel indices ``support``, as (c, m), into ``out``.
 
     ``support`` is range-checked once, with numpy's bounds; the gather
     then takes ``mode="wrap"``, which is the same map on that range and,
     unlike the checked mode, writes ``out`` without buffering a copy.
     """
-    flat = data.reshape(2, -1)
+    flat = data.reshape(len(data), -1)
     npix = flat.shape[1]
     if support.size and (support.min() < -npix or support.max() >= npix):
         raise IndexError(f"support index out of bounds for {npix} pixels")
     if out is None:
-        out = np.empty((2, support.size), dtype=data.dtype)
-    for c in range(2):
-        flat[c].take(support, out=out[c], mode="wrap")
+        out = np.empty((len(data), support.size), dtype=data.dtype)
+    for component, packed in zip(flat, out):
+        component.take(support, out=packed, mode="wrap")
     return out
 
 
 def _scatter(dst: np.ndarray, support: np.ndarray, packed: np.ndarray):
-    """Write (2, m) samples onto the pixels ``support`` of a C-contiguous (2, ny, nx) array."""
-    flat = dst.reshape(2, -1)
-    flat[0][support] = packed[0]
-    flat[1][support] = packed[1]
+    """Write (c, m) samples onto the pixels ``support`` of a C-contiguous (c, ny, nx) array."""
+    for component, values in zip(dst.reshape(len(dst), -1), packed):
+        component[support] = values
 
 
 def _unpack(packed: np.ndarray, support: np.ndarray, shape) -> np.ndarray:
@@ -458,17 +481,13 @@ def _slot_matrix(p: tuple, on, off) -> np.ndarray:
     return on * pp + off * (np.eye(len(p)) - pp)
 
 
-def _apply_slots(m: np.ndarray, x: np.ndarray, out=None, tmp=None) -> np.ndarray:
-    """out[i] = sum_j m[i, j] x[j] on packed (len(m), 2, npix) slots.
+def _apply_slots(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j m[i, j] x[j] for each slot i of packed (len(m), 2, npix) slots, as a new array.
 
-    ``out`` must not alias x; ``tmp``, one (2, npix) slot, is the scratch
-    of the sums and must alias neither. On a split each thread sums one
-    component, in its row of ``tmp``.
+    On a split each thread sums one component.
     """
-    if out is None:
-        out = np.empty_like(x)
-    if tmp is None and len(m) > 1:
-        tmp = np.empty_like(x[0])
+    out = np.empty_like(x)
+    tmp = np.empty_like(x[0]) if len(m) > 1 else None
     if len(m) == 1 or _split(
         x.shape[-1], _slot_sums, *((m, x[:, c], out[:, c], tmp[c]) for c in range(2))
     ) is None:
@@ -477,6 +496,11 @@ def _apply_slots(m: np.ndarray, x: np.ndarray, out=None, tmp=None) -> np.ndarray
 
 
 def _slot_sums(m, x, out, tmp):
+    """out[i] = sum_j m[i, j] x[j] on packed slots, into the caller's ``out``.
+
+    ``tmp``, shaped like one slot, is the scratch of the sums, unused for
+    one slot; ``out`` must not alias x, and ``tmp`` neither.
+    """
     for i, row in enumerate(m):
         np.multiply(x[0], row[0], out=out[i])
         for j in range(1, len(row)):
