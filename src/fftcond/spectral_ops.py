@@ -2,19 +2,35 @@
 
 A VectorField samples a complex 2-vector on the periodic pixel grid. The
 projection gamma1 (zero-mean curl-free part) acts mode-wise in Fourier
-space with multiplier k (x) k / |k|^2 on integer wave vectors
-m in {-n/2, ..., n/2 - 1}; the zero mode is dropped and Nyquist rows use
-the same formula. It runs in two halves: a forward FFT, from which the
-squared norm of gamma1(f) is summed by Parseval and which is left intact,
-and the projection with the inverse FFT. The reflection of the
-Eyre-Milton update, shift - 2 gamma1(r) + r, is formed in Fourier space
-on the transform of r with the same multiplier, followed by one inverse
-FFT. The Fourier-space sum and reflection run over bands of rows, so
-their temporaries stay small. An AugmentedField is a (Q, S, T) triple of
-VectorFields whose S and T slots vanish off the inclusion. Every local
-operator has the form on chi'' + off (I - chi''), where chi'' is the
-rank-one slot mixer p (x) p on the inclusion for a complex triple p with
-p.p = 1: A is (t, 1), its shifted inverse (A + sigma0 I)^-1 is
+space with multiplier d (x) conj(d) / |d|^2, for one of two Green
+operators, named by ``green``:
+
+- ``rotated`` (the default), Willot's rotated finite-difference operator
+  (C. R. Mecanique 343, 2015): d_x = a(xi_x) b(xi_y), d_y = b(xi_x) a(xi_y)
+  with a(xi) = e^{i xi} - 1, b(xi) = (e^{i xi} + 1)/2 and xi = 2 pi m / n.
+  d vanishes at the zero mode and, on even grids, at the checkerboard
+  mode (pi, pi), which gamma1 therefore drops as well. The multiplier is
+  conjugate-symmetric, M(-k) = conj(M(k)), on the Nyquist lines too, so
+  gamma1 maps real fields to real fields.
+- ``spectral``, the Moulinec-Suquet multiplier k (x) k / |k|^2 on the
+  integer wave vectors m in {-n/2, ..., n/2 - 1}: d = k, real; only the
+  zero mode is dropped, and Nyquist rows use the same formula.
+
+Each operator is one cached table per grid (:func:`_green_table`): the
+1-D factors of d and the real table 1/|d|^2. gamma1 runs in two halves:
+a forward FFT, from which the squared norm of gamma1(f) is summed by
+Parseval and which is left intact, and the projection with the inverse
+FFT. The reflection of the Eyre-Milton update, shift - 2 gamma1(r) + r,
+is formed in Fourier space on the transform of r with the same
+multiplier, followed by one inverse FFT. Each of the three forms
+conj(d) . f first, scales it by 1/|d|^2, then multiplies by d. These
+Fourier-space sweeps run over bands of rows, in band buffers made once
+per call, so their temporaries stay small.
+
+An AugmentedField is a (Q, S, T) triple of VectorFields whose S and T
+slots vanish off the inclusion. Every local operator has the form
+on chi'' + off (I - chi''), where chi'' is the rank-one slot mixer
+p (x) p on the inclusion for a complex triple p with p.p = 1: A is (t, 1), its shifted inverse (A + sigma0 I)^-1 is
 (1/(t + sigma0), 1/(1 + sigma0)) and chi'' itself is (1, 0). On a
 phase-1 pixel such an operator is a len(p)-square slot matrix, applied
 by one kernel to slots stored on the inclusion pixels only; on phase-2
@@ -56,6 +72,13 @@ _gamma1_scale = 1.0
 # Pixels per row band of the Fourier-space sums and reflection, which
 # bounds their temporaries
 _BAND_SIZE = 1 << 16
+# Elements of numpy's ufunc buffer in the Fourier-space sweeps. numpy
+# allocates one such buffer per operand for a broadcast or mixed-type
+# ufunc call. At 8192, numpy's default, the broadcast products of a
+# (64, 1024) band took 2.4 times as long as at 1024, and with bands of
+# 4096 pixels the two threads' buffers, coinciding or not, moved a split
+# solve's memory peak by 32 KB.
+_UFUNC_BUFSIZE = 1024
 # Pixels per field component from which a pass splits across two threads.
 # The measured crossover sets it: one (2, n, n) FFT took 0.44-0.54 ms on
 # two threads against 0.33 ms on one at n = 128, and 8.1-8.6 against
@@ -112,6 +135,11 @@ def _with_errstate(err: dict, fn, args: tuple):
         return fn(*args)
 
 
+def _splits(npix: int) -> bool:
+    """Whether a pass over fields of ``npix`` pixels per component splits across two threads."""
+    return npix >= _THREAD_PIXELS and _cpus() >= 2
+
+
 def _split(npix: int, fn, args0: tuple, args1: tuple):
     """(fn(*args0), fn(*args1)) on two threads, or None when the pass is not split.
 
@@ -124,7 +152,7 @@ def _split(npix: int, fn, args0: tuple, args1: tuple):
     itself, so a split on the worker raises RuntimeError. An exception of
     either call is raised here, after both ended.
     """
-    if npix < _THREAD_PIXELS or _cpus() < 2:
+    if not _splits(npix):
         return None
     if getattr(_local, "is_worker", False):
         raise RuntimeError("_split called on the pool's worker thread, which would wait on itself")
@@ -219,15 +247,92 @@ def norm(f: VectorField) -> float:
     return math.sqrt(total / npix)
 
 
+GREEN_OPERATORS = ("rotated", "spectral")
+DEFAULT_GREEN = "rotated"
+
+
+@dataclass(frozen=True)
+class _Green:
+    """The multiplier d of gamma1 = d (x) conj(d) / |d|^2 on one grid.
+
+    Component c of d is the product of the factors ``d[c]``, each a row
+    (1, nx) over the x index or a column (ny, 1) over the y index;
+    ``conj_d[c]`` holds their conjugates. ``inv_d2`` is the real table
+    1/|d|^2, exactly 0 where d vanishes.
+    """
+
+    d: tuple
+    conj_d: tuple
+    inv_d2: np.ndarray
+
+
+def _mode_index(n: int) -> np.ndarray:
+    """Integer wave numbers of an n-point FFT, in its order: 0, 1, ..., -1."""
+    m = np.arange(n)
+    m[m >= (n + 1) // 2] -= n
+    return m
+
+
+def _rotated_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """a = e^{i xi} - 1 and b = (e^{i xi} + 1)/2 at xi = 2 pi m / n, m in FFT order.
+
+    e^{i xi} is set to -1 exactly where 2m = -n, so that b vanishes there
+    exactly: np.exp(1j * np.pi) is -1 + 1.2e-16j.
+    """
+    m = _mode_index(n)
+    e = np.exp(2j * np.pi * m / n)
+    e[2 * m == -n] = -1.0
+    return e - 1.0, (e + 1.0) / 2.0
+
+
 @lru_cache(maxsize=8)
-def _wavevectors(ny: int, nx: int):
-    kx = np.fft.fftfreq(nx, d=1.0 / nx)[None, :]
-    ky = np.fft.fftfreq(ny, d=1.0 / ny)[:, None]
-    k2 = kx * kx + ky * ky
-    inv_k2 = np.zeros_like(k2)
-    nz = k2 != 0
-    inv_k2[nz] = 1.0 / k2[nz]
-    return kx, ky, inv_k2
+def _green_table(green: str, ny: int, nx: int) -> _Green:
+    """The Green table of operator ``green`` on an ny-by-nx grid, cached.
+
+    ``spectral`` is the Moulinec-Suquet multiplier, d = k, whose factors
+    are real. ``rotated`` is Willot's, d_x = a(xi_x) b(xi_y) and
+    d_y = b(xi_x) a(xi_y), with a and b of :func:`_rotated_factors`; its
+    d vanishes at k = 0 and, on even grids, at (pi, pi). Only 1-D factors
+    and the real 1/|d|^2 are stored: complex grid-sized tables of d_x and
+    d_y would hold 32 MB more at n = 1024.
+    """
+    mx, my = _mode_index(nx)[None, :], _mode_index(ny)[:, None]
+    vanish = (mx == 0) & (my == 0)
+    if green == "spectral":
+        kx = np.fft.fftfreq(nx, d=1.0 / nx)[None, :]
+        ky = np.fft.fftfreq(ny, d=1.0 / ny)[:, None]
+        d = conj_d = ((kx,), (ky,))
+        d2 = kx * kx + ky * ky
+    elif green == "rotated":
+        ax, bx = (f[None, :] for f in _rotated_factors(nx))
+        ay, by = (f[:, None] for f in _rotated_factors(ny))
+        d = ((ax, by), (bx, ay))
+        conj_d = tuple(tuple(np.conj(f) for f in dc) for dc in d)
+        d2 = np.abs(ax) ** 2 * np.abs(by) ** 2 + np.abs(bx) ** 2 * np.abs(ay) ** 2
+        vanish |= (2 * mx == -nx) & (2 * my == -ny)
+    else:
+        raise ValueError(f"unknown Green operator {green!r}, expected one of {GREEN_OPERATORS}")
+    inv_d2 = np.zeros(d2.shape)
+    np.divide(1.0, d2, out=inv_d2, where=~vanish)
+    # every caller shares the cached arrays
+    for table in (inv_d2, *d[0], *d[1], *conj_d[0], *conj_d[1]):
+        table.flags.writeable = False
+    return _Green(d, conj_d, inv_d2)
+
+
+def _times(out: np.ndarray, factors: tuple, band: slice, src: np.ndarray | None = None):
+    """``out`` = ``src`` times each of ``factors``, or out times them when src is None.
+
+    Column factors are taken on the rows ``band``. Returns ``out``.
+    """
+    for f in factors:
+        f = f[band] if f.shape[0] > 1 else f
+        if src is None:
+            out *= f
+        else:
+            np.multiply(src, f, out=out)
+            src = None
+    return out
 
 
 def _bands(ny: int, nx: int, size: int) -> list:
@@ -236,23 +341,33 @@ def _bands(ny: int, nx: int, size: int) -> list:
     return [slice(lo, lo + step) for lo in range(0, ny, step)]
 
 
-def _sweep(band_fn, ny: int, nx: int) -> list:
-    """[band_fn(rows) for each row band of an ny-by-nx grid], in band order.
+def _sweep(band_fn, ny: int, nx: int, dtypes: tuple = ()) -> list:
+    """[band_fn(rows, *buffers) for each row band of an ny-by-nx grid], in band order.
 
-    Bands of about _BAND_SIZE pixels bound the temporaries of band_fn.
-    On a split each thread sweeps one half of the bands, and the bands are
-    half that size, so the two threads hold what one does unsplit.
+    Bands of about _BAND_SIZE pixels bound the temporaries of band_fn,
+    which works in ``buffers``: one band-sized array of each of
+    ``dtypes``, cut to the rows of the band. On a split each thread sweeps
+    one half of the bands, and the bands are half that size, so the two
+    threads hold what one does unsplit. Every thread's buffers are made
+    here, before any thread starts, so what a sweep holds does not depend
+    on how the threads interleave.
     """
 
-    def run(bands):
-        return [band_fn(band) for band in bands]
+    def part(bands):
+        rows = len(range(ny)[bands[0]]) if bands else 0
+        return bands, [np.empty((rows, nx), dtype) for dtype in dtypes]
 
+    def run(bands, buffers):
+        with np.errstate():
+            np.setbufsize(_UFUNC_BUFSIZE)
+            return [band_fn(band, *(b[: len(range(ny)[band])] for b in buffers)) for band in bands]
+
+    if not _splits(ny * nx):
+        return run(*part(_bands(ny, nx, _BAND_SIZE)))
     bands = _bands(ny, nx, _BAND_SIZE // 2)
     half = len(bands) // 2
-    halves = _split(ny * nx, run, (bands[:half],), (bands[half:],))
-    if halves is None:
-        return run(_bands(ny, nx, _BAND_SIZE))
-    return halves[0] + halves[1]
+    first, second = _split(ny * nx, run, part(bands[:half]), part(bands[half:]))
+    return first + second
 
 
 def _transform(name: str, data: np.ndarray, out: np.ndarray):
@@ -276,60 +391,64 @@ def _fft2(data: np.ndarray, out: np.ndarray | None = None, inverse: bool = False
     return out
 
 
-def _gamma1_inverse(fh: np.ndarray) -> np.ndarray:
+def _gamma1_inverse(fh: np.ndarray, green: str = DEFAULT_GREEN) -> np.ndarray:
     """Second half of gamma1, in place on the FFT ``fh`` of a field: projection, inverse FFT.
 
     The projection runs in place band by band, so it allocates nothing and
     splits as the other Fourier-space sweeps do.
     """
     ny, nx = fh.shape[-2], fh.shape[-1]
-    kx, ky, inv_k2 = _wavevectors(ny, nx)
+    g = _green_table(green, ny, nx)
 
     def project(band):
         dot, f1 = fh[0, band], fh[1, band]
-        dot *= kx
-        f1 *= ky[band]
+        _times(dot, g.conj_d[0], band)
+        _times(f1, g.conj_d[1], band)
         dot += f1
-        dot *= inv_k2[band]
+        dot *= g.inv_d2[band]
         if _gamma1_scale != 1.0:
             dot *= _gamma1_scale
-        np.multiply(ky[band], dot, out=f1)
-        dot *= kx
+        _times(f1, g.d[1], band, dot)
+        _times(dot, g.d[0], band)
 
     _sweep(project, ny, nx)
     return _fft2(fh, fh, inverse=True)
 
 
-def _gamma1_arr(data: np.ndarray) -> np.ndarray:
-    return _gamma1_inverse(_fft2(data))
+def _gamma1_arr(data: np.ndarray, green: str = DEFAULT_GREEN) -> np.ndarray:
+    return _gamma1_inverse(_fft2(data), green)
 
 
-def _gamma1_sqnorm(data: np.ndarray, work: np.ndarray | None = None) -> float:
+def _gamma1_sqnorm(
+    data: np.ndarray, work: np.ndarray | None = None, green: str = DEFAULT_GREEN
+) -> float:
     """Sum over pixels of |gamma1(data)|^2, from the FFT of ``data`` alone.
 
-    By Parseval the sum is (1/N) sum_k |k . f(k)|^2 / |k|^2 times the
-    squared multiplier scale, so no inverse transform is needed. It is
+    By Parseval the sum is (1/N) sum_k |conj(d) . f(k)|^2 / |d|^2 times
+    the squared multiplier scale, so no inverse transform is needed. It is
     formed band by band, and the transform is left intact: ``work``, if
     given, is a buffer shaped like ``data``, or ``data`` itself, that
     receives it, for :func:`_gamma1_inverse` or :func:`_reflect_hat`.
     """
     ny, nx = data.shape[-2], data.shape[-1]
-    kx, ky, inv_k2 = _wavevectors(ny, nx)
+    g = _green_table(green, ny, nx)
     fh = _fft2(data, work)
 
-    def band_power(band):
-        dot = kx * fh[0, band]
-        dot += ky[band] * fh[1, band]
-        power = dot.real**2
-        power += dot.imag**2
-        power *= inv_k2[band]
+    def band_power(band, dot, tmp, power):
+        _times(dot, g.conj_d[0], band, fh[0, band])
+        dot += _times(tmp, g.conj_d[1], band, fh[1, band])
+        np.multiply(dot.real, dot.real, out=power)
+        power += np.multiply(dot.imag, dot.imag, out=tmp.real)
+        power *= g.inv_d2[band]
         return np.sum(power, axis=-1)
 
-    rows = np.concatenate(_sweep(band_power, ny, nx))
+    rows = np.concatenate(_sweep(band_power, ny, nx, (np.complex128, np.complex128, np.float64)))
     return _combine_rows(rows) * _gamma1_scale**2 / (ny * nx)
 
 
-def _reflect_hat(rh: np.ndarray, shift: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _reflect_hat(
+    rh: np.ndarray, shift: np.ndarray, out: np.ndarray, green: str = DEFAULT_GREEN
+) -> np.ndarray:
     """The reflection shift - 2 gamma1(r) + r of the Eyre-Milton update, in Fourier space.
 
     In place on the FFT ``rh`` of r, band by band, with the multiplier of
@@ -337,25 +456,24 @@ def _reflect_hat(rh: np.ndarray, shift: np.ndarray, out: np.ndarray) -> np.ndarr
     only. Returns the inverse FFT of the result in ``out``.
     """
     ny, nx = rh.shape[-2], rh.shape[-1]
-    kx, ky, inv_k2 = _wavevectors(ny, nx)
+    g = _green_table(green, ny, nx)
 
-    def reflect(band):
-        dot = kx * rh[0, band]
-        dot += ky[band] * rh[1, band]
-        dot *= inv_k2[band]
+    def reflect(band, dot, tmp):
+        _times(dot, g.conj_d[0], band, rh[0, band])
+        dot += _times(tmp, g.conj_d[1], band, rh[1, band])
+        dot *= g.inv_d2[band]
         dot *= -2.0 * _gamma1_scale
-        rh[0, band] += kx * dot
-        dot *= ky[band]
-        rh[1, band] += dot
+        rh[0, band] += _times(tmp, g.d[0], band, dot)
+        rh[1, band] += _times(dot, g.d[1], band)
 
-    _sweep(reflect, ny, nx)
+    _sweep(reflect, ny, nx, (np.complex128, np.complex128))
     rh[:, 0, 0] += shift * (ny * nx)
     return _fft2(rh, out, inverse=True)
 
 
-def gamma1(f: VectorField) -> VectorField:
-    """Projection onto zero-mean curl-free fields (Fourier multiplier)."""
-    return VectorField(_gamma1_arr(f.data))
+def gamma1(f: VectorField, green: str = DEFAULT_GREEN) -> VectorField:
+    """Projection onto zero-mean curl-free fields (Fourier multiplier of operator ``green``)."""
+    return VectorField(_gamma1_arr(f.data, green))
 
 
 def gamma0(f: VectorField) -> np.ndarray:
@@ -431,11 +549,11 @@ def gamma0_aug(f: AugmentedField) -> np.ndarray:
     return f.Q.mean()
 
 
-def gamma1_aug(f: AugmentedField, pmap: PhaseMap) -> AugmentedField:
+def gamma1_aug(f: AugmentedField, pmap: PhaseMap, green: str = DEFAULT_GREEN) -> AugmentedField:
     """Projection onto gradient-type augmented fields: (gamma1 Q, S, 0)."""
     _check_support(f, pmap)
     ny, nx = f.grid_shape
-    return AugmentedField(gamma1(f.Q), f.S.copy(), VectorField.zeros(ny, nx))
+    return AugmentedField(gamma1(f.Q, green), f.S.copy(), VectorField.zeros(ny, nx))
 
 
 def _pack(data: np.ndarray, support: np.ndarray, out=None) -> np.ndarray:

@@ -2,10 +2,12 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the summary lines.
 Checks 2, 3, 4 and 7 probe iteration residuals at the insulating point
-sigma1 = 0, where the discretized field problem carries marginal modes
-(see README, "The insulating point"); the sub-clauses that demand deep
-residual tolerances there are expected to fail and document exactly how
-far the runs get.
+sigma1 = 0. With the default rotated Green operator, checks 2 and 7
+pass; checks 3 and 4 fail on sub-clauses that encode the worst-case
+|z| behaviour of the spectral operator there (see README, "The
+insulating point"): basic_sub runs faster than the window around its
+predicted rate, and basic converges where it was expected to stall. The
+failure lines document exactly how far the runs get.
 """
 
 import math

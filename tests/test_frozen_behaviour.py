@@ -1,12 +1,16 @@
 """Frozen solver behaviour: statuses, iteration counts and sigma_star.
 
-FROZEN was recorded from the full-grid implementation that preceded the
-packed S/T storage and the Parseval residual; FROZEN_OVERRIDE, with the
-reference conductivity fixed at SIGMA0_OVERRIDE, from the implementation
-that still ran the physical schemes in a loop of their own. Those
-changes only reorder floating-point work, so every scheme must stop for
-the same reason after the same number of iterations, with sigma_star
-equal to roundoff.
+FROZEN and FROZEN_OVERRIDE pin the spectral (Moulinec-Suquet) Green
+operator. FROZEN was recorded from the full-grid implementation that
+preceded the packed S/T storage and the Parseval residual;
+FROZEN_OVERRIDE, with the reference conductivity fixed at
+SIGMA0_OVERRIDE, from the implementation that still ran the physical
+schemes in a loop of their own. Those changes only reorder
+floating-point work, so every scheme must stop for the same reason after
+the same number of iterations, with sigma_star equal to roundoff.
+FROZEN_ROTATED and FROZEN_ROTATED_OVERRIDE pin the rotated (Willot)
+operator, the default, from the change that made it one; they add
+sigma1 = 0, where every scheme but em converges on this operator.
 
 Each row: geometry, sigma1, scheme, status, iterations, sigma_star, for
 n = 64, tol = 1e-8, max_iters = 200 and the interval (1/4, 4).
@@ -69,8 +73,52 @@ FROZEN_OVERRIDE = [
     ("square", (0.7+0.4j), "em_sub", "Converged", 16, (0.9370249362053246+0.12328752000534292j)),
 ]
 
+FROZEN_ROTATED = [
+    ("square", (2+0j), "basic", "Converged", 10, (1.1832159732578473-1.2924500935181116e-19j)),
+    ("square", (2+0j), "em", "Converged", 11, (1.1832159719103739-1.192233356368764e-19j)),
+    ("square", (2+0j), "basic_sub", "Converged", 11, (1.1832159720633586+1.351252527610335e-19j)),
+    ("square", (2+0j), "em_sub", "Converged", 9, (1.1832159720209823-4.455807225709864e-19j)),
+    ("square", (0.7+0.4j), "basic", "Converged", 10, (0.937024915895684+0.12328751131200294j)),
+    ("square", (0.7+0.4j), "em", "Converged", 10, (0.9370249162199561+0.1232875112966885j)),
+    ("square", (0.7+0.4j), "basic_sub", "Converged", 10, (0.9370249159768296+0.12328751132857071j)),
+    ("square", (0.7+0.4j), "em_sub", "Converged", 8, (0.9370249159713354+0.12328751137286091j)),
+    ("square", (0.02+0j), "basic", "Converged", 24, (0.5924498601873177-4.602151212285077e-20j)),
+    ("square", (0.02+0j), "em", "Converged", 63, (0.5924498643890569-2.0644889686135508e-18j)),
+    ("square", (0.02+0j), "basic_sub", "Converged", 25, (0.5924498609683082+1.4994057859247324e-19j)),
+    ("square", (0.02+0j), "em_sub", "Converged", 17, (0.5924498607371081+1.7519736793798295e-18j)),
+    ("square", 0j, "basic", "Converged", 26, (0.5773541670794531-6.717473775238753e-19j)),
+    ("square", 0j, "basic_sub", "Converged", 26, (0.5773541674193038+5.733935979176583e-19j)),
+    ("square", 0j, "em_sub", "Converged", 18, (0.5773541676875781-5.783859431774456e-18j)),
+    ("disk", (2+0j), "basic", "Converged", 11, (1.2929412153972595-1.9308137204349538e-19j)),
+    ("disk", (2+0j), "em", "Converged", 11, (1.2929412156326268-3.408657985169728e-19j)),
+    ("disk", (2+0j), "basic_sub", "Converged", 11, (1.2929412149773787-3.8982992112035894e-20j)),
+    ("disk", (2+0j), "em_sub", "Converged", 9, (1.2929412151042792+1.2052077088690682e-18j)),
+    ("disk", (0.7+0.4j), "basic", "Converged", 10, (0.8984457908920103+0.18255874604016573j)),
+    ("disk", (0.7+0.4j), "em", "Converged", 10, (0.8984457917260297+0.1825587459281966j)),
+    ("disk", (0.7+0.4j), "basic_sub", "Converged", 10, (0.8984457910719555+0.18255874607690578j)),
+    ("disk", (0.7+0.4j), "em_sub", "Converged", 8, (0.8984457913018673+0.18255874587288037j)),
+    ("disk", (0.02+0j), "basic", "Converged", 34, (0.45742513946953445+1.7903001758626823e-19j)),
+    ("disk", (0.02+0j), "em", "Converged", 68, (0.45742514177318777-1.2351165914907655e-17j)),
+    ("disk", (0.02+0j), "basic_sub", "Converged", 35, (0.45742513949147046+4.539886555911897e-19j)),
+    ("disk", (0.02+0j), "em_sub", "Converged", 23, (0.4574251394932599+4.0417982789653516e-18j)),
+    ("disk", 0j, "basic", "Converged", 37, (0.44093740860093694-6.837035930733464e-19j)),
+    ("disk", 0j, "basic_sub", "Converged", 39, (0.4409374085618972+2.9153061168357983e-19j)),
+    ("disk", 0j, "em_sub", "Converged", 25, (0.44093740856653235-1.036107095311962e-18j)),
+]
+FROZEN_ROTATED_OVERRIDE = [
+    ("square", (2+0j), "basic", "Converged", 14, (1.183215972484886-4.3740905961848386e-20j)),
+    ("square", (2+0j), "em", "Converged", 10, (1.1832159716511519-7.608280902928897e-19j)),
+    ("square", (2+0j), "basic_sub", "Converged", 19, (1.1832159721575355+1.569486716604145e-20j)),
+    ("square", (2+0j), "em_sub", "Converged", 13, (1.1832159721261675+7.700310019118857e-19j)),
+    ("square", (0.7+0.4j), "basic", "Converged", 28, (0.9370249155985588+0.12328751146739589j)),
+    ("square", (0.7+0.4j), "em", "Converged", 17, (0.9370249159706424+0.12328751080195885j)),
+    ("square", (0.7+0.4j), "basic_sub", "Converged", 25, (0.9370249159697085+0.12328751114249152j)),
+    ("square", (0.7+0.4j), "em_sub", "Converged", 16, (0.9370249161651953+0.12328751129211314j)),
+]
 
-def _check_frozen(geometry, sigma1, scheme, status, iterations, sigma_star, sigma0_override=None):
+
+def _check_frozen(green, geometry, sigma1, scheme, status, iterations, sigma_star,
+                  sigma0_override=None):
     kind = SchemeKind(scheme)
     cfg = SolverConfig(
         scheme=kind,
@@ -79,6 +127,7 @@ def _check_frozen(geometry, sigma1, scheme, status, iterations, sigma_star, sigm
         tol=1e-8,
         max_iters=200,
         sigma0_override=sigma0_override,
+        green=green,
     )
     r = solve(GEOMETRY[geometry], cfg)
     assert r.status.value == status
@@ -88,7 +137,7 @@ def _check_frozen(geometry, sigma1, scheme, status, iterations, sigma_star, sigm
 
 @pytest.mark.parametrize("geometry, sigma1, scheme, status, iterations, sigma_star", FROZEN)
 def test_matches_frozen_run(geometry, sigma1, scheme, status, iterations, sigma_star):
-    _check_frozen(geometry, sigma1, scheme, status, iterations, sigma_star)
+    _check_frozen("spectral", geometry, sigma1, scheme, status, iterations, sigma_star)
 
 
 @pytest.mark.parametrize(
@@ -97,7 +146,25 @@ def test_matches_frozen_run(geometry, sigma1, scheme, status, iterations, sigma_
 def test_matches_frozen_run_with_sigma0_override(
     geometry, sigma1, scheme, status, iterations, sigma_star
 ):
-    _check_frozen(geometry, sigma1, scheme, status, iterations, sigma_star, SIGMA0_OVERRIDE)
+    _check_frozen(
+        "spectral", geometry, sigma1, scheme, status, iterations, sigma_star, SIGMA0_OVERRIDE
+    )
+
+
+@pytest.mark.parametrize("geometry, sigma1, scheme, status, iterations, sigma_star", FROZEN_ROTATED)
+def test_matches_frozen_rotated_run(geometry, sigma1, scheme, status, iterations, sigma_star):
+    _check_frozen("rotated", geometry, sigma1, scheme, status, iterations, sigma_star)
+
+
+@pytest.mark.parametrize(
+    "geometry, sigma1, scheme, status, iterations, sigma_star", FROZEN_ROTATED_OVERRIDE
+)
+def test_matches_frozen_rotated_run_with_sigma0_override(
+    geometry, sigma1, scheme, status, iterations, sigma_star
+):
+    _check_frozen(
+        "rotated", geometry, sigma1, scheme, status, iterations, sigma_star, SIGMA0_OVERRIDE
+    )
 
 
 @pytest.mark.parametrize("scheme", list(SchemeKind))

@@ -388,9 +388,9 @@ class TestWorkingSet:
             # of the peak
             force_split(monkeypatch)
             spectral_ops._worker().submit(int).result()
-        # small bands, and cached wave vectors, keep the sweeps out of the peak
+        # small bands, and a cached Green table, keep the sweeps out of the peak
         monkeypatch.setattr(spectral_ops, "_BAND_SIZE", 4096)
-        spectral_ops._wavevectors(n, n)
+        spectral_ops._green_table(spectral_ops.DEFAULT_GREEN, n, n)
         slots = 3 if scheme.substituted else 1
         grid = 2 * n * n * 16
         packed = 2 * np.count_nonzero(pmap.chi) * 16
@@ -679,3 +679,19 @@ def _load_tool(name):
 def test_four_ffts_per_iteration(scheme):
     # counted on a 16 x 16 grid by the benchmark tool's own counter
     assert _load_tool("bench_per_iteration").ffts_per_iteration(scheme, 16) == 4.0
+
+
+def test_green_rows_tell_the_operators_apart():
+    # the insulating point on the 25% square: the rotated operator converges
+    # at its predicted rate; the spectral one stalls on its residual floor
+    tool = _load_tool("bench_per_iteration")
+    rows = {
+        green: tool.convergence_row(SchemeKind.EYRE_MILTON_SUB, 0.0, 32, green)
+        for green in ("rotated", "spectral")
+    }
+    assert rows["rotated"]["status"] == "Converged"
+    assert rows["rotated"]["tail_rate"] <= 1.1 * rows["rotated"]["predicted_rate"]
+    assert rows["spectral"]["status"] == "MaxIters"
+    assert rows["spectral"]["tail_rate"] > 0.99
+    em = tool.convergence_row(SchemeKind.EYRE_MILTON, 0.0, 32, "rotated")
+    assert em["status"] == "BranchCutError"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fftcond.spectral_ops as spectral_ops
 from fftcond import (
     AugmentedField,
     DegenerateParamError,
@@ -23,6 +24,14 @@ from fftcond import (
     norm,
     norm_aug,
     solve_p,
+)
+from fftcond.spectral_ops import (
+    GREEN_OPERATORS,
+    _compensated_total,
+    _gamma1_arr,
+    _gamma1_sqnorm,
+    _green_table,
+    _rotated_factors,
 )
 
 BENCH = SpectralInterval(0.25, 4.0)
@@ -88,6 +97,67 @@ class TestGamma1:
         rng = np.random.default_rng(2)
         g = gamma1(random_field(rng))
         assert float(np.linalg.norm(gamma0(g))) <= 1e-13
+
+
+class TestGreenOperators:
+    """Both Green operators, on even grids of three sizes: gamma1 is an
+    orthogonal projection, its table has the right exact zeros, and the
+    Parseval sum matches the pixel sum."""
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    @pytest.mark.parametrize("green", GREEN_OPERATORS)
+    def test_idempotent_and_self_adjoint(self, green, n):
+        rng = np.random.default_rng(n)
+        f, g = random_field(rng, n), random_field(rng, n)
+        gf = gamma1(f, green)
+        assert norm(VectorField(gamma1(gf, green).data - gf.data)) <= 1e-12 * norm(gf)
+        defect = abs(inner(gf, g) - inner(f, gamma1(g, green)))
+        assert defect <= 1e-12 * norm(f) * norm(g)
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    @pytest.mark.parametrize("green", GREEN_OPERATORS)
+    def test_table_zeros_are_exact(self, green, n):
+        inv_d2 = _green_table(green, n, n).inv_d2
+        assert inv_d2.shape == (n, n) and np.all(np.isfinite(inv_d2))
+        zeros = set(zip(*np.nonzero(inv_d2 == 0)))
+        # k = 0 for both; the checkerboard (pi, pi) too for the rotated operator
+        assert zeros == ({(0, 0), (n // 2, n // 2)} if green == "rotated" else {(0, 0)})
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_rotated_factors_vanish_exactly(self, n):
+        a, b = _rotated_factors(n)
+        assert a[0] == 0 and b[n // 2] == 0 and a[n // 2] == -2
+        assert np.count_nonzero(a) == n - 1 and np.count_nonzero(b) == n - 1
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_rotated_kills_the_checkerboard(self, n):
+        sign = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
+        f = VectorField(np.stack([sign, 0.5 * sign]))
+        assert norm(gamma1(f, "rotated")) <= 1e-15
+        assert norm(gamma1(f, "spectral")) > 0.1
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    @pytest.mark.parametrize("green", GREEN_OPERATORS)
+    def test_sqnorm_matches_pixel_sum(self, green, n):
+        x = random_field(np.random.default_rng(100 + n), n).data
+        direct = _compensated_total(np.abs(_gamma1_arr(x, green)) ** 2)
+        assert _gamma1_sqnorm(x, green=green) == pytest.approx(direct, rel=1e-12)
+
+    def test_only_the_rotated_operator_keeps_real_fields_real(self):
+        # the rotated multiplier is conjugate-symmetric, M(-k) = conj(M(k)),
+        # Nyquist lines included, so a real-to-complex transform could
+        # carry it; the spectral one breaks the symmetry on the Nyquist lines
+        data = np.random.default_rng(5).standard_normal((2, 16, 16))
+        assert np.max(np.abs(_gamma1_arr(data, "rotated").imag)) <= 1e-15
+        assert np.max(np.abs(_gamma1_arr(data, "spectral").imag)) > 0.1
+
+    def test_unknown_operator_rejected(self):
+        with pytest.raises(ValueError, match="unknown Green operator"):
+            _green_table("fourier", 8, 8)
+
+    def test_table_is_cached(self):
+        assert _green_table("rotated", 16, 24) is _green_table("rotated", 16, 24)
+        assert spectral_ops.DEFAULT_GREEN == "rotated"
 
 
 class TestGamma0:

@@ -18,7 +18,15 @@ process pinned to one of them (``--one-cpu``), where no pass splits.
 
     PYTHONPATH=src python tools/bench_per_iteration.py --sizes 128 512 1024
 
-prints one JSON object to stdout.
+prints one JSON object to stdout. With ``--green`` it compares the two
+Green operators instead: for each scheme, sigma1 in GREEN_SIGMA1 and n in
+GREEN_SIZES, the status, iterations, tail rate over the last RATE_WINDOW
+residuals, ``predicted_rate`` and the relative error against ``obnosov``
+of a solve at tol 1e-8 (sigma1 = 0) or 1e-10, at most GREEN_MAX_ITERS
+iterations; and, at each of ``--sizes``, ms per iteration and the peak
+of each scheme, measured on one operator and then the other.
+
+    PYTHONPATH=src python tools/bench_per_iteration.py --green --sizes 1024
 """
 
 from __future__ import annotations
@@ -34,29 +42,46 @@ import tracemalloc
 
 import numpy as np
 
-from fftcond import SchemeKind, SolverConfig, SpectralInterval, build_square_array, solve
+from fftcond import (
+    SchemeKind,
+    SolverConfig,
+    SpectralInterval,
+    build_square_array,
+    obnosov,
+    predicted_rate,
+    solve,
+)
+from fftcond.solvers import _tail_rate
+from fftcond.spectral_ops import DEFAULT_GREEN, GREEN_OPERATORS
 
 INTERVAL = SpectralInterval(0.25, 4.0)
 ITERS = 30
 PEAK_ITERS = 5
+GREEN_SIGMA1 = (0.0, 2.0, 10.0, 0.3 + 0.5j)
+GREEN_SIZES = (64, 128, 256)
+GREEN_MAX_ITERS = 300
+RATE_WINDOW = 5
 
 
-def _config(scheme: SchemeKind, iters: int = ITERS) -> SolverConfig:
+def _config(scheme: SchemeKind, iters: int = ITERS, green: str = DEFAULT_GREEN) -> SolverConfig:
     return SolverConfig(
         scheme=scheme,
         sigma1=2.0,
         interval=INTERVAL if scheme.substituted else None,
         tol=1e-300,
         max_iters=iters,
+        green=green,
     )
 
 
-def ms_per_iteration(scheme: SchemeKind, n: int, repeats: int) -> float:
+def ms_per_iteration(
+    scheme: SchemeKind, n: int, repeats: int, green: str = DEFAULT_GREEN
+) -> float:
     pmap = build_square_array(n, 0.5)
     samples = []
     for _ in range(repeats):
         start = time.perf_counter()
-        result = solve(pmap, _config(scheme))
+        result = solve(pmap, _config(scheme, green=green))
         elapsed = time.perf_counter() - start
         if result.iterations != ITERS:
             raise RuntimeError(f"{scheme.value} stopped early: {result.status.value}")
@@ -92,12 +117,12 @@ def ffts_per_iteration(scheme: SchemeKind, n: int = 16) -> float:
     return (totals[1] - totals[0]) / 10
 
 
-def peak_mb(scheme: SchemeKind, n: int) -> float:
+def peak_mb(scheme: SchemeKind, n: int, green: str = DEFAULT_GREEN) -> float:
     pmap = build_square_array(n, 0.5)
-    solve(pmap, _config(scheme, PEAK_ITERS))
+    solve(pmap, _config(scheme, PEAK_ITERS, green))
     tracemalloc.start()
     try:
-        solve(pmap, _config(scheme, PEAK_ITERS))
+        solve(pmap, _config(scheme, PEAK_ITERS, green))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -122,6 +147,62 @@ def one_cpu_ms_table(sizes: list[int], repeats: int) -> dict:
     return json.loads(child.stdout)["ms_per_iteration"]
 
 
+def _complex_json(z: complex):
+    return z.real if z.imag == 0 else [z.real, z.imag]
+
+
+def convergence_row(scheme: SchemeKind, sigma1: complex, n: int, green: str) -> dict:
+    """One solve of the 25% square: how it ended, how fast, and how far from obnosov."""
+    cfg = SolverConfig(
+        scheme=scheme,
+        sigma1=sigma1,
+        interval=INTERVAL if scheme.substituted else None,
+        tol=1e-8 if sigma1 == 0 else 1e-10,
+        max_iters=GREEN_MAX_ITERS,
+        green=green,
+    )
+    row = {"green": green, "scheme": scheme.value, "sigma1": _complex_json(sigma1), "n": n}
+    try:
+        result = solve(build_square_array(n, 0.5), cfg)
+    except ValueError as exc:
+        return {**row, "status": type(exc).__name__}
+    rate = _tail_rate(result.history, RATE_WINDOW)
+    exact = obnosov(sigma1)
+    return {
+        **row,
+        "status": result.status.value,
+        "iterations": result.iterations,
+        "tail_rate": None if rate is None else round(rate, 4),
+        "predicted_rate": round(predicted_rate(scheme, sigma1, cfg.interval), 4),
+        "rel_err_obnosov": float(f"{abs(result.sigma_star - exact) / abs(exact):.2e}"),
+    }
+
+
+def green_report(sizes: list[int], repeats: int) -> dict:
+    rows = [
+        convergence_row(scheme, sigma1, n, green)
+        for n in GREEN_SIZES
+        for sigma1 in GREEN_SIGMA1
+        for scheme in SchemeKind
+        for green in GREEN_OPERATORS
+    ]
+    ms = {green: {str(n): {} for n in sizes} for green in GREEN_OPERATORS}
+    peak = {green: {str(n): {} for n in sizes} for green in GREEN_OPERATORS}
+    for n in sizes:
+        for scheme in SchemeKind:
+            for green in GREEN_OPERATORS:
+                ms[green][str(n)][scheme.value] = round(
+                    ms_per_iteration(scheme, n, repeats, green), 2
+                )
+                peak[green][str(n)][scheme.value] = round(peak_mb(scheme, n, green), 1)
+    return {
+        "cpus": len(os.sched_getaffinity(0)),
+        "convergence": rows,
+        "ms_per_iteration": ms,
+        "peak_mb": peak,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[128, 512, 1024])
@@ -129,7 +210,13 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--one-cpu", action="store_true", help="pin to one CPU and report ms_per_iteration only"
     )
+    parser.add_argument(
+        "--green", action="store_true", help="compare the Green operators (see above)"
+    )
     args = parser.parse_args(argv)
+    if args.green:
+        print(json.dumps(green_report(args.sizes, args.repeats), indent=1))
+        return 0
     if args.one_cpu:
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
         print(json.dumps({"ms_per_iteration": ms_table(args.sizes, args.repeats)}))
