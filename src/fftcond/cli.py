@@ -36,7 +36,6 @@ from .analysis import (
 from .errors import BranchCutError, ConfigError, DegenerateParamError, PoleError
 from .geometry import PhaseMap, build_disk_array, build_square_array, load_raster
 from .selftest import format_report, run_selftest
-from .spectral_ops import DEFAULT_GREEN, GREEN_OPERATORS
 from .solvers import (
     SolveResult,
     SolverConfig,
@@ -49,9 +48,7 @@ from .transform import SchemeKind, SpectralInterval
 _SCHEMA = {
     "geometry": {"kind", "n", "side_fraction", "radius", "path"},
     "physics": {"sigma1_re", "sigma1_im"},
-    "scheme": {
-        "name", "names", "alpha", "beta", "tol", "max_iters", "sigma0_re", "sigma0_im", "green"
-    },
+    "scheme": {"name", "names", "alpha", "beta", "tol", "max_iters", "sigma0_re", "sigma0_im"},
     "output": {"history_csv", "result_json", "fields_npz", "summary_csv", "grid_csv"},
     "contours": {"re_min", "re_max", "im_min", "im_max", "nr", "ni"},
 }
@@ -212,9 +209,6 @@ def _validate_scheme(raw: dict) -> dict:
     if "sigma0_re" in raw or "sigma0_im" in raw:
         out["sigma0_re"] = _parse_number("scheme", "sigma0_re", raw.get("sigma0_re", "0"), float)
         out["sigma0_im"] = _parse_number("scheme", "sigma0_im", raw.get("sigma0_im", "0"), float)
-    out["green"] = raw.get("green", DEFAULT_GREEN)
-    if out["green"] not in GREEN_OPERATORS:
-        raise ConfigError(f"[scheme] green must be one of {', '.join(GREEN_OPERATORS)}")
     return out
 
 
@@ -275,7 +269,6 @@ def _solver_config(cfg: RunConfig, scheme_name: str) -> SolverConfig:
         tol=sch["tol"],
         max_iters=sch["max_iters"],
         sigma0_override=sigma0,
-        green=sch["green"],
     )
 
 

@@ -19,10 +19,6 @@ reference sigma0 = (t + 1)/2; the accelerated ones iterate on the
 polarization-like variable w = (A + sigma0) F with sigma0 = sqrt(t). All
 four converge to the same discrete solution.
 
-Every gamma1 of a solve, in the residual, the basic update and the
-reflection, uses the Green operator ``cfg.green``: Willot's rotated one
-by default, or the spectral one (see :mod:`fftcond.spectral_ops`).
-
 All four record the same residual, the one :func:`equilibrium_residual`
 and :func:`equilibrium_residual_aug` compute: |gamma1 J_Q|^2 is summed by
 Parseval from the FFT of the mean-pinned flux, taken in place, and
@@ -74,8 +70,6 @@ import numpy as np
 from .errors import ContractError, DegenerateParamError, IntervalError
 from .geometry import PhaseMap
 from .spectral_ops import (
-    DEFAULT_GREEN,
-    GREEN_OPERATORS,
     AugmentedField,
     VectorField,
     _compensated_ctotal,
@@ -154,9 +148,7 @@ class SolverConfig:
 
     ``interval`` is required for the substituted schemes; ``e0`` is the
     applied (average) field direction; ``sigma0_override`` replaces the
-    scheme's default reference conductivity; ``green`` names the Green
-    operator of gamma1: ``rotated`` (Willot's, the default) or
-    ``spectral`` (Moulinec-Suquet).
+    scheme's default reference conductivity.
     """
 
     scheme: SchemeKind
@@ -166,7 +158,6 @@ class SolverConfig:
     tol: float = 1e-8
     max_iters: int = 1000
     sigma0_override: complex | None = None
-    green: str = DEFAULT_GREEN
 
     def __post_init__(self):
         if not (self.tol > 0 and math.isfinite(self.tol)):
@@ -178,8 +169,6 @@ class SolverConfig:
                 f"scheme {self.scheme.value} needs a spectral interval"
             )
         _e0_vector(self.e0)
-        if self.green not in GREEN_OPERATORS:
-            raise ValueError(f"green must be one of {GREEN_OPERATORS}, got {self.green!r}")
 
 
 def _e0_vector(e0) -> np.ndarray:
@@ -247,22 +236,20 @@ def recover_physical_fields(
     return VectorField(f.Q.data.copy()), flux.Q
 
 
-def _residual(
-    jq: np.ndarray, js: np.ndarray, jmean: np.ndarray, work=None, green: str = DEFAULT_GREEN
-) -> float:
+def _residual(jq: np.ndarray, js: np.ndarray, jmean: np.ndarray, work=None) -> float:
     """Equilibrium residual of a flux with Q slot ``jq`` and mean ``jmean``.
 
     The gradient-type part (gamma1 jq, js) over the norm of the mean, per
     pixel, with |gamma1 jq|^2 summed by Parseval; ``js`` holds the S slot
     on the inclusion pixels only, and is empty for a physical flux.
-    ``work`` receives the FFT of jq and may be jq itself; ``green`` names
-    the Green operator. ContractError when the mean flux vanishes.
+    ``work`` receives the FFT of jq and may be jq itself. ContractError
+    when the mean flux vanishes.
     """
     den = float(np.linalg.norm(jmean))
     if den < _TINY:
         raise ContractError("mean flux vanishes; residual is undefined")
     npix = jq.shape[-1] * jq.shape[-2]
-    total = _gamma1_sqnorm(jq, work, green)
+    total = _gamma1_sqnorm(jq, work)
     # squared in place: one temporary, whether or not numpy elides the second
     power = np.abs(js)
     power *= power
@@ -270,16 +257,14 @@ def _residual(
     return math.sqrt(total / npix) / den
 
 
-def equilibrium_residual(j: VectorField, green: str = DEFAULT_GREEN) -> float:
+def equilibrium_residual(j: VectorField) -> float:
     """Norm of the curl-free part of the flux over the norm of its mean."""
-    return _residual(j.data, np.empty(0), _mean_vec(j.data), green=green)
+    return _residual(j.data, np.empty(0), _mean_vec(j.data))
 
 
-def equilibrium_residual_aug(
-    jaug: AugmentedField, pmap: PhaseMap, green: str = DEFAULT_GREEN
-) -> float:
+def equilibrium_residual_aug(jaug: AugmentedField, pmap: PhaseMap) -> float:
     """Augmented-space analogue: gradient-type part over constant part."""
-    return _residual(jaug.Q.data, jaug.S.data[:, pmap.chi], gamma0_aug(jaug), green=green)
+    return _residual(jaug.Q.data, jaug.S.data[:, pmap.chi], gamma0_aug(jaug))
 
 
 def estimate_rate(history: ConvergenceHistory, window: int) -> float:
@@ -500,16 +485,16 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
                 if accelerated:
                     # fq is free until the inverse FFT refills it with w_Q
                     _r_hat(jq, what, chi_hat, delta, a_mat[0, 0], 1.0 if k == 2 else 2.0, fq)
-                    _reflect_hat(what, two_s0_e0, fq, cfg.green)
+                    _reflect_hat(what, two_s0_e0, out=fq)
                 else:
                     # jq holds the transform of the last pinned flux
-                    _gamma1_inverse(jq, cfg.green)
+                    _gamma1_inverse(jq)
             halves = ((slice(c, c + 1), k > 1) for c in range(2))
             if _split(npix, real_space, *halves) is None:
                 real_space(slice(0, 2), k > 1)
             sstar = _along(e0v, jmean)
             try:
-                res = _residual(jq, js, jmean, jq, cfg.green)
+                res = _residual(jq, js, jmean, jq)
             except ContractError:
                 mon.flag_degenerate()
                 break

@@ -2,21 +2,18 @@
 
 A VectorField samples a complex 2-vector on the periodic pixel grid. The
 projection gamma1 (zero-mean curl-free part) acts mode-wise in Fourier
-space with multiplier d (x) conj(d) / |d|^2, for one of two Green
-operators, named by ``green``:
+space with multiplier d (x) conj(d) / |d|^2 of Willot's rotated
+finite-difference Green operator (C. R. Mecanique 343, 2015):
+d_x = a(xi_x) b(xi_y), d_y = b(xi_x) a(xi_y) with a(xi) = e^{i xi} - 1,
+b(xi) = (e^{i xi} + 1)/2 and xi = 2 pi m / n. d vanishes at the zero
+mode and, on even grids, at the checkerboard mode (pi, pi), which gamma1
+therefore drops as well. The multiplier is conjugate-symmetric,
+M(-k) = conj(M(k)), on the Nyquist lines too, so gamma1 maps real fields
+to real fields. The Moulinec-Suquet multiplier k (x) k / |k|^2, which
+this package used before, stays as a reference table for comparisons
+(:func:`_spectral_table`); no solve reads it.
 
-- ``rotated`` (the default), Willot's rotated finite-difference operator
-  (C. R. Mecanique 343, 2015): d_x = a(xi_x) b(xi_y), d_y = b(xi_x) a(xi_y)
-  with a(xi) = e^{i xi} - 1, b(xi) = (e^{i xi} + 1)/2 and xi = 2 pi m / n.
-  d vanishes at the zero mode and, on even grids, at the checkerboard
-  mode (pi, pi), which gamma1 therefore drops as well. The multiplier is
-  conjugate-symmetric, M(-k) = conj(M(k)), on the Nyquist lines too, so
-  gamma1 maps real fields to real fields.
-- ``spectral``, the Moulinec-Suquet multiplier k (x) k / |k|^2 on the
-  integer wave vectors m in {-n/2, ..., n/2 - 1}: d = k, real; only the
-  zero mode is dropped, and Nyquist rows use the same formula.
-
-Each operator is one cached table per grid (:func:`_green_table`): the
+The operator is one cached table per grid (:func:`_green_table`): the
 1-D factors of d and the real table 1/|d|^2. gamma1 runs in two halves:
 a forward FFT, from which the squared norm of gamma1(f) is summed by
 Parseval and which is left intact, and the projection with the inverse
@@ -30,7 +27,8 @@ per call, so their temporaries stay small.
 An AugmentedField is a (Q, S, T) triple of VectorFields whose S and T
 slots vanish off the inclusion. Every local operator has the form
 on chi'' + off (I - chi''), where chi'' is the rank-one slot mixer
-p (x) p on the inclusion for a complex triple p with p.p = 1: A is (t, 1), its shifted inverse (A + sigma0 I)^-1 is
+p (x) p on the inclusion for a complex triple p with p.p = 1: A is
+(t, 1), its shifted inverse (A + sigma0 I)^-1 is
 (1/(t + sigma0), 1/(1 + sigma0)) and chi'' itself is (1, 0). On a
 phase-1 pixel such an operator is a len(p)-square slot matrix, applied
 by one kernel to slots stored on the inclusion pixels only; on phase-2
@@ -247,10 +245,6 @@ def norm(f: VectorField) -> float:
     return math.sqrt(total / npix)
 
 
-GREEN_OPERATORS = ("rotated", "spectral")
-DEFAULT_GREEN = "rotated"
-
-
 @dataclass(frozen=True)
 class _Green:
     """The multiplier d of gamma1 = d (x) conj(d) / |d|^2 on one grid.
@@ -285,39 +279,51 @@ def _rotated_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
     return e - 1.0, (e + 1.0) / 2.0
 
 
-@lru_cache(maxsize=8)
-def _green_table(green: str, ny: int, nx: int) -> _Green:
-    """The Green table of operator ``green`` on an ny-by-nx grid, cached.
-
-    ``spectral`` is the Moulinec-Suquet multiplier, d = k, whose factors
-    are real. ``rotated`` is Willot's, d_x = a(xi_x) b(xi_y) and
-    d_y = b(xi_x) a(xi_y), with a and b of :func:`_rotated_factors`; its
-    d vanishes at k = 0 and, on even grids, at (pi, pi). Only 1-D factors
-    and the real 1/|d|^2 are stored: complex grid-sized tables of d_x and
-    d_y would hold 32 MB more at n = 1024.
-    """
-    mx, my = _mode_index(nx)[None, :], _mode_index(ny)[:, None]
-    vanish = (mx == 0) & (my == 0)
-    if green == "spectral":
-        kx = np.fft.fftfreq(nx, d=1.0 / nx)[None, :]
-        ky = np.fft.fftfreq(ny, d=1.0 / ny)[:, None]
-        d = conj_d = ((kx,), (ky,))
-        d2 = kx * kx + ky * ky
-    elif green == "rotated":
-        ax, bx = (f[None, :] for f in _rotated_factors(nx))
-        ay, by = (f[:, None] for f in _rotated_factors(ny))
-        d = ((ax, by), (bx, ay))
-        conj_d = tuple(tuple(np.conj(f) for f in dc) for dc in d)
-        d2 = np.abs(ax) ** 2 * np.abs(by) ** 2 + np.abs(bx) ** 2 * np.abs(ay) ** 2
-        vanish |= (2 * mx == -nx) & (2 * my == -ny)
-    else:
-        raise ValueError(f"unknown Green operator {green!r}, expected one of {GREEN_OPERATORS}")
+def _read_only_table(d: tuple, conj_d: tuple, d2: np.ndarray, vanish: np.ndarray) -> _Green:
+    """A read-only _Green, with 1/|d|^2 set to 0 exactly on the mask ``vanish``."""
     inv_d2 = np.zeros(d2.shape)
     np.divide(1.0, d2, out=inv_d2, where=~vanish)
     # every caller shares the cached arrays
     for table in (inv_d2, *d[0], *d[1], *conj_d[0], *conj_d[1]):
         table.flags.writeable = False
     return _Green(d, conj_d, inv_d2)
+
+
+@lru_cache(maxsize=8)
+def _green_table(ny: int, nx: int) -> _Green:
+    """The Green table of gamma1 on an ny-by-nx grid, cached.
+
+    Willot's rotated operator: d_x = a(xi_x) b(xi_y) and
+    d_y = b(xi_x) a(xi_y), with a and b of :func:`_rotated_factors`. d
+    vanishes at k = 0 and, on even grids, at (pi, pi). Only 1-D factors
+    and the real 1/|d|^2 are stored: complex grid-sized tables of d_x and
+    d_y would hold 32 MB more at n = 1024.
+    """
+    mx, my = _mode_index(nx)[None, :], _mode_index(ny)[:, None]
+    ax, bx = (f[None, :] for f in _rotated_factors(nx))
+    ay, by = (f[:, None] for f in _rotated_factors(ny))
+    d = ((ax, by), (bx, ay))
+    conj_d = tuple(tuple(np.conj(f) for f in dc) for dc in d)
+    d2 = np.abs(ax) ** 2 * np.abs(by) ** 2 + np.abs(bx) ** 2 * np.abs(ay) ** 2
+    vanish = ((mx == 0) & (my == 0)) | ((2 * mx == -nx) & (2 * my == -ny))
+    return _read_only_table(d, conj_d, d2, vanish)
+
+
+@lru_cache(maxsize=8)
+def _spectral_table(ny: int, nx: int) -> _Green:
+    """The Moulinec-Suquet table k (x) k / |k|^2 on an ny-by-nx grid, cached.
+
+    A reference, read by no solve: d = k on the integer wave vectors, real,
+    so the band kernels do the arithmetic of the operator this package
+    used before the rotated one, bit for bit; only k = 0 is dropped.
+    Tests and ``tools/bench_per_iteration.py --green`` put it in place of
+    :func:`_green_table` to compare the two operators.
+    """
+    kx = np.fft.fftfreq(nx, d=1.0 / nx)[None, :]
+    ky = np.fft.fftfreq(ny, d=1.0 / ny)[:, None]
+    d = ((kx,), (ky,))
+    vanish = (_mode_index(nx)[None, :] == 0) & (_mode_index(ny)[:, None] == 0)
+    return _read_only_table(d, d, kx * kx + ky * ky, vanish)
 
 
 def _times(out: np.ndarray, factors: tuple, band: slice, src: np.ndarray | None = None):
@@ -358,9 +364,11 @@ def _sweep(band_fn, ny: int, nx: int, dtypes: tuple = ()) -> list:
         return bands, [np.empty((rows, nx), dtype) for dtype in dtypes]
 
     def run(bands, buffers):
-        with np.errstate():
-            np.setbufsize(_UFUNC_BUFSIZE)
+        old = np.setbufsize(_UFUNC_BUFSIZE)
+        try:
             return [band_fn(band, *(b[: len(range(ny)[band])] for b in buffers)) for band in bands]
+        finally:
+            np.setbufsize(old)
 
     if not _splits(ny * nx):
         return run(*part(_bands(ny, nx, _BAND_SIZE)))
@@ -391,14 +399,14 @@ def _fft2(data: np.ndarray, out: np.ndarray | None = None, inverse: bool = False
     return out
 
 
-def _gamma1_inverse(fh: np.ndarray, green: str = DEFAULT_GREEN) -> np.ndarray:
+def _gamma1_inverse(fh: np.ndarray) -> np.ndarray:
     """Second half of gamma1, in place on the FFT ``fh`` of a field: projection, inverse FFT.
 
     The projection runs in place band by band, so it allocates nothing and
     splits as the other Fourier-space sweeps do.
     """
     ny, nx = fh.shape[-2], fh.shape[-1]
-    g = _green_table(green, ny, nx)
+    g = _green_table(ny, nx)
 
     def project(band):
         dot, f1 = fh[0, band], fh[1, band]
@@ -415,13 +423,11 @@ def _gamma1_inverse(fh: np.ndarray, green: str = DEFAULT_GREEN) -> np.ndarray:
     return _fft2(fh, fh, inverse=True)
 
 
-def _gamma1_arr(data: np.ndarray, green: str = DEFAULT_GREEN) -> np.ndarray:
-    return _gamma1_inverse(_fft2(data), green)
+def _gamma1_arr(data: np.ndarray) -> np.ndarray:
+    return _gamma1_inverse(_fft2(data))
 
 
-def _gamma1_sqnorm(
-    data: np.ndarray, work: np.ndarray | None = None, green: str = DEFAULT_GREEN
-) -> float:
+def _gamma1_sqnorm(data: np.ndarray, work: np.ndarray | None = None) -> float:
     """Sum over pixels of |gamma1(data)|^2, from the FFT of ``data`` alone.
 
     By Parseval the sum is (1/N) sum_k |conj(d) . f(k)|^2 / |d|^2 times
@@ -431,7 +437,7 @@ def _gamma1_sqnorm(
     receives it, for :func:`_gamma1_inverse` or :func:`_reflect_hat`.
     """
     ny, nx = data.shape[-2], data.shape[-1]
-    g = _green_table(green, ny, nx)
+    g = _green_table(ny, nx)
     fh = _fft2(data, work)
 
     def band_power(band, dot, tmp, power):
@@ -446,9 +452,7 @@ def _gamma1_sqnorm(
     return _combine_rows(rows) * _gamma1_scale**2 / (ny * nx)
 
 
-def _reflect_hat(
-    rh: np.ndarray, shift: np.ndarray, out: np.ndarray, green: str = DEFAULT_GREEN
-) -> np.ndarray:
+def _reflect_hat(rh: np.ndarray, shift: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The reflection shift - 2 gamma1(r) + r of the Eyre-Milton update, in Fourier space.
 
     In place on the FFT ``rh`` of r, band by band, with the multiplier of
@@ -456,7 +460,7 @@ def _reflect_hat(
     only. Returns the inverse FFT of the result in ``out``.
     """
     ny, nx = rh.shape[-2], rh.shape[-1]
-    g = _green_table(green, ny, nx)
+    g = _green_table(ny, nx)
 
     def reflect(band, dot, tmp):
         _times(dot, g.conj_d[0], band, rh[0, band])
@@ -471,9 +475,9 @@ def _reflect_hat(
     return _fft2(rh, out, inverse=True)
 
 
-def gamma1(f: VectorField, green: str = DEFAULT_GREEN) -> VectorField:
-    """Projection onto zero-mean curl-free fields (Fourier multiplier of operator ``green``)."""
-    return VectorField(_gamma1_arr(f.data, green))
+def gamma1(f: VectorField) -> VectorField:
+    """Projection onto zero-mean curl-free fields (Fourier multiplier)."""
+    return VectorField(_gamma1_arr(f.data))
 
 
 def gamma0(f: VectorField) -> np.ndarray:
@@ -549,11 +553,11 @@ def gamma0_aug(f: AugmentedField) -> np.ndarray:
     return f.Q.mean()
 
 
-def gamma1_aug(f: AugmentedField, pmap: PhaseMap, green: str = DEFAULT_GREEN) -> AugmentedField:
+def gamma1_aug(f: AugmentedField, pmap: PhaseMap) -> AugmentedField:
     """Projection onto gradient-type augmented fields: (gamma1 Q, S, 0)."""
     _check_support(f, pmap)
     ny, nx = f.grid_shape
-    return AugmentedField(gamma1(f.Q, green), f.S.copy(), VectorField.zeros(ny, nx))
+    return AugmentedField(gamma1(f.Q), f.S.copy(), VectorField.zeros(ny, nx))
 
 
 def _pack(data: np.ndarray, support: np.ndarray, out=None) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Frozen solver behaviour: statuses, iteration counts and sigma_star.
 
 FROZEN and FROZEN_OVERRIDE pin the spectral (Moulinec-Suquet) Green
-operator. FROZEN was recorded from the full-grid implementation that
+operator, which this package used before the rotated one and which the
+tests put in place of the rotated table (the ``spectral_green``
+fixture): they check that the band kernels, fed that table, still do the
+earlier arithmetic. FROZEN was recorded from the full-grid implementation that
 preceded the packed S/T storage and the Parseval residual;
 FROZEN_OVERRIDE, with the reference conductivity fixed at
 SIGMA0_OVERRIDE, from the implementation that still ran the physical
@@ -9,8 +12,8 @@ schemes in a loop of their own. Those changes only reorder
 floating-point work, so every scheme must stop for the same reason after
 the same number of iterations, with sigma_star equal to roundoff.
 FROZEN_ROTATED and FROZEN_ROTATED_OVERRIDE pin the rotated (Willot)
-operator, the default, from the change that made it one; they add
-sigma1 = 0, where every scheme but em converges on this operator.
+operator, the one every solve uses, from the change that made it so;
+they add sigma1 = 0, where every scheme but em converges on it.
 
 Each row: geometry, sigma1, scheme, status, iterations, sigma_star, for
 n = 64, tol = 1e-8, max_iters = 200 and the interval (1/4, 4).
@@ -117,7 +120,7 @@ FROZEN_ROTATED_OVERRIDE = [
 ]
 
 
-def _check_frozen(green, geometry, sigma1, scheme, status, iterations, sigma_star,
+def _check_frozen(geometry, sigma1, scheme, status, iterations, sigma_star,
                   sigma0_override=None):
     kind = SchemeKind(scheme)
     cfg = SolverConfig(
@@ -127,7 +130,6 @@ def _check_frozen(green, geometry, sigma1, scheme, status, iterations, sigma_sta
         tol=1e-8,
         max_iters=200,
         sigma0_override=sigma0_override,
-        green=green,
     )
     r = solve(GEOMETRY[geometry], cfg)
     assert r.status.value == status
@@ -135,25 +137,25 @@ def _check_frozen(green, geometry, sigma1, scheme, status, iterations, sigma_sta
     assert abs(r.sigma_star - sigma_star) <= 1e-12 * abs(sigma_star)
 
 
+@pytest.mark.usefixtures("spectral_green")
 @pytest.mark.parametrize("geometry, sigma1, scheme, status, iterations, sigma_star", FROZEN)
 def test_matches_frozen_run(geometry, sigma1, scheme, status, iterations, sigma_star):
-    _check_frozen("spectral", geometry, sigma1, scheme, status, iterations, sigma_star)
+    _check_frozen(geometry, sigma1, scheme, status, iterations, sigma_star)
 
 
+@pytest.mark.usefixtures("spectral_green")
 @pytest.mark.parametrize(
     "geometry, sigma1, scheme, status, iterations, sigma_star", FROZEN_OVERRIDE
 )
 def test_matches_frozen_run_with_sigma0_override(
     geometry, sigma1, scheme, status, iterations, sigma_star
 ):
-    _check_frozen(
-        "spectral", geometry, sigma1, scheme, status, iterations, sigma_star, SIGMA0_OVERRIDE
-    )
+    _check_frozen(geometry, sigma1, scheme, status, iterations, sigma_star, SIGMA0_OVERRIDE)
 
 
 @pytest.mark.parametrize("geometry, sigma1, scheme, status, iterations, sigma_star", FROZEN_ROTATED)
 def test_matches_frozen_rotated_run(geometry, sigma1, scheme, status, iterations, sigma_star):
-    _check_frozen("rotated", geometry, sigma1, scheme, status, iterations, sigma_star)
+    _check_frozen(geometry, sigma1, scheme, status, iterations, sigma_star)
 
 
 @pytest.mark.parametrize(
@@ -162,9 +164,7 @@ def test_matches_frozen_rotated_run(geometry, sigma1, scheme, status, iterations
 def test_matches_frozen_rotated_run_with_sigma0_override(
     geometry, sigma1, scheme, status, iterations, sigma_star
 ):
-    _check_frozen(
-        "rotated", geometry, sigma1, scheme, status, iterations, sigma_star, SIGMA0_OVERRIDE
-    )
+    _check_frozen(geometry, sigma1, scheme, status, iterations, sigma_star, SIGMA0_OVERRIDE)
 
 
 @pytest.mark.parametrize("scheme", list(SchemeKind))

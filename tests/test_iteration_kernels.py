@@ -390,7 +390,7 @@ class TestWorkingSet:
             spectral_ops._worker().submit(int).result()
         # small bands, and a cached Green table, keep the sweeps out of the peak
         monkeypatch.setattr(spectral_ops, "_BAND_SIZE", 4096)
-        spectral_ops._green_table(spectral_ops.DEFAULT_GREEN, n, n)
+        spectral_ops._green_table(n, n)
         slots = 3 if scheme.substituted else 1
         grid = 2 * n * n * 16
         packed = 2 * np.count_nonzero(pmap.chi) * 16

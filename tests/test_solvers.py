@@ -513,10 +513,6 @@ class TestConfigValidation:
         with pytest.raises(ContractError):
             SolverConfig(scheme=SchemeKind.BASIC, sigma1=2.0, e0=e0)
 
-    def test_unknown_green_operator(self):
-        with pytest.raises(ValueError, match="green"):
-            SolverConfig(scheme=SchemeKind.BASIC, sigma1=2.0, green="fourier")
-
     def test_basic_degenerate_reference(self):
         pm = build_square_array(8, 0.5)
         from fftcond import DegenerateParamError
@@ -532,10 +528,8 @@ class TestKellerDuality:
     only to its discretization error, which falls under grid refinement."""
 
     @staticmethod
-    def _defect(pmap, sigma1, green):
-        cfg = SolverConfig(
-            scheme=SchemeKind.EYRE_MILTON, sigma1=sigma1, tol=1e-14, max_iters=500, green=green
-        )
+    def _defect(pmap, sigma1):
+        cfg = SolverConfig(scheme=SchemeKind.EYRE_MILTON, sigma1=sigma1, tol=1e-14, max_iters=500)
         stars = []
         for phase in (pmap, PhaseMap(~pmap.chi)):
             r = solve(phase, cfg)
@@ -543,18 +537,19 @@ class TestKellerDuality:
             stars.append(r.sigma_star)
         return abs(stars[0] * stars[1] - sigma1) / abs(sigma1)
 
+    @pytest.mark.usefixtures("spectral_green")
     @pytest.mark.parametrize("sigma1", [2.0, 0.7 + 0.4j])
     @pytest.mark.parametrize("geometry", ["square", "disk"])
     def test_spectral_to_roundoff(self, geometry, sigma1):
         n = 64
         pmap = build_square_array(n, 0.5) if geometry == "square" else build_disk_array(n, 0.35)
-        assert self._defect(pmap, sigma1, "spectral") <= 1e-13
+        assert self._defect(pmap, sigma1) <= 1e-13
 
     def test_rotated_to_discretization_error(self):
         # measured on the 25% square at sigma1 = 2: 2.6e-8 at n = 64 and
         # 2.4e-9 at n = 128, so the defect is the grid's, not roundoff
-        coarse = self._defect(build_square_array(64, 0.5), 2.0, "rotated")
-        fine = self._defect(build_square_array(128, 0.5), 2.0, "rotated")
+        coarse = self._defect(build_square_array(64, 0.5), 2.0)
+        fine = self._defect(build_square_array(128, 0.5), 2.0)
         assert 1e-9 <= fine <= 3e-9
         assert fine <= coarse / 8
 

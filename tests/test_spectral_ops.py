@@ -26,12 +26,12 @@ from fftcond import (
     solve_p,
 )
 from fftcond.spectral_ops import (
-    GREEN_OPERATORS,
     _compensated_total,
     _gamma1_arr,
     _gamma1_sqnorm,
     _green_table,
     _rotated_factors,
+    _spectral_table,
 )
 
 BENCH = SpectralInterval(0.25, 4.0)
@@ -61,103 +61,111 @@ def aug_diff_norm(a, b, pmap):
     return norm_aug(d, pmap)
 
 
+@pytest.mark.parametrize("n", [8, 16, 64])
 class TestGamma1:
-    def test_kills_constants(self):
-        f = VectorField.constant([2.0 + 1j, -0.5], N, N)
+    """gamma1 on the rotated table and on the spectral reference, on even
+    grids of three sizes: an orthogonal projection onto zero-mean
+    gradients, with its Parseval sum equal to the pixel sum."""
+
+    def test_kills_constants(self, green, n):
+        f = VectorField.constant([2.0 + 1j, -0.5], n, n)
         assert norm(gamma1(f)) < 1e-14
 
-    def test_gradient_mode_is_fixed(self):
-        x = (np.arange(N) + 0.5) / N
-        data = np.zeros((2, N, N), dtype=complex)
+    def test_gradient_mode_is_fixed(self, green, n):
+        x = (np.arange(n) + 0.5) / n
+        data = np.zeros((2, n, n), dtype=complex)
         data[0] = 2 * np.pi * np.cos(2 * np.pi * x)[None, :]  # d/dx sin(2 pi x)
         f = VectorField(data)
         g = gamma1(f)
         assert norm(VectorField(g.data - f.data)) <= 1e-12 * norm(f)
 
-    def test_divergence_free_mode_killed(self):
-        y = (np.arange(N) + 0.5) / N
-        data = np.zeros((2, N, N), dtype=complex)
+    def test_divergence_free_mode_killed(self, green, n):
+        y = (np.arange(n) + 0.5) / n
+        data = np.zeros((2, n, n), dtype=complex)
         data[0] = np.cos(2 * np.pi * y)[:, None]  # x-component varying in y
         g = gamma1(VectorField(data))
         assert norm(g) <= 1e-12
 
-    def test_idempotent(self):
+    def test_idempotent(self, green, n):
         rng = np.random.default_rng(0)
-        f = random_field(rng)
+        f = random_field(rng, n)
         g = gamma1(f)
         assert norm(VectorField(gamma1(g).data - g.data)) <= 1e-12 * norm(g)
 
-    def test_self_adjoint(self):
+    def test_self_adjoint(self, green, n):
         rng = np.random.default_rng(1)
-        f, g = random_field(rng), random_field(rng)
+        f, g = random_field(rng, n), random_field(rng, n)
         defect = abs(inner(gamma1(f), g) - inner(f, gamma1(g)))
         assert defect <= 1e-12 * norm(f) * norm(g)
 
-    def test_zero_mean_output(self):
+    def test_zero_mean_output(self, green, n):
         rng = np.random.default_rng(2)
-        g = gamma1(random_field(rng))
+        g = gamma1(random_field(rng, n))
         assert float(np.linalg.norm(gamma0(g))) <= 1e-13
 
+    def test_sqnorm_matches_pixel_sum(self, green, n):
+        x = random_field(np.random.default_rng(100 + n), n).data
+        direct = _compensated_total(np.abs(_gamma1_arr(x)) ** 2)
+        assert _gamma1_sqnorm(x) == pytest.approx(direct, rel=1e-12)
 
-class TestGreenOperators:
-    """Both Green operators, on even grids of three sizes: gamma1 is an
-    orthogonal projection, its table has the right exact zeros, and the
-    Parseval sum matches the pixel sum."""
+    def test_checkerboard(self, green, n):
+        # the rotated d vanishes at (pi, pi), so gamma1 drops that mode
+        sign = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
+        g = gamma1(VectorField(np.stack([sign, 0.5 * sign])))
+        if green == "rotated":
+            assert norm(g) <= 1e-15
+        else:
+            assert norm(g) > 0.1
 
-    @pytest.mark.parametrize("n", [8, 16, 64])
-    @pytest.mark.parametrize("green", GREEN_OPERATORS)
-    def test_idempotent_and_self_adjoint(self, green, n):
-        rng = np.random.default_rng(n)
-        f, g = random_field(rng, n), random_field(rng, n)
-        gf = gamma1(f, green)
-        assert norm(VectorField(gamma1(gf, green).data - gf.data)) <= 1e-12 * norm(gf)
-        defect = abs(inner(gf, g) - inner(f, gamma1(g, green)))
-        assert defect <= 1e-12 * norm(f) * norm(g)
+    def test_table_zeros_are_exact(self, n):
+        for table, zeros in (
+            (_green_table, {(0, 0), (n // 2, n // 2)}),
+            (_spectral_table, {(0, 0)}),
+        ):
+            inv_d2 = table(n, n).inv_d2
+            assert inv_d2.shape == (n, n) and np.all(np.isfinite(inv_d2))
+            assert set(zip(*np.nonzero(inv_d2 == 0))) == zeros
 
-    @pytest.mark.parametrize("n", [8, 16, 64])
-    @pytest.mark.parametrize("green", GREEN_OPERATORS)
-    def test_table_zeros_are_exact(self, green, n):
-        inv_d2 = _green_table(green, n, n).inv_d2
-        assert inv_d2.shape == (n, n) and np.all(np.isfinite(inv_d2))
-        zeros = set(zip(*np.nonzero(inv_d2 == 0)))
-        # k = 0 for both; the checkerboard (pi, pi) too for the rotated operator
-        assert zeros == ({(0, 0), (n // 2, n // 2)} if green == "rotated" else {(0, 0)})
-
-    @pytest.mark.parametrize("n", [8, 16, 64])
     def test_rotated_factors_vanish_exactly(self, n):
         a, b = _rotated_factors(n)
         assert a[0] == 0 and b[n // 2] == 0 and a[n // 2] == -2
         assert np.count_nonzero(a) == n - 1 and np.count_nonzero(b) == n - 1
 
-    @pytest.mark.parametrize("n", [8, 16, 64])
-    def test_rotated_kills_the_checkerboard(self, n):
-        sign = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
-        f = VectorField(np.stack([sign, 0.5 * sign]))
-        assert norm(gamma1(f, "rotated")) <= 1e-15
-        assert norm(gamma1(f, "spectral")) > 0.1
 
-    @pytest.mark.parametrize("n", [8, 16, 64])
-    @pytest.mark.parametrize("green", GREEN_OPERATORS)
-    def test_sqnorm_matches_pixel_sum(self, green, n):
-        x = random_field(np.random.default_rng(100 + n), n).data
-        direct = _compensated_total(np.abs(_gamma1_arr(x, green)) ** 2)
-        assert _gamma1_sqnorm(x, green=green) == pytest.approx(direct, rel=1e-12)
+def test_only_the_rotated_operator_keeps_real_fields_real(green):
+    # the rotated multiplier is conjugate-symmetric, M(-k) = conj(M(k)),
+    # Nyquist lines included, so a real-to-complex transform could carry
+    # it; the spectral one breaks the symmetry on the Nyquist lines
+    data = np.random.default_rng(5).standard_normal((2, 16, 16))
+    imag = np.max(np.abs(_gamma1_arr(data).imag))
+    if green == "rotated":
+        assert imag <= 1e-15
+    else:
+        assert imag > 0.1
 
-    def test_only_the_rotated_operator_keeps_real_fields_real(self):
-        # the rotated multiplier is conjugate-symmetric, M(-k) = conj(M(k)),
-        # Nyquist lines included, so a real-to-complex transform could
-        # carry it; the spectral one breaks the symmetry on the Nyquist lines
-        data = np.random.default_rng(5).standard_normal((2, 16, 16))
-        assert np.max(np.abs(_gamma1_arr(data, "rotated").imag)) <= 1e-15
-        assert np.max(np.abs(_gamma1_arr(data, "spectral").imag)) > 0.1
 
-    def test_unknown_operator_rejected(self):
-        with pytest.raises(ValueError, match="unknown Green operator"):
-            _green_table("fourier", 8, 8)
+def test_tables_are_cached_and_read_only():
+    for table in (_green_table, _spectral_table):
+        g = table(16, 24)
+        assert table(16, 24) is g
+        assert not g.inv_d2.flags.writeable
 
-    def test_table_is_cached(self):
-        assert _green_table("rotated", 16, 24) is _green_table("rotated", 16, 24)
-        assert spectral_ops.DEFAULT_GREEN == "rotated"
+
+@pytest.mark.parametrize("split", [False, True])
+def test_sweeps_restore_the_ufunc_buffer_size(monkeypatch, split):
+    # the sweeps run with their own numpy buffer size, on both threads
+    if split:
+        monkeypatch.setattr(spectral_ops, "_THREAD_PIXELS", 1)
+        monkeypatch.setattr(spectral_ops, "_cpus", lambda: 2)
+    worker = spectral_ops._worker()
+    old = np.setbufsize(4096)
+    try:
+        before = worker.submit(np.getbufsize).result()
+        _gamma1_sqnorm(random_field(np.random.default_rng(3)).data)
+        assert np.getbufsize() == 4096
+        assert worker.submit(np.getbufsize).result() == before
+    finally:
+        np.setbufsize(old)
 
 
 class TestGamma0:

@@ -9,7 +9,7 @@ difference between a run of ITERS and one of ITERS - 10
 iterations, divided by 10, and a transform of a (2, ny, nx) stack counts
 as two. The peak is the ``tracemalloc`` peak, in MB, of a solve of
 PEAK_ITERS = 5 iterations, taken after an untraced warm-up solve so that
-cached wave vectors do not count.
+the cached Green table does not count.
 
 ``cpus`` is the number of CPUs the process may run on; on two or more,
 passes over large grids split across two threads. The single-thread
@@ -18,8 +18,10 @@ process pinned to one of them (``--one-cpu``), where no pass splits.
 
     PYTHONPATH=src python tools/bench_per_iteration.py --sizes 128 512 1024
 
-prints one JSON object to stdout. With ``--green`` it compares the two
-Green operators instead: for each scheme, sigma1 in GREEN_SIGMA1 and n in
+prints one JSON object to stdout. With ``--green`` it compares the
+rotated Green operator that every solve uses with the spectral reference
+table (``spectral_ops._spectral_table``, put in place of the rotated one
+for its rows) instead: for each scheme, sigma1 in GREEN_SIGMA1 and n in
 GREEN_SIZES, the status, iterations, tail rate over the last RATE_WINDOW
 residuals, ``predicted_rate`` and the relative error against ``obnosov``
 of a solve at tol 1e-8 (sigma1 = 0) or 1e-10, at most GREEN_MAX_ITERS
@@ -32,6 +34,7 @@ of each scheme, measured on one operator and then the other.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import statistics
@@ -51,8 +54,8 @@ from fftcond import (
     predicted_rate,
     solve,
 )
+import fftcond.spectral_ops as spectral_ops
 from fftcond.solvers import _tail_rate
-from fftcond.spectral_ops import DEFAULT_GREEN, GREEN_OPERATORS
 
 INTERVAL = SpectralInterval(0.25, 4.0)
 ITERS = 30
@@ -61,27 +64,37 @@ GREEN_SIGMA1 = (0.0, 2.0, 10.0, 0.3 + 0.5j)
 GREEN_SIZES = (64, 128, 256)
 GREEN_MAX_ITERS = 300
 RATE_WINDOW = 5
+GREEN_OPERATORS = ("rotated", "spectral")
 
 
-def _config(scheme: SchemeKind, iters: int = ITERS, green: str = DEFAULT_GREEN) -> SolverConfig:
+@contextlib.contextmanager
+def green_operator(green: str):
+    """gamma1 reads the table of ``green``, one of GREEN_OPERATORS, inside the block."""
+    rotated = spectral_ops._green_table
+    if green == "spectral":
+        spectral_ops._green_table = spectral_ops._spectral_table
+    try:
+        yield
+    finally:
+        spectral_ops._green_table = rotated
+
+
+def _config(scheme: SchemeKind, iters: int = ITERS) -> SolverConfig:
     return SolverConfig(
         scheme=scheme,
         sigma1=2.0,
         interval=INTERVAL if scheme.substituted else None,
         tol=1e-300,
         max_iters=iters,
-        green=green,
     )
 
 
-def ms_per_iteration(
-    scheme: SchemeKind, n: int, repeats: int, green: str = DEFAULT_GREEN
-) -> float:
+def ms_per_iteration(scheme: SchemeKind, n: int, repeats: int) -> float:
     pmap = build_square_array(n, 0.5)
     samples = []
     for _ in range(repeats):
         start = time.perf_counter()
-        result = solve(pmap, _config(scheme, green=green))
+        result = solve(pmap, _config(scheme))
         elapsed = time.perf_counter() - start
         if result.iterations != ITERS:
             raise RuntimeError(f"{scheme.value} stopped early: {result.status.value}")
@@ -117,12 +130,12 @@ def ffts_per_iteration(scheme: SchemeKind, n: int = 16) -> float:
     return (totals[1] - totals[0]) / 10
 
 
-def peak_mb(scheme: SchemeKind, n: int, green: str = DEFAULT_GREEN) -> float:
+def peak_mb(scheme: SchemeKind, n: int) -> float:
     pmap = build_square_array(n, 0.5)
-    solve(pmap, _config(scheme, PEAK_ITERS, green))
+    solve(pmap, _config(scheme, PEAK_ITERS))
     tracemalloc.start()
     try:
-        solve(pmap, _config(scheme, PEAK_ITERS, green))
+        solve(pmap, _config(scheme, PEAK_ITERS))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -159,11 +172,11 @@ def convergence_row(scheme: SchemeKind, sigma1: complex, n: int, green: str) -> 
         interval=INTERVAL if scheme.substituted else None,
         tol=1e-8 if sigma1 == 0 else 1e-10,
         max_iters=GREEN_MAX_ITERS,
-        green=green,
     )
     row = {"green": green, "scheme": scheme.value, "sigma1": _complex_json(sigma1), "n": n}
     try:
-        result = solve(build_square_array(n, 0.5), cfg)
+        with green_operator(green):
+            result = solve(build_square_array(n, 0.5), cfg)
     except ValueError as exc:
         return {**row, "status": type(exc).__name__}
     rate = _tail_rate(result.history, RATE_WINDOW)
@@ -191,10 +204,9 @@ def green_report(sizes: list[int], repeats: int) -> dict:
     for n in sizes:
         for scheme in SchemeKind:
             for green in GREEN_OPERATORS:
-                ms[green][str(n)][scheme.value] = round(
-                    ms_per_iteration(scheme, n, repeats, green), 2
-                )
-                peak[green][str(n)][scheme.value] = round(peak_mb(scheme, n, green), 1)
+                with green_operator(green):
+                    ms[green][str(n)][scheme.value] = round(ms_per_iteration(scheme, n, repeats), 2)
+                    peak[green][str(n)][scheme.value] = round(peak_mb(scheme, n), 1)
     return {
         "cpus": len(os.sched_getaffinity(0)),
         "convergence": rows,
@@ -211,7 +223,7 @@ def main(argv=None) -> int:
         "--one-cpu", action="store_true", help="pin to one CPU and report ms_per_iteration only"
     )
     parser.add_argument(
-        "--green", action="store_true", help="compare the Green operators (see above)"
+        "--green", action="store_true", help="compare the rotated and spectral Green operators"
     )
     args = parser.parse_args(argv)
     if args.green:
