@@ -31,7 +31,8 @@ r = (A - sigma0 I) F = 2 A F - D w has Q slot r_Q = 2 J_Q - w_Q, so the
 flux transform yields r_Q with no transform of its own. The mean pin
 J_Q - delta (1 + (pin0 - 1) chi) is undone there with the FFT of chi,
 taken once per solve. The reflection w_Q = 2 sigma0 e0 - 2 gamma1(r_Q) +
-r_Q is formed in Fourier space, and one inverse FFT returns w_Q to real
+r_Q is formed in Fourier space, in one band sweep that forms each band of
+r_Q just before reflecting it, and one inverse FFT returns w_Q to real
 space for the local inverse. sigma* is read off the flux of the local
 operator A in every path.
 
@@ -43,8 +44,8 @@ slot. Inside the loop only band-sized temporaries of the Fourier sweeps
 and the residual's |js|^2 are allocated.
 
 On grids of at least 2^18 pixels per component, with two CPUs to run
-on, the FFT pair, the Fourier-space sweeps (the Parseval sum, the
-reflection and the basic update's projection) and r_Q split across two
+on, the FFT pair and the Fourier-space sweeps (the Parseval sum, the
+reflection with r_Q, and the basic update's projection) split across two
 threads, with the bits of one thread. So does the real-space stretch of
 each iteration, from the field the inverse FFT returns to the pinned
 flux and its mean, as one split with one field component per thread:
@@ -64,6 +65,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -343,33 +345,30 @@ class _Monitor:
         self.status = TerminationStatus.DIVERGED
 
 
-def _r_hat(jh, what, chi_hat, delta, pin0, c, scratch):
-    """FFT of the Q slot of r = (A - sigma0 I) F_raw, the accelerated update's, into ``what``.
+def _r_q_band(jh, what, chi_hat, delta, pin0, c, band, tmp):
+    """Rows ``band`` of the FFT of the accelerated update's r_Q, into ``what``.
 
+    r_Q is the Q slot of r = (A - sigma0 I) F_raw, where
     F_raw = (A + sigma0 I)^-1 D w, with D the S sign flip, so
     r = 2 A F_raw - D w, and D leaves the Q slot: r_Q = 2 J_raw - w_Q, with
     ``c`` = 2 and ``what`` the FFT of w_Q. At the start F = e0, so
     r_Q = J_raw - sigma0 e0: ``c`` = 1 and ``what`` the FFT of the constant
     sigma0 e0. ``jh`` is the FFT of the pinned flux
     jq = J_raw + delta (1 + (pin0 - 1) chi), so ``chi_hat``, the FFT of chi,
-    undoes the pin. ``jh`` and ``scratch`` are overwritten. On a split each
-    thread forms one component.
+    undoes the pin. Those rows of ``jh`` and the band buffer ``tmp`` are
+    overwritten. :func:`_reflect_hat` calls it on each band before
+    reflecting the band, on the thread that reflects it, so like the
+    solver's real-space stretch it calls no name that perfbench wraps.
     """
-    coef = (c * (pin0 - 1.0)) * delta
-    zero = (c * chi_hat.size) * delta
-    halves = ((jh[i], what[i], chi_hat, coef[i], zero[i], c, scratch[i]) for i in range(2))
-    if _split(chi_hat.size, _r_hat_part, *halves) is None:
-        _r_hat_part(jh, what, chi_hat, coef[:, None, None], zero, c, scratch)
-    return what
-
-
-def _r_hat_part(jh, what, chi_hat, coef, zero, c, scratch):
-    """:func:`_r_hat` on both components, or on one with scalar ``coef`` and ``zero``."""
-    np.multiply(chi_hat, coef, out=scratch)
-    jh *= c
-    jh -= scratch
-    jh[..., 0, 0] -= zero
-    np.subtract(jh, what, out=what)
+    coef, zero = (c * (pin0 - 1.0)) * delta, (c * chi_hat.size) * delta
+    for i in range(2):
+        j, w = jh[i, band], what[i, band]
+        np.multiply(chi_hat[band], coef[i], out=tmp)
+        j *= c
+        j -= tmp
+        if band.start == 0:
+            j[0, 0] -= zero[i]
+        np.subtract(j, w, out=w)
 
 
 def _apply_A_arrays(q, s, t_arr, t, params, chi):
@@ -429,8 +428,9 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
         # the reflection negates the S slot of r; the inverse applies that sign
         inv_mat[:, 1:2] *= -1
         two_s0_e0 = 2.0 * sigma0 * e0v
+        pin0 = a_mat[0, 0]
         chi_hat = np.fft.fft2(chi)
-        # the FFT of w_Q, with the start value that _r_hat takes at k = 2
+        # the FFT of w_Q, with the start value that _r_q_band takes at k = 2
         what = np.zeros_like(fq)
         what[:, 0, 0] = sigma0 * e0v * chi.size
 
@@ -483,9 +483,12 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
         for k in range(1, cfg.max_iters + 1):
             if k > 1:
                 if accelerated:
-                    # fq is free until the inverse FFT refills it with w_Q
-                    _r_hat(jq, what, chi_hat, delta, a_mat[0, 0], 1.0 if k == 2 else 2.0, fq)
-                    _reflect_hat(what, two_s0_e0, out=fq)
+                    # the step is a temporary: a name bound to it would keep
+                    # what and chi_hat alive past their del below
+                    c = 1.0 if k == 2 else 2.0
+                    _reflect_hat(
+                        what, two_s0_e0, fq, partial(_r_q_band, jq, what, chi_hat, delta, pin0, c)
+                    )
                 else:
                     # jq holds the transform of the last pinned flux
                     _gamma1_inverse(jq)

@@ -19,10 +19,11 @@ a forward FFT, from which the squared norm of gamma1(f) is summed by
 Parseval and which is left intact, and the projection with the inverse
 FFT. The reflection of the Eyre-Milton update, shift - 2 gamma1(r) + r,
 is formed in Fourier space on the transform of r with the same
-multiplier, followed by one inverse FFT. Each of the three forms
-conj(d) . f first, scales it by 1/|d|^2, then multiplies by d. These
-Fourier-space sweeps run over bands of rows, in band buffers made once
-per call, so their temporaries stay small.
+multiplier, followed by one inverse FFT; the caller may form each band
+of that transform in the same sweep, just before the band is reflected.
+Each of the three forms conj(d) . f first, scales it by 1/|d|^2, then
+multiplies by d. These Fourier-space sweeps run over bands of rows, in
+band buffers made once per call, so their temporaries stay small.
 
 An AugmentedField is a (Q, S, T) triple of VectorFields whose S and T
 slots vanish off the inclusion. Every local operator has the form
@@ -40,15 +41,16 @@ All arithmetic is complex double precision. Reductions (means, norms)
 run row-wise with a pairwise sum and combine rows with an exactly
 rounded sum, so results are deterministic for a fixed grid, whatever
 the CPU count. When a field component has at least _THREAD_PIXELS
-pixels and the process may run on two CPUs, the FFT pair, the
+pixels and the process may run on two CPUs, the FFT pair and the
 Fourier-space sweeps (the Parseval sum, the reflection and the
-projection of gamma1) and the slot kernel split across the calling
-thread and one worker thread (:func:`_split`): one component, or one
-half of the row bands, each. The solvers split the real-space stretch of
-an iteration the same way, one component per thread, with the gathers,
-scatters, slot sums and compensated totals here. Each thread does the
-unsplit arithmetic on its part, so the bits do not change. What runs on
-the worker does not split again.
+projection of gamma1) split across the calling thread and one worker
+thread (:func:`_split`): one component, or one half of the row bands,
+each. The solvers split the real-space stretch of an iteration the same
+way, one component per thread, with the gathers, scatters, slot sums and
+compensated totals here. The public operators and the sigma* read-out
+run on the calling thread alone. Each thread does the unsplit arithmetic
+on its part, so the bits do not change. What runs on the worker does not
+split again.
 """
 
 from __future__ import annotations
@@ -452,17 +454,22 @@ def _gamma1_sqnorm(data: np.ndarray, work: np.ndarray | None = None) -> float:
     return _combine_rows(rows) * _gamma1_scale**2 / (ny * nx)
 
 
-def _reflect_hat(rh: np.ndarray, shift: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _reflect_hat(rh: np.ndarray, shift: np.ndarray, out: np.ndarray, first=None) -> np.ndarray:
     """The reflection shift - 2 gamma1(r) + r of the Eyre-Milton update, in Fourier space.
 
     In place on the FFT ``rh`` of r, band by band, with the multiplier of
     gamma1; ``shift`` is a constant 2-vector, so it enters the zero mode
-    only. Returns the inverse FFT of the result in ``out``.
+    only. Returns the inverse FFT of the result in ``out``. ``first``, if
+    given, is called as first(rows, tmp) on each row band before it is
+    reflected, on the thread that reflects it, to form those rows of
+    ``rh``; ``tmp`` is a band buffer it may overwrite.
     """
     ny, nx = rh.shape[-2], rh.shape[-1]
     g = _green_table(ny, nx)
 
     def reflect(band, dot, tmp):
+        if first is not None:
+            first(band, tmp)
         _times(dot, g.conj_d[0], band, rh[0, band])
         dot += _times(tmp, g.conj_d[1], band, rh[1, band])
         dot *= g.inv_d2[band]
@@ -603,20 +610,6 @@ def _slot_matrix(p: tuple, on, off) -> np.ndarray:
     return on * pp + off * (np.eye(len(p)) - pp)
 
 
-def _apply_slots(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_j m[i, j] x[j] for each slot i of packed (len(m), 2, npix) slots, as a new array.
-
-    On a split each thread sums one component.
-    """
-    out = np.empty_like(x)
-    tmp = np.empty_like(x[0]) if len(m) > 1 else None
-    if len(m) == 1 or _split(
-        x.shape[-1], _slot_sums, *((m, x[:, c], out[:, c], tmp[c]) for c in range(2))
-    ) is None:
-        _slot_sums(m, x, out, tmp)
-    return out
-
-
 def _slot_sums(m, x, out, tmp):
     """out[i] = sum_j m[i, j] x[j] on packed slots, into the caller's ``out``.
 
@@ -641,7 +634,8 @@ def _local_arrays(slots: tuple, chi, p: tuple, on, off) -> tuple:
     x = np.empty((len(slots), 2, support.size), dtype=np.result_type(*slots))
     for s, xs in zip(slots, x):
         _pack(s, support, out=xs)
-    y = _apply_slots(_slot_matrix(p, on, off), x)
+    y = np.empty_like(x)
+    _slot_sums(_slot_matrix(p, on, off), x, y, np.empty_like(x[0]) if len(p) > 1 else None)
     q_out = np.multiply(slots[0], complex(off), order="C")
     _scatter(q_out, support, y[0])
     return (q_out, *(_unpack(ys, support, chi.shape) for ys in y[1:]))

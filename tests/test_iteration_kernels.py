@@ -11,6 +11,7 @@ import os
 import threading
 import tracemalloc
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +37,8 @@ from fftcond import (
     solve,
     solve_p,
 )
-from fftcond.solvers import TerminationStatus, _apply_A_arrays, _r_hat
+from fftcond.solvers import TerminationStatus, _apply_A_arrays, _r_q_band
 from fftcond.spectral_ops import (
-    _apply_slots,
     _compensated_total,
     _fft2,
     _gamma1_arr,
@@ -117,6 +117,30 @@ class TestBands:
         assert np.array_equal(w1, w2) and np.array_equal(h1, h2)
         assert g1.tobytes() == g2.tobytes()
 
+    @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_band_size_leaves_solve_bits(self, monkeypatch, scheme, split):
+        # bands of one row: the reflection forms r_Q band by band, and only
+        # the first band, which holds the zero mode, undoes the mean pin there
+        if split:
+            force_split(monkeypatch)
+        cfg = SolverConfig(
+            scheme=scheme,
+            sigma1=0.7 + 0.4j,
+            interval=BENCH if scheme.substituted else None,
+            e0=(0.6, 0.8),
+            tol=1e-10,
+            max_iters=60,
+        )
+        pmap = build_disk_array(32, 0.35)
+        one_band = solve(pmap, cfg)
+        monkeypatch.setattr(spectral_ops, "_BAND_SIZE", 48)
+        rows = solve(pmap, cfg)
+        assert rows.status is one_band.status
+        assert rows.history.records == one_band.history.records
+        assert rows.E_field.data.tobytes() == one_band.E_field.data.tobytes()
+        assert rows.J_field.data.tobytes() == one_band.J_field.data.tobytes()
+
 
 class TestFourierReflection:
     """The accelerated update in Fourier space: the reflection and its input r_Q."""
@@ -160,10 +184,28 @@ class TestFourierReflection:
     def _assert_close(got, expected):
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
+    def _check_fused(self, monkeypatch, pmap, j_q, what, r_q, p, t, sigma0, c, e0):
+        """The reflection with r_Q formed in its sweep, against r_Q built in real space.
+
+        ``j_q`` is the unpinned flux, ``what`` the FFT of w_Q and ``r_q``
+        the expected r_Q. One band, then bands of 3 rows, of which only
+        the first holds the zero mode.
+        """
+        shift = 2.0 * sigma0 * np.array(e0, dtype=np.complex128)
+        expected = shift[:, None, None] - 2.0 * _gamma1_arr(r_q) + r_q
+        for band_size in (1 << 16, 48):
+            monkeypatch.setattr(spectral_ops, "_BAND_SIZE", band_size)
+            jh, pin0 = self._pinned_transform(j_q, pmap, p, t)
+            rh = what.copy()
+            step = partial(_r_q_band, jh, rh, np.fft.fft2(pmap.chi), self.DELTA, pin0, c)
+            out = np.empty_like(jh)
+            assert _reflect_hat(rh, shift, out, step) is out
+            self._assert_close(out, expected)
+
     @pytest.mark.parametrize("pmap", PMAPS)
     @pytest.mark.parametrize("substituted", [False, True], ids=["one_slot", "three_slots"])
     @pytest.mark.parametrize("sigma1", [2.0, 0.7 + 0.4j, 10.0])
-    def test_r_hat_is_transform_of_shifted_flux(self, pmap, substituted, sigma1):
+    def test_fused_reflection_of_shifted_flux(self, monkeypatch, pmap, substituted, sigma1):
         # r_Q = ((A - sigma0 I) F_raw)_Q with F_raw = (A + sigma0 I)^-1 D w
         rng = np.random.default_rng(22)
         p, t, sigma0 = self._problem(substituted, sigma1)
@@ -175,17 +217,14 @@ class TestFourierReflection:
         d_w = [w[0]] + [-s for s in w[1:2]] + w[2:]
         f = _local_arrays(tuple(d_w), chi, p, *_shifted_inverse_coefs(t, sigma0))
         j = _local_arrays(f, chi, p, t, 1.0)
-        direct = np.fft.fft2(j[0] - sigma0 * f[0], axes=(-2, -1))
-        jh, pin0 = self._pinned_transform(j[0], pmap, p, t)
         what = np.fft.fft2(w[0], axes=(-2, -1))
-        chi_hat = np.fft.fft2(chi)
-        got = _r_hat(jh, what, chi_hat, self.DELTA, pin0, 2.0, np.empty_like(jh))
-        self._assert_close(got, direct)
+        r_q = j[0] - sigma0 * f[0]
+        self._check_fused(monkeypatch, pmap, j[0], what, r_q, p, t, sigma0, 2.0, (0.6, 0.8))
 
     @pytest.mark.parametrize("pmap", PMAPS)
     @pytest.mark.parametrize("substituted", [False, True], ids=["one_slot", "three_slots"])
     @pytest.mark.parametrize("e0", [(1.0, 0.0), (0.3, 0.8 - 0.2j)])
-    def test_r_hat_at_the_start(self, pmap, substituted, e0):
+    def test_fused_reflection_at_the_start(self, monkeypatch, pmap, substituted, e0):
         # F = e0 in the Q slot: r_Q = J_raw - sigma0 e0, from the start value of w_Q
         p, t, sigma0 = self._problem(substituted, 0.7 + 0.4j)
         chi = pmap.chi
@@ -193,12 +232,10 @@ class TestFourierReflection:
         f_q = np.broadcast_to(e0v[:, None, None], (2, *chi.shape))
         zero = np.zeros_like(f_q)
         j = _local_arrays((f_q, *(zero for _ in p[1:])), chi, p, t, 1.0)
-        direct = np.fft.fft2(j[0] - sigma0 * f_q, axes=(-2, -1))
-        jh, pin0 = self._pinned_transform(j[0], pmap, p, t)
-        what = np.zeros_like(jh)
+        what = np.zeros((2, *chi.shape), dtype=np.complex128)
         what[:, 0, 0] = sigma0 * e0v * chi.size
-        got = _r_hat(jh, what, np.fft.fft2(chi), self.DELTA, pin0, 1.0, np.empty_like(jh))
-        self._assert_close(got, direct)
+        r_q = j[0] - sigma0 * f_q
+        self._check_fused(monkeypatch, pmap, j[0], what, r_q, p, t, sigma0, 1.0, e0)
 
 
 def _dense_chi_u(q, s, t_arr, params, chi):
@@ -341,10 +378,10 @@ class TestCallerBuffers:
         p = (params.p1, params.p2, params.p3) if slots == 3 else (1.0,)
         m = _slot_matrix(p, 0.7 + 0.4j, 1.3)
         x = random_complex(np.random.default_rng(23), (slots, 2, 40))
-        expected = _apply_slots(m, x)
-        out, tmp = np.empty_like(x), np.empty_like(x[0])
-        _slot_sums(m, x, out, tmp)
-        assert out.tobytes() == expected.tobytes()
+        expected = np.empty_like(x)
+        _slot_sums(m, x, expected, np.empty_like(x[0]))
+        dense = np.einsum("ij,jcm->icm", m, x)
+        assert np.max(np.abs(expected - dense)) <= 1e-15 * np.max(np.abs(dense))
         for c in range(2):
             out, tmp = np.empty_like(x[:, c:c + 1]), np.empty_like(x[0, c:c + 1])
             _slot_sums(m, x[:, c:c + 1], out, tmp)
@@ -394,7 +431,9 @@ class TestWorkingSet:
         slots = 3 if scheme.substituted else 1
         grid = 2 * n * n * 16
         packed = 2 * np.count_nonzero(pmap.chi) * 16
-        # fq and jq, with what and chi_hat when accelerated; x, y and the scratch
+        # fq and jq, with what and chi_hat when accelerated; x, y and the
+        # scratch. r_Q takes no grid of its own: the reflection forms it
+        # band by band in its own band buffers
         loop = (7 * grid // 2 if scheme.accelerated else 2 * grid) + (2 * slots + 1) * packed
         # E_field, J_field, the S and T grids of aug_field, and x
         result = (1 + slots) * grid + slots * packed
@@ -590,7 +629,9 @@ class TestSlotMatrix:
     @staticmethod
     def _one_slot(on, off):
         x = random_complex(np.random.default_rng(17), (1, 2, 64))
-        return _apply_slots(_slot_matrix((1.0,), on, off), x), x
+        out = np.empty_like(x)
+        _slot_sums(_slot_matrix((1.0,), on, off), x, out, None)
+        return out, x
 
     @pytest.mark.parametrize("sigma1", SIGMA1)
     def test_one_slot_A_multiplies_by_sigma1(self, sigma1):

@@ -554,6 +554,33 @@ class TestKellerDuality:
         assert fine <= coarse / 8
 
 
+class TestInvariance:
+    """Moving, mirroring or turning the raster, with e0 turned along, leaves
+    sigma* unchanged: a metamorphic check that needs no exact formula. On a
+    random raster it also exercises geometry that no builder makes."""
+
+    CHI = np.random.default_rng(31).random((32, 32)) < 0.3
+    # (name, raster, e0): chi[y, x], so a transpose or quarter turn maps
+    # the x direction to y
+    MOVES = [
+        ("roll", np.roll(CHI, (5, 11), axis=(0, 1)), (1.0, 0.0)),
+        ("transpose", CHI.T, (0.0, 1.0)),
+        ("x_flip", CHI[:, ::-1], (1.0, 0.0)),
+        ("rot90", np.rot90(CHI), (0.0, 1.0)),
+    ]
+
+    @pytest.mark.parametrize("sigma1", [2.0, 0.7 + 0.4j])
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_sigma_star_is_invariant(self, scheme, sigma1):
+        base = solve(PhaseMap(self.CHI), cfg_for(scheme, sigma1, tol=1e-12))
+        assert base.converged
+        for name, chi, e0 in self.MOVES:
+            moved = solve(PhaseMap(chi), cfg_for(scheme, sigma1, e0=e0, tol=1e-12))
+            assert moved.status is base.status, name
+            assert moved.iterations == base.iterations, name
+            assert abs(moved.sigma_star - base.sigma_star) <= 1e-14 * abs(base.sigma_star), name
+
+
 class TestDeterminism:
     def test_bit_identical_histories(self):
         pm = build_square_array(32, 0.5)
