@@ -164,8 +164,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if self.scheme.substituted and self.interval is None:
             raise IntervalError(
                 f"scheme {self.scheme.value} needs a spectral interval"

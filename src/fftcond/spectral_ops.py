@@ -43,14 +43,13 @@ rounded sum, so results are deterministic for a fixed grid, whatever
 the CPU count. When a field component has at least _THREAD_PIXELS
 pixels and the process may run on two CPUs, the FFT pair and the
 Fourier-space sweeps (the Parseval sum, the reflection and the
-projection of gamma1) split across the calling thread and one worker
-thread (:func:`_split`): one component, or one half of the row bands,
-each. The solvers split the real-space stretch of an iteration the same
-way, one component per thread, with the gathers, scatters, slot sums and
-compensated totals here. The public operators and the sigma* read-out
-run on the calling thread alone. Each thread does the unsplit arithmetic
-on its part, so the bits do not change. What runs on the worker does not
-split again.
+projection of gamma1) split across the calling thread and a thread
+started for the split (:func:`_split`): one component, or one half of
+the row bands, each. The solvers split the real-space stretch of an
+iteration the same way, one component per thread, with the gathers,
+scatters, slot sums and compensated totals here. The public operators
+and the sigma* read-out run on the calling thread alone. Each thread
+does the unsplit arithmetic on its part, so the bits do not change.
 """
 
 from __future__ import annotations
@@ -67,8 +66,6 @@ from .errors import DegenerateParamError, SupportError
 from .geometry import PhaseMap
 from .transform import SubstitutionParams
 
-# Test hook: scales the nonzero-mode multiplier of gamma1. Leave at 1.0.
-_gamma1_scale = 1.0
 # Pixels per row band of the Fourier-space sums and reflection, which
 # bounds their temporaries
 _BAND_SIZE = 1 << 16
@@ -85,9 +82,6 @@ _UFUNC_BUFSIZE = 1024
 # 10.3-13.0 ms at n = 512; a whole iteration at n = 256 was 20-28%
 # slower split.
 _THREAD_PIXELS = 1 << 18
-_pool = None
-_pool_lock = threading.Lock()
-_local = threading.local()
 
 
 def _cpus() -> int:
@@ -95,44 +89,6 @@ def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _worker():
-    """The one-worker thread pool of :func:`_split`, made on first use.
-
-    Imported here, not at module level: the import costs ~7 ms, which a
-    process that never splits should not pay.
-    """
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="fftcond", initializer=_mark_worker
-            )
-    return _pool
-
-
-def _mark_worker():
-    """Run by the pool's thread as it starts: marks it, for :func:`_split`'s check."""
-    _local.is_worker = True
-
-
-def _forget_pool():
-    """In a forked child: the pool's thread did not survive the fork, so make a new pool."""
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _with_errstate(err: dict, fn, args: tuple):
-    with np.errstate(**err):
-        return fn(*args)
 
 
 def _splits(npix: int) -> bool:
@@ -145,24 +101,34 @@ def _split(npix: int, fn, args0: tuple, args1: tuple):
 
     A pass splits when a field component has at least _THREAD_PIXELS
     pixels (``npix``) and the process may run on two CPUs; on None the
-    caller runs its whole pass itself. fn(*args1) runs on the pool's
-    worker under the caller's numpy error state, which is thread-local,
-    and fn(*args0) on the calling thread. The two calls must write
-    disjoint data. fn must not split again: the one worker would wait on
-    itself, so a split on the worker raises RuntimeError. An exception of
+    caller runs its whole pass itself. fn(*args1) runs on a thread
+    started here and joined before return, under the caller's numpy
+    error state, which is thread-local, and fn(*args0) on the calling
+    thread. The two calls must write disjoint data. An exception of
     either call is raised here, after both ended.
     """
     if not _splits(npix):
         return None
-    if getattr(_local, "is_worker", False):
-        raise RuntimeError("_split called on the pool's worker thread, which would wait on itself")
-    future = _worker().submit(_with_errstate, np.geterr(), fn, args1)
+    err = np.geterr()
+    second, error = [], []
+
+    def run():
+        try:
+            with np.errstate(**err):
+                second.append(fn(*args1))
+        except BaseException as exc:
+            error.append(exc)
+
+    worker = threading.Thread(target=run, name="fftcond")
+    worker.start()
     try:
         first = fn(*args0)
     finally:
         # wait even when this thread raised: the worker writes the caller's arrays
-        future.exception()
-    return first, future.result()
+        worker.join()
+    if error:
+        raise error.pop()
+    return first, second[0]
 
 
 def _compensated_total(values: np.ndarray) -> float:
@@ -416,8 +382,6 @@ def _gamma1_inverse(fh: np.ndarray) -> np.ndarray:
         _times(f1, g.conj_d[1], band)
         dot += f1
         dot *= g.inv_d2[band]
-        if _gamma1_scale != 1.0:
-            dot *= _gamma1_scale
         _times(f1, g.d[1], band, dot)
         _times(dot, g.d[0], band)
 
@@ -432,11 +396,11 @@ def _gamma1_arr(data: np.ndarray) -> np.ndarray:
 def _gamma1_sqnorm(data: np.ndarray, work: np.ndarray | None = None) -> float:
     """Sum over pixels of |gamma1(data)|^2, from the FFT of ``data`` alone.
 
-    By Parseval the sum is (1/N) sum_k |conj(d) . f(k)|^2 / |d|^2 times
-    the squared multiplier scale, so no inverse transform is needed. It is
-    formed band by band, and the transform is left intact: ``work``, if
-    given, is a buffer shaped like ``data``, or ``data`` itself, that
-    receives it, for :func:`_gamma1_inverse` or :func:`_reflect_hat`.
+    By Parseval the sum is (1/N) sum_k |conj(d) . f(k)|^2 / |d|^2, so no
+    inverse transform is needed. It is formed band by band, and the
+    transform is left intact: ``work``, if given, is a buffer shaped like
+    ``data``, or ``data`` itself, that receives it, for
+    :func:`_gamma1_inverse` or :func:`_reflect_hat`.
     """
     ny, nx = data.shape[-2], data.shape[-1]
     g = _green_table(ny, nx)
@@ -451,7 +415,7 @@ def _gamma1_sqnorm(data: np.ndarray, work: np.ndarray | None = None) -> float:
         return np.sum(power, axis=-1)
 
     rows = np.concatenate(_sweep(band_power, ny, nx, (np.complex128, np.complex128, np.float64)))
-    return _combine_rows(rows) * _gamma1_scale**2 / (ny * nx)
+    return _combine_rows(rows) / (ny * nx)
 
 
 def _reflect_hat(rh: np.ndarray, shift: np.ndarray, out: np.ndarray, first=None) -> np.ndarray:
@@ -473,7 +437,7 @@ def _reflect_hat(rh: np.ndarray, shift: np.ndarray, out: np.ndarray, first=None)
         _times(dot, g.conj_d[0], band, rh[0, band])
         dot += _times(tmp, g.conj_d[1], band, rh[1, band])
         dot *= g.inv_d2[band]
-        dot *= -2.0 * _gamma1_scale
+        dot *= -2.0
         rh[0, band] += _times(tmp, g.d[0], band, dot)
         rh[1, band] += _times(dot, g.d[1], band)
 

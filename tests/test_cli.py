@@ -1,6 +1,7 @@
 """Command-line front end: configs, artifacts, determinism, selftest."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -274,7 +275,14 @@ class TestSelftestCommand:
         assert "checks passed" in first
 
     def test_perturbed_projection_fails_named_invariant(self, monkeypatch):
-        monkeypatch.setattr(spectral_ops, "_gamma1_scale", 1.001)
+        # gamma1 scaled by 1.001 off the zero mode: no longer a projection
+        green_table = spectral_ops._green_table
+
+        def perturbed(ny, nx):
+            g = green_table(ny, nx)
+            return dataclasses.replace(g, inv_d2=1.001 * g.inv_d2)
+
+        monkeypatch.setattr(spectral_ops, "_green_table", perturbed)
         results = run_selftest()
         failed = [r.name for r in results if not r.passed]
         assert "gamma1_idempotent" in failed

@@ -69,9 +69,7 @@ def force_split(monkeypatch):
 
 class TestGamma1Sqnorm:
     @pytest.mark.parametrize("shape", [(16, 16), (16, 24)])
-    @pytest.mark.parametrize("scale", [1.0, 1.001])
-    def test_matches_real_space_sum(self, monkeypatch, shape, scale):
-        monkeypatch.setattr(spectral_ops, "_gamma1_scale", scale)
+    def test_matches_real_space_sum(self, shape):
         rng = np.random.default_rng(11)
         for _ in range(3):
             x = random_complex(rng, (2, *shape))
@@ -86,10 +84,8 @@ class TestGamma1Sqnorm:
         assert _gamma1_sqnorm(x, work) == _gamma1_sqnorm(x)
         assert np.array_equal(x, before)
 
-    @pytest.mark.parametrize("scale", [1.0, 1.001])
-    def test_inverse_half_finishes_gamma1_from_work(self, monkeypatch, scale):
+    def test_inverse_half_finishes_gamma1_from_work(self):
         # the basic update finishes gamma1(j) from the residual's transform
-        monkeypatch.setattr(spectral_ops, "_gamma1_scale", scale)
         x = random_complex(np.random.default_rng(13), (2, 16, 24))
         work = np.empty_like(x)
         _gamma1_sqnorm(x, work)
@@ -149,9 +145,7 @@ class TestFourierReflection:
     DELTA = np.array([0.3 - 0.2j, -1.1 + 0.4j])
 
     @pytest.mark.parametrize("shape", [(16, 16), (16, 24)])
-    @pytest.mark.parametrize("scale", [1.0, 1.001])
-    def test_reflection_matches_real_space(self, monkeypatch, shape, scale):
-        monkeypatch.setattr(spectral_ops, "_gamma1_scale", scale)
+    def test_reflection_matches_real_space(self, shape):
         rng = np.random.default_rng(21)
         shift = np.array([0.4 - 1.1j, 2.0 + 0.3j])
         for _ in range(3):
@@ -421,10 +415,8 @@ class TestWorkingSet:
         pmap = build_square_array(n, 0.5) if geometry == "square" else build_disk_array(n, 0.25)
         if split:
             # the two threads' half-size bands hold what one thread's bands
-            # do; the pool and its thread, made once per process, stay out
-            # of the peak
+            # do; each split's thread is started and joined inside the peak
             force_split(monkeypatch)
-            spectral_ops._worker().submit(int).result()
         # small bands, and a cached Green table, keep the sweeps out of the peak
         monkeypatch.setattr(spectral_ops, "_BAND_SIZE", 4096)
         spectral_ops._green_table(n, n)
@@ -473,18 +465,6 @@ class TestSplit:
         # the other half ran to its end before the exception reached the caller
         assert done == [1 - raising]
 
-    def test_split_on_the_worker_raises(self, monkeypatch):
-        # the one worker would wait on itself for the nested split
-        force_split(monkeypatch)
-
-        def nested(_):
-            return _split(1, divmod, (7, 2), (9, 4))
-
-        with pytest.raises(RuntimeError, match="worker"):
-            _split(1, nested, (0,), (1,))
-        # the pool still serves the calling thread
-        assert _split(1, divmod, (7, 2), (9, 4)) == ((3, 1), (2, 1))
-
     def test_hooked_names_run_on_the_calling_thread(self, monkeypatch):
         # perfbench wraps these names of fftcond.solvers in spans whose
         # stack is not thread-safe, so no worker may call them
@@ -516,7 +496,7 @@ class TestSplit:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_split_in_a_forked_child(self, monkeypatch):
-        # the child inherits the pool but not its thread
+        # the child inherits none of the parent's threads
         force_split(monkeypatch)
         assert _split(1, divmod, (7, 2), (9, 4)) == ((3, 1), (2, 1))
         ctx = multiprocessing.get_context("fork")
@@ -594,11 +574,8 @@ class TestSplit:
             ):
                 assert a.data.tobytes() == b.data.tobytes()
 
-    @pytest.mark.parametrize("scheme", list(SchemeKind))
-    def test_no_pool_below_the_threshold(self, monkeypatch, scheme):
-        # n = 128, the grid of the small benchmark workloads, stays on one thread
-        monkeypatch.setattr(spectral_ops, "_cpus", lambda: 2)
-        monkeypatch.setattr(spectral_ops, "_pool", None)
+    @staticmethod
+    def _three_iterations(scheme, n):
         cfg = SolverConfig(
             scheme=scheme,
             sigma1=2.0,
@@ -606,8 +583,35 @@ class TestSplit:
             tol=1e-300,
             max_iters=3,
         )
-        assert solve(build_square_array(128, 0.5), cfg).iterations == 3
-        assert spectral_ops._pool is None
+        assert solve(build_square_array(n, 0.5), cfg).iterations == 3
+
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_no_thread_below_the_threshold(self, monkeypatch, scheme):
+        # n = 128, the grid of the small benchmark workloads, stays on one thread
+        monkeypatch.setattr(spectral_ops, "_cpus", lambda: 2)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a pass below the threshold started a thread")
+
+        monkeypatch.setattr(spectral_ops.threading, "Thread", no_thread)
+        self._three_iterations(scheme, 128)
+
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_no_thread_outlives_a_split_solve(self, monkeypatch, scheme):
+        # every split joins the thread it started before it returns
+        force_split(monkeypatch)
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(spectral_ops.threading, "Thread", Recorded)
+        self._three_iterations(scheme, 32)
+        assert started and all(t.name == "fftcond" for t in started)
+        assert not any(t.is_alive() for t in started)
+        assert not [t for t in threading.enumerate() if t.name == "fftcond"]
 
     def test_worker_keeps_the_callers_error_state(self, monkeypatch):
         # solve ignores overflow while the iterate blows up; so must the worker

@@ -508,6 +508,16 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="tol"):
                 SolverConfig(scheme=SchemeKind.BASIC, sigma1=2.0, tol=tol)
 
+    @pytest.mark.parametrize("max_iters", [0, -3, 2.5, 3.0, "10"])
+    def test_bad_max_iters(self, max_iters):
+        # a float, even an integral one, would fail later inside range()
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverConfig(scheme=SchemeKind.BASIC, sigma1=2.0, max_iters=max_iters)
+
+    def test_numpy_integer_max_iters(self):
+        cfg = SolverConfig(scheme=SchemeKind.BASIC, sigma1=2.0, tol=1e-300, max_iters=np.int64(3))
+        assert solve(build_square_array(8, 0.5), cfg).iterations == 3
+
     @pytest.mark.parametrize("e0", [(0.0, 0.0), (1e-200, 0.0)], ids=["zero", "norm_underflows"])
     def test_zero_applied_field(self, e0):
         with pytest.raises(ContractError):

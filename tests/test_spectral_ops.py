@@ -1,5 +1,7 @@
 """Fourier projections and the augmented local operators."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -157,15 +159,21 @@ def test_sweeps_restore_the_ufunc_buffer_size(monkeypatch, split):
     if split:
         monkeypatch.setattr(spectral_ops, "_THREAD_PIXELS", 1)
         monkeypatch.setattr(spectral_ops, "_cpus", lambda: 2)
-    worker = spectral_ops._worker()
+    # bands of one row, so that each thread of a split sweeps some
+    monkeypatch.setattr(spectral_ops, "_BAND_SIZE", 2 * N)
+    seen = set()
+
+    def band_fn(band):
+        seen.add((threading.get_ident(), np.getbufsize()))
+
     old = np.setbufsize(4096)
     try:
-        before = worker.submit(np.getbufsize).result()
-        _gamma1_sqnorm(random_field(np.random.default_rng(3)).data)
+        spectral_ops._sweep(band_fn, N, N)
         assert np.getbufsize() == 4096
-        assert worker.submit(np.getbufsize).result() == before
     finally:
         np.setbufsize(old)
+    assert {size for _, size in seen} == {spectral_ops._UFUNC_BUFSIZE}
+    assert len(seen) == (2 if split else 1)
 
 
 class TestGamma0:

@@ -208,7 +208,7 @@ def green_report(sizes: list[int], repeats: int) -> dict:
                     ms[green][str(n)][scheme.value] = round(ms_per_iteration(scheme, n, repeats), 2)
                     peak[green][str(n)][scheme.value] = round(peak_mb(scheme, n), 1)
     return {
-        "cpus": len(os.sched_getaffinity(0)),
+        "cpus": spectral_ops._cpus(),
         "convergence": rows,
         "ms_per_iteration": ms,
         "peak_mb": peak,
@@ -233,7 +233,7 @@ def main(argv=None) -> int:
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
         print(json.dumps({"ms_per_iteration": ms_table(args.sizes, args.repeats)}))
         return 0
-    report = {"cpus": len(os.sched_getaffinity(0)), "ffts_per_iteration": {}}
+    report = {"cpus": spectral_ops._cpus(), "ffts_per_iteration": {}}
     for scheme in SchemeKind:
         report["ffts_per_iteration"][scheme.value] = ffts_per_iteration(scheme)
     report["ms_per_iteration"] = ms_table(args.sizes, args.repeats)
