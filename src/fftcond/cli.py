@@ -411,6 +411,9 @@ def cmd_contours(config_path: Path, overrides: list[str]) -> int:
         raise ConfigError("[scheme] contours needs a single scheme name")
     if not cfg.contours:
         raise ConfigError("contours needs a [contours] section")
+    path = _out_path(cfg, "grid_csv")
+    if path is None:
+        raise ConfigError("[output] contours needs grid_csv")
     scheme = _SCHEME_NAMES[cfg.scheme["name"]]
     win = cfg.contours
     grid: RateGrid = rate_contours(
@@ -419,9 +422,6 @@ def cmd_contours(config_path: Path, overrides: list[str]) -> int:
         (win["re_min"], win["re_max"], win["im_min"], win["im_max"]),
         (win["nr"], win["ni"]),
     )
-    path = _out_path(cfg, "grid_csv")
-    if path is None:
-        raise ConfigError("[output] contours needs grid_csv")
     with open(path, "w", newline="\n") as fh:
         fh.write("re,im,abs_z,flag\n")
         for re, im, value, flagged in grid.iter_samples():

@@ -36,12 +36,13 @@ r_Q just before reflecting it, and one inverse FFT returns w_Q to real
 space for the local inverse. sigma* is read off the flux of the local
 operator A in every path.
 
-A solve allocates its working set once: the full-grid Q slot of the
-field and the pinned flux, with the FFTs of w_Q and of chi when
-accelerated; the slot arrays x = F and y = A F on the inclusion pixels,
-where the accelerated update also forms w; and one packed scratch of one
-slot. Inside the loop only band-sized temporaries of the Fourier sweeps
-and the residual's |js|^2 are allocated.
+A solve allocates its working set once, and nothing after its loop: the
+full-grid Q slot of the field and the pinned flux, with the FFTs of w_Q
+and of chi when accelerated; the slot arrays x = F and y = A F on the
+inclusion pixels, where the accelerated update also forms w; and one
+packed scratch of one slot. The loop allocates only band-sized Fourier
+temporaries and the residual's |js|^2. The result keeps the field, the
+flux and x; ``aug_field`` unpacks S and T into full grids on first read.
 
 On grids of at least 2^18 pixels per component, with two CPUs to run
 on, the FFT pair and the Fourier-space sweeps (the Parseval sum, the
@@ -63,9 +64,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -162,14 +164,14 @@ class SolverConfig:
     sigma0_override: complex | None = None
 
     def __post_init__(self):
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if not (isinstance(self.tol, numbers.Real) and self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if self.scheme.substituted and self.interval is None:
-            raise IntervalError(
-                f"scheme {self.scheme.value} needs a spectral interval"
-            )
+            raise IntervalError(f"scheme {self.scheme.value} needs a spectral interval")
+        if np.shape(self.e0) != (2,):
+            raise ValueError(f"e0 must be a pair of numbers, got {self.e0!r}")
         _e0_vector(self.e0)
 
 
@@ -194,7 +196,17 @@ class SolveResult:
     history: ConvergenceHistory
     status: TerminationStatus
     degenerate_flux: bool = False
-    aug_field: AugmentedField | None = None  # final iterate of substituted runs
+    # support and the packed S and T slots of a substituted run
+    _packed: tuple | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def aug_field(self) -> AugmentedField | None:
+        """Final iterate of a substituted run, its S and T grids built on first read."""
+        if self._packed is None:
+            return None
+        support, st = self._packed
+        shape = self.E_field.grid_shape
+        return AugmentedField(self.E_field, *(VectorField(_unpack(s, support, shape)) for s in st))
 
     @property
     def iterations(self) -> int:
@@ -483,8 +495,6 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
         for k in range(1, cfg.max_iters + 1):
             if k > 1:
                 if accelerated:
-                    # the step is a temporary: a name bound to it would keep
-                    # what and chi_hat alive past their del below
                     c = 1.0 if k == 2 else 2.0
                     _reflect_hat(
                         what, two_s0_e0, fq, partial(_r_q_band, jq, what, chi_hat, delta, pin0, c)
@@ -508,10 +518,6 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     # the residual left jq in Fourier space: rebuild it, bit for bit
     jq[...] = fq
     _scatter(jq, support, np.add(y[0], pin_delta[0], out=scratch))
-    # drop the work arrays before the result's S and T grids are built
-    del y, scratch, js
-    if accelerated:
-        del what, chi_hat
     return SolveResult(
         sigma_star=sigma_star,
         E_field=VectorField(fq),
@@ -519,7 +525,5 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
         history=mon.history,
         status=mon.status,
         degenerate_flux=mon.degenerate_flux,
-        aug_field=AugmentedField(
-            VectorField(fq), *(VectorField(_unpack(s, support, chi.shape)) for s in x[1:])
-        ) if cfg.scheme.substituted else None,
+        _packed=(support, x[1:]) if cfg.scheme.substituted else None,
     )

@@ -140,26 +140,23 @@ def _compensated_total(values: np.ndarray) -> float:
 
 
 def _combine_rows(rows: np.ndarray) -> float:
-    """Exactly rounded total of row sums."""
-    if not np.all(np.isfinite(rows)):
-        return float(np.sum(rows))  # propagate inf/nan instead of fsum overflow
-    return math.fsum(rows.tolist())
+    """Exactly rounded total of row sums; non-finite if a row is or the total overflows."""
+    try:
+        return math.fsum(rows.tolist())
+    except (OverflowError, ValueError):  # fsum raises on a total past range, and on inf - inf
+        return float(np.sum(rows))
 
 
 def _compensated_ctotal(values: np.ndarray) -> complex:
     if np.iscomplexobj(values):
-        return complex(
-            _compensated_total(values.real), _compensated_total(values.imag)
-        )
+        return complex(_compensated_total(values.real), _compensated_total(values.imag))
     return complex(_compensated_total(values), 0.0)
 
 
 def _mean_vec(data: np.ndarray) -> np.ndarray:
     """Compensated per-component mean of a (2, ny, nx) array."""
     npix = data.shape[-1] * data.shape[-2]
-    return np.array(
-        [_compensated_ctotal(data[0]) / npix, _compensated_ctotal(data[1]) / npix]
-    )
+    return np.array([_compensated_ctotal(data[0]) / npix, _compensated_ctotal(data[1]) / npix])
 
 
 @dataclass
@@ -513,9 +510,7 @@ def norm_aug(f: AugmentedField, pmap: PhaseMap) -> float:
     chi = pmap.chi
     npix = chi.size
     total = _compensated_total(np.abs(f.Q.data) ** 2)
-    total += _compensated_total(
-        (np.abs(f.S.data) ** 2 + np.abs(f.T.data) ** 2) * chi
-    )
+    total += _compensated_total((np.abs(f.S.data) ** 2 + np.abs(f.T.data) ** 2) * chi)
     return math.sqrt(total / npix)
 
 

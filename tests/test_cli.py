@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import fftcond.cli as cli
 import fftcond.spectral_ops as spectral_ops
 from fftcond.cli import main
 from fftcond.selftest import format_report, run_selftest
@@ -255,6 +256,14 @@ class TestContoursCommand:
 
     def test_zero_resolution_rejected(self, tmp_path):
         cfg = write_config(tmp_path, CONTOURS_CFG.replace("nr = 3", "nr = 0"))
+        assert main(["contours", str(cfg)]) == 2
+
+    def test_output_path_checked_before_the_window(self, tmp_path, monkeypatch):
+        def no_window(*args, **kwargs):
+            raise AssertionError("contours evaluated the window without an output path")
+
+        monkeypatch.setattr(cli, "rate_contours", no_window)
+        cfg = write_config(tmp_path, CONTOURS_CFG.replace("grid_csv = grid.csv", ""))
         assert main(["contours", str(cfg)]) == 2
 
     def test_requires_contours_section(self, tmp_path):

@@ -384,10 +384,10 @@ class TestCallerBuffers:
 
 class TestWorkingSet:
     """A solve allocates its working set once: its tracemalloc peak is the
-    larger of the loop's live set and the result's arrays, plus one packed
-    slot of slack. The slack covers the support indices, a quarter of a
-    packed slot, and the largest transient, half of one: the residual's
-    |js|^2."""
+    loop's live set plus one packed slot of slack. The slack covers the
+    support indices, a quarter of a packed slot, and the largest transient,
+    half of one: the residual's |js|^2. The result takes fq, jq and x as
+    they are, and builds no grid of its own."""
 
     @staticmethod
     def _peak(pmap, scheme, iters):
@@ -427,10 +427,8 @@ class TestWorkingSet:
         # scratch. r_Q takes no grid of its own: the reflection forms it
         # band by band in its own band buffers
         loop = (7 * grid // 2 if scheme.accelerated else 2 * grid) + (2 * slots + 1) * packed
-        # E_field, J_field, the S and T grids of aug_field, and x
-        result = (1 + slots) * grid + slots * packed
         peak = self._peak(pmap, scheme, 6)
-        assert peak <= max(loop, result) + packed
+        assert peak <= loop + packed
         # nothing accumulates per iteration; 16 KiB covers six more history records
         assert self._peak(pmap, scheme, 12) <= peak + 16 * 1024
 
@@ -573,6 +571,21 @@ class TestSplit:
                 (split.aug_field.S, split.aug_field.T), (unsplit.aug_field.S, unsplit.aug_field.T)
             ):
                 assert a.data.tobytes() == b.data.tobytes()
+
+    @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+    @pytest.mark.parametrize("scheme", [SchemeKind.BASIC_SUB, SchemeKind.EYRE_MILTON_SUB])
+    def test_aug_field_built_on_first_read(self, monkeypatch, scheme, split):
+        if split:
+            force_split(monkeypatch)
+        pmap = build_disk_array(32, 0.25)
+        cfg = SolverConfig(scheme=scheme, sigma1=0.7 + 0.4j, interval=BENCH, max_iters=20)
+        r = solve(pmap, cfg)
+        aug = r.aug_field
+        assert r.aug_field is aug
+        assert aug.Q is r.E_field
+        assert np.any(aug.S.data[:, pmap.chi])
+        for slot in (aug.S, aug.T):
+            assert not np.any(slot.data[:, ~pmap.chi])
 
     @staticmethod
     def _three_iterations(scheme, n):

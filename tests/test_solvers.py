@@ -504,9 +504,14 @@ class TestConfigValidation:
             SolverConfig(scheme=SchemeKind.EYRE_MILTON_SUB, sigma1=2.0)
 
     def test_bad_tolerance(self):
-        for tol in (0.0, math.inf, math.nan):
+        for tol in (0.0, math.inf, math.nan, "1e-8", None, 1e-8j):
             with pytest.raises(ValueError, match="tol"):
                 SolverConfig(scheme=SchemeKind.BASIC, sigma1=2.0, tol=tol)
+
+    @pytest.mark.parametrize("e0", [(1.0,), (1.0, 0.0, 0.0), 1.0, ((1.0, 0.0),)])
+    def test_applied_field_not_a_pair(self, e0):
+        with pytest.raises(ValueError, match="e0"):
+            SolverConfig(scheme=SchemeKind.BASIC, sigma1=2.0, e0=e0)
 
     @pytest.mark.parametrize("max_iters", [0, -3, 2.5, 3.0, "10"])
     def test_bad_max_iters(self, max_iters):

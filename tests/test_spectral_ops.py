@@ -1,5 +1,6 @@
 """Fourier projections and the augmented local operators."""
 
+import cmath
 import threading
 
 import numpy as np
@@ -15,6 +16,7 @@ from fftcond import (
     apply_chi_aug,
     apply_local_A,
     build_square_array,
+    equilibrium_residual,
     gamma0,
     gamma0_aug,
     gamma1,
@@ -408,3 +410,28 @@ class TestDeterminism:
         a = gamma1(f).data
         b = gamma1(VectorField(f.data.copy())).data
         assert np.array_equal(a, b)
+
+
+class TestReductionOverflow:
+    def test_finite_data_whose_total_overflows(self):
+        # every row sum is finite, but the total is not: fsum would raise
+        pmap = build_square_array(4, 0.5)
+        big = VectorField(np.full((2, 4, 4), 5e153 + 0j))
+        aug = AugmentedField(big, *2 * (VectorField(np.where(pmap.chi, big.data, 0.0)),))
+        huge = VectorField(np.full((2, 4, 4), 3e307 + 0j))
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = [
+                norm(big),
+                inner(big, big),
+                norm_aug(aug, pmap),
+                inner_aug(aug, aug, pmap),
+                *huge.mean(),
+                equilibrium_residual(huge),
+            ]
+        assert not any(cmath.isfinite(v) for v in values)
+
+    def test_opposite_infinities(self):
+        data = np.zeros((2, 4, 4), dtype=complex)
+        data[0, 0, 0], data[0, 3, 3] = np.inf, -np.inf
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(VectorField(data).mean()[0].real)
