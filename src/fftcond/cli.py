@@ -90,6 +90,13 @@ def _parse_number(section: str, key: str, raw: str, kind):
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a valid {kind.__name__}") from None
 
 
+def _parse_finite(section: str, key: str, raw: str) -> float:
+    value = _parse_number(section, key, raw, float)
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} must be finite, got {value}")
+    return value
+
+
 def parse_config(path: Path, overrides: list[str] = ()) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -167,8 +174,8 @@ def _validate_physics(raw: dict) -> dict:
     if "sigma1_re" not in raw:
         raise ConfigError("[physics] needs sigma1_re")
     return {
-        "sigma1_re": _parse_number("physics", "sigma1_re", raw["sigma1_re"], float),
-        "sigma1_im": _parse_number("physics", "sigma1_im", raw.get("sigma1_im", "0"), float),
+        "sigma1_re": _parse_finite("physics", "sigma1_re", raw["sigma1_re"]),
+        "sigma1_im": _parse_finite("physics", "sigma1_im", raw.get("sigma1_im", "0")),
     }
 
 
@@ -207,8 +214,8 @@ def _validate_scheme(raw: dict) -> dict:
     if out["max_iters"] < 1:
         raise ConfigError("[scheme] max_iters must be >= 1")
     if "sigma0_re" in raw or "sigma0_im" in raw:
-        out["sigma0_re"] = _parse_number("scheme", "sigma0_re", raw.get("sigma0_re", "0"), float)
-        out["sigma0_im"] = _parse_number("scheme", "sigma0_im", raw.get("sigma0_im", "0"), float)
+        out["sigma0_re"] = _parse_finite("scheme", "sigma0_re", raw.get("sigma0_re", "0"))
+        out["sigma0_im"] = _parse_finite("scheme", "sigma0_im", raw.get("sigma0_im", "0"))
     return out
 
 

@@ -21,11 +21,11 @@ four converge to the same discrete solution.
 
 All four record the same residual, the one :func:`equilibrium_residual`
 and :func:`equilibrium_residual_aug` compute: |gamma1 J_Q|^2 is summed by
-Parseval from the FFT of the mean-pinned flux, taken in place, and
-J_field is rebuilt in real space after the loop. Each iteration takes one
-forward and one inverse 2-D FFT of a vector field. The basic schemes
-finish gamma1(J_Q) from the flux transform for their next update. The
-accelerated ones keep the Q slot of w in Fourier space: since
+Parseval from the FFT of the mean-pinned flux, taken in place when
+complex, after which J_field is rebuilt in real space. Each iteration
+takes one forward and one inverse 2-D FFT of a vector field. The basic
+schemes finish gamma1(J_Q) from the flux transform for their next
+update. The accelerated ones keep the Q slot of w in Fourier space: since
 F = (A + sigma0 I)^-1 D w, with D the S sign flip,
 r = (A - sigma0 I) F = 2 A F - D w has Q slot r_Q = 2 J_Q - w_Q, so the
 flux transform yields r_Q with no transform of its own. The mean pin
@@ -36,13 +36,27 @@ r_Q just before reflecting it, and one inverse FFT returns w_Q to real
 space for the local inverse. sigma* is read off the flux of the local
 operator A in every path.
 
+The loop runs in real arithmetic when t, sigma0 and e0 are real and the
+Green table maps real fields to real fields, as the rotated one does and
+the spectral reference does not (``spectral_ops._field_dtype``): its
+fields, slots and scalars are float64, its transforms half spectra, and
+the slots past Q are stored divided by i. Each slot matrix M then acts
+as diag(1, -i, -i) M diag(1, i, i), which is real because p1 is real and
+p2 and p3 are imaginary. Otherwise the same loop runs in complex
+arithmetic. The public residuals take the real path on a field whose
+imaginary part is 0, so they repeat the residual a real solve records.
+
 A solve allocates its working set once, and nothing after its loop: the
 full-grid Q slot of the field and the pinned flux, with the FFTs of w_Q
-and of chi when accelerated; the slot arrays x = F and y = A F on the
+and of chi when accelerated, and on the real path the flux transform,
+a half spectrum of its own; the slot arrays x = F and y = A F on the
 inclusion pixels, where the accelerated update also forms w; and one
 packed scratch of one slot. The loop allocates only band-sized Fourier
-temporaries and the residual's |js|^2. The result keeps the field, the
-flux and x; ``aug_field`` unpacks S and T into full grids on first read.
+temporaries, the residual's |js|^2 and, on the real path, the copy of
+its input that the inverse real FFT holds. The result keeps the field,
+the flux and x: ``E_field`` and ``J_field`` wrap the grids on first
+read, complex copies on the real path, and ``aug_field`` unpacks S and T
+into full grids, times i on the real path, on first read.
 
 On grids of at least 2^18 pixels per component, with two CPUs to run
 on, the FFT pair and the Fourier-space sweeps (the Parseval sum, the
@@ -78,12 +92,16 @@ from .spectral_ops import (
     VectorField,
     _compensated_ctotal,
     _compensated_total,
+    _fft2,
+    _field_dtype,
     _gamma1_arr,  # unused here; perfbench/hooks.py wraps this name in this module
     _gamma1_inverse,
     _gamma1_sqnorm,
     _local_arrays,
     _mean_vec,
     _pack,
+    _per_pixel,
+    _real_if_allowed,
     _reflect_hat,
     _scatter,
     _shifted_inverse_coefs,
@@ -92,7 +110,6 @@ from .spectral_ops import (
     _split,
     _unpack,
     apply_local_A,
-    gamma0_aug,
 )
 from .transform import (
     SchemeKind,
@@ -170,9 +187,20 @@ class SolverConfig:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if self.scheme.substituted and self.interval is None:
             raise IntervalError(f"scheme {self.scheme.value} needs a spectral interval")
+        _require_finite("sigma1", self.sigma1)
+        if self.sigma0_override is not None:
+            _require_finite("sigma0_override", self.sigma0_override)
         if np.shape(self.e0) != (2,):
             raise ValueError(f"e0 must be a pair of numbers, got {self.e0!r}")
+        for entry in self.e0:
+            _require_finite("e0", entry)
         _e0_vector(self.e0)
+
+
+def _require_finite(name: str, value):
+    """ValueError naming ``name`` unless ``value`` is a finite real or complex number."""
+    if not (isinstance(value, numbers.Number) and cmath.isfinite(complex(value))):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _e0_vector(e0) -> np.ndarray:
@@ -190,14 +218,29 @@ def _along(e0v: np.ndarray, jmean: np.ndarray) -> complex:
 
 @dataclass
 class SolveResult:
+    """How a solve ended, with its fields built on first read from the loop's arrays.
+
+    ``_grids`` holds the full-grid Q slots of the field and of the flux,
+    float64 on the real path; ``_packed`` holds, for a substituted run,
+    the support and the packed S and T slots, there S/i and T/i.
+    """
+
     sigma_star: complex
-    E_field: VectorField
-    J_field: VectorField
     history: ConvergenceHistory
     status: TerminationStatus
     degenerate_flux: bool = False
-    # support and the packed S and T slots of a substituted run
+    _grids: tuple = field(default=(), repr=False, compare=False)
     _packed: tuple | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def E_field(self) -> VectorField:
+        """Final electric field; wraps the loop's array when complex."""
+        return VectorField(self._grids[0])
+
+    @cached_property
+    def J_field(self) -> VectorField:
+        """Final flux, with the mean pin of E_field; wraps the loop's array when complex."""
+        return VectorField(self._grids[1])
 
     @cached_property
     def aug_field(self) -> AugmentedField | None:
@@ -205,6 +248,8 @@ class SolveResult:
         if self._packed is None:
             return None
         support, st = self._packed
+        if not np.iscomplexobj(st):
+            st = st * 1j
         shape = self.E_field.grid_shape
         return AugmentedField(self.E_field, *(VectorField(_unpack(s, support, shape)) for s in st))
 
@@ -273,12 +318,14 @@ def _residual(jq: np.ndarray, js: np.ndarray, jmean: np.ndarray, work=None) -> f
 
 def equilibrium_residual(j: VectorField) -> float:
     """Norm of the curl-free part of the flux over the norm of its mean."""
-    return _residual(j.data, np.empty(0), _mean_vec(j.data))
+    data = _real_if_allowed(j.data)
+    return _residual(data, np.empty(0), _mean_vec(data))
 
 
 def equilibrium_residual_aug(jaug: AugmentedField, pmap: PhaseMap) -> float:
     """Augmented-space analogue: gradient-type part over constant part."""
-    return _residual(jaug.Q.data, jaug.S.data[:, pmap.chi], gamma0_aug(jaug))
+    q = _real_if_allowed(jaug.Q.data)
+    return _residual(q, jaug.S.data[:, pmap.chi], _mean_vec(q))
 
 
 def estimate_rate(history: ConvergenceHistory, window: int) -> float:
@@ -357,7 +404,7 @@ class _Monitor:
         self.status = TerminationStatus.DIVERGED
 
 
-def _r_q_band(jh, what, chi_hat, delta, pin0, c, band, tmp):
+def _r_q_band(jh, what, chi_hat, delta, pin0, c, npix, band, tmp):
     """Rows ``band`` of the FFT of the accelerated update's r_Q, into ``what``.
 
     r_Q is the Q slot of r = (A - sigma0 I) F_raw, where
@@ -366,13 +413,14 @@ def _r_q_band(jh, what, chi_hat, delta, pin0, c, band, tmp):
     ``c`` = 2 and ``what`` the FFT of w_Q. At the start F = e0, so
     r_Q = J_raw - sigma0 e0: ``c`` = 1 and ``what`` the FFT of the constant
     sigma0 e0. ``jh`` is the FFT of the pinned flux
-    jq = J_raw + delta (1 + (pin0 - 1) chi), so ``chi_hat``, the FFT of chi,
-    undoes the pin. Those rows of ``jh`` and the band buffer ``tmp`` are
+    jq = J_raw + delta (1 + (pin0 - 1) chi) on a grid of ``npix`` pixels,
+    so ``chi_hat``, the FFT of chi, undoes the pin; all three are full or
+    half spectra alike. Those rows of ``jh`` and the band buffer ``tmp`` are
     overwritten. :func:`_reflect_hat` calls it on each band before
     reflecting the band, on the thread that reflects it, so like the
     solver's real-space stretch it calls no name that perfbench wraps.
     """
-    coef, zero = (c * (pin0 - 1.0)) * delta, (c * chi_hat.size) * delta
+    coef, zero = (c * (pin0 - 1.0)) * delta, (c * npix) * delta
     for i in range(2):
         j, w = jh[i, band], what[i, band]
         np.multiply(chi_hat[band], coef[i], out=tmp)
@@ -388,6 +436,21 @@ def _apply_A_arrays(q, s, t_arr, t, params, chi):
     return _local_arrays((q, s, t_arr), chi, (params.p1, params.p2, params.p3), t, 1.0)
 
 
+def _in_slots(m: np.ndarray, real: bool) -> np.ndarray:
+    """Slot matrix ``m`` as it acts on the stored slots.
+
+    The real path stores the slots past Q divided by i, where ``m`` acts
+    as diag(1, -i, ...) m diag(1, i, ...): real, since p1 is real and p2
+    and p3 are imaginary for every interval, and t and sigma0 are real
+    there. Scaling by +-i is exact, so the real part drops only zeros.
+    """
+    if not real:
+        return m
+    scale = np.full(len(m), 1j)
+    scale[0] = 1.0
+    return (m * scale / scale[:, None]).real
+
+
 def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     """Run the scheme selected by ``cfg.scheme``: the one iteration kernel of all four."""
     accelerated = cfg.scheme.accelerated
@@ -401,6 +464,14 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     sigma0 = _reference(cfg, t, label)
     chi = pmap.chi
     e0v = _e0_vector(cfg.e0)
+    # Real t, sigma0 and e0 make the whole iteration real when gamma1 maps
+    # real fields to real fields: every field, slot and scalar of the loop
+    # is then float64, the slots past Q are stored divided by i
+    # (:func:`_in_slots`), and the transforms are half spectra.
+    dtype = _field_dtype(chi.shape, t, sigma0, e0v)
+    real = dtype is np.float64
+    if real:
+        sigma0, e0v = sigma0.real, e0v.real
     # Slots past Q vanish off the inclusion, so the phase-1 pixels
     # ``support`` carry all len(p) slots packed in ``x``, each (2, m); the
     # full-grid Q slot lives in ``fq``. A is the identity on the Q slot of
@@ -412,38 +483,43 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     # for the residual and the next basic update.
     support = np.flatnonzero(chi)
     npix = chi.size
-    a_mat = _slot_matrix(p, t, 1.0)
+    a_mat = _in_slots(_slot_matrix(p, t, 1.0), real)
     # A maps a constant Q-slot shift delta to a_mat[i, 0] delta in slot i on
     # phase 1; the pin reads slots Q and S. It has both rows even for one
     # slot: numpy rounds a one-element complex product in its scalar loop,
     # unlike a longer one, so a one-component pin would change the bits.
-    pin = np.zeros((2, 1, 1), dtype=np.complex128)
+    pin = np.zeros((2, 1, 1), dtype=dtype)
     pin[: len(p), 0, 0] = a_mat[:2, 0]
-    fq = np.empty((2, *chi.shape), dtype=np.complex128)
+    fq = np.empty((2, *chi.shape), dtype=dtype)
     fq[0], fq[1] = e0v[0], e0v[1]
-    x = np.zeros((len(p), 2, support.size), dtype=np.complex128)
+    x = np.zeros((len(p), 2, support.size), dtype=dtype)
     _pack(fq, support, out=x[0])
     y = np.empty_like(x)
     scratch = np.empty_like(x[0])
     js = scratch if len(p) > 1 else np.empty(0)
-    # the pinned flux; the residual transforms it in place, and the basic
-    # update finishes gamma1 of it from that transform
+    # the pinned flux and its transform ``jh``, which the residual takes:
+    # jq itself, in place, when complex, and a half spectrum of its own when
+    # real. The basic update finishes gamma1 of jq from it
     jq = np.empty_like(fq)
+    jh = np.empty((2, chi.shape[0], chi.shape[1] // 2 + 1), dtype=np.complex128) if real else jq
     # per component: the mean pin delta, A's response to it on phase 1
     # (slots Q and S), and the pinned flux's mean
-    delta = np.empty(2, dtype=np.complex128)
-    pin_delta = np.empty((2, 2, 1), dtype=np.complex128)
-    jmean = np.empty(2, dtype=np.complex128)
+    delta = np.empty(2, dtype=dtype)
+    pin_delta = np.empty((2, 2, 1), dtype=dtype)
+    jmean = np.empty(2, dtype=dtype)
     if accelerated:
         inv_on, inv_off = _shifted_inverse_coefs(t, sigma0)
         inv_mat = _slot_matrix(p, inv_on, inv_off)
         # the reflection negates the S slot of r; the inverse applies that sign
         inv_mat[:, 1:2] *= -1
+        inv_mat = _in_slots(inv_mat, real)
+        if real:
+            inv_off = inv_off.real
         two_s0_e0 = 2.0 * sigma0 * e0v
         pin0 = a_mat[0, 0]
-        chi_hat = np.fft.fft2(chi)
+        chi_hat = _fft2(chi.astype(dtype))
         # the FFT of w_Q, with the start value that _r_q_band takes at k = 2
-        what = np.zeros_like(fq)
+        what = np.zeros_like(jh)
         what[:, 0, 0] = sigma0 * e0v * chi.size
 
     def real_space(cs, update):
@@ -480,14 +556,14 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
         # reporting; the accelerated update keeps the raw iterate in x and
         # in the transforms so the map stays exact.
         d = delta[cs]
-        np.subtract(e0v[cs], [_compensated_ctotal(c) / npix for c in f], out=d)
+        np.subtract(e0v[cs], [_per_pixel(_compensated_ctotal(c), npix) for c in f], out=d)
         f += d[:, None, None]
         pin_delta[:, cs] = pin * d[:, None]
         j[...] = f
         _scatter(j, support, np.add(ys[0], pin_delta[0, cs], out=s))
         if len(p) > 1:
             np.add(ys[1], pin_delta[1, cs], out=s)
-        jmean[cs] = [_compensated_ctotal(c) / npix for c in j]
+        jmean[cs] = [_per_pixel(_compensated_ctotal(c), npix) for c in j]
 
     mon = _Monitor(cfg)
 
@@ -496,18 +572,17 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
             if k > 1:
                 if accelerated:
                     c = 1.0 if k == 2 else 2.0
-                    _reflect_hat(
-                        what, two_s0_e0, fq, partial(_r_q_band, jq, what, chi_hat, delta, pin0, c)
-                    )
+                    band = partial(_r_q_band, jh, what, chi_hat, delta, pin0, c, npix)
+                    _reflect_hat(what, two_s0_e0, fq, band)
                 else:
-                    # jq holds the transform of the last pinned flux
-                    _gamma1_inverse(jq)
+                    # jh holds the transform of the last pinned flux
+                    _gamma1_inverse(jh, jq)
             halves = ((slice(c, c + 1), k > 1) for c in range(2))
             if _split(npix, real_space, *halves) is None:
                 real_space(slice(0, 2), k > 1)
             sstar = _along(e0v, jmean)
             try:
-                res = _residual(jq, js, jmean, jq)
+                res = _residual(jq, js, jmean, jh)
             except ContractError:
                 mon.flag_degenerate()
                 break
@@ -515,15 +590,15 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
                 break
 
     sigma_star = mon.history.records[-1].sigma_star if len(mon.history) else sstar
-    # the residual left jq in Fourier space: rebuild it, bit for bit
-    jq[...] = fq
-    _scatter(jq, support, np.add(y[0], pin_delta[0], out=scratch))
+    if jh is jq:
+        # the residual left jq in Fourier space: rebuild it, bit for bit
+        jq[...] = fq
+        _scatter(jq, support, np.add(y[0], pin_delta[0], out=scratch))
     return SolveResult(
         sigma_star=sigma_star,
-        E_field=VectorField(fq),
-        J_field=VectorField(jq),
         history=mon.history,
         status=mon.status,
         degenerate_flux=mon.degenerate_flux,
+        _grids=(fq, jq),
         _packed=(support, x[1:]) if cfg.scheme.substituted else None,
     )

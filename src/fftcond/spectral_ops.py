@@ -11,7 +11,9 @@ therefore drops as well. The multiplier is conjugate-symmetric,
 M(-k) = conj(M(k)), on the Nyquist lines too, so gamma1 maps real fields
 to real fields. The Moulinec-Suquet multiplier k (x) k / |k|^2, which
 this package used before, stays as a reference table for comparisons
-(:func:`_spectral_table`); no solve reads it.
+(:func:`_spectral_table`); no solve reads it. It lacks that symmetry on
+the Nyquist lines of even grids, so its table says gamma1 does not map
+real fields to real fields (``_Green.maps_real``).
 
 The operator is one cached table per grid (:func:`_green_table`): the
 1-D factors of d and the real table 1/|d|^2. gamma1 runs in two halves:
@@ -25,6 +27,13 @@ Each of the three forms conj(d) . f first, scales it by 1/|d|^2, then
 multiplies by d. These Fourier-space sweeps run over bands of rows, in
 band buffers made once per call, so their temporaries stay small.
 
+The dtype of a field picks its transform (:func:`_fft2`): a complex
+field takes the full FFT, a real one its half spectrum, the nx//2 + 1
+columns of non-negative x index, whose other half are their conjugates.
+The sweeps then run over the half spectrum with the table cut to it
+(:func:`_spectrum_table`), and the Parseval sum counts every column but
+0 and, on even nx, nx/2 twice.
+
 An AugmentedField is a (Q, S, T) triple of VectorFields whose S and T
 slots vanish off the inclusion. Every local operator has the form
 on chi'' + off (I - chi''), where chi'' is the rank-one slot mixer
@@ -37,19 +46,21 @@ pixels it is ``off`` times the Q slot. The public operators, the sigma*
 read-out and all four solvers go through that kernel, the physical ones
 with the Q slot alone, p = (1,).
 
-All arithmetic is complex double precision. Reductions (means, norms)
-run row-wise with a pairwise sum and combine rows with an exactly
-rounded sum, so results are deterministic for a fixed grid, whatever
-the CPU count. When a field component has at least _THREAD_PIXELS
-pixels and the process may run on two CPUs, the FFT pair and the
-Fourier-space sweeps (the Parseval sum, the reflection and the
-projection of gamma1) split across the calling thread and a thread
-started for the split (:func:`_split`): one component, or one half of
-the row bands, each. The solvers split the real-space stretch of an
-iteration the same way, one component per thread, with the gathers,
-scatters, slot sums and compensated totals here. The public operators
-and the sigma* read-out run on the calling thread alone. Each thread
-does the unsplit arithmetic on its part, so the bits do not change.
+Arithmetic is double precision: real where a solve's fields are real
+(:func:`_field_dtype`) and complex otherwise; VectorField and the public
+operators are complex. Reductions (means, norms) run row-wise with a
+pairwise sum and combine rows with an exactly rounded sum, so results
+are deterministic for a fixed grid, whatever the CPU count. When a field
+component has at least _THREAD_PIXELS pixels and the process may run on
+two CPUs, the FFT pair and the Fourier-space sweeps (the Parseval sum,
+the reflection and the projection of gamma1) split across the calling
+thread and a thread started for the split (:func:`_split`): one
+component, or one half of the row bands, each. The solvers split the
+real-space stretch of an iteration the same way, one component per
+thread, with the gathers, scatters, slot sums and compensated totals
+here. The public operators and the sigma* read-out run on the calling
+thread alone. Each thread does the unsplit arithmetic on its part, so
+the bits do not change.
 """
 
 from __future__ import annotations
@@ -147,16 +158,28 @@ def _combine_rows(rows: np.ndarray) -> float:
         return float(np.sum(rows))
 
 
-def _compensated_ctotal(values: np.ndarray) -> complex:
+def _compensated_ctotal(values: np.ndarray) -> complex | float:
+    """:func:`_compensated_total` of a real array; of a complex one, of each part."""
     if np.iscomplexobj(values):
         return complex(_compensated_total(values.real), _compensated_total(values.imag))
-    return complex(_compensated_total(values), 0.0)
+    return _compensated_total(values)
+
+
+def _per_pixel(total: complex | float, npix: int) -> complex | float:
+    """``total`` / ``npix``, the parts of a complex total divided apart.
+
+    Python divides a complex by an int as by npix + 0j, which turns an
+    infinite part into a nan in the other part.
+    """
+    if isinstance(total, complex):
+        return complex(total.real / npix, total.imag / npix)
+    return total / npix
 
 
 def _mean_vec(data: np.ndarray) -> np.ndarray:
     """Compensated per-component mean of a (2, ny, nx) array."""
     npix = data.shape[-1] * data.shape[-2]
-    return np.array([_compensated_ctotal(data[0]) / npix, _compensated_ctotal(data[1]) / npix])
+    return np.array([_per_pixel(_compensated_ctotal(c), npix) for c in data])
 
 
 @dataclass
@@ -200,7 +223,7 @@ class VectorField:
 def inner(f: VectorField, g: VectorField) -> complex:
     """Mean over pixels of conj(f) . g."""
     npix = f.data.shape[-1] * f.data.shape[-2]
-    return _compensated_ctotal(np.conj(f.data) * g.data) / npix
+    return _per_pixel(_compensated_ctotal(np.conj(f.data) * g.data), npix)
 
 
 def norm(f: VectorField) -> float:
@@ -217,12 +240,15 @@ class _Green:
     Component c of d is the product of the factors ``d[c]``, each a row
     (1, nx) over the x index or a column (ny, 1) over the y index;
     ``conj_d[c]`` holds their conjugates. ``inv_d2`` is the real table
-    1/|d|^2, exactly 0 where d vanishes.
+    1/|d|^2, exactly 0 where d vanishes. ``maps_real`` says whether
+    gamma1 maps real fields to real fields, which its half spectrum then
+    determines.
     """
 
     d: tuple
     conj_d: tuple
     inv_d2: np.ndarray
+    maps_real: bool
 
 
 def _mode_index(n: int) -> np.ndarray:
@@ -244,14 +270,16 @@ def _rotated_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
     return e - 1.0, (e + 1.0) / 2.0
 
 
-def _read_only_table(d: tuple, conj_d: tuple, d2: np.ndarray, vanish: np.ndarray) -> _Green:
+def _read_only_table(
+    d: tuple, conj_d: tuple, d2: np.ndarray, vanish: np.ndarray, maps_real: bool
+) -> _Green:
     """A read-only _Green, with 1/|d|^2 set to 0 exactly on the mask ``vanish``."""
     inv_d2 = np.zeros(d2.shape)
     np.divide(1.0, d2, out=inv_d2, where=~vanish)
     # every caller shares the cached arrays
     for table in (inv_d2, *d[0], *d[1], *conj_d[0], *conj_d[1]):
         table.flags.writeable = False
-    return _Green(d, conj_d, inv_d2)
+    return _Green(d, conj_d, inv_d2, maps_real)
 
 
 @lru_cache(maxsize=8)
@@ -271,7 +299,7 @@ def _green_table(ny: int, nx: int) -> _Green:
     conj_d = tuple(tuple(np.conj(f) for f in dc) for dc in d)
     d2 = np.abs(ax) ** 2 * np.abs(by) ** 2 + np.abs(bx) ** 2 * np.abs(ay) ** 2
     vanish = ((mx == 0) & (my == 0)) | ((2 * mx == -nx) & (2 * my == -ny))
-    return _read_only_table(d, conj_d, d2, vanish)
+    return _read_only_table(d, conj_d, d2, vanish, True)
 
 
 @lru_cache(maxsize=8)
@@ -288,7 +316,51 @@ def _spectral_table(ny: int, nx: int) -> _Green:
     ky = np.fft.fftfreq(ny, d=1.0 / ny)[:, None]
     d = ((kx,), (ky,))
     vanish = (_mode_index(nx)[None, :] == 0) & (_mode_index(ny)[:, None] == 0)
-    return _read_only_table(d, d, kx * kx + ky * ky, vanish)
+    return _read_only_table(d, d, kx * kx + ky * ky, vanish, False)
+
+
+def _spectrum_table(ny: int, nx: int, width: int) -> _Green:
+    """The Green table of an ny-by-nx grid on the first ``width`` columns of its spectrum.
+
+    ``width`` is nx for the FFT of a complex field, or nx//2 + 1 for the
+    half spectrum of a real one; the row factors and 1/|d|^2 are cut to
+    it, as views. A half spectrum needs a table that maps real fields to
+    real fields.
+    """
+    g = _green_table(ny, nx)
+    if width == nx:
+        return g
+    if not g.maps_real:
+        raise ValueError("this Green table does not map real fields to real fields")
+
+    def cut(factors):
+        return tuple(f if f.shape[1] == 1 else f[:, :width] for f in factors)
+
+    return _Green(
+        tuple(map(cut, g.d)), tuple(map(cut, g.conj_d)), g.inv_d2[:, :width], g.maps_real
+    )
+
+
+def _field_dtype(shape: tuple, *values) -> type:
+    """float64 when a solve on a grid of ``shape`` may run in real arithmetic, else complex128.
+
+    It may when gamma1 maps real fields to real fields on that grid and
+    every one of ``values``, numbers or arrays, is real.
+    """
+    if _green_table(*shape).maps_real and not any(np.any(np.imag(v)) for v in values):
+        return np.float64
+    return np.complex128
+
+
+def _real_if_allowed(data: np.ndarray) -> np.ndarray:
+    """A (2, ny, nx) ``data``, as a real copy when :func:`_field_dtype` allows real arithmetic.
+
+    The public residuals read a field through it, so that on the flux of a
+    solve that ran in real arithmetic they repeat its residual bit for bit.
+    """
+    if np.iscomplexobj(data) and _field_dtype(data.shape[-2:], data) is np.float64:
+        return np.ascontiguousarray(data.real)
+    return data
 
 
 def _times(out: np.ndarray, factors: tuple, band: slice, src: np.ndarray | None = None):
@@ -312,17 +384,20 @@ def _bands(ny: int, nx: int, size: int) -> list:
     return [slice(lo, lo + step) for lo in range(0, ny, step)]
 
 
-def _sweep(band_fn, ny: int, nx: int, dtypes: tuple = ()) -> list:
-    """[band_fn(rows, *buffers) for each row band of an ny-by-nx grid], in band order.
+def _sweep(band_fn, ny: int, nx: int, dtypes: tuple = (), npix: int | None = None) -> list:
+    """[band_fn(rows, *buffers) for each row band of an ny-by-nx array], in band order.
 
     Bands of about _BAND_SIZE pixels bound the temporaries of band_fn,
     which works in ``buffers``: one band-sized array of each of
-    ``dtypes``, cut to the rows of the band. On a split each thread sweeps
-    one half of the bands, and the bands are half that size, so the two
-    threads hold what one does unsplit. Every thread's buffers are made
-    here, before any thread starts, so what a sweep holds does not depend
-    on how the threads interleave.
+    ``dtypes``, cut to the rows of the band. The sweep splits as a pass
+    over fields of ``npix`` pixels per component does, ny * nx if not
+    given: a half spectrum passes the pixels of its grid. On a split each
+    thread sweeps one half of the bands, and the bands are half that
+    size, so the two threads hold what one does unsplit. Every thread's
+    buffers are made here, before any thread starts, so what a sweep holds
+    does not depend on how the threads interleave.
     """
+    npix = ny * nx if npix is None else npix
 
     def part(bands):
         rows = len(range(ny)[bands[0]]) if bands else 0
@@ -335,43 +410,56 @@ def _sweep(band_fn, ny: int, nx: int, dtypes: tuple = ()) -> list:
         finally:
             np.setbufsize(old)
 
-    if not _splits(ny * nx):
+    if not _splits(npix):
         return run(*part(_bands(ny, nx, _BAND_SIZE)))
     bands = _bands(ny, nx, _BAND_SIZE // 2)
     half = len(bands) // 2
-    first, second = _split(ny * nx, run, part(bands[:half]), part(bands[half:]))
+    first, second = _split(npix, run, part(bands[:half]), part(bands[half:]))
     return first + second
 
 
-def _transform(name: str, data: np.ndarray, out: np.ndarray):
+def _transform(name: str, data: np.ndarray, out: np.ndarray, kwargs: dict):
     # looked up at call time, so that wrappers of numpy.fft see the call
-    getattr(np.fft, name)(data, axes=(-2, -1), out=out)
+    getattr(np.fft, name)(data, axes=(-2, -1), out=out, **kwargs)
 
 
 def _fft2(data: np.ndarray, out: np.ndarray | None = None, inverse: bool = False) -> np.ndarray:
-    """2-D FFT, or inverse FFT, of each component of a (2, ny, nx) array, into ``out``.
+    """2-D FFT, or inverse FFT, of an (ny, nx) array or each component of a (2, ny, nx) one.
 
-    ``out`` may be ``data``. On a split each thread transforms one
-    component, with the bits of the stacked call. ifftn, not ifft2: numpy's
-    ifft2 ignores ``out``.
+    The result goes into ``out``. This is the one place that picks the
+    transform, by dtype. A real ``data`` takes rfftn to its half
+    spectrum, nx//2 + 1 columns wide. A real ``out`` takes irfftn of the
+    half spectrum ``data`` onto the grid of ``out``; it leaves ``data``
+    intact and holds a copy of each component as a temporary. Otherwise
+    fftn or ifftn, and ``out`` may be ``data``. A (2, ny, nx) transform
+    splits, each thread transforming one component, with the bits of the
+    stacked call; the split counts the grid's pixels, not the half
+    spectrum's. ifftn, not ifft2: numpy's ifft2 ignores ``out``.
     """
-    name = "ifftn" if inverse else "fftn"
+    real = not np.iscomplexobj(out if inverse and out is not None else data)
+    name = ("irfftn" if inverse else "rfftn") if real else ("ifftn" if inverse else "fftn")
     if out is None:
-        out = np.empty(data.shape, dtype=np.complex128)
-    halves = ((name, data[c], out[c]) for c in range(2))
-    if _split(data[0].size, _transform, *halves) is None:
-        _transform(name, data, out)
+        width = data.shape[-1] // 2 + 1 if real else data.shape[-1]
+        out = np.empty((*data.shape[:-1], width), dtype=np.complex128)
+    # an odd nx and nx + 1 have half spectra of one width: irfftn needs the grid
+    kwargs = {"s": out.shape[-2:]} if real and inverse else {}
+    halves = ((name, data[c], out[c], kwargs) for c in range(2))
+    if data.ndim == 2 or _split(max(data[0].size, out[0].size), _transform, *halves) is None:
+        _transform(name, data, out, kwargs)
     return out
 
 
-def _gamma1_inverse(fh: np.ndarray) -> np.ndarray:
-    """Second half of gamma1, in place on the FFT ``fh`` of a field: projection, inverse FFT.
+def _gamma1_inverse(fh: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Second half of gamma1 on the FFT ``fh`` of a field: projection, inverse FFT into ``out``.
 
-    The projection runs in place band by band, so it allocates nothing and
-    splits as the other Fourier-space sweeps do.
+    The projection runs in place on ``fh`` band by band, so it allocates
+    nothing and splits as the other Fourier-space sweeps do. ``out`` is
+    ``fh`` when not given; a real ``out`` takes the inverse of the half
+    spectrum ``fh`` of a real field.
     """
-    ny, nx = fh.shape[-2], fh.shape[-1]
-    g = _green_table(ny, nx)
+    out = fh if out is None else out
+    ny, nx = out.shape[-2], out.shape[-1]
+    g = _spectrum_table(ny, nx, fh.shape[-1])
 
     def project(band):
         dot, f1 = fh[0, band], fh[1, band]
@@ -382,26 +470,30 @@ def _gamma1_inverse(fh: np.ndarray) -> np.ndarray:
         _times(f1, g.d[1], band, dot)
         _times(dot, g.d[0], band)
 
-    _sweep(project, ny, nx)
-    return _fft2(fh, fh, inverse=True)
+    _sweep(project, *fh.shape[-2:], npix=ny * nx)
+    return _fft2(fh, out, inverse=True)
 
 
 def _gamma1_arr(data: np.ndarray) -> np.ndarray:
-    return _gamma1_inverse(_fft2(data))
+    """gamma1 of a (2, ny, nx) array, complex whatever its dtype, as :func:`gamma1`."""
+    return _gamma1_inverse(_fft2(data.astype(np.complex128, copy=False)))
 
 
 def _gamma1_sqnorm(data: np.ndarray, work: np.ndarray | None = None) -> float:
     """Sum over pixels of |gamma1(data)|^2, from the FFT of ``data`` alone.
 
     By Parseval the sum is (1/N) sum_k |conj(d) . f(k)|^2 / |d|^2, so no
-    inverse transform is needed. It is formed band by band, and the
+    inverse transform is needed; over the half spectrum of a real
+    ``data``, every column but 0 and, on even nx, nx/2 stands for a
+    conjugate pair and counts twice. It is formed band by band, and the
     transform is left intact: ``work``, if given, is a buffer shaped like
-    ``data``, or ``data`` itself, that receives it, for
+    it, or ``data`` itself when complex, that receives it, for
     :func:`_gamma1_inverse` or :func:`_reflect_hat`.
     """
     ny, nx = data.shape[-2], data.shape[-1]
-    g = _green_table(ny, nx)
     fh = _fft2(data, work)
+    width = fh.shape[-1]
+    g = _spectrum_table(ny, nx, width)
 
     def band_power(band, dot, tmp, power):
         _times(dot, g.conj_d[0], band, fh[0, band])
@@ -409,9 +501,16 @@ def _gamma1_sqnorm(data: np.ndarray, work: np.ndarray | None = None) -> float:
         np.multiply(dot.real, dot.real, out=power)
         power += np.multiply(dot.imag, dot.imag, out=tmp.real)
         power *= g.inv_d2[band]
-        return np.sum(power, axis=-1)
+        rows = np.sum(power, axis=-1)
+        if width < nx:
+            rows *= 2.0
+            rows -= power[:, 0]
+            if nx % 2 == 0:
+                rows -= power[:, -1]
+        return rows
 
-    rows = np.concatenate(_sweep(band_power, ny, nx, (np.complex128, np.complex128, np.float64)))
+    dtypes = (np.complex128, np.complex128, np.float64)
+    rows = np.concatenate(_sweep(band_power, *fh.shape[-2:], dtypes, ny * nx))
     return _combine_rows(rows) / (ny * nx)
 
 
@@ -420,13 +519,15 @@ def _reflect_hat(rh: np.ndarray, shift: np.ndarray, out: np.ndarray, first=None)
 
     In place on the FFT ``rh`` of r, band by band, with the multiplier of
     gamma1; ``shift`` is a constant 2-vector, so it enters the zero mode
-    only. Returns the inverse FFT of the result in ``out``. ``first``, if
-    given, is called as first(rows, tmp) on each row band before it is
+    only. Returns the inverse FFT of the result in ``out``, which leaves
+    ``rh`` holding the transform of the result; a real ``out`` takes the
+    inverse of the half spectrum ``rh`` of a real r. ``first``, if given,
+    is called as first(rows, tmp) on each row band before it is
     reflected, on the thread that reflects it, to form those rows of
     ``rh``; ``tmp`` is a band buffer it may overwrite.
     """
-    ny, nx = rh.shape[-2], rh.shape[-1]
-    g = _green_table(ny, nx)
+    ny, nx = out.shape[-2], out.shape[-1]
+    g = _spectrum_table(ny, nx, rh.shape[-1])
 
     def reflect(band, dot, tmp):
         if first is not None:
@@ -438,7 +539,7 @@ def _reflect_hat(rh: np.ndarray, shift: np.ndarray, out: np.ndarray, first=None)
         rh[0, band] += _times(tmp, g.d[0], band, dot)
         rh[1, band] += _times(dot, g.d[1], band)
 
-    _sweep(reflect, ny, nx, (np.complex128, np.complex128))
+    _sweep(reflect, *rh.shape[-2:], (np.complex128, np.complex128), ny * nx)
     rh[:, 0, 0] += shift * (ny * nx)
     return _fft2(rh, out, inverse=True)
 
@@ -503,7 +604,7 @@ def inner_aug(f: AugmentedField, g: AugmentedField, pmap: PhaseMap) -> complex:
     total += _compensated_ctotal(
         (np.conj(f.S.data) * g.S.data + np.conj(f.T.data) * g.T.data) * chi
     )
-    return total / npix
+    return _per_pixel(total, npix)
 
 
 def norm_aug(f: AugmentedField, pmap: PhaseMap) -> float:

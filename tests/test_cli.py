@@ -89,6 +89,17 @@ class TestSolveCommand:
         assert "tol must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "result.json").exists()
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize(
+        "key", ["physics.sigma1_re", "physics.sigma1_im", "scheme.sigma0_re", "scheme.sigma0_im"]
+    )
+    def test_non_finite_conductivity_rejected(self, tmp_path, capsys, key, value):
+        # a nan sigma1 used to end as "Diverged after 0 iterations", exit 1
+        cfg = write_config(tmp_path, BENCH_SOLVE)
+        assert main(["solve", str(cfg), "--override", f"{key}={value}"]) == 2
+        assert f"{key.split('.')[1]} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "result.json").exists()
+
     @pytest.mark.parametrize(
         "overrides",
         [

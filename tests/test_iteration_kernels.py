@@ -15,12 +15,15 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+import numpy.fft  # noqa: F401  numpy imports it on first use; import it outside the traced peaks
 import pytest
 
 import fftcond.solvers as solvers
 import fftcond.spectral_ops as spectral_ops
 from fftcond import (
     AugmentedField,
+    BranchCutError,
+    PhaseMap,
     SchemeKind,
     SolverConfig,
     SpectralInterval,
@@ -191,7 +194,8 @@ class TestFourierReflection:
             monkeypatch.setattr(spectral_ops, "_BAND_SIZE", band_size)
             jh, pin0 = self._pinned_transform(j_q, pmap, p, t)
             rh = what.copy()
-            step = partial(_r_q_band, jh, rh, np.fft.fft2(pmap.chi), self.DELTA, pin0, c)
+            chi_hat = np.fft.fft2(pmap.chi)
+            step = partial(_r_q_band, jh, rh, chi_hat, self.DELTA, pin0, c, pmap.chi.size)
             out = np.empty_like(jh)
             assert _reflect_hat(rh, shift, out, step) is out
             self._assert_close(out, expected)
@@ -384,16 +388,19 @@ class TestCallerBuffers:
 
 class TestWorkingSet:
     """A solve allocates its working set once: its tracemalloc peak is the
-    loop's live set plus one packed slot of slack. The slack covers the
-    support indices, a quarter of a packed slot, and the largest transient,
-    half of one: the residual's |js|^2. The result takes fq, jq and x as
-    they are, and builds no grid of its own."""
+    loop's live set plus one packed slot of slack. On the complex path
+    (sigma1 = 0.7+0.4i) the slack covers the support indices, a quarter of
+    a packed slot, and the largest transient, half of one: the residual's
+    |js|^2. On the real path (sigma1 = 2) the live set also counts the
+    copy of its half-spectrum input that irfftn holds during each inverse
+    transform. The result takes fq, jq and x as they are, and builds no
+    grid of its own."""
 
     @staticmethod
-    def _peak(pmap, scheme, iters):
+    def _peak(pmap, scheme, sigma1, iters):
         cfg = SolverConfig(
             scheme=scheme,
-            sigma1=2.0,
+            sigma1=sigma1,
             interval=BENCH if scheme.substituted else None,
             tol=1e-300,
             max_iters=iters,
@@ -410,7 +417,8 @@ class TestWorkingSet:
     @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
     @pytest.mark.parametrize("geometry", ["square", "disk"])
     @pytest.mark.parametrize("scheme", list(SchemeKind))
-    def test_peak_is_the_working_set(self, monkeypatch, scheme, geometry, split):
+    @pytest.mark.parametrize("sigma1", [2.0, 0.7 + 0.4j], ids=["real", "complex"])
+    def test_peak_is_the_working_set(self, monkeypatch, sigma1, scheme, geometry, split):
         n = 256
         pmap = build_square_array(n, 0.5) if geometry == "square" else build_disk_array(n, 0.25)
         if split:
@@ -421,16 +429,26 @@ class TestWorkingSet:
         monkeypatch.setattr(spectral_ops, "_BAND_SIZE", 4096)
         spectral_ops._green_table(n, n)
         slots = 3 if scheme.substituted else 1
-        grid = 2 * n * n * 16
-        packed = 2 * np.count_nonzero(pmap.chi) * 16
-        # fq and jq, with what and chi_hat when accelerated; x, y and the
-        # scratch. r_Q takes no grid of its own: the reflection forms it
-        # band by band in its own band buffers
-        loop = (7 * grid // 2 if scheme.accelerated else 2 * grid) + (2 * slots + 1) * packed
-        peak = self._peak(pmap, scheme, 6)
+        if isinstance(sigma1, complex):
+            grid = 2 * n * n * 16
+            packed = 2 * np.count_nonzero(pmap.chi) * 16
+            # fq and jq, with what and chi_hat when accelerated; x, y and the
+            # scratch. r_Q takes no grid of its own: the reflection forms it
+            # band by band in its own band buffers
+            loop = (7 * grid // 2 if scheme.accelerated else 2 * grid) + (2 * slots + 1) * packed
+        else:
+            grid = 2 * n * n * 8
+            half = 2 * n * (n // 2 + 1) * 16
+            packed = 2 * np.count_nonzero(pmap.chi) * 8
+            # fq and jq, real; the half spectra jh, and what and chi_hat when
+            # accelerated; irfftn's copy of its input, one half spectrum over
+            # both components; x, y and the scratch, real
+            spectra = 7 * half // 2 if scheme.accelerated else 2 * half
+            loop = 2 * grid + spectra + (2 * slots + 1) * packed
+        peak = self._peak(pmap, scheme, sigma1, 6)
         assert peak <= loop + packed
         # nothing accumulates per iteration; 16 KiB covers six more history records
-        assert self._peak(pmap, scheme, 12) <= peak + 16 * 1024
+        assert self._peak(pmap, scheme, sigma1, 12) <= peak + 16 * 1024
 
 
 def _split_into(queue):
@@ -638,6 +656,138 @@ class TestSplit:
         assert r.status is TerminationStatus.DIVERGED
 
 
+def _force_complex_path(monkeypatch):
+    """Run every solve in complex arithmetic, whatever its parameters."""
+    monkeypatch.setattr(solvers, "_field_dtype", lambda *args: np.complex128)
+
+
+class TestRealArithmetic:
+    """With t, sigma0 and e0 real, a solve runs in float64 on half spectra,
+    its slots past Q stored divided by i, and gives what the complex path
+    gives, to roundoff."""
+
+    @pytest.mark.parametrize("shape", [(64, 64), (31, 31), (33, 48), (48, 33), (24, 40)])
+    def test_half_spectrum_kernels_match_the_full_spectrum(self, shape):
+        x = np.random.default_rng(40).standard_normal((2, *shape))
+        xc = x.astype(np.complex128)
+        # Parseval: every column but 0 and, on even nx, nx/2 counts twice
+        assert _gamma1_sqnorm(x) == pytest.approx(_gamma1_sqnorm(xc), rel=1e-13)
+        work = np.empty((2, shape[0], shape[1] // 2 + 1), dtype=np.complex128)
+        _gamma1_sqnorm(x, work)
+        assert _max_rel_diff([_gamma1_inverse(work, np.empty_like(x))], [_gamma1_arr(xc)]) <= 1e-13
+        shift = np.array([0.4, -1.1])
+        expected = shift[:, None, None] - 2.0 * _gamma1_arr(xc) + xc
+        rh = np.fft.rfftn(x, axes=(-2, -1))
+        out = np.empty_like(x)
+        assert _reflect_hat(rh, shift, out) is out
+        assert _max_rel_diff([out], [expected]) <= 1e-13
+        # rh is left holding the half spectrum of the result
+        assert _max_rel_diff([rh], [np.fft.rfftn(expected.real, axes=(-2, -1))]) <= 1e-13
+
+    @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+    @pytest.mark.parametrize("shape", [(16, 24), (15, 17)])
+    def test_fft2_picks_the_real_transforms_by_dtype(self, monkeypatch, shape, split):
+        if split:
+            force_split(monkeypatch)
+        x = np.random.default_rng(41).standard_normal((2, *shape))
+        h = _fft2(x)
+        assert h.tobytes() == np.fft.rfftn(x, axes=(-2, -1)).tobytes()
+        before = h.copy()
+        out = np.empty_like(x)
+        assert _fft2(h, out, inverse=True) is out
+        assert out.tobytes() == np.fft.irfftn(before, s=shape, axes=(-2, -1)).tobytes()
+        # the reflection keeps the transform of w_Q in the input of irfftn
+        assert np.array_equal(h, before)
+
+    def test_half_spectrum_splits_on_the_grid(self, monkeypatch):
+        # a 512 x 512 grid has 2^18 pixels per component, its half spectrum
+        # 512 x 257 fewer: every pass must count the grid's
+        monkeypatch.setattr(spectral_ops, "_cpus", lambda: 2)
+        seen, splits = [], spectral_ops._splits
+        monkeypatch.setattr(spectral_ops, "_splits", lambda npix: seen.append(npix) or splits(npix))
+        x = np.random.default_rng(44).standard_normal((2, 512, 512))
+        work = np.empty((2, 512, 257), dtype=np.complex128)
+        _gamma1_sqnorm(x, work)
+        _reflect_hat(work.copy(), np.zeros(2), np.empty_like(x))
+        _gamma1_inverse(work, np.empty_like(x))
+        assert seen and set(seen) == {512 * 512}
+
+    def test_chooser_needs_real_parameters(self):
+        e0 = np.array([0.6, 0.8], dtype=np.complex128)
+        assert solvers._field_dtype((32, 32), 2.0 + 0j, 1.5 + 0j, e0) is np.float64
+        assert solvers._field_dtype((32, 32), 2.0 + 1e-300j, 1.5 + 0j, e0) is np.complex128
+        assert solvers._field_dtype((32, 32), 2.0 + 0j, 1.5 - 0.1j, e0) is np.complex128
+        assert solvers._field_dtype((32, 32), 2.0 + 0j, 1.5 + 0j, e0 + [0, 1j]) is np.complex128
+
+    @pytest.mark.usefixtures("spectral_green")
+    def test_spectral_table_keeps_the_complex_path(self):
+        # the spectral multiplier maps real fields to complex ones on even grids
+        e0 = np.array([1.0, 0.0], dtype=np.complex128)
+        assert solvers._field_dtype((32, 32), 2.0 + 0j, 1.5 + 0j, e0) is np.complex128
+        with pytest.raises(ValueError, match="real fields"):
+            _gamma1_sqnorm(np.ones((2, 32, 32)))
+
+    PMAPS = {
+        "square": build_square_array(32, 0.5),
+        "disk": build_disk_array(32, 0.25),
+        "raster": PhaseMap(np.random.default_rng(42).random((32, 32)) < 0.3),
+        "raster_24x40": PhaseMap(np.random.default_rng(43).random((24, 40)) < 0.3),
+    }
+
+    # TestSplit holds the real path's split to the bits of its unsplit
+    # passes, so one geometry, on a grid that is not square, covers it here
+    GEOMETRY_SPLIT = [(geometry, False) for geometry in sorted(PMAPS)] + [("raster_24x40", True)]
+
+    @pytest.mark.parametrize(
+        "geometry, split",
+        GEOMETRY_SPLIT,
+        ids=[f"{g}-{'split' if split else 'unsplit'}" for g, split in GEOMETRY_SPLIT],
+    )
+    @pytest.mark.parametrize("sigma1", [2.0, 10.0, 0.02, 0.0])
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_real_path_matches_complex_path(self, monkeypatch, scheme, sigma1, geometry, split):
+        if split:
+            force_split(monkeypatch)
+        pmap = self.PMAPS[geometry]
+        cfg = SolverConfig(
+            scheme=scheme,
+            sigma1=sigma1,
+            interval=BENCH if scheme.substituted else None,
+            e0=(0.6, 0.8),
+            tol=1e-10,
+            max_iters=60,
+        )
+        if scheme is SchemeKind.EYRE_MILTON and sigma1 == 0:
+            # no reference conductivity on the branch cut of sqrt, on either path
+            with pytest.raises(BranchCutError):
+                solve(pmap, cfg)
+            _force_complex_path(monkeypatch)
+            with pytest.raises(BranchCutError):
+                solve(pmap, cfg)
+            return
+        real = solve(pmap, cfg)
+        assert real.E_field.data.dtype == np.complex128
+        assert not np.any(real.E_field.data.imag) and not np.any(real.J_field.data.imag)
+        assert real.sigma_star.imag == 0
+        _force_complex_path(monkeypatch)
+        ref = solve(pmap, cfg)
+        assert real.status is ref.status
+        assert real.iterations == ref.iterations
+        assert abs(real.sigma_star - ref.sigma_star) <= 1e-12 * abs(ref.sigma_star)
+        # near tol the residuals are 1e-10 of the first, and roundoff in the
+        # fields moves them by 1e-16 of it: compare them on that scale
+        res, ref_res = np.array(real.history.residuals()), np.array(ref.history.residuals())
+        assert np.max(np.abs(res - ref_res)) <= 1e-12 * ref_res[0]
+        for field in ("E_field", "J_field"):
+            assert _max_rel_diff([getattr(real, field).data], [getattr(ref, field).data]) <= 1e-12
+        if scheme.substituted:
+            # T of em_sub falls to 1e-10 of the field: the slots on the scale of all three
+            got, expected = (
+                [f.data for f in (r.aug_field.S, r.aug_field.T, r.E_field)] for r in (real, ref)
+            )
+            assert _max_rel_diff(got, expected) <= 1e-12
+
+
 class TestSlotMatrix:
     """The slot matrices the solvers use, checked without the full-grid wrappers."""
 
@@ -737,6 +887,13 @@ def _load_tool(name):
 def test_four_ffts_per_iteration(scheme):
     # counted on a 16 x 16 grid by the benchmark tool's own counter
     assert _load_tool("bench_per_iteration").ffts_per_iteration(scheme, 16) == 4.0
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_four_ffts_per_iteration_at_complex_sigma1(scheme):
+    # complex sigma1 keeps the complex transforms, and the count
+    tool = _load_tool("bench_per_iteration")
+    assert tool.ffts_per_iteration(scheme, 16, tool.COMPLEX_SIGMA1) == 4.0
 
 
 def test_green_rows_tell_the_operators_apart():

@@ -513,6 +513,28 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="e0"):
             SolverConfig(scheme=SchemeKind.BASIC, sigma1=2.0, e0=e0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("sigma1", None)]
+        + [
+            (name, value)
+            for name in ("sigma1", "sigma0_override")
+            for value in ("2", math.nan, math.inf, complex(1.0, -math.inf))
+        ],
+    )
+    def test_conductivity_not_a_finite_number(self, name, value):
+        # the real path is chosen from these values; nan used to end as
+        # "Diverged after 0 iterations", and None or a string inside solve.
+        # sigma0_override = None asks for the scheme's default
+        kwargs = {"sigma1": 2.0, name: value}
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(scheme=SchemeKind.BASIC, **kwargs)
+
+    @pytest.mark.parametrize("e0", [(math.nan, 0.0), (1.0, math.inf), ("1", "0"), (1.0, None)])
+    def test_applied_field_not_finite(self, e0):
+        with pytest.raises(ValueError, match="e0"):
+            SolverConfig(scheme=SchemeKind.BASIC, sigma1=2.0, e0=e0)
+
     @pytest.mark.parametrize("max_iters", [0, -3, 2.5, 3.0, "10"])
     def test_bad_max_iters(self, max_iters):
         # a float, even an integral one, would fail later inside range()

@@ -1,15 +1,17 @@
 """Milliseconds per iteration of the four schemes, 2-D FFTs per iteration, and peak memory.
 
-Each scheme runs the 25% square array at sigma1 = 2 with an unreachable
-tolerance, so every run does exactly ITERS = 30 iterations; the time per
-iteration is the median over ``--repeats`` runs of wall time divided by
-iterations. 2-D FFTs are counted by wrapping the ``numpy.fft`` 2-D and
-n-D transforms on a small grid: the count per iteration is the
-difference between a run of ITERS and one of ITERS - 10
-iterations, divided by 10, and a transform of a (2, ny, nx) stack counts
-as two. The peak is the ``tracemalloc`` peak, in MB, of a solve of
-PEAK_ITERS = 5 iterations, taken after an untraced warm-up solve so that
-the cached Green table does not count.
+Each scheme runs the 25% square array at sigma1 = 2, which solves in
+real arithmetic, with an unreachable tolerance, so every run does
+exactly ITERS = 30 iterations; the time per iteration is the median over
+``--repeats`` runs of wall time divided by iterations. The ``_complex``
+entries repeat the timing and the peak at sigma1 = COMPLEX_SIGMA1, which
+solves in complex arithmetic. 2-D FFTs are counted by wrapping the
+``numpy.fft`` 2-D and n-D transforms, complex and real, on a small grid:
+the count per iteration is the difference between a run of ITERS and
+one of ITERS - 10 iterations, divided by 10, and a transform of a
+(2, ny, nx) stack counts as two. The peak is the ``tracemalloc`` peak,
+in MB, of a solve of PEAK_ITERS = 5 iterations, taken after an untraced
+warm-up solve so that the cached Green table does not count.
 
 ``cpus`` is the number of CPUs the process may run on; on two or more,
 passes over large grids split across two threads. The single-thread
@@ -58,6 +60,7 @@ import fftcond.spectral_ops as spectral_ops
 from fftcond.solvers import _tail_rate
 
 INTERVAL = SpectralInterval(0.25, 4.0)
+COMPLEX_SIGMA1 = 0.7 + 0.4j
 ITERS = 30
 PEAK_ITERS = 5
 GREEN_SIGMA1 = (0.0, 2.0, 10.0, 0.3 + 0.5j)
@@ -79,22 +82,22 @@ def green_operator(green: str):
         spectral_ops._green_table = rotated
 
 
-def _config(scheme: SchemeKind, iters: int = ITERS) -> SolverConfig:
+def _config(scheme: SchemeKind, iters: int = ITERS, sigma1: complex = 2.0) -> SolverConfig:
     return SolverConfig(
         scheme=scheme,
-        sigma1=2.0,
+        sigma1=sigma1,
         interval=INTERVAL if scheme.substituted else None,
         tol=1e-300,
         max_iters=iters,
     )
 
 
-def ms_per_iteration(scheme: SchemeKind, n: int, repeats: int) -> float:
+def ms_per_iteration(scheme: SchemeKind, n: int, repeats: int, sigma1: complex = 2.0) -> float:
     pmap = build_square_array(n, 0.5)
     samples = []
     for _ in range(repeats):
         start = time.perf_counter()
-        result = solve(pmap, _config(scheme))
+        result = solve(pmap, _config(scheme, sigma1=sigma1))
         elapsed = time.perf_counter() - start
         if result.iterations != ITERS:
             raise RuntimeError(f"{scheme.value} stopped early: {result.status.value}")
@@ -102,8 +105,8 @@ def ms_per_iteration(scheme: SchemeKind, n: int, repeats: int) -> float:
     return statistics.median(samples)
 
 
-def ffts_per_iteration(scheme: SchemeKind, n: int = 16) -> float:
-    names = ("fft2", "ifft2", "fftn", "ifftn")
+def ffts_per_iteration(scheme: SchemeKind, n: int = 16, sigma1: complex = 2.0) -> float:
+    names = ("fft2", "ifft2", "fftn", "ifftn", "rfft2", "irfft2", "rfftn", "irfftn")
     originals = {name: getattr(np.fft, name) for name in names}
     count = 0
 
@@ -122,7 +125,7 @@ def ffts_per_iteration(scheme: SchemeKind, n: int = 16) -> float:
     try:
         for k in (ITERS - 10, ITERS):
             count = 0
-            solve(pmap, _config(scheme, k))
+            solve(pmap, _config(scheme, k, sigma1))
             totals.append(count)
     finally:
         for name, fn in originals.items():
@@ -130,23 +133,31 @@ def ffts_per_iteration(scheme: SchemeKind, n: int = 16) -> float:
     return (totals[1] - totals[0]) / 10
 
 
-def peak_mb(scheme: SchemeKind, n: int) -> float:
+def peak_mb(scheme: SchemeKind, n: int, sigma1: complex = 2.0) -> float:
     pmap = build_square_array(n, 0.5)
-    solve(pmap, _config(scheme, PEAK_ITERS))
+    solve(pmap, _config(scheme, PEAK_ITERS, sigma1))
     tracemalloc.start()
     try:
-        solve(pmap, _config(scheme, PEAK_ITERS))
+        solve(pmap, _config(scheme, PEAK_ITERS, sigma1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     return peak / 1e6
 
 
-def ms_table(sizes: list[int], repeats: int) -> dict:
+def ms_table(sizes: list[int], repeats: int, sigma1: complex = 2.0) -> dict:
     return {
         str(n): {
-            scheme.value: round(ms_per_iteration(scheme, n, repeats), 2) for scheme in SchemeKind
+            scheme.value: round(ms_per_iteration(scheme, n, repeats, sigma1), 2)
+            for scheme in SchemeKind
         }
+        for n in sizes
+    }
+
+
+def peak_table(sizes: list[int], sigma1: complex = 2.0) -> dict:
+    return {
+        str(n): {scheme.value: round(peak_mb(scheme, n, sigma1), 1) for scheme in SchemeKind}
         for n in sizes
     }
 
@@ -233,14 +244,18 @@ def main(argv=None) -> int:
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
         print(json.dumps({"ms_per_iteration": ms_table(args.sizes, args.repeats)}))
         return 0
-    report = {"cpus": spectral_ops._cpus(), "ffts_per_iteration": {}}
-    for scheme in SchemeKind:
-        report["ffts_per_iteration"][scheme.value] = ffts_per_iteration(scheme)
-    report["ms_per_iteration"] = ms_table(args.sizes, args.repeats)
-    report["ms_per_iteration_one_cpu"] = one_cpu_ms_table(args.sizes, args.repeats)
-    report["peak_mb"] = {
-        str(n): {scheme.value: round(peak_mb(scheme, n), 1) for scheme in SchemeKind}
-        for n in args.sizes
+    report = {
+        "cpus": spectral_ops._cpus(),
+        "complex_sigma1": [COMPLEX_SIGMA1.real, COMPLEX_SIGMA1.imag],
+        "ffts_per_iteration": {s.value: ffts_per_iteration(s) for s in SchemeKind},
+        "ffts_per_iteration_complex": {
+            s.value: ffts_per_iteration(s, sigma1=COMPLEX_SIGMA1) for s in SchemeKind
+        },
+        "ms_per_iteration": ms_table(args.sizes, args.repeats),
+        "ms_per_iteration_complex": ms_table(args.sizes, args.repeats, COMPLEX_SIGMA1),
+        "ms_per_iteration_one_cpu": one_cpu_ms_table(args.sizes, args.repeats),
+        "peak_mb": peak_table(args.sizes),
+        "peak_mb_complex": peak_table(args.sizes, COMPLEX_SIGMA1),
     }
     print(json.dumps(report, indent=2))
     return 0
