@@ -49,11 +49,14 @@ imaginary part is 0, so they repeat the residual a real solve records.
 A solve allocates its working set once, and nothing after its loop: the
 full-grid Q slot of the field and the pinned flux, with the FFTs of w_Q
 and of chi when accelerated, and on the real path the flux transform,
-a half spectrum of its own; the slot arrays x = F and y = A F on the
-inclusion pixels, where the accelerated update also forms w; and one
-packed scratch of one slot. The loop allocates only band-sized Fourier
-temporaries, the residual's |js|^2 and, on the real path, the copy of
-its input that the inverse real FFT holds. The result keeps the field,
+a half spectrum of its own; the indices of the inclusion pixels and the
+slot arrays x = F and y = A F on them, where the accelerated update also
+forms w; and one packed scratch of one slot. The loop allocates only
+band-sized Fourier temporaries and the residual's |js|^2 of one field
+component. The inverse real FFT of the real path runs through a half
+spectrum that is dead at that point: the flux transform, which the basic
+update's projection consumes and the reflection sweep turns into r_Q,
+and which the residual refills. The result keeps the field,
 the flux and x: ``E_field`` and ``J_field`` wrap the grids on first
 read, complex copies on the real path, and ``aug_field`` unpacks S and T
 into full grids, times i on the real path, on first read.
@@ -90,6 +93,7 @@ from .geometry import PhaseMap
 from .spectral_ops import (
     AugmentedField,
     VectorField,
+    _combine_rows,
     _compensated_ctotal,
     _compensated_total,
     _fft2,
@@ -309,10 +313,12 @@ def _residual(jq: np.ndarray, js: np.ndarray, jmean: np.ndarray, work=None) -> f
         raise ContractError("mean flux vanishes; residual is undefined")
     npix = jq.shape[-1] * jq.shape[-2]
     total = _gamma1_sqnorm(jq, work)
-    # squared in place: one temporary, whether or not numpy elides the second
-    power = np.abs(js)
-    power *= power
-    total += _compensated_total(power)
+    # |js|^2 one component at a time, in a buffer the size of one: the
+    # total of a 1-D row is the pairwise sum that of a (2, m) array takes
+    # of each row, and the two combine as its rows do
+    power = np.empty(js.shape[-1])
+    rows = [_compensated_total(np.square(np.abs(c, out=power), out=power)) for c in js]
+    total += _combine_rows(np.array(rows))
     return math.sqrt(total / npix) / den
 
 
@@ -573,9 +579,13 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
                 if accelerated:
                     c = 1.0 if k == 2 else 2.0
                     band = partial(_r_q_band, jh, what, chi_hat, delta, pin0, c, npix)
-                    _reflect_hat(what, two_s0_e0, fq, band)
+                    # the sweep turns the rows of jh into r_Q, after which
+                    # jh is dead until the residual refills it: the inverse
+                    # real FFT runs through it, and what stays w_Q's transform
+                    _reflect_hat(what, two_s0_e0, fq, band, jh)
                 else:
-                    # jh holds the transform of the last pinned flux
+                    # jh holds the transform of the last pinned flux, which
+                    # this consumes; the residual refills it
                     _gamma1_inverse(jh, jq)
             halves = ((slice(c, c + 1), k > 1) for c in range(2))
             if _split(npix, real_space, *halves) is None:

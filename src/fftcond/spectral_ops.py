@@ -418,34 +418,50 @@ def _sweep(band_fn, ny: int, nx: int, dtypes: tuple = (), npix: int | None = Non
     return first + second
 
 
-def _transform(name: str, data: np.ndarray, out: np.ndarray, kwargs: dict):
-    # looked up at call time, so that wrappers of numpy.fft see the call
-    getattr(np.fft, name)(data, axes=(-2, -1), out=out, **kwargs)
+def _transform(name: str, data: np.ndarray, out: np.ndarray, scratch: np.ndarray | None):
+    # looked up at call time, so that wrappers of numpy.fft see the calls
+    if name == "irfftn":
+        # irfftn's own two passes, through ``scratch`` instead of a copy of
+        # ``data``; an odd nx and nx + 1 have half spectra of one width, so
+        # the row pass takes the grid's
+        np.fft.ifft(data, axis=-2, out=scratch)
+        np.fft.irfft(scratch, n=out.shape[-1], axis=-1, out=out)
+    else:
+        getattr(np.fft, name)(data, axes=(-2, -1), out=out)
 
 
-def _fft2(data: np.ndarray, out: np.ndarray | None = None, inverse: bool = False) -> np.ndarray:
+def _fft2(
+    data: np.ndarray,
+    out: np.ndarray | None = None,
+    inverse: bool = False,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """2-D FFT, or inverse FFT, of an (ny, nx) array or each component of a (2, ny, nx) one.
 
     The result goes into ``out``. This is the one place that picks the
     transform, by dtype. A real ``data`` takes rfftn to its half
-    spectrum, nx//2 + 1 columns wide. A real ``out`` takes irfftn of the
-    half spectrum ``data`` onto the grid of ``out``; it leaves ``data``
-    intact and holds a copy of each component as a temporary. Otherwise
-    fftn or ifftn, and ``out`` may be ``data``. A (2, ny, nx) transform
-    splits, each thread transforming one component, with the bits of the
-    stacked call; the split counts the grid's pixels, not the half
-    spectrum's. ifftn, not ifft2: numpy's ifft2 ignores ``out``.
+    spectrum, nx//2 + 1 columns wide. A real ``out`` takes the inverse of
+    the half spectrum ``data`` onto the grid of ``out`` in the two passes
+    irfftn makes, so with its bits: the inverse FFT of each column into
+    ``scratch``, shaped like ``data``, then the inverse real FFT of each
+    row of it. ``scratch`` may be ``data``, which the call then consumes;
+    when not given, a fresh one is made and ``data`` is left intact. The
+    complex transforms, fftn and ifftn, ignore ``scratch``, and ``out``
+    may be ``data``. A (2, ny, nx) transform splits, each thread
+    transforming one component, with the bits of the stacked call; the
+    split counts the grid's pixels, not the half spectrum's. ifftn, not
+    ifft2: numpy's ifft2 ignores ``out``.
     """
     real = not np.iscomplexobj(out if inverse and out is not None else data)
     name = ("irfftn" if inverse else "rfftn") if real else ("ifftn" if inverse else "fftn")
     if out is None:
         width = data.shape[-1] // 2 + 1 if real else data.shape[-1]
         out = np.empty((*data.shape[:-1], width), dtype=np.complex128)
-    # an odd nx and nx + 1 have half spectra of one width: irfftn needs the grid
-    kwargs = {"s": out.shape[-2:]} if real and inverse else {}
-    halves = ((name, data[c], out[c], kwargs) for c in range(2))
+    if name == "irfftn" and scratch is None:
+        scratch = np.empty_like(data)
+    halves = ((name, data[c], out[c], None if scratch is None else scratch[c]) for c in range(2))
     if data.ndim == 2 or _split(max(data[0].size, out[0].size), _transform, *halves) is None:
-        _transform(name, data, out, kwargs)
+        _transform(name, data, out, scratch)
     return out
 
 
@@ -455,7 +471,8 @@ def _gamma1_inverse(fh: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     The projection runs in place on ``fh`` band by band, so it allocates
     nothing and splits as the other Fourier-space sweeps do. ``out`` is
     ``fh`` when not given; a real ``out`` takes the inverse of the half
-    spectrum ``fh`` of a real field.
+    spectrum ``fh`` of a real field, with ``fh`` as the scratch of its
+    column pass, so ``fh`` is consumed and no copy of it is made.
     """
     out = fh if out is None else out
     ny, nx = out.shape[-2], out.shape[-1]
@@ -471,7 +488,7 @@ def _gamma1_inverse(fh: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
         _times(dot, g.d[0], band)
 
     _sweep(project, *fh.shape[-2:], npix=ny * nx)
-    return _fft2(fh, out, inverse=True)
+    return _fft2(fh, out, inverse=True, scratch=fh)
 
 
 def _gamma1_arr(data: np.ndarray) -> np.ndarray:
@@ -514,17 +531,21 @@ def _gamma1_sqnorm(data: np.ndarray, work: np.ndarray | None = None) -> float:
     return _combine_rows(rows) / (ny * nx)
 
 
-def _reflect_hat(rh: np.ndarray, shift: np.ndarray, out: np.ndarray, first=None) -> np.ndarray:
+def _reflect_hat(
+    rh: np.ndarray, shift: np.ndarray, out: np.ndarray, first=None, scratch=None
+) -> np.ndarray:
     """The reflection shift - 2 gamma1(r) + r of the Eyre-Milton update, in Fourier space.
 
     In place on the FFT ``rh`` of r, band by band, with the multiplier of
     gamma1; ``shift`` is a constant 2-vector, so it enters the zero mode
     only. Returns the inverse FFT of the result in ``out``, which leaves
     ``rh`` holding the transform of the result; a real ``out`` takes the
-    inverse of the half spectrum ``rh`` of a real r. ``first``, if given,
-    is called as first(rows, tmp) on each row band before it is
-    reflected, on the thread that reflects it, to form those rows of
-    ``rh``; ``tmp`` is a band buffer it may overwrite.
+    inverse of the half spectrum ``rh`` of a real r through ``scratch``,
+    a dead half spectrum shaped like ``rh`` that it overwrites, or a fresh
+    one when not given (:func:`_fft2`). ``first``, if given, is called as
+    first(rows, tmp) on each row band before it is reflected, on the
+    thread that reflects it, to form those rows of ``rh``; ``tmp`` is a
+    band buffer it may overwrite.
     """
     ny, nx = out.shape[-2], out.shape[-1]
     g = _spectrum_table(ny, nx, rh.shape[-1])
@@ -541,7 +562,7 @@ def _reflect_hat(rh: np.ndarray, shift: np.ndarray, out: np.ndarray, first=None)
 
     _sweep(reflect, *rh.shape[-2:], (np.complex128, np.complex128), ny * nx)
     rh[:, 0, 0] += shift * (ny * nx)
-    return _fft2(rh, out, inverse=True)
+    return _fft2(rh, out, inverse=True, scratch=scratch)
 
 
 def gamma1(f: VectorField) -> VectorField:

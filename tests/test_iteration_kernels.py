@@ -388,13 +388,16 @@ class TestCallerBuffers:
 
 class TestWorkingSet:
     """A solve allocates its working set once: its tracemalloc peak is the
-    loop's live set plus one packed slot of slack. On the complex path
-    (sigma1 = 0.7+0.4i) the slack covers the support indices, a quarter of
-    a packed slot, and the largest transient, half of one: the residual's
-    |js|^2. On the real path (sigma1 = 2) the live set also counts the
-    copy of its half-spectrum input that irfftn holds during each inverse
-    transform. The result takes fq, jq and x as they are, and builds no
-    grid of its own."""
+    loop's live set, the support indices and the largest transient, plus
+    SLACK. The largest transient rises in the residual: the band buffers
+    of its Parseval sweep, or after them its |js|^2 of one component. The
+    inverse real FFT (sigma1 = 2) runs through a dead half spectrum, so no
+    copy of its input counts. The result takes fq, jq and x as they are,
+    and builds no grid of its own."""
+
+    # Python objects (the history, the split's thread) and numpy's ufunc
+    # buffers in the sweeps: 35-60 KiB measured at n = 256
+    SLACK = 96 * 1024
 
     @staticmethod
     def _peak(pmap, scheme, sigma1, iters):
@@ -426,12 +429,14 @@ class TestWorkingSet:
             # do; each split's thread is started and joined inside the peak
             force_split(monkeypatch)
         # small bands, and a cached Green table, keep the sweeps out of the peak
-        monkeypatch.setattr(spectral_ops, "_BAND_SIZE", 4096)
+        band = 4096
+        monkeypatch.setattr(spectral_ops, "_BAND_SIZE", band)
         spectral_ops._green_table(n, n)
         slots = 3 if scheme.substituted else 1
+        m = np.count_nonzero(pmap.chi)
         if isinstance(sigma1, complex):
             grid = 2 * n * n * 16
-            packed = 2 * np.count_nonzero(pmap.chi) * 16
+            packed = 2 * m * 16
             # fq and jq, with what and chi_hat when accelerated; x, y and the
             # scratch. r_Q takes no grid of its own: the reflection forms it
             # band by band in its own band buffers
@@ -439,14 +444,19 @@ class TestWorkingSet:
         else:
             grid = 2 * n * n * 8
             half = 2 * n * (n // 2 + 1) * 16
-            packed = 2 * np.count_nonzero(pmap.chi) * 8
+            packed = 2 * m * 8
             # fq and jq, real; the half spectra jh, and what and chi_hat when
-            # accelerated; irfftn's copy of its input, one half spectrum over
-            # both components; x, y and the scratch, real
-            spectra = 7 * half // 2 if scheme.accelerated else 2 * half
+            # accelerated; x, y and the scratch, real
+            spectra = 5 * half // 2 if scheme.accelerated else half
             loop = 2 * grid + spectra + (2 * slots + 1) * packed
+        # the flat int64 indices of the m inclusion pixels
+        support = 8 * m
+        # the Parseval sweep's band buffers, two complex and one real, hold
+        # at most _BAND_SIZE pixels each over both threads; the sweep frees
+        # them before |js|^2 takes one float64 component of m pixels
+        transient = max(band * (16 + 16 + 8), 8 * m if scheme.substituted else 0)
         peak = self._peak(pmap, scheme, sigma1, 6)
-        assert peak <= loop + packed
+        assert peak <= loop + support + transient + self.SLACK
         # nothing accumulates per iteration; 16 KiB covers six more history records
         assert self._peak(pmap, scheme, sigma1, 12) <= peak + 16 * 1024
 
@@ -684,20 +694,44 @@ class TestRealArithmetic:
         # rh is left holding the half spectrum of the result
         assert _max_rel_diff([rh], [np.fft.rfftn(expected.real, axes=(-2, -1))]) <= 1e-13
 
+    @pytest.mark.parametrize("scratch", ["none", "data", "distinct"])
     @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
-    @pytest.mark.parametrize("shape", [(16, 24), (15, 17)])
-    def test_fft2_picks_the_real_transforms_by_dtype(self, monkeypatch, shape, split):
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "2d"])
+    @pytest.mark.parametrize("shape", [(16, 24), (16, 17), (15, 24), (15, 17)])
+    def test_fft2_picks_the_real_transforms_by_dtype(
+        self, monkeypatch, shape, stacked, split, scratch
+    ):
+        # even and odd ny and nx; a 2-D call never splits
         if split:
             force_split(monkeypatch)
-        x = np.random.default_rng(41).standard_normal((2, *shape))
+        x = np.random.default_rng(41).standard_normal((2, *shape) if stacked else shape)
         h = _fft2(x)
         assert h.tobytes() == np.fft.rfftn(x, axes=(-2, -1)).tobytes()
         before = h.copy()
+        buffer = {"none": None, "data": h, "distinct": np.empty_like(h)}[scratch]
         out = np.empty_like(x)
-        assert _fft2(h, out, inverse=True) is out
+        # irfftn's two passes, through the scratch: irfftn's bits
+        assert _fft2(h, out, inverse=True, scratch=buffer) is out
         assert out.tobytes() == np.fft.irfftn(before, s=shape, axes=(-2, -1)).tobytes()
-        # the reflection keeps the transform of w_Q in the input of irfftn
-        assert np.array_equal(h, before)
+        # the input is consumed only when it is the scratch
+        if scratch != "data":
+            assert np.array_equal(h, before)
+
+    @pytest.mark.parametrize("scratch", ["data", "distinct"])
+    def test_inverse_through_scratch_copies_nothing(self, scratch):
+        # irfftn's own peak here is a copy of its input, 1.06 MB
+        n = 256
+        h = random_complex(np.random.default_rng(46), (2, n, n // 2 + 1))
+        buffer = h if scratch == "data" else np.empty_like(h)
+        out = np.empty((2, n, n))
+        _fft2(h, out, inverse=True, scratch=buffer)
+        tracemalloc.start()
+        try:
+            _fft2(h, out, inverse=True, scratch=buffer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
 
     def test_half_spectrum_splits_on_the_grid(self, monkeypatch):
         # a 512 x 512 grid has 2^18 pixels per component, its half spectrum

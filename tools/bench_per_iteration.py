@@ -6,12 +6,15 @@ exactly ITERS = 30 iterations; the time per iteration is the median over
 ``--repeats`` runs of wall time divided by iterations. The ``_complex``
 entries repeat the timing and the peak at sigma1 = COMPLEX_SIGMA1, which
 solves in complex arithmetic. 2-D FFTs are counted by wrapping the
-``numpy.fft`` 2-D and n-D transforms, complex and real, on a small grid:
-the count per iteration is the difference between a run of ITERS and
-one of ITERS - 10 iterations, divided by 10, and a transform of a
-(2, ny, nx) stack counts as two. The peak is the ``tracemalloc`` peak,
-in MB, of a solve of PEAK_ITERS = 5 iterations, taken after an untraced
-warm-up solve so that the cached Green table does not count.
+``numpy.fft`` transforms, complex and real, on a small grid: the count
+per iteration is the difference between a run of ITERS and one of
+ITERS - 10 iterations, divided by 10. A 2-D or n-D call counts as one
+transform and a 1-D pass over one axis as half of one, so the inverse
+real FFT, a column ``ifft`` and then a row ``irfft``, counts as one; a
+call on a (2, ny, nx) stack counts twice. The peak is the
+``tracemalloc`` peak, in MB, of a solve of PEAK_ITERS = 5 iterations,
+taken after an untraced warm-up solve so that the cached Green table
+does not count.
 
 ``cpus`` is the number of CPUs the process may run on; on two or more,
 passes over large grids split across two threads. The single-thread
@@ -105,15 +108,22 @@ def ms_per_iteration(scheme: SchemeKind, n: int, repeats: int, sigma1: complex =
     return statistics.median(samples)
 
 
+# the numpy.fft transforms the counter wraps, with the 2-D transforms
+# each call makes per grid: a 1-D pass over one axis is half of one
+FFT_WEIGHTS = {
+    **dict.fromkeys(("fft2", "ifft2", "fftn", "ifftn", "rfft2", "irfft2", "rfftn", "irfftn"), 1.0),
+    **dict.fromkeys(("fft", "ifft", "rfft", "irfft"), 0.5),
+}
+
+
 def ffts_per_iteration(scheme: SchemeKind, n: int = 16, sigma1: complex = 2.0) -> float:
-    names = ("fft2", "ifft2", "fftn", "ifftn", "rfft2", "irfft2", "rfftn", "irfftn")
-    originals = {name: getattr(np.fft, name) for name in names}
+    originals = {name: getattr(np.fft, name) for name in FFT_WEIGHTS}
     count = 0
 
-    def counted(fn):
+    def counted(fn, weight):
         def wrapper(a, *args, **kwargs):
             nonlocal count
-            count += a.shape[0] if a.ndim == 3 else 1
+            count += weight * (a.shape[0] if a.ndim == 3 else 1)
             return fn(a, *args, **kwargs)
 
         return wrapper
@@ -121,7 +131,7 @@ def ffts_per_iteration(scheme: SchemeKind, n: int = 16, sigma1: complex = 2.0) -
     pmap = build_square_array(n, 0.5)
     totals = []
     for name, fn in originals.items():
-        setattr(np.fft, name, counted(fn))
+        setattr(np.fft, name, counted(fn, FFT_WEIGHTS[name]))
     try:
         for k in (ITERS - 10, ITERS):
             count = 0
