@@ -93,6 +93,7 @@ from .geometry import PhaseMap
 from .spectral_ops import (
     AugmentedField,
     VectorField,
+    _chi_of,
     _combine_rows,
     _compensated_ctotal,
     _compensated_total,
@@ -185,6 +186,10 @@ class SolverConfig:
     sigma0_override: complex | None = None
 
     def __post_init__(self):
+        if not isinstance(self.scheme, SchemeKind):
+            raise ValueError(f"scheme must be a SchemeKind, got {self.scheme!r}")
+        if not (self.interval is None or isinstance(self.interval, SpectralInterval)):
+            raise ValueError(f"interval must be a SpectralInterval or None, got {self.interval!r}")
         if not (isinstance(self.tol, numbers.Real) and self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
@@ -269,7 +274,7 @@ class SolveResult:
 def extract_sigma_star(e: VectorField, pmap: PhaseMap, sigma1: complex, e0=(1.0, 0.0)) -> complex:
     """Effective conductivity along e0 from an electric field iterate."""
     e0v = _e0_vector(e0)
-    (flux,) = _local_arrays((e.data,), pmap.chi, (1.0,), complex(sigma1), 1.0)
+    (flux,) = _local_arrays((e.data,), _chi_of(pmap, e), (1.0,), complex(sigma1), 1.0)
     return _along(e0v, _mean_vec(flux))
 
 
@@ -331,7 +336,7 @@ def equilibrium_residual(j: VectorField) -> float:
 def equilibrium_residual_aug(jaug: AugmentedField, pmap: PhaseMap) -> float:
     """Augmented-space analogue: gradient-type part over constant part."""
     q = _real_if_allowed(jaug.Q.data)
-    return _residual(q, jaug.S.data[:, pmap.chi], _mean_vec(q))
+    return _residual(q, jaug.S.data[:, _chi_of(pmap, jaug)], _mean_vec(q))
 
 
 def estimate_rate(history: ConvergenceHistory, window: int) -> float:

@@ -2,18 +2,19 @@
 
 A VectorField samples a complex 2-vector on the periodic pixel grid. The
 projection gamma1 (zero-mean curl-free part) acts mode-wise in Fourier
-space with multiplier d (x) conj(d) / |d|^2 of Willot's rotated
-finite-difference Green operator (C. R. Mecanique 343, 2015):
-d_x = a(xi_x) b(xi_y), d_y = b(xi_x) a(xi_y) with a(xi) = e^{i xi} - 1,
-b(xi) = (e^{i xi} + 1)/2 and xi = 2 pi m / n. d vanishes at the zero
-mode and, on even grids, at the checkerboard mode (pi, pi), which gamma1
-therefore drops as well. The multiplier is conjugate-symmetric,
-M(-k) = conj(M(k)), on the Nyquist lines too, so gamma1 maps real fields
-to real fields. The Moulinec-Suquet multiplier k (x) k / |k|^2, which
-this package used before, stays as a reference table for comparisons
-(:func:`_spectral_table`); no solve reads it. It lacks that symmetry on
-the Nyquist lines of even grids, so its table says gamma1 does not map
-real fields to real fields (``_Green.maps_real``).
+space with the real rank-one multiplier d (x) d / |d|^2 of a real vector
+d per mode. Every solve reads Willot's rotated finite-difference Green
+operator (C. R. Mecanique 343, 2015), d = (sin(xi_x/2) cos(xi_y/2),
+cos(xi_x/2) sin(xi_y/2)) at xi = 2 pi m / n: his complex d divided by a
+phase, which cancels in the multiplier. d vanishes at the zero mode and,
+on even grids, at the checkerboard mode (pi, pi), which gamma1 therefore
+drops. The multiplier is even, M(-k) = M(k), on the Nyquist lines too,
+so gamma1 maps real fields to real fields. The Moulinec-Suquet d = k on
+the integer wave vectors, which this package used before, stays as a
+reference table for comparisons (:func:`_spectral_table`); no solve
+reads it. It is not even on the Nyquist lines of even grids, so its
+table says gamma1 does not map real fields to real fields
+(``_Green.maps_real``).
 
 The operator is one cached table per grid (:func:`_green_table`): the
 1-D factors of d and the real table 1/|d|^2. gamma1 runs in two halves:
@@ -23,7 +24,7 @@ FFT. The reflection of the Eyre-Milton update, shift - 2 gamma1(r) + r,
 is formed in Fourier space on the transform of r with the same
 multiplier, followed by one inverse FFT; the caller may form each band
 of that transform in the same sweep, just before the band is reflected.
-Each of the three forms conj(d) . f first, scales it by 1/|d|^2, then
+Each of the three forms d . f first, scales it by 1/|d|^2, then
 multiplies by d. These Fourier-space sweeps run over bands of rows, in
 band buffers made once per call, so their temporaries stay small.
 
@@ -235,18 +236,16 @@ def norm(f: VectorField) -> float:
 
 @dataclass(frozen=True)
 class _Green:
-    """The multiplier d of gamma1 = d (x) conj(d) / |d|^2 on one grid.
+    """The multiplier d (x) d / |d|^2 of gamma1 on one grid, for a real vector d per mode.
 
     Component c of d is the product of the factors ``d[c]``, each a row
-    (1, nx) over the x index or a column (ny, 1) over the y index;
-    ``conj_d[c]`` holds their conjugates. ``inv_d2`` is the real table
-    1/|d|^2, exactly 0 where d vanishes. ``maps_real`` says whether
-    gamma1 maps real fields to real fields, which its half spectrum then
-    determines.
+    (1, nx) over the x index or a column (ny, 1) over the y index.
+    ``inv_d2`` is the real table 1/|d|^2, exactly 0 where d vanishes.
+    ``maps_real`` says whether gamma1 maps real fields to real fields,
+    which its half spectrum then determines.
     """
 
     d: tuple
-    conj_d: tuple
     inv_d2: np.ndarray
     maps_real: bool
 
@@ -258,48 +257,43 @@ def _mode_index(n: int) -> np.ndarray:
     return m
 
 
-def _rotated_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """a = e^{i xi} - 1 and b = (e^{i xi} + 1)/2 at xi = 2 pi m / n, m in FFT order.
+def _half_angles(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """sin(xi/2) and cos(xi/2) at xi = 2 pi m / n, m in FFT order.
 
-    e^{i xi} is set to -1 exactly where 2m = -n, so that b vanishes there
-    exactly: np.exp(1j * np.pi) is -1 + 1.2e-16j.
+    The cos is the sin of the complementary angle pi (n - 2|m|) / (2n),
+    so it keeps full precision near |xi| = pi, where np.cos loses about
+    log10(n) digits, and is exactly 0 at 2m = -n, as the sin is at m = 0.
     """
     m = _mode_index(n)
-    e = np.exp(2j * np.pi * m / n)
-    e[2 * m == -n] = -1.0
-    return e - 1.0, (e + 1.0) / 2.0
+    return np.sin(np.pi * m / n), np.sin(np.pi * (n - 2 * np.abs(m)) / (2 * n))
 
 
-def _read_only_table(
-    d: tuple, conj_d: tuple, d2: np.ndarray, vanish: np.ndarray, maps_real: bool
-) -> _Green:
-    """A read-only _Green, with 1/|d|^2 set to 0 exactly on the mask ``vanish``."""
-    inv_d2 = np.zeros(d2.shape)
-    np.divide(1.0, d2, out=inv_d2, where=~vanish)
+def _read_only_table(d: tuple, d2: np.ndarray, maps_real: bool) -> _Green:
+    """A read-only _Green, with 1/|d|^2 set to 0 exactly where ``d2`` = |d|^2 is 0."""
+    inv_d2 = np.divide(1.0, d2, out=np.zeros(d2.shape), where=d2 != 0)
     # every caller shares the cached arrays
-    for table in (inv_d2, *d[0], *d[1], *conj_d[0], *conj_d[1]):
+    for table in (inv_d2, *d[0], *d[1]):
         table.flags.writeable = False
-    return _Green(d, conj_d, inv_d2, maps_real)
+    return _Green(d, inv_d2, maps_real)
 
 
 @lru_cache(maxsize=8)
 def _green_table(ny: int, nx: int) -> _Green:
     """The Green table of gamma1 on an ny-by-nx grid, cached.
 
-    Willot's rotated operator: d_x = a(xi_x) b(xi_y) and
-    d_y = b(xi_x) a(xi_y), with a and b of :func:`_rotated_factors`. d
-    vanishes at k = 0 and, on even grids, at (pi, pi). Only 1-D factors
-    and the real 1/|d|^2 are stored: complex grid-sized tables of d_x and
-    d_y would hold 32 MB more at n = 1024.
+    Willot's rotated operator, d of :func:`_half_angles`: his complex
+    d_x = a(xi_x) b(xi_y), d_y = b(xi_x) a(xi_y) over 2i e^{i (xi_x + xi_y)/2}.
+    Only 1-D factors and the real 1/|d|^2 are stored: complex grid-sized
+    tables of d_x and d_y would hold 32 MB more at n = 1024. The factors
+    are complex with imaginary part 0: numpy multiplies a complex band by
+    a float64 factor through a casting buffer, 1.6-2.2 times slower (see
+    README), and x + 0j gives the bits of the real product.
     """
-    mx, my = _mode_index(nx)[None, :], _mode_index(ny)[:, None]
-    ax, bx = (f[None, :] for f in _rotated_factors(nx))
-    ay, by = (f[:, None] for f in _rotated_factors(ny))
-    d = ((ax, by), (bx, ay))
-    conj_d = tuple(tuple(np.conj(f) for f in dc) for dc in d)
-    d2 = np.abs(ax) ** 2 * np.abs(by) ** 2 + np.abs(bx) ** 2 * np.abs(ay) ** 2
-    vanish = ((mx == 0) & (my == 0)) | ((2 * mx == -nx) & (2 * my == -ny))
-    return _read_only_table(d, conj_d, d2, vanish, True)
+    sx, cx = (f[None, :] for f in _half_angles(nx))
+    sy, cy = (f[:, None] for f in _half_angles(ny))
+    d2 = sx**2 * cy**2 + cx**2 * sy**2
+    d = tuple(tuple(f + 0j for f in dc) for dc in ((sx, cy), (cx, sy)))
+    return _read_only_table(d, d2, True)
 
 
 @lru_cache(maxsize=8)
@@ -312,11 +306,9 @@ def _spectral_table(ny: int, nx: int) -> _Green:
     Tests and ``tools/bench_per_iteration.py --green`` put it in place of
     :func:`_green_table` to compare the two operators.
     """
-    kx = np.fft.fftfreq(nx, d=1.0 / nx)[None, :]
-    ky = np.fft.fftfreq(ny, d=1.0 / ny)[:, None]
-    d = ((kx,), (ky,))
-    vanish = (_mode_index(nx)[None, :] == 0) & (_mode_index(ny)[:, None] == 0)
-    return _read_only_table(d, d, kx * kx + ky * ky, vanish, False)
+    kx = _mode_index(nx)[None, :].astype(np.float64)
+    ky = _mode_index(ny)[:, None].astype(np.float64)
+    return _read_only_table(((kx,), (ky,)), kx * kx + ky * ky, False)
 
 
 def _spectrum_table(ny: int, nx: int, width: int) -> _Green:
@@ -332,13 +324,8 @@ def _spectrum_table(ny: int, nx: int, width: int) -> _Green:
         return g
     if not g.maps_real:
         raise ValueError("this Green table does not map real fields to real fields")
-
-    def cut(factors):
-        return tuple(f if f.shape[1] == 1 else f[:, :width] for f in factors)
-
-    return _Green(
-        tuple(map(cut, g.d)), tuple(map(cut, g.conj_d)), g.inv_d2[:, :width], g.maps_real
-    )
+    d = tuple(tuple(f[:, :width] for f in dc) for dc in g.d)
+    return _Green(d, g.inv_d2[:, :width], g.maps_real)
 
 
 def _field_dtype(shape: tuple, *values) -> type:
@@ -480,8 +467,8 @@ def _gamma1_inverse(fh: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
 
     def project(band):
         dot, f1 = fh[0, band], fh[1, band]
-        _times(dot, g.conj_d[0], band)
-        _times(f1, g.conj_d[1], band)
+        _times(dot, g.d[0], band)
+        _times(f1, g.d[1], band)
         dot += f1
         dot *= g.inv_d2[band]
         _times(f1, g.d[1], band, dot)
@@ -499,7 +486,7 @@ def _gamma1_arr(data: np.ndarray) -> np.ndarray:
 def _gamma1_sqnorm(data: np.ndarray, work: np.ndarray | None = None) -> float:
     """Sum over pixels of |gamma1(data)|^2, from the FFT of ``data`` alone.
 
-    By Parseval the sum is (1/N) sum_k |conj(d) . f(k)|^2 / |d|^2, so no
+    By Parseval the sum is (1/N) sum_k |d . f(k)|^2 / |d|^2, so no
     inverse transform is needed; over the half spectrum of a real
     ``data``, every column but 0 and, on even nx, nx/2 stands for a
     conjugate pair and counts twice. It is formed band by band, and the
@@ -513,8 +500,8 @@ def _gamma1_sqnorm(data: np.ndarray, work: np.ndarray | None = None) -> float:
     g = _spectrum_table(ny, nx, width)
 
     def band_power(band, dot, tmp, power):
-        _times(dot, g.conj_d[0], band, fh[0, band])
-        dot += _times(tmp, g.conj_d[1], band, fh[1, band])
+        _times(dot, g.d[0], band, fh[0, band])
+        dot += _times(tmp, g.d[1], band, fh[1, band])
         np.multiply(dot.real, dot.real, out=power)
         power += np.multiply(dot.imag, dot.imag, out=tmp.real)
         power *= g.inv_d2[band]
@@ -553,8 +540,8 @@ def _reflect_hat(
     def reflect(band, dot, tmp):
         if first is not None:
             first(band, tmp)
-        _times(dot, g.conj_d[0], band, rh[0, band])
-        dot += _times(tmp, g.conj_d[1], band, rh[1, band])
+        _times(dot, g.d[0], band, rh[0, band])
+        dot += _times(tmp, g.d[1], band, rh[1, band])
         dot *= g.inv_d2[band]
         dot *= -2.0
         rh[0, band] += _times(tmp, g.d[0], band, dot)
@@ -611,15 +598,17 @@ class AugmentedField:
         return AugmentedField(self.Q.copy(), self.S.copy(), self.T.copy())
 
 
-def _check_support(field: AugmentedField, pmap: PhaseMap):
-    outside = ~pmap.chi
-    if np.any(field.S.data[:, outside]) or np.any(field.T.data[:, outside]):
-        raise SupportError("S/T slots carry data on phase-2 pixels")
+def _chi_of(pmap: PhaseMap, *fields) -> np.ndarray:
+    """``pmap.chi``; ValueError naming both shapes unless every field lies on its grid."""
+    for f in fields:
+        if f.grid_shape != pmap.chi.shape:
+            raise ValueError(f"field grid {f.grid_shape} is not the PhaseMap's {pmap.chi.shape}")
+    return pmap.chi
 
 
 def inner_aug(f: AugmentedField, g: AugmentedField, pmap: PhaseMap) -> complex:
     """Mean of [conj(S).S' + conj(T).T'] chi + conj(Q).Q'."""
-    chi = pmap.chi
+    chi = _chi_of(pmap, f, g)
     npix = chi.size
     total = _compensated_ctotal(np.conj(f.Q.data) * g.Q.data)
     total += _compensated_ctotal(
@@ -629,7 +618,7 @@ def inner_aug(f: AugmentedField, g: AugmentedField, pmap: PhaseMap) -> complex:
 
 
 def norm_aug(f: AugmentedField, pmap: PhaseMap) -> float:
-    chi = pmap.chi
+    chi = _chi_of(pmap, f)
     npix = chi.size
     total = _compensated_total(np.abs(f.Q.data) ** 2)
     total += _compensated_total((np.abs(f.S.data) ** 2 + np.abs(f.T.data) ** 2) * chi)
@@ -643,7 +632,9 @@ def gamma0_aug(f: AugmentedField) -> np.ndarray:
 
 def gamma1_aug(f: AugmentedField, pmap: PhaseMap) -> AugmentedField:
     """Projection onto gradient-type augmented fields: (gamma1 Q, S, 0)."""
-    _check_support(f, pmap)
+    outside = ~_chi_of(pmap, f)
+    if np.any(f.S.data[:, outside]) or np.any(f.T.data[:, outside]):
+        raise SupportError("S/T slots carry data on phase-2 pixels")
     ny, nx = f.grid_shape
     return AugmentedField(gamma1(f.Q), f.S.copy(), VectorField.zeros(ny, nx))
 
@@ -725,7 +716,7 @@ def _local_arrays(slots: tuple, chi, p: tuple, on, off) -> tuple:
 def _local_aug(f: AugmentedField, params: SubstitutionParams, pmap: PhaseMap, on, off):
     """:func:`_local_arrays` on the (Q, S, T) slots of an augmented field."""
     p = (params.p1, params.p2, params.p3)
-    arrays = _local_arrays((f.Q.data, f.S.data, f.T.data), pmap.chi, p, on, off)
+    arrays = _local_arrays((f.Q.data, f.S.data, f.T.data), _chi_of(pmap, f), p, on, off)
     return AugmentedField(*map(VectorField, arrays))
 
 

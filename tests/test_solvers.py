@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fftcond import (
     SpectralInterval,
     TerminationStatus,
     VectorField,
+    apply_chi_aug,
     apply_local_A,
     aux_constants,
     build_disk_array,
@@ -27,8 +29,12 @@ from fftcond import (
     estimate_rate,
     extract_sigma_star,
     extract_sigma_star_aug,
+    gamma1_aug,
+    inner_aug,
+    invert_shifted_A,
     map_t,
     norm,
+    norm_aug,
     obnosov,
     recover_physical_fields,
     solve,
@@ -239,6 +245,53 @@ class TestExtraction:
             build_uniform(8, True), cfg_for(SchemeKind.BASIC_SUB, 5.0, tol=1e-13)
         )
         assert r.sigma_star == pytest.approx(5.0, rel=1e-11)
+
+
+class TestGridMismatch:
+    """Every public function that takes a field and a PhaseMap rejects a
+    field on another grid with one ValueError naming both shapes."""
+
+    PMAP = build_square_array(32, 0.5)
+    PARAMS = solve_p(BENCH)
+    CALLS = {
+        "inner_aug": lambda f, pm: inner_aug(f, f, pm),
+        "inner_aug_second": lambda f, pm: inner_aug(
+            AugmentedField.from_mean([1.0, 0.0], pm.ny, pm.nx), f, pm
+        ),
+        "norm_aug": lambda f, pm: norm_aug(f, pm),
+        "gamma1_aug": lambda f, pm: gamma1_aug(f, pm),
+        "apply_chi_aug": lambda f, pm: apply_chi_aug(f, TestGridMismatch.PARAMS, pm),
+        "apply_local_A": lambda f, pm: apply_local_A(f, 2.0, TestGridMismatch.PARAMS, pm),
+        "invert_shifted_A": lambda f, pm: invert_shifted_A(
+            f, 2.0, 0.5, TestGridMismatch.PARAMS, pm
+        ),
+        "extract_sigma_star": lambda f, pm: extract_sigma_star(f.Q, pm, 2.0),
+        "extract_sigma_star_aug": lambda f, pm: extract_sigma_star_aug(
+            f, 2.0, TestGridMismatch.PARAMS, pm
+        ),
+        "recover_physical_fields": lambda f, pm: recover_physical_fields(
+            f, 2.0, TestGridMismatch.PARAMS, pm
+        ),
+        "equilibrium_residual_aug": lambda f, pm: equilibrium_residual_aug(f, pm),
+    }
+
+    @pytest.mark.parametrize("grid", [(64, 64), (16, 16), (32, 48)])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_field_on_another_grid(self, name, grid):
+        field = AugmentedField.from_mean([1.0, 0.0], *grid)
+        message = re.escape(f"{grid} is not the PhaseMap's (32, 32)")
+        with pytest.raises(ValueError, match=message):
+            self.CALLS[name](field, self.PMAP)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_field_on_the_grid(self, name):
+        self.CALLS[name](AugmentedField.from_mean([1.0, 0.0], 32, 32), self.PMAP)
+
+    def test_sigma_star_of_a_constant_field(self):
+        # on 64x64 the 32x32 map's support indices fell inside the field,
+        # and sigma* came out 1.0625, not 0.75 + 0.25 * 2
+        e = VectorField.constant([1.0, 0.0], 32, 32)
+        assert extract_sigma_star(e, self.PMAP, 2.0) == pytest.approx(1.25, rel=1e-15)
 
 
 class TestConstructionIdentity:
@@ -540,6 +593,19 @@ class TestConfigValidation:
         # a float, even an integral one, would fail later inside range()
         with pytest.raises(ValueError, match="max_iters"):
             SolverConfig(scheme=SchemeKind.BASIC, sigma1=2.0, max_iters=max_iters)
+
+    @pytest.mark.parametrize("scheme", ["em", None, SchemeKind])
+    def test_scheme_not_a_scheme_kind(self, scheme):
+        # a string used to raise AttributeError on .substituted
+        with pytest.raises(ValueError, match="scheme"):
+            SolverConfig(scheme=scheme, sigma1=2.0)
+
+    @pytest.mark.parametrize("interval", [(0.25, 4.0), [0.25, 4.0], 4.0])
+    @pytest.mark.parametrize("scheme", [SchemeKind.BASIC, SchemeKind.EYRE_MILTON_SUB])
+    def test_interval_not_a_spectral_interval(self, scheme, interval):
+        # a tuple used to pass, and solve raised AttributeError on .alpha
+        with pytest.raises(ValueError, match="interval"):
+            SolverConfig(scheme=scheme, sigma1=2.0, interval=interval)
 
     def test_numpy_integer_max_iters(self):
         cfg = SolverConfig(scheme=SchemeKind.BASIC, sigma1=2.0, tol=1e-300, max_iters=np.int64(3))

@@ -35,7 +35,7 @@ from fftcond.spectral_ops import (
     _gamma1_arr,
     _gamma1_sqnorm,
     _green_table,
-    _rotated_factors,
+    _half_angles,
     _spectral_table,
 )
 
@@ -131,16 +131,70 @@ class TestGamma1:
             assert inv_d2.shape == (n, n) and np.all(np.isfinite(inv_d2))
             assert set(zip(*np.nonzero(inv_d2 == 0))) == zeros
 
-    def test_rotated_factors_vanish_exactly(self, n):
-        a, b = _rotated_factors(n)
-        assert a[0] == 0 and b[n // 2] == 0 and a[n // 2] == -2
-        assert np.count_nonzero(a) == n - 1 and np.count_nonzero(b) == n - 1
+    def test_half_angles_vanish_exactly(self, n):
+        # index n/2 of an FFT is m = -n/2, xi = -pi
+        sin, cos = _half_angles(n)
+        assert sin[0] == 0 and cos[n // 2] == 0 and sin[n // 2] == -1 and cos[0] == 1
+        assert np.count_nonzero(sin) == n - 1 and np.count_nonzero(cos) == n - 1
+
+
+def _willot_multiplier(ny, nx):
+    """Willot's d (x) conj(d) / |d|^2 in complex arithmetic, 0 where d vanishes.
+
+    d_x = a(xi_x) b(xi_y) and d_y = b(xi_x) a(xi_y), with a = e^{i xi} - 1
+    and b = (e^{i xi} + 1)/2 = -a(xi -+ pi)/2, the sign taking xi -+ pi
+    into [-pi, pi). Both go through expm1 of an angle formed from
+    integers, so neither cancels near its zero and b(-pi) is exactly 0.
+    """
+
+    def factors(n):
+        m = np.arange(n)
+        m[m >= (n + 1) // 2] -= n
+        a = np.expm1(1j * np.pi * (2 * m) / n)
+        b = -np.expm1(1j * np.pi * (2 * m - np.where(m >= 0, n, -n)) / n) / 2
+        return a, b
+
+    (ax, bx), (ay, by) = factors(nx), factors(ny)
+    d = np.broadcast_arrays(ax[None, :] * by[:, None], bx[None, :] * ay[:, None])
+    d2 = np.abs(d[0]) ** 2 + np.abs(d[1]) ** 2
+    inv = np.divide(1.0, d2, out=np.zeros_like(d2), where=d2 != 0)
+    return np.array([[d[i] * np.conj(d[j]) * inv for j in range(2)] for i in range(2)])
+
+
+def _table_multiplier(g):
+    """The multiplier M[i, j] = d_i d_j / |d|^2 that a _Green table holds."""
+    d = [g.d[c][0] * g.d[c][1] for c in range(2)]
+    return np.array([[d[i] * d[j] * g.inv_d2 for j in range(2)] for i in range(2)])
+
+
+@pytest.mark.parametrize("ny, nx", [(16, 16), (15, 15), (24, 40), (33, 48)])
+def test_rotated_table_is_willots_multiplier(ny, nx):
+    # the real d (x) d / |d|^2 of the half-angle factors is Willot's complex
+    # d (x) conj(d) / |d|^2, whose phase cancels
+    g = _green_table(ny, nx)
+    assert all(f.dtype == np.complex128 and not np.any(f.imag) for f in (*g.d[0], *g.d[1]))
+    M = _table_multiplier(g)
+    assert np.max(np.abs(M - _willot_multiplier(ny, nx))) <= 1e-15
+    if ny % 2 == 0 and nx % 2 == 0:
+        # even in k, Nyquist lines included, and zero exactly at 0 and (pi, pi)
+        flip = (-np.arange(ny))[:, None] % ny, (-np.arange(nx))[None, :] % nx
+        assert np.array_equal(M[:, :, flip[0], flip[1]], M)
+        zeros = np.nonzero(np.all(M == 0, axis=(0, 1)))
+        assert set(zip(*zeros)) == {(0, 0), (ny // 2, nx // 2)}
+
+
+def test_spectral_table_has_integer_wave_numbers():
+    # np.fft.fftfreq(98, d=1/98) is not integer: 98 * (1/98) rounds below 1
+    g = _spectral_table(98, 98)
+    kx, ky = g.d[0][0].ravel(), g.d[1][0].ravel()
+    expected = np.r_[0:49, -49:0]
+    assert np.array_equal(kx, expected) and np.array_equal(ky, expected)
 
 
 def test_only_the_rotated_operator_keeps_real_fields_real(green):
-    # the rotated multiplier is conjugate-symmetric, M(-k) = conj(M(k)),
-    # Nyquist lines included, so a real-to-complex transform could carry
-    # it; the spectral one breaks the symmetry on the Nyquist lines
+    # the rotated multiplier is real and even, M(-k) = M(k), Nyquist lines
+    # included, so a real-to-complex transform carries it; the spectral one
+    # breaks the symmetry on the Nyquist lines
     data = np.random.default_rng(5).standard_normal((2, 16, 16))
     imag = np.max(np.abs(_gamma1_arr(data).imag))
     if green == "rotated":
