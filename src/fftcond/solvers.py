@@ -22,7 +22,8 @@ four converge to the same discrete solution.
 All four record the same residual, the one :func:`equilibrium_residual`
 and :func:`equilibrium_residual_aug` compute: |gamma1 J_Q|^2 is summed by
 Parseval from the FFT of the mean-pinned flux, taken in place when
-complex, after which J_field is rebuilt in real space. Each iteration
+complex and basic, after which J_field is rebuilt in real space, and
+into a transform of its own otherwise. Each iteration
 takes one forward and one inverse 2-D FFT of a vector field. The basic
 schemes finish gamma1(J_Q) from the flux transform for their next
 update. The accelerated ones keep the Q slot of w in Fourier space: since
@@ -47,19 +48,27 @@ arithmetic. The public residuals take the real path on a field whose
 imaginary part is 0, so they repeat the residual a real solve records.
 
 A solve allocates its working set once, and nothing after its loop: the
-full-grid Q slot of the field and the pinned flux, with the FFTs of w_Q
-and of chi when accelerated, and on the real path the flux transform,
-a half spectrum of its own; the indices of the inclusion pixels and the
-slot arrays x = F and y = A F on them, where the accelerated update also
-forms w; and one packed scratch of one slot. The loop allocates only
-band-sized Fourier temporaries and the residual's |js|^2 of one field
-component. The inverse real FFT of the real path runs through a half
-spectrum that is dead at that point: the flux transform, which the basic
-update's projection consumes and the reflection sweep turns into r_Q,
-and which the residual refills. The result keeps the field,
-the flux and x: ``E_field`` and ``J_field`` wrap the grids on first
-read, complex copies on the real path, and ``aug_field`` unpacks S and T
-into full grids, times i on the real path, on first read.
+full-grid Q slot of the pinned flux; the indices of the inclusion pixels
+and the slot arrays x = F and y = A F on them, where the accelerated
+update also forms w; and one packed scratch of one slot. A basic solve
+adds the full-grid Q slot of the field, which persists across its
+iterations, and on the real path the flux transform, a half spectrum of
+its own. An accelerated solve holds one real-space grid: the inverse FFT
+of w_Q lands in the flux's grid, where the update turns it into the
+pinned field and then, on the inclusion pixels, into the pinned flux.
+It adds the flux transform, a half spectrum on the real path and a full
+grid of its own on the complex one, and the FFTs of w_Q and of chi. The
+loop allocates only band-sized Fourier temporaries and the residual's
+|js|^2 of one field component. The inverse real FFT of the real path
+runs through a half spectrum that is dead at that point: the flux
+transform, which the basic update's projection consumes and the
+reflection sweep turns into r_Q, and which the residual refills. The
+result keeps the flux, x and the mean pin delta: ``J_field`` wraps the
+flux on first read, a complex copy on the real path; ``E_field`` is a
+copy of it whose inclusion pixels are set to x[0] + delta, the pinned
+field there, as off them A is the identity on the Q slot; and
+``aug_field`` unpacks S and T into full grids, times i on the real path,
+on first read.
 
 On grids of at least 2^18 pixels per component, with two CPUs to run
 on, the FFT pair and the Fourier-space sweeps (the Parseval sum, the
@@ -229,9 +238,12 @@ def _along(e0v: np.ndarray, jmean: np.ndarray) -> complex:
 class SolveResult:
     """How a solve ended, with its fields built on first read from the loop's arrays.
 
-    ``_grids`` holds the full-grid Q slots of the field and of the flux,
-    float64 on the real path; ``_packed`` holds, for a substituted run,
-    the support and the packed S and T slots, there S/i and T/i.
+    ``_grids`` holds the one real-space grid the result keeps, the
+    full-grid Q slot of the flux, float64 on the real path, with the
+    support, the packed Q slot x[0] of the raw field and the mean pin
+    delta: off the support the pinned field is the flux, and on it
+    x[0] + delta. ``_packed`` holds, for a substituted run, the packed S
+    and T slots, there S/i and T/i.
     """
 
     sigma_star: complex
@@ -243,20 +255,24 @@ class SolveResult:
 
     @cached_property
     def E_field(self) -> VectorField:
-        """Final electric field; wraps the loop's array when complex."""
-        return VectorField(self._grids[0])
+        """Final electric field, mean-pinned: a copy of J_field, x[0] + delta on the inclusion."""
+        jq, support, x0, delta = self._grids
+        e = jq.astype(np.complex128)
+        # the loop's own add, so the bits of the pinned field it held
+        _scatter(e, support, np.add(x0, delta[:, None]))
+        return VectorField(e)
 
     @cached_property
     def J_field(self) -> VectorField:
         """Final flux, with the mean pin of E_field; wraps the loop's array when complex."""
-        return VectorField(self._grids[1])
+        return VectorField(self._grids[0])
 
     @cached_property
     def aug_field(self) -> AugmentedField | None:
         """Final iterate of a substituted run, its S and T grids built on first read."""
         if self._packed is None:
             return None
-        support, st = self._packed
+        st, support = self._packed, self._grids[1]
         if not np.iscomplexobj(st):
             st = st * 1j
         shape = self.E_field.grid_shape
@@ -485,9 +501,12 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
         sigma0, e0v = sigma0.real, e0v.real
     # Slots past Q vanish off the inclusion, so the phase-1 pixels
     # ``support`` carry all len(p) slots packed in ``x``, each (2, m); the
-    # full-grid Q slot lives in ``fq``. A is the identity on the Q slot of
-    # phase-2 pixels; ``y`` holds A x on phase 1. The S line of the basic
-    # update acts on slot 1, which the physical schemes lack. ``scratch``,
+    # full-grid Q slot lives in ``fq``. The basic update keeps it across
+    # iterations; the accelerated one keeps w_Q in Fourier space, so its fq
+    # is the grid of the pinned flux ``jq``, a waypoint from w_Q to the
+    # flux. A is the identity on the Q slot of phase-2 pixels; ``y`` holds
+    # A x on phase 1. The S line of the basic update acts on slot 1, which
+    # the physical schemes lack. ``scratch``,
     # one packed slot, holds every packed temporary of the loop: the slot
     # kernel's products, x[i] sigma0 of the accelerated update and the
     # pinned flux on phase 1, slot by slot; its S slot ``js`` stays there
@@ -501,18 +520,22 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     # unlike a longer one, so a one-component pin would change the bits.
     pin = np.zeros((2, 1, 1), dtype=dtype)
     pin[: len(p), 0, 0] = a_mat[:2, 0]
-    fq = np.empty((2, *chi.shape), dtype=dtype)
+    jq = np.empty((2, *chi.shape), dtype=dtype)
+    fq = jq if accelerated else np.empty_like(jq)
     fq[0], fq[1] = e0v[0], e0v[1]
     x = np.zeros((len(p), 2, support.size), dtype=dtype)
     _pack(fq, support, out=x[0])
     y = np.empty_like(x)
     scratch = np.empty_like(x[0])
     js = scratch if len(p) > 1 else np.empty(0)
-    # the pinned flux and its transform ``jh``, which the residual takes:
-    # jq itself, in place, when complex, and a half spectrum of its own when
-    # real. The basic update finishes gamma1 of jq from it
-    jq = np.empty_like(fq)
-    jh = np.empty((2, chi.shape[0], chi.shape[1] // 2 + 1), dtype=np.complex128) if real else jq
+    # the transform ``jh`` of the pinned flux, which the residual takes: a
+    # half spectrum of its own when real, a full grid of its own when
+    # accelerated and complex, and jq itself, in place, when basic and
+    # complex. The basic update finishes gamma1 of jq from it
+    if real:
+        jh = np.empty((2, chi.shape[0], chi.shape[1] // 2 + 1), dtype=np.complex128)
+    else:
+        jh = np.empty_like(jq) if accelerated else jq
     # per component: the mean pin delta, A's response to it on phase 1
     # (slots Q and S), and the pinned flux's mean
     delta = np.empty(2, dtype=dtype)
@@ -536,12 +559,16 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     def real_space(cs, update):
         """The real-space stretch of one iteration on the field components ``cs``.
 
-        From the field the inverse FFT left (w_Q in fq when accelerated,
+        From the field the inverse FFT left (w_Q in jq when accelerated,
         gamma1 of the last pinned flux in jq when basic) to the pinned
-        flux in jq, its S slot ``js`` and its mean. Every step acts on each
-        component alone, and scalars stay one-component arrays, so ``cs``
-        = c:c+1 on each thread of a split gives the bits of 0:2. Calls no
-        splitting helper, and no name that perfbench wraps in this module.
+        flux in jq, its S slot ``js`` and its mean. When accelerated, fq is
+        jq, which turns from w_Q into the pinned field and then, on the
+        inclusion pixels, into the pinned flux; off them A is the identity
+        on the Q slot, so there the flux is the pinned field. Every step
+        acts on each component alone, and scalars stay one-component
+        arrays, so ``cs`` = c:c+1 on each thread of a split gives the bits
+        of 0:2. Calls no splitting helper, and no name that perfbench wraps
+        in this module.
         """
         f, j, s, xs, ys = fq[cs], jq[cs], scratch[cs], x[:, cs], y[:, cs]
         if update and accelerated:
@@ -570,7 +597,8 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
         np.subtract(e0v[cs], [_per_pixel(_compensated_ctotal(c), npix) for c in f], out=d)
         f += d[:, None, None]
         pin_delta[:, cs] = pin * d[:, None]
-        j[...] = f
+        if not accelerated:
+            j[...] = f
         _scatter(j, support, np.add(ys[0], pin_delta[0, cs], out=s))
         if len(p) > 1:
             np.add(ys[1], pin_delta[1, cs], out=s)
@@ -587,7 +615,7 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
                     # the sweep turns the rows of jh into r_Q, after which
                     # jh is dead until the residual refills it: the inverse
                     # real FFT runs through it, and what stays w_Q's transform
-                    _reflect_hat(what, two_s0_e0, fq, band, jh)
+                    _reflect_hat(what, two_s0_e0, jq, band, jh)
                 else:
                     # jh holds the transform of the last pinned flux, which
                     # this consumes; the residual refills it
@@ -614,6 +642,6 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
         history=mon.history,
         status=mon.status,
         degenerate_flux=mon.degenerate_flux,
-        _grids=(fq, jq),
-        _packed=(support, x[1:]) if cfg.scheme.substituted else None,
+        _grids=(jq, support, x[0], delta),
+        _packed=x[1:] if cfg.scheme.substituted else None,
     )

@@ -389,11 +389,13 @@ class TestCallerBuffers:
 class TestWorkingSet:
     """A solve allocates its working set once: its tracemalloc peak is the
     loop's live set, the support indices and the largest transient, plus
-    SLACK. The largest transient rises in the residual: the band buffers
-    of its Parseval sweep, or after them its |js|^2 of one component. The
-    inverse real FFT (sigma1 = 2) runs through a dead half spectrum, so no
-    copy of its input counts. The result takes fq, jq and x as they are,
-    and builds no grid of its own."""
+    SLACK. The largest transient rises in the residual: the two band
+    buffers of its Parseval sweep, or after them its |js|^2 of one
+    component. The inverse real FFT (sigma1 = 2) runs through a dead half
+    spectrum, so no copy of its input counts. An accelerated solve holds
+    one real-space grid, jq, in which w_Q turns into the pinned field and
+    then the pinned flux. The result takes jq, the support, x and the mean
+    pin as they are, and builds no grid of its own."""
 
     # Python objects (the history, the split's thread) and numpy's ufunc
     # buffers in the sweeps: 35-60 KiB measured at n = 256
@@ -437,28 +439,76 @@ class TestWorkingSet:
         if isinstance(sigma1, complex):
             grid = 2 * n * n * 16
             packed = 2 * m * 16
-            # fq and jq, with what and chi_hat when accelerated; x, y and the
-            # scratch. r_Q takes no grid of its own: the reflection forms it
-            # band by band in its own band buffers
+            # jq, with fq when basic, and the flux transform jh, what and
+            # chi_hat when accelerated; x, y and the scratch. r_Q takes no
+            # grid of its own: the reflection forms it band by band in its
+            # own band buffers
             loop = (7 * grid // 2 if scheme.accelerated else 2 * grid) + (2 * slots + 1) * packed
         else:
             grid = 2 * n * n * 8
             half = 2 * n * (n // 2 + 1) * 16
             packed = 2 * m * 8
-            # fq and jq, real; the half spectra jh, and what and chi_hat when
-            # accelerated; x, y and the scratch, real
-            spectra = 5 * half // 2 if scheme.accelerated else half
-            loop = 2 * grid + spectra + (2 * slots + 1) * packed
+            # jq, real, with fq when basic; the half spectra jh, and what and
+            # chi_hat when accelerated; x, y and the scratch, real
+            grids, spectra = (grid, 5 * half // 2) if scheme.accelerated else (2 * grid, half)
+            loop = grids + spectra + (2 * slots + 1) * packed
         # the flat int64 indices of the m inclusion pixels
         support = 8 * m
-        # the Parseval sweep's band buffers, two complex and one real, hold
-        # at most _BAND_SIZE pixels each over both threads; the sweep frees
-        # them before |js|^2 takes one float64 component of m pixels
-        transient = max(band * (16 + 16 + 8), 8 * m if scheme.substituted else 0)
+        # the Parseval sweep's two complex band buffers hold at most
+        # _BAND_SIZE pixels each over both threads; the sweep frees them
+        # before |js|^2 takes one float64 component of m pixels
+        transient = max(band * (16 + 16), 8 * m if scheme.substituted else 0)
         peak = self._peak(pmap, scheme, sigma1, 6)
         assert peak <= loop + support + transient + self.SLACK
         # nothing accumulates per iteration; 16 KiB covers six more history records
         assert self._peak(pmap, scheme, sigma1, 12) <= peak + 16 * 1024
+
+
+class TestResultFields:
+    """A solve keeps one real-space grid, the pinned flux J_field; E_field is
+    built from it on first read, with the pinned field's bits."""
+
+    @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+    @pytest.mark.parametrize("sigma1", [2.0, 0.7 + 0.4j], ids=["real", "complex"])
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_e_field_is_rebuilt_from_the_flux(self, monkeypatch, scheme, sigma1, split):
+        if split:
+            force_split(monkeypatch)
+        pmap = build_disk_array(32, 0.35)
+        chi = pmap.chi
+        e0 = (0.6, 0.8)
+        cfg = SolverConfig(
+            scheme=scheme,
+            sigma1=sigma1,
+            interval=BENCH if scheme.substituted else None,
+            e0=e0,
+            tol=1e-10,
+        )
+        r = solve(pmap, cfg)
+        jq, support, x0, delta = r._grids
+        flux = jq.copy()
+        e = r.E_field.data
+        # reading E_field leaves the flux untouched
+        assert jq.tobytes() == flux.tobytes()
+        j = r.J_field.data
+        assert j.tobytes() == flux.astype(np.complex128).tobytes()
+        # off the inclusion A is the identity on the Q slot: E is J, bit for bit
+        assert e[:, ~chi].tobytes() == j[:, ~chi].tobytes()
+        # on it, the raw iterate plus the mean pin, with the loop's bits
+        pinned = np.add(x0, delta[:, None]).astype(np.complex128)
+        assert e.reshape(2, -1)[:, support].tobytes() == pinned.tobytes()
+        assert np.max(np.abs(r.E_field.mean() - np.array(e0))) <= 1e-14
+        # and J is A applied to it there
+        if scheme.substituted:
+            t = map_t(sigma1, BENCH)
+            assert r.aug_field.Q is r.E_field
+            local = apply_local_A(r.aug_field, t, solve_p(BENCH), pmap).Q.data
+        else:
+            assert r.aug_field is None
+            local = np.where(chi, sigma1, 1.0) * e
+            got = extract_sigma_star(r.E_field, pmap, sigma1, e0)
+            assert abs(got - r.sigma_star) <= 1e-12 * abs(r.sigma_star)
+        assert np.max(np.abs(local - j)) <= 1e-14 * np.max(np.abs(j))
 
 
 def _split_into(queue):

@@ -188,7 +188,10 @@ def test_spectral_table_has_integer_wave_numbers():
     g = _spectral_table(98, 98)
     kx, ky = g.d[0][0].ravel(), g.d[1][0].ravel()
     expected = np.r_[0:49, -49:0]
-    assert np.array_equal(kx, expected) and np.array_equal(ky, expected)
+    # stored complex, as the rotated factors are, with imaginary part exactly 0
+    for k in (kx, ky):
+        assert k.dtype == np.complex128
+        assert np.array_equal(k.real, expected) and np.array_equal(k.imag, np.zeros(98))
 
 
 def test_only_the_rotated_operator_keeps_real_fields_real(green):
