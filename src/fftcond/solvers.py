@@ -21,21 +21,27 @@ four converge to the same discrete solution.
 
 All four record the same residual, the one :func:`equilibrium_residual`
 and :func:`equilibrium_residual_aug` compute: |gamma1 J_Q|^2 is summed by
-Parseval from the FFT of the mean-pinned flux, taken in place when
-complex and basic, after which J_field is rebuilt in real space, and
-into a transform of its own otherwise. Each iteration
-takes one forward and one inverse 2-D FFT of a vector field. The basic
-schemes finish gamma1(J_Q) from the flux transform for their next
-update. The accelerated ones keep the Q slot of w in Fourier space: since
-F = (A + sigma0 I)^-1 D w, with D the S sign flip,
-r = (A - sigma0 I) F = 2 A F - D w has Q slot r_Q = 2 J_Q - w_Q, so the
-flux transform yields r_Q with no transform of its own. The mean pin
-J_Q - delta (1 + (pin0 - 1) chi) is undone there with the FFT of chi,
-taken once per solve. The reflection w_Q = 2 sigma0 e0 - 2 gamma1(r_Q) +
-r_Q is formed in Fourier space, in one band sweep that forms each band of
-r_Q just before reflecting it, and one inverse FFT returns w_Q to real
-space for the local inverse. sigma* is read off the flux of the local
-operator A in every path.
+Parseval from the spectrum of div J_Q, one scalar grid and one scalar
+FFT (spectral_ops). Each iteration takes that forward FFT and one
+inverse scalar FFT. The basic schemes scale the residual's spectrum into
+the potential of -gamma1(J_Q) / sigma0 for their next update. The
+accelerated ones need only div r_Q, where r = (A - sigma0 I) F_raw of
+the raw iterate F_raw = (A + sigma0 I)^-1 D w, with D the S sign flip:
+the reflection w_Q = 2 sigma0 e0 + r_Q - 2 gamma1(r_Q) has
+div w_Q = -div r_Q, and r = 2 A F_raw - D w has Q slot
+r_Q = 2 J_raw - w_Q, so the spectrum of div r_Q follows from that of
+div J_raw, the residual's less its mean pin, and the last one
+(spectral_ops._reflect_hat). The pin J_Q - J_raw =
+delta (1 + (pin0 - 1) chi) enters through the spectrum of chi, taken
+once per solve. r_Q itself is formed in real space from the pinned flux,
+(1 - sigma0)(J_Q - delta) off the inclusion and y[0] - sigma0 x[0] on
+it, and one band pass adds the grad term of the reflection and scales
+the result by 1/(1 + sigma0), the local inverse off the inclusion. The
+recursion carries its roundoff from iteration to iteration, a random
+walk that leaves a residual floor near 1e-13; below _EXACT_BELOW the
+update transforms div r_Q itself instead, one more forward FFT per
+iteration. sigma* is read off the flux of the local operator A in every
+path.
 
 The loop runs in real arithmetic when t, sigma0 and e0 are real and the
 Green table maps real fields to real fields, as the rotated one does and
@@ -48,37 +54,34 @@ arithmetic. The public residuals take the real path on a field whose
 imaginary part is 0, so they repeat the residual a real solve records.
 
 A solve allocates its working set once, and nothing after its loop: the
-full-grid Q slot of the pinned flux; the indices of the inclusion pixels
-and the slot arrays x = F and y = A F on them, where the accelerated
-update also forms w; and one packed scratch of one slot. A basic solve
-adds the full-grid Q slot of the field, which persists across its
-iterations, and on the real path the flux transform, a half spectrum of
-its own. An accelerated solve holds one real-space grid: the inverse FFT
-of w_Q lands in the flux's grid, where the update turns it into the
-pinned field and then, on the inclusion pixels, into the pinned flux.
-It adds the flux transform, a half spectrum on the real path and a full
-grid of its own on the complex one, and the FFTs of w_Q and of chi. The
-loop allocates only band-sized Fourier temporaries and the residual's
-|js|^2 of one field component. The inverse real FFT of the real path
-runs through a half spectrum that is dead at that point: the flux
-transform, which the basic update's projection consumes and the
-reflection sweep turns into r_Q, and which the residual refills. The
-result keeps the flux, x and the mean pin delta: ``J_field`` wraps the
-flux on first read, a complex copy on the real path; ``E_field`` is a
-copy of it whose inclusion pixels are set to x[0] + delta, the pinned
-field there, as off them A is the identity on the Q slot; and
-``aug_field`` unpacks S and T into full grids, times i on the real path,
-on first read.
+full-grid Q slot of the pinned flux; the scalar grid of div J_Q and of
+the potential, and its spectrum, a half spectrum of its own on the real
+path and the grid itself on the complex one; the indices of the
+inclusion pixels and the slot arrays x = F and y = A F on them, where
+the accelerated update also forms w; and one packed scratch of one slot.
+A basic solve adds the full-grid Q slot of the field, which persists
+across its iterations. An accelerated solve holds one real-space grid,
+in which r_Q turns into w_Q, the field and, on the inclusion pixels, the
+pinned flux, and adds the running spectrum of div r_Q and that of chi.
+The loop allocates only band-sized temporaries and the residual's |js|^2
+of one field component. The inverse real FFT of the real path runs
+through the spectrum, which is dead at that point, and which the
+residual refills. The result keeps the flux, x and the mean pin delta:
+``J_field`` wraps the flux on first read, a complex copy on the real
+path; ``E_field`` is a copy of it whose inclusion pixels are set to
+x[0] + delta, the pinned field there, as off them A is the identity on
+the Q slot; and ``aug_field`` unpacks S and T into full grids, times i on
+the real path, on first read.
 
 On grids of at least 2^18 pixels per component, with two CPUs to run
-on, the FFT pair and the Fourier-space sweeps (the Parseval sum, the
-reflection with r_Q, and the basic update's projection) split across two
-threads, with the bits of one thread. So does the real-space stretch of
-each iteration, from the field the inverse FFT returns to the pinned
+on, each pass of the scalar FFTs, the div stencil and the Fourier-space
+sweeps (the Parseval sum, the recursion and the basic update's scaling)
+split across two threads, with the bits of one thread. So does the
+real-space stretch of each iteration, from the potential to the pinned
 flux and its mean, as one split with one field component per thread:
-the gathers, the slot updates and kernels, the scatters, the mean pin
-and both compensated means. The monitor and the residual's Parseval
-combine and |js|^2 total stay on the calling thread.
+the grad stencil, the gathers, the slot updates and kernels, the
+scatters, the mean pin and both compensated means. The monitor and the
+residual's Parseval combine and |js|^2 total stay on the calling thread.
 
 Stopping: equilibrium residual <= tol and a relative change in the
 effective-conductivity estimate <= tol, with a divergence guard at 1e6
@@ -93,7 +96,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -102,26 +105,31 @@ from .geometry import PhaseMap
 from .spectral_ops import (
     AugmentedField,
     VectorField,
+    _add_grad,
+    _chi_hat,
     _chi_of,
     _combine_rows,
     _compensated_ctotal,
     _compensated_total,
-    _fft2,
+    _div_hat,
     _field_dtype,
     _gamma1_arr,  # unused here; perfbench/hooks.py wraps this name in this module
-    _gamma1_inverse,
     _gamma1_sqnorm,
+    _grad_buffers,
     _local_arrays,
     _mean_vec,
     _pack,
     _per_pixel,
+    _potential,
     _real_if_allowed,
     _reflect_hat,
+    _scale_hat,
     _scatter,
     _shifted_inverse_coefs,
     _slot_matrix,
     _slot_sums,
     _split,
+    _splits,
     _unpack,
     apply_local_A,
 )
@@ -136,6 +144,12 @@ from .transform import (
 
 DIVERGENCE_FACTOR = 1e6
 _TINY = 1e-300
+# Equilibrium residual below which the accelerated update forms div r_Q
+# from real space. The recursion of spectral_ops._reflect_hat carries it
+# with roundoff that does not decay, a random walk that leaves a residual
+# floor of 2e-14 to 9e-14 on the 25% square at n = 128 (em, sigma1 = 2,
+# 60 to 500 iterations).
+_EXACT_BELOW = 1e-11
 
 
 class TerminationStatus(Enum):
@@ -320,20 +334,24 @@ def recover_physical_fields(
     return VectorField(f.Q.data.copy()), flux.Q
 
 
-def _residual(jq: np.ndarray, js: np.ndarray, jmean: np.ndarray, work=None) -> float:
+def _residual(jq: np.ndarray, js: np.ndarray, jmean: np.ndarray, grid=None, gh=None) -> float:
     """Equilibrium residual of a flux with Q slot ``jq`` and mean ``jmean``.
 
     The gradient-type part (gamma1 jq, js) over the norm of the mean, per
-    pixel, with |gamma1 jq|^2 summed by Parseval; ``js`` holds the S slot
-    on the inclusion pixels only, and is empty for a physical flux.
-    ``work`` receives the FFT of jq and may be jq itself. ContractError
-    when the mean flux vanishes.
+    pixel, with |gamma1 jq|^2 summed by Parseval from the spectrum of
+    div jq; ``js`` holds the S slot on the inclusion pixels only, and is
+    empty for a physical flux. ``grid`` and ``gh`` receive div jq and its
+    spectrum (:func:`spectral_ops._div_hat`). ContractError when the mean
+    flux vanishes, and nan when it overflows.
     """
     den = float(np.linalg.norm(jmean))
     if den < _TINY:
         raise ContractError("mean flux vanishes; residual is undefined")
+    if not math.isfinite(den):
+        # div cancels the constant part of a flux whose mean overflows
+        return math.nan
     npix = jq.shape[-1] * jq.shape[-2]
-    total = _gamma1_sqnorm(jq, work)
+    total = _gamma1_sqnorm(jq, grid, gh)
     # |js|^2 one component at a time, in a buffer the size of one: the
     # total of a 1-D row is the pairwise sum that of a (2, m) array takes
     # of each row, and the two combine as its rows do
@@ -431,33 +449,6 @@ class _Monitor:
         self.status = TerminationStatus.DIVERGED
 
 
-def _r_q_band(jh, what, chi_hat, delta, pin0, c, npix, band, tmp):
-    """Rows ``band`` of the FFT of the accelerated update's r_Q, into ``what``.
-
-    r_Q is the Q slot of r = (A - sigma0 I) F_raw, where
-    F_raw = (A + sigma0 I)^-1 D w, with D the S sign flip, so
-    r = 2 A F_raw - D w, and D leaves the Q slot: r_Q = 2 J_raw - w_Q, with
-    ``c`` = 2 and ``what`` the FFT of w_Q. At the start F = e0, so
-    r_Q = J_raw - sigma0 e0: ``c`` = 1 and ``what`` the FFT of the constant
-    sigma0 e0. ``jh`` is the FFT of the pinned flux
-    jq = J_raw + delta (1 + (pin0 - 1) chi) on a grid of ``npix`` pixels,
-    so ``chi_hat``, the FFT of chi, undoes the pin; all three are full or
-    half spectra alike. Those rows of ``jh`` and the band buffer ``tmp`` are
-    overwritten. :func:`_reflect_hat` calls it on each band before
-    reflecting the band, on the thread that reflects it, so like the
-    solver's real-space stretch it calls no name that perfbench wraps.
-    """
-    coef, zero = (c * (pin0 - 1.0)) * delta, (c * npix) * delta
-    for i in range(2):
-        j, w = jh[i, band], what[i, band]
-        np.multiply(chi_hat[band], coef[i], out=tmp)
-        j *= c
-        j -= tmp
-        if band.start == 0:
-            j[0, 0] -= zero[i]
-        np.subtract(j, w, out=w)
-
-
 def _apply_A_arrays(q, s, t_arr, t, params, chi):
     """A = t chi'' + (I - chi'') on a raw full-grid (Q, S, T) array triple."""
     return _local_arrays((q, s, t_arr), chi, (params.p1, params.p2, params.p3), t, 1.0)
@@ -490,6 +481,7 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
         t, p, label = sigma1, (1.0,), "sigma1"
     sigma0 = _reference(cfg, t, label)
     chi = pmap.chi
+    nx = chi.shape[1]
     e0v = _e0_vector(cfg.e0)
     # Real t, sigma0 and e0 make the whole iteration real when gamma1 maps
     # real fields to real fields: every field, slot and scalar of the loop
@@ -502,15 +494,16 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     # Slots past Q vanish off the inclusion, so the phase-1 pixels
     # ``support`` carry all len(p) slots packed in ``x``, each (2, m); the
     # full-grid Q slot lives in ``fq``. The basic update keeps it across
-    # iterations; the accelerated one keeps w_Q in Fourier space, so its fq
-    # is the grid of the pinned flux ``jq``, a waypoint from w_Q to the
-    # flux. A is the identity on the Q slot of phase-2 pixels; ``y`` holds
-    # A x on phase 1. The S line of the basic update acts on slot 1, which
-    # the physical schemes lack. ``scratch``,
-    # one packed slot, holds every packed temporary of the loop: the slot
-    # kernel's products, x[i] sigma0 of the accelerated update and the
-    # pinned flux on phase 1, slot by slot; its S slot ``js`` stays there
-    # for the residual and the next basic update.
+    # iterations; the accelerated one keeps only div r_Q, in Fourier
+    # space, so its fq is the grid of the pinned flux ``jq``, in which
+    # w_Q turns into the field and then the flux. A is the identity on
+    # the Q slot of phase-2 pixels; ``y`` holds A x on phase 1. The S line
+    # of the basic update acts on slot 1, which the physical schemes
+    # lack. ``scratch``, one packed slot, holds every packed temporary of
+    # the loop: the slot kernel's products, r_Q and x[i] sigma0 of the
+    # accelerated update and the pinned flux on phase 1, slot by slot;
+    # its S slot ``js`` stays there for the residual and the next basic
+    # update.
     support = np.flatnonzero(chi)
     npix = chi.size
     a_mat = _in_slots(_slot_matrix(p, t, 1.0), real)
@@ -528,14 +521,12 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     y = np.empty_like(x)
     scratch = np.empty_like(x[0])
     js = scratch if len(p) > 1 else np.empty(0)
-    # the transform ``jh`` of the pinned flux, which the residual takes: a
-    # half spectrum of its own when real, a full grid of its own when
-    # accelerated and complex, and jq itself, in place, when basic and
-    # complex. The basic update finishes gamma1 of jq from it
-    if real:
-        jh = np.empty((2, chi.shape[0], chi.shape[1] // 2 + 1), dtype=np.complex128)
-    else:
-        jh = np.empty_like(jq) if accelerated else jq
+    # the scalar grid of div jq, and later of the potential whose grad
+    # updates fq, and the spectrum ``gh`` of div jq, which the residual
+    # takes: a half spectrum of its own when real, the grid itself,
+    # transformed in place, when complex
+    grid = np.empty(chi.shape, dtype=dtype)
+    gh = np.empty((chi.shape[0], chi.shape[1] // 2 + 1), dtype=np.complex128) if real else grid
     # per component: the mean pin delta, A's response to it on phase 1
     # (slots Q and S), and the pinned flux's mean
     delta = np.empty(2, dtype=dtype)
@@ -551,40 +542,77 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
             inv_off = inv_off.real
         two_s0_e0 = 2.0 * sigma0 * e0v
         pin0 = a_mat[0, 0]
-        chi_hat = _fft2(chi.astype(dtype))
-        # the FFT of w_Q, with the start value that _r_q_band takes at k = 2
-        what = np.zeros_like(jh)
-        what[:, 0, 0] = sigma0 * e0v * chi.size
+        # the pin of jq enters div jq through the spectrum of chi; qh
+        # carries the spectrum of div r_Q, scaled (:func:`_reflect_hat`)
+        chi_hat = _chi_hat(chi.astype(dtype))
+        qh = np.empty_like(gh)
 
-    def real_space(cs, update):
+    def r_on_support(cs):
+        """2 sigma0 e0 + r_Q of the last iterate on the inclusion pixels, into scratch.
+
+        r_Q = ((A - sigma0 I) F_raw)_Q is y[0] - sigma0 x[0] there.
+        """
+        s = scratch[cs]
+        np.multiply(x[0, cs], sigma0, out=s)
+        np.subtract(y[0, cs], s, out=s)
+        s += two_s0_e0[cs, None]
+
+    def form_r(cs):
+        """2 sigma0 e0 + r_Q of the last iterate in jq, on the components ``cs``.
+
+        Off the inclusion A is the identity on the Q slot, so there
+        r_Q = (1 - sigma0)(jq - delta); div drops the constant.
+        """
+        f = jq[cs]
+        f *= 1.0 - sigma0
+        f += (two_s0_e0[cs] - (1.0 - sigma0) * delta[cs])[:, None, None]
+        r_on_support(cs)
+        _scatter(f, support, scratch[cs])
+
+    def real_space(cs, update, space, formed, buffers):
         """The real-space stretch of one iteration on the field components ``cs``.
 
-        From the field the inverse FFT left (w_Q in jq when accelerated,
-        gamma1 of the last pinned flux in jq when basic) to the pinned
-        flux in jq, its S slot ``js`` and its mean. When accelerated, fq is
-        jq, which turns from w_Q into the pinned field and then, on the
-        inclusion pixels, into the pinned flux; off them A is the identity
-        on the Q slot, so there the flux is the pinned field. Every step
-        acts on each component alone, and scalars stay one-component
-        arrays, so ``cs`` = c:c+1 on each thread of a split gives the bits
-        of 0:2. Calls no splitting helper, and no name that perfbench wraps
-        in this module.
+        From the last pinned flux in jq, or the field in fq when basic,
+        and the potential ``space`` of the update, to the pinned flux in
+        jq, its S slot ``js`` and its mean. When accelerated, fq is jq: r_Q
+        of the last iterate is formed in it, unless ``formed`` says it is
+        there already, and the reflection turns it into w_Q, then the
+        update into the pinned field and, on the inclusion pixels, into
+        the pinned flux; off them A is the identity on the Q slot, so
+        there the flux is the pinned field. Every step acts on each
+        component alone, and scalars stay one-component arrays, so
+        ``cs`` = c:c+1 on each thread of a split gives the bits of 0:2.
+        The grad stencil runs in ``buffers`` when given. Calls no
+        splitting helper, and no name that perfbench wraps in this
+        module.
         """
         f, j, s, xs, ys = fq[cs], jq[cs], scratch[cs], x[:, cs], y[:, cs]
         if update and accelerated:
-            # w = (2 sigma0 e0 - 2 gamma1(r_Q) + r_Q, -r_S, r_T), whose S
-            # sign inv_mat carries, is formed in y; x = (A + sigma0 I)^-1 D w
-            _pack(f, support, out=ys[0])
+            # w = (2 sigma0 e0 + r_Q - 2 gamma1(r_Q), -r_S, r_T), whose S
+            # sign inv_mat carries, and x = (A + sigma0 I)^-1 D w. The
+            # potential carries 1/(1 + sigma0), and one band pass takes jq,
+            # or 2 sigma0 e0 + r_Q in it when ``formed``, to
+            # w_Q / (1 + sigma0), the field off the inclusion, and leaves
+            # the grad term over 1 + sigma0 on the inclusion in y[0];
+            # form_r left 2 sigma0 e0 + r_Q there in scratch
+            if formed:
+                scale, shift = inv_off, None
+            else:
+                r_on_support(cs)
+                scale = inv_off * (1.0 - sigma0)
+                shift = inv_off * (two_s0_e0[cs] - (1.0 - sigma0) * delta[cs])
+            _add_grad(space, fq, cs, scale, shift, support, ys[0], buffers)
+            ys[0] *= 1.0 + sigma0
+            ys[0] += s
             for i in range(1, len(p)):
                 np.multiply(xs[i], sigma0, out=s)
                 ys[i] -= s
             _slot_sums(inv_mat, ys, xs, s)
-            f *= inv_off
             _scatter(f, support, xs[0])
         elif update:
-            # F -= (gamma1 J_Q, J_S) / sigma0, with J_S in scratch
-            j /= sigma0
-            f -= j
+            # F -= (gamma1 J_Q, J_S) / sigma0, the potential carrying -1/sigma0,
+            # with J_S in scratch
+            _add_grad(space, fq, cs, buffers=buffers)
             _pack(f, support, out=xs[0])
             if len(p) > 1:
                 s /= sigma0
@@ -592,7 +620,7 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
         _slot_sums(a_mat, xs, ys, s)
         # Constant Q-slot correction pins the mean field at e0 for
         # reporting; the accelerated update keeps the raw iterate in x and
-        # in the transforms so the map stays exact.
+        # in div r_Q so the map stays exact.
         d = delta[cs]
         np.subtract(e0v[cs], [_per_pixel(_compensated_ctotal(c), npix) for c in f], out=d)
         f += d[:, None, None]
@@ -605,38 +633,45 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
         jmean[cs] = [_per_pixel(_compensated_ctotal(c), npix) for c in j]
 
     mon = _Monitor(cfg)
+    space = None
+    # whether the accelerated update takes div r_Q from real space, with a
+    # transform of its own, rather than from the recursion of _reflect_hat
+    exact = False
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.max_iters + 1):
             if k > 1:
-                if accelerated:
+                # gh turns into the potential of the update, and the inverse
+                # FFT takes it to real space: into grid, through gh when real
+                if exact:
+                    if _split(npix, form_r, (slice(0, 1),), (slice(1, 2),)) is None:
+                        form_r(slice(0, 2))
+                    _scale_hat(_div_hat(jq, grid, gh), nx, -2.0 * inv_off)
+                elif accelerated:
                     c = 1.0 if k == 2 else 2.0
-                    band = partial(_r_q_band, jh, what, chi_hat, delta, pin0, c, npix)
-                    # the sweep turns the rows of jh into r_Q, after which
-                    # jh is dead until the residual refills it: the inverse
-                    # real FFT runs through it, and what stays w_Q's transform
-                    _reflect_hat(what, two_s0_e0, jq, band, jh)
+                    _reflect_hat(gh, qh, chi_hat, (pin0 - 1.0) * delta, c, nx, inv_off)
                 else:
-                    # jh holds the transform of the last pinned flux, which
-                    # this consumes; the residual refills it
-                    _gamma1_inverse(jh, jq)
-            halves = ((slice(c, c + 1), k > 1) for c in range(2))
-            if _split(npix, real_space, *halves) is None:
-                real_space(slice(0, 2), k > 1)
+                    _scale_hat(gh, nx, -1.0 / sigma0)
+                space = _potential(gh, grid)
+            # on a split each thread's grad buffers are made before either
+            # starts, so what the split holds does not depend on how the
+            # threads interleave; one thread makes its own in _add_grad
+            if _splits(npix):
+                halves = ((slice(i, i + 1), k > 1, space, exact, _grad_buffers(space)) for i in (0, 1))
+                _split(npix, real_space, *halves)
+            else:
+                real_space(slice(0, 2), k > 1, space, exact, None)
             sstar = _along(e0v, jmean)
             try:
-                res = _residual(jq, js, jmean, jh)
+                res = _residual(jq, js, jmean, grid, gh)
             except ContractError:
                 mon.flag_degenerate()
                 break
             if mon.step(k, sstar, res):
                 break
+            exact = accelerated and (exact or res < _EXACT_BELOW)
 
     sigma_star = mon.history.records[-1].sigma_star if len(mon.history) else sstar
-    if jh is jq:
-        # the residual left jq in Fourier space: rebuild it, bit for bit
-        jq[...] = fq
-        _scatter(jq, support, np.add(y[0], pin_delta[0], out=scratch))
     return SolveResult(
         sigma_star=sigma_star,
         history=mon.history,

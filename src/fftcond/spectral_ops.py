@@ -2,7 +2,7 @@
 
 A VectorField samples a complex 2-vector on the periodic pixel grid. The
 projection gamma1 (zero-mean curl-free part) acts mode-wise in Fourier
-space with the real rank-one multiplier d (x) d / |d|^2 of a real vector
+space as the real rank-one multiplier d (x) d / |d|^2 of a real vector
 d per mode. Every solve reads Willot's rotated finite-difference Green
 operator (C. R. Mecanique 343, 2015), d = (sin(xi_x/2) cos(xi_y/2),
 cos(xi_x/2) sin(xi_y/2)) at xi = 2 pi m / n: his complex d divided by a
@@ -16,17 +16,24 @@ reads it. It is not even on the Nyquist lines of even grids, so its
 table says gamma1 does not map real fields to real fields
 (``_Green.maps_real``).
 
-The operator is one cached table per grid (:func:`_green_table`): the
-1-D factors of d and the real table 1/|d|^2. gamma1 runs in two halves:
-a forward FFT, from which the squared norm of gamma1(f) is summed by
-Parseval and which is left intact, and the projection with the inverse
-FFT. The reflection of the Eyre-Milton update, shift - 2 gamma1(r) + r,
-is formed in Fourier space on the transform of r with the same
-multiplier, followed by one inverse FFT; the caller may form each band
-of that transform in the same sweep, just before the band is reflected.
-Each of the three forms d . f first, scales it by 1/|d|^2, then
-multiplies by d. These Fourier-space sweeps run over bands of rows, in
-band buffers made once per call, so their temporaries stay small.
+gamma1 is grad (div grad)^+ div, for a div whose symbol is d times a
+phase that the multiplier does not see (one cached table per grid,
+:func:`_green_table`: the 1-D factors of d and of the phase, and the real
+table 1/|d|^2). On the rotated table div and grad are Willot's
+finite-difference stencils, 2 D^T and 2 D with integer weights, applied
+in real space over bands of rows (:func:`_div_rows`,
+:func:`_grad_rows`): div of a field is one scalar grid and one scalar
+FFT, whose spectrum gives the squared norm of gamma1(f) by Parseval
+(:func:`_hat_sqnorm`) and, scaled by 1/(16 |d|^2), the spectrum of a
+potential (:func:`_scale_hat`), which one inverse scalar FFT takes back
+to real space (:func:`_potential`) for the grad stencil
+(:func:`_add_grad`). So gamma1 costs one scalar FFT pair. On the
+spectral reference div is k . f after the FFT of each component, and
+grad k phi before the inverse FFT of each, in the same functions. The
+Eyre-Milton update needs only the spectrum of div r, which
+:func:`_reflect_hat` carries from one iteration to the next. The
+Fourier-space sweeps and the stencils run over bands of rows, in band
+buffers made once per call, so their temporaries stay small.
 
 The dtype of a field picks its transform (:func:`_fft2`): a complex
 field takes the full FFT, a real one its half spectrum, the nx//2 + 1
@@ -53,15 +60,15 @@ operators are complex. Reductions (means, norms) run row-wise with a
 pairwise sum and combine rows with an exactly rounded sum, so results
 are deterministic for a fixed grid, whatever the CPU count. When a field
 component has at least _THREAD_PIXELS pixels and the process may run on
-two CPUs, the FFT pair and the Fourier-space sweeps (the Parseval sum,
-the reflection and the projection of gamma1) split across the calling
-thread and a thread started for the split (:func:`_split`): one
-component, or one half of the row bands, each. The solvers split the
-real-space stretch of an iteration the same way, one component per
-thread, with the gathers, scatters, slot sums and compensated totals
-here. The public operators and the sigma* read-out run on the calling
-thread alone. Each thread does the unsplit arithmetic on its part, so
-the bits do not change.
+two CPUs, each pass of a scalar FFT (one half of the rows, then one half
+of the columns), the div stencil and the Fourier-space sweeps (one half
+of the row bands) split across the calling thread and a thread started
+for the split (:func:`_split`). The solvers split the real-space stretch
+of an iteration the same way, one component per thread, with the grad
+stencil, gathers, scatters, slot sums and compensated totals here. The
+public operators and the sigma* read-out run on the calling thread
+alone. Each thread does the unsplit arithmetic on its part, so the bits
+do not change.
 """
 
 from __future__ import annotations
@@ -69,8 +76,8 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -78,21 +85,23 @@ from .errors import DegenerateParamError, SupportError
 from .geometry import PhaseMap
 from .transform import SubstitutionParams
 
-# Pixels per row band of the Fourier-space sums and reflection, which
+# Pixels per row band of the Fourier-space sweeps and the stencils, which
 # bounds their temporaries
 _BAND_SIZE = 1 << 16
 # Elements of numpy's ufunc buffer in the Fourier-space sweeps. numpy
-# allocates one such buffer per operand for a broadcast or mixed-type
-# ufunc call. At 8192, numpy's default, the broadcast products of a
-# (64, 1024) band took 2.4 times as long as at 1024, and with bands of
-# 4096 pixels the two threads' buffers, coinciding or not, moved a split
-# solve's memory peak by 32 KB.
-_UFUNC_BUFSIZE = 1024
+# allocates one such buffer per operand for a mixed-type ufunc call, and
+# for a broadcast one on short rows. At 8192, numpy's default, the
+# broadcast products of a (64, 1024) band took 2.4 times as long as at
+# 1024. The two threads' buffers, coinciding or not, move a split solve's
+# memory peak: by 19 KB at 1024 and 11 KB at 512 in the reflection of a
+# real solve at n = 256 with bands of 4096 pixels, while the reflection
+# at n = 1024 took 3.4 ms at 512 against 3.5 ms at 1024.
+_UFUNC_BUFSIZE = 512
 # Pixels per field component from which a pass splits across two threads.
-# The measured crossover sets it: one (2, n, n) FFT took 0.44-0.54 ms on
-# two threads against 0.33 ms on one at n = 128, and 8.1-8.6 against
-# 10.3-13.0 ms at n = 512; a whole iteration at n = 256 was 20-28%
-# slower split.
+# The measured crossover sets it: a scalar FFT at n = 512 took 1.72 ms
+# split against 2.14 ms (forward) and 1.79 against 2.41 ms (inverse), and
+# at n = 256 0.70 split against 0.56 ms; a whole iteration at n = 256 was
+# 20-28% slower split.
 _THREAD_PIXELS = 1 << 18
 
 
@@ -236,17 +245,26 @@ def norm(f: VectorField) -> float:
 
 @dataclass(frozen=True)
 class _Green:
-    """The multiplier d (x) d / |d|^2 of gamma1 on one grid, for a real vector d per mode.
+    """gamma1 = grad (div grad)^+ div on one grid, the multiplier d (x) d / |d|^2 per mode.
 
-    Component c of d is the product of the factors ``d[c]``, each a row
-    (1, nx) over the x index or a column (ny, 1) over the y index.
-    ``inv_d2`` is the real table 1/|d|^2, exactly 0 where d vanishes.
+    d is a real vector per mode: component c is the product of the
+    factors ``d[c]``, each a row (1, nx) over the x index or a column
+    (ny, 1) over the y index. ``inv_d2`` is the real table 1/|d|^2,
+    exactly 0 where d vanishes. The symbol of div is d times a phase
+    that the multiplier does not see, the product of the factors
+    ``phase``, with |phase|^2 = 1/``scale``; grad is the transpose of
+    div. ``stencil`` says how the two act: as real-space stencils on
+    either side of one scalar FFT, or as products by d in Fourier space,
+    after the FFT of each component and before its inverse.
     ``maps_real`` says whether gamma1 maps real fields to real fields,
     which its half spectrum then determines.
     """
 
     d: tuple
     inv_d2: np.ndarray
+    phase: tuple
+    scale: float
+    stencil: bool
     maps_real: bool
 
 
@@ -268,32 +286,36 @@ def _half_angles(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.sin(np.pi * m / n), np.sin(np.pi * (n - 2 * np.abs(m)) / (2 * n))
 
 
-def _read_only_table(d: tuple, d2: np.ndarray, maps_real: bool) -> _Green:
+def _read_only_table(d: tuple, d2: np.ndarray, **kind) -> _Green:
     """A read-only _Green, with 1/|d|^2 set to 0 exactly where ``d2`` = |d|^2 is 0."""
     inv_d2 = np.divide(1.0, d2, out=np.zeros(d2.shape), where=d2 != 0)
     # every caller shares the cached arrays
-    for table in (inv_d2, *d[0], *d[1]):
+    for table in (inv_d2, *d[0], *d[1], *kind["phase"]):
         table.flags.writeable = False
-    return _Green(d, inv_d2, maps_real)
+    return _Green(d, inv_d2, **kind)
 
 
 @lru_cache(maxsize=8)
 def _green_table(ny: int, nx: int) -> _Green:
     """The Green table of gamma1 on an ny-by-nx grid, cached.
 
-    Willot's rotated operator, d of :func:`_half_angles`: his complex
-    d_x = a(xi_x) b(xi_y), d_y = b(xi_x) a(xi_y) over 2i e^{i (xi_x + xi_y)/2}.
-    Only 1-D factors and the real 1/|d|^2 are stored: complex grid-sized
-    tables of d_x and d_y would hold 32 MB more at n = 1024. The factors
-    are complex with imaginary part 0: numpy multiplies a complex band by
-    a float64 factor through a casting buffer, 1.6-2.2 times slower (see
-    README), and x + 0j gives the bits of the real product.
+    Willot's rotated operator, d of :func:`_half_angles`, applied as his
+    finite-difference gradient D: div is 2 D^T and grad 2 D, stencils
+    with integer weights (:func:`_div_rows`, :func:`_grad_rows`). The
+    symbol of 2 D is 4i e^{i (xi_x + xi_y)/2} d, so that of 2 D^T is d
+    times the phase -4i e^{-i (xi_x + xi_y)/2}, and scale is 1/16. Only
+    1-D factors and the real 1/|d|^2 are stored.
     """
     sx, cx = (f[None, :] for f in _half_angles(nx))
     sy, cy = (f[:, None] for f in _half_angles(ny))
     d2 = sx**2 * cy**2 + cx**2 * sy**2
-    d = tuple(tuple(f + 0j for f in dc) for dc in ((sx, cy), (cx, sy)))
-    return _read_only_table(d, d2, True)
+    phase = (
+        -4j * np.exp(-1j * np.pi * _mode_index(nx)[None, :] / nx),
+        np.exp(-1j * np.pi * _mode_index(ny)[:, None] / ny),
+    )
+    return _read_only_table(
+        ((sx, cy), (cx, sy)), d2, phase=phase, scale=1 / 16, stencil=True, maps_real=True
+    )
 
 
 @lru_cache(maxsize=8)
@@ -301,16 +323,16 @@ def _spectral_table(ny: int, nx: int) -> _Green:
     """The Moulinec-Suquet table k (x) k / |k|^2 on an ny-by-nx grid, cached.
 
     A reference, read by no solve: d = k on the integer wave vectors, real,
-    so the band kernels do the arithmetic of the operator this package
-    used before the rotated one, bit for bit; only k = 0 is dropped.
-    Tests and ``tools/bench_per_iteration.py --green`` put it in place of
-    :func:`_green_table` to compare the two operators. The factors are
-    k + 0j, as the rotated ones are complex, so that a band product costs
-    what it costs there; |k|^2 is formed from the real k.
+    with div the product k . f after the FFT of each component and grad
+    k phi before the inverse FFT of each; only k = 0 is dropped. Tests
+    and ``tools/bench_per_iteration.py --green`` put it in place of
+    :func:`_green_table` to compare the two operators.
     """
     kx = _mode_index(nx)[None, :].astype(np.float64)
     ky = _mode_index(ny)[:, None].astype(np.float64)
-    return _read_only_table(((kx + 0j,), (ky + 0j,)), kx * kx + ky * ky, False)
+    return _read_only_table(
+        ((kx,), (ky,)), kx * kx + ky * ky, phase=(), scale=1.0, stencil=False, maps_real=False
+    )
 
 
 def _spectrum_table(ny: int, nx: int, width: int) -> _Green:
@@ -327,7 +349,8 @@ def _spectrum_table(ny: int, nx: int, width: int) -> _Green:
     if not g.maps_real:
         raise ValueError("this Green table does not map real fields to real fields")
     d = tuple(tuple(f[:, :width] for f in dc) for dc in g.d)
-    return _Green(d, g.inv_d2[:, :width], g.maps_real)
+    phase = tuple(f[:, :width] for f in g.phase)
+    return replace(g, d=d, inv_d2=g.inv_d2[:, :width], phase=phase)
 
 
 def _field_dtype(shape: tuple, *values) -> type:
@@ -344,27 +367,13 @@ def _field_dtype(shape: tuple, *values) -> type:
 def _real_if_allowed(data: np.ndarray) -> np.ndarray:
     """A (2, ny, nx) ``data``, as a real copy when :func:`_field_dtype` allows real arithmetic.
 
-    The public residuals read a field through it, so that on the flux of a
-    solve that ran in real arithmetic they repeat its residual bit for bit.
+    The public operators read a field through it, so that on the flux of
+    a solve that ran in real arithmetic the residual repeats its residual
+    bit for bit, and gamma1 of a real field is real.
     """
     if np.iscomplexobj(data) and _field_dtype(data.shape[-2:], data) is np.float64:
         return np.ascontiguousarray(data.real)
     return data
-
-
-def _times(out: np.ndarray, factors: tuple, band: slice, src: np.ndarray | None = None):
-    """``out`` = ``src`` times each of ``factors``, or out times them when src is None.
-
-    Column factors are taken on the rows ``band``. Returns ``out``.
-    """
-    for f in factors:
-        f = f[band] if f.shape[0] > 1 else f
-        if src is None:
-            out *= f
-        else:
-            np.multiply(src, f, out=out)
-            src = None
-    return out
 
 
 def _bands(ny: int, nx: int, size: int) -> list:
@@ -407,16 +416,11 @@ def _sweep(band_fn, ny: int, nx: int, dtypes: tuple = (), npix: int | None = Non
     return first + second
 
 
-def _transform(name: str, data: np.ndarray, out: np.ndarray, scratch: np.ndarray | None):
+def _pass(name: str, data: np.ndarray, out: np.ndarray, axis: int, n, lo: int, hi: int):
+    """numpy.fft's 1-D ``name`` over rows (axis -1) or columns (axis -2) lo:hi of data, into out."""
+    part = np.s_[lo:hi] if axis == -1 else np.s_[:, lo:hi]
     # looked up at call time, so that wrappers of numpy.fft see the calls
-    if name == "irfftn":
-        # irfftn's own two passes, through ``scratch`` instead of a copy of
-        # ``data``; an odd nx and nx + 1 have half spectra of one width, so
-        # the row pass takes the grid's
-        np.fft.ifft(data, axis=-2, out=scratch)
-        np.fft.irfft(scratch, n=out.shape[-1], axis=-1, out=out)
-    else:
-        getattr(np.fft, name)(data, axes=(-2, -1), out=out)
+    getattr(np.fft, name)(data[part], n=n, axis=axis, out=out[part])
 
 
 def _fft2(
@@ -430,85 +434,226 @@ def _fft2(
     The result goes into ``out``. This is the one place that picks the
     transform, by dtype. A real ``data`` takes rfftn to its half
     spectrum, nx//2 + 1 columns wide. A real ``out`` takes the inverse of
-    the half spectrum ``data`` onto the grid of ``out`` in the two passes
-    irfftn makes, so with its bits: the inverse FFT of each column into
-    ``scratch``, shaped like ``data``, then the inverse real FFT of each
-    row of it. ``scratch`` may be ``data``, which the call then consumes;
-    when not given, a fresh one is made and ``data`` is left intact. The
-    complex transforms, fftn and ifftn, ignore ``scratch``, and ``out``
-    may be ``data``. A (2, ny, nx) transform splits, each thread
-    transforming one component, with the bits of the stacked call; the
-    split counts the grid's pixels, not the half spectrum's. ifftn, not
-    ifft2: numpy's ifft2 ignores ``out``.
+    the half spectrum ``data`` onto the grid of ``out`` as irfftn does:
+    the inverse FFT of each column into ``scratch``, shaped like
+    ``data``, then the inverse real FFT of each row of it. ``scratch``
+    may be ``data``, which the call then consumes; when not given, a
+    fresh one is made and ``data`` is left intact. The complex
+    transforms, fftn and ifftn, ignore ``scratch``, and ``out`` may be
+    ``data``. Every transform runs as numpy's n-D transforms do, one
+    pass of 1-D transforms over each axis, the rows first but for the
+    inverse real FFT. Each pass splits by halves, of the rows or of the
+    columns, as a pass over the grid's pixels does, not the half
+    spectrum's; the 1-D transforms are those of the unsplit pass, so the
+    bits are numpy's.
     """
     real = not np.iscomplexobj(out if inverse and out is not None else data)
-    name = ("irfftn" if inverse else "rfftn") if real else ("ifftn" if inverse else "fftn")
     if out is None:
         width = data.shape[-1] // 2 + 1 if real else data.shape[-1]
         out = np.empty((*data.shape[:-1], width), dtype=np.complex128)
-    if name == "irfftn" and scratch is None:
-        scratch = np.empty_like(data)
-    halves = ((name, data[c], out[c], None if scratch is None else scratch[c]) for c in range(2))
-    if data.ndim == 2 or _split(max(data[0].size, out[0].size), _transform, *halves) is None:
-        _transform(name, data, out, scratch)
+    if data.ndim == 3:
+        for c in range(len(data)):
+            _fft2(data[c], out[c], inverse, None if scratch is None else scratch[c])
+        return out
+    if real and inverse:
+        scratch = np.empty_like(data) if scratch is None else scratch
+        passes = (("ifft", data, scratch, -2, None), ("irfft", scratch, out, -1, out.shape[-1]))
+    else:
+        name = "ifft" if inverse else "fft"
+        passes = (("rfft" if real else name, data, out, -1, None), (name, out, out, -2, None))
+    npix = out.shape[-2] * max(data.shape[-1], out.shape[-1])
+    for name, src, dst, axis, n in passes:
+        length = src.shape[-2] if axis == -1 else src.shape[-1]
+        half = length // 2
+        args = (name, src, dst, axis, n)
+        if _split(npix, _pass, (*args, 0, half), (*args, half, length)) is None:
+            _pass(*args, 0, length)
     return out
 
 
-def _gamma1_inverse(fh: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Second half of gamma1 on the FFT ``fh`` of a field: projection, inverse FFT into ``out``.
+def _div_rows(data: np.ndarray, out: np.ndarray, band: slice, a: np.ndarray, b: np.ndarray):
+    """Rows ``band`` of 2 D^T of the (2, ny, nx) ``data`` into ``out``, through band buffers.
 
-    The projection runs in place on ``fh`` band by band, so it allocates
-    nothing and splits as the other Fourier-space sweeps do. ``out`` is
-    ``fh`` when not given; a real ``out`` takes the inverse of the half
-    spectrum ``fh`` of a real field, with ``fh`` as the scratch of its
-    column pass, so ``fh`` is consumed and no copy of it is made.
+    2 D^T J = p(i - 1) - m(i) on row j, with p = a + b and m = a - b for
+    a = J_x(j - 1) + J_x(j) and b = J_y(j - 1) - J_y(j); rows and columns
+    wrap. The passes run over each band as one flat row, whose shift by one
+    pixel is wrong only in column 0, which a column pass then sets: numpy
+    runs a 2-D shifted view through a buffer of its own.
     """
-    out = fh if out is None else out
-    ny, nx = out.shape[-2], out.shape[-1]
-    g = _spectrum_table(ny, nx, fh.shape[-1])
-
-    def project(band):
-        dot, f1 = fh[0, band], fh[1, band]
-        _times(dot, g.d[0], band)
-        _times(f1, g.d[1], band)
-        dot += f1
-        dot *= g.inv_d2[band]
-        _times(f1, g.d[1], band, dot)
-        _times(dot, g.d[0], band)
-
-    _sweep(project, *fh.shape[-2:], npix=ny * nx)
-    return _fft2(fh, out, inverse=True, scratch=fh)
-
-
-def _gamma1_arr(data: np.ndarray) -> np.ndarray:
-    """gamma1 of a (2, ny, nx) array, complex whatever its dtype, as :func:`gamma1`."""
-    return _gamma1_inverse(_fft2(data.astype(np.complex128, copy=False)))
+    jx, jy = data
+    lo, hi = band.start, min(band.stop, len(jx))
+    if lo == 0:
+        np.add(jx[0], jx[-1], out=a[0])
+        np.subtract(jy[-1], jy[0], out=b[0])
+        np.add(jx[1:hi], jx[: hi - 1], out=a[1:])
+        np.subtract(jy[: hi - 1], jy[1:hi], out=b[1:])
+    else:
+        np.add(jx[lo:hi], jx[lo - 1 : hi - 1], out=a)
+        np.subtract(jy[lo - 1 : hi - 1], jy[lo:hi], out=b)
+    o = out[lo:hi]
+    np.add(a.ravel()[:-1], b.ravel()[:-1], out=o.ravel()[1:])
+    np.add(a[:, -1], b[:, -1], out=o[:, 0])
+    a -= b
+    o -= a
 
 
-def _gamma1_sqnorm(data: np.ndarray, work: np.ndarray | None = None) -> float:
-    """Sum over pixels of |gamma1(data)|^2, from the FFT of ``data`` alone.
+def _grad_rows(psi: np.ndarray, c: int, band: slice, p: np.ndarray, t: np.ndarray):
+    """Rows ``band`` of component c of 2 D psi into the band buffer ``t``, through ``p``.
 
-    By Parseval the sum is (1/N) sum_k |d . f(k)|^2 / |d|^2, so no
-    inverse transform is needed; over the half spectrum of a real
-    ``data``, every column but 0 and, on even nx, nx/2 stands for a
-    conjugate pair and counts twice. It is formed band by band, and the
-    transform is left intact: ``work``, if given, is a buffer shaped like
-    it, or ``data`` itself when complex, that receives it, for
-    :func:`_gamma1_inverse` or :func:`_reflect_hat`.
+    2 D_x psi = P(i + 1) - P(i) with P = psi(j) + psi(j + 1), and
+    2 D_y psi = Q(i) + Q(i + 1) with Q = psi(j + 1) - psi(j); P or Q goes
+    in ``p``. Rows and columns wrap; the shift runs over the band as one
+    flat row, as in :func:`_div_rows`, and a column pass sets the last
+    column.
     """
-    ny, nx = data.shape[-2], data.shape[-1]
-    fh = _fft2(data, work)
-    width = fh.shape[-1]
+    lo, hi = band.start, min(band.stop, len(psi))
+    rows = np.add if c == 0 else np.subtract
+    if hi == len(psi):
+        rows(psi[lo + 1 : hi], psi[lo : hi - 1], out=p[:-1])
+        rows(psi[0], psi[-1], out=p[-1])
+    else:
+        rows(psi[lo + 1 : hi + 1], psi[lo:hi], out=p)
+    flat, last = p.ravel(), t.ravel()[:-1]
+    if c == 0:
+        np.subtract(flat[1:], flat[:-1], out=last)
+        np.subtract(p[:, 0], p[:, -1], out=t[:, -1])
+    else:
+        np.add(flat[:-1], flat[1:], out=last)
+        np.add(p[:, -1], p[:, 0], out=t[:, -1])
+
+
+def _div_hat(data: np.ndarray, grid: np.ndarray | None = None, out: np.ndarray | None = None):
+    """The spectrum of div of a (2, ny, nx) field, scalar: into ``out`` and returned.
+
+    On a stencil table div goes into the scalar ``grid``, of the field's
+    dtype, band by band, and one FFT takes it to ``out``: a half spectrum
+    when real, and ``grid`` itself when complex and not given. Otherwise
+    each component is transformed and d . f is formed in Fourier space.
+    ``grid`` and ``out`` are made when not given.
+    """
+    ny, nx = data.shape[-2:]
+    g = _green_table(ny, nx)
+    if not g.stencil:
+        fh = _fft2(data)
+        g = _spectrum_table(ny, nx, fh.shape[-1])
+        out = np.empty(fh.shape[1:], dtype=np.complex128) if out is None else out
+        whole = slice(0, ny)
+        np.multiply(fh[0], _d_times(g, 0, 1.0, whole, np.empty(out.shape)), out=out)
+        out += fh[1] * _d_times(g, 1, 1.0, whole, np.empty(out.shape))
+        return out
+    if grid is None:
+        grid = np.empty((ny, nx), dtype=data.dtype)
+    _sweep(partial(_div_rows, data, grid), ny, nx, (data.dtype, data.dtype))
+    if out is None and np.iscomplexobj(grid):
+        out = grid
+    return _fft2(grid, out)
+
+
+def _d_times(g: _Green, c: int, coef, band: slice, out: np.ndarray) -> np.ndarray:
+    """``out`` = coef d_c on the rows ``band`` of a table's spectrum, from its factors."""
+    first, *rest = (f[band] if f.shape[0] > 1 else f for f in g.d[c])
+    return np.multiply(first * coef, rest[0] if rest else 1.0, out=out)
+
+
+def _potential(ph: np.ndarray, grid: np.ndarray):
+    """The potential of the spectrum ``ph`` in real space, what :func:`_add_grad` reads.
+
+    On a stencil table the inverse FFT of ``ph`` into the scalar
+    ``grid``: a real grid takes the inverse of the half spectrum ``ph``,
+    which it consumes as the scratch of its column pass, and a complex
+    one may be ``ph`` itself. Otherwise grad in Fourier space, d ph, and
+    the inverse FFT of each component, into a (2, ny, nx) array of its own.
+    """
+    ny, nx = grid.shape
+    g = _green_table(ny, nx)
+    if g.stencil:
+        return _fft2(ph, grid, inverse=True, scratch=ph)
+    fields = np.empty((2, ny, nx), dtype=np.complex128)
+    for c in range(2):
+        np.multiply(ph, _d_times(g, c, 1.0, slice(0, ny), np.empty((ny, nx))), out=fields[c])
+    return _fft2(fields, fields, inverse=True)
+
+
+def _add_grad(
+    space: np.ndarray,
+    out: np.ndarray,
+    components: slice = slice(0, 2),
+    scale=1.0,
+    shift=None,
+    support: np.ndarray | None = None,
+    taken: np.ndarray | None = None,
+    buffers: tuple | None = None,
+):
+    """out[c] = scale out[c] + shift[i] + g_c for the i-th c of ``components``.
+
+    g is grad of a potential, and ``space`` what :func:`_potential`
+    returned for it: a scalar grid, whose stencils run over row bands of
+    about _BAND_SIZE / 2 pixels in the two band buffers of
+    :func:`_grad_buffers`, ``buffers`` or made here, or the (2, ny, nx)
+    gradient itself. ``shift`` is None or one constant per component.
+    With ``support``, sorted flat pixel indices, g_c on them goes into
+    taken[i] first; the indices within a band are formed in the dead
+    buffer of :func:`_grad_rows`. Each band of each component is done
+    alone, so a caller may split the components across threads, each with
+    buffers of its own; the buffers of the two then hold what those of
+    one _sweep do.
+    """
+    ny, nx = out.shape[-2:]
+    stencil = space.ndim == 2
+    bands = _bands(ny, nx, _BAND_SIZE // 2) if stencil else [slice(0, ny)]
+    if stencil:
+        p, t = buffers or _grad_buffers(space)
+    if support is not None:
+        edges = np.searchsorted(support, [band.start * nx for band in bands] + [ny * nx])
+    for i, c in enumerate(range(2)[components]):
+        for k, band in enumerate(bands):
+            if stencil:
+                g = t[: len(range(ny)[band])]
+                _grad_rows(space, c, band, p[: len(g)], g)
+            else:
+                g = space[c]
+            if support is not None:
+                i0, i1 = edges[k], edges[k + 1]
+                local = support[i0:i1]
+                if stencil:
+                    local = np.subtract(local, band.start * nx, out=p.view(np.int64).ravel()[: i1 - i0])
+                # in range by construction; the checked mode would buffer a copy
+                g.ravel().take(local, out=taken[i][i0:i1], mode="wrap")
+            o = out[c, band]
+            if scale != 1.0:
+                o *= scale
+            if shift is not None:
+                o += shift[i]
+            o += g
+
+
+def _grad_buffers(space: np.ndarray | None) -> tuple | None:
+    """The two band buffers :func:`_add_grad` needs on ``space``; None unless a scalar grid."""
+    if space is None or space.ndim != 2:
+        return None
+    ny, nx = space.shape
+    rows = len(range(ny)[_bands(ny, nx, _BAND_SIZE // 2)[0]])
+    return tuple(np.empty((rows, nx), dtype=space.dtype) for _ in range(2))
+
+
+def _hat_sqnorm(gh: np.ndarray, nx: int) -> float:
+    """Sum over pixels of |gamma1(f)|^2, from the spectrum ``gh`` of div f alone.
+
+    By Parseval the sum is (scale/N) sum_k |gh(k)|^2 / |d|^2, formed
+    band by band with gh left intact; over the half spectrum of a real f,
+    every column but 0 and, on even nx, nx/2 stands for a conjugate pair
+    and counts twice.
+    """
+    ny, width = gh.shape
     g = _spectrum_table(ny, nx, width)
 
-    def band_power(band, dot, tmp):
-        _times(dot, g.d[0], band, fh[0, band])
-        dot += _times(tmp, g.d[1], band, fh[1, band])
-        # tmp is dead: the two halves of its floats, each contiguous like a
-        # band buffer of its own, hold the power and its squaring scratch
+    def band_power(band, tmp):
+        # the two halves of the floats of tmp, each contiguous like a band
+        # buffer of its own, hold the power and its squaring scratch
+        h = gh[band]
         power, sq = tmp.view(np.float64).reshape(2, len(tmp), width)
-        np.multiply(dot.real, dot.real, out=power)
-        power += np.multiply(dot.imag, dot.imag, out=sq)
+        np.multiply(h.real, h.real, out=power)
+        power += np.multiply(h.imag, h.imag, out=sq)
         power *= g.inv_d2[band]
         rows = np.sum(power, axis=-1)
         if width < nx:
@@ -518,48 +663,102 @@ def _gamma1_sqnorm(data: np.ndarray, work: np.ndarray | None = None) -> float:
                 rows -= power[:, -1]
         return rows
 
-    dtypes = (np.complex128, np.complex128)
-    rows = np.concatenate(_sweep(band_power, *fh.shape[-2:], dtypes, ny * nx))
-    return _combine_rows(rows) / (ny * nx)
+    rows = np.concatenate(_sweep(band_power, ny, width, (np.complex128,), ny * nx))
+    return _combine_rows(rows) * g.scale / (ny * nx)
+
+
+def _gamma1_sqnorm(data: np.ndarray, grid=None, out=None) -> float:
+    """Sum over pixels of |gamma1(data)|^2, with no inverse transform.
+
+    The spectrum of div ``data`` is left in ``out`` (:func:`_div_hat`,
+    whose ``grid`` and ``out`` these are).
+    """
+    return _hat_sqnorm(_div_hat(data, grid, out), data.shape[-1])
+
+
+def _scale_hat(ph: np.ndarray, nx: int, coef) -> np.ndarray:
+    """``ph`` *= coef scale / |d|^2, band by band: the spectrum of div f becomes that of
+    a potential whose grad is coef gamma1(f). Returns ``ph``."""
+    ny, width = ph.shape
+    g = _spectrum_table(ny, nx, width)
+    coef = coef * g.scale
+
+    def scale(band):
+        h = ph[band]
+        h *= g.inv_d2[band]
+        h *= coef
+
+    _sweep(scale, ny, width, (), ny * nx)
+    return ph
+
+
+def _chi_hat(chi: np.ndarray) -> np.ndarray:
+    """The spectrum of ``chi`` times the phase of div, real or complex as ``chi`` is.
+
+    For a constant 2-vector delta, div(delta chi) has the spectrum
+    (delta . d) times it: the mean pin of a solve enters div through it.
+    """
+    h = _fft2(chi)
+    for f in _spectrum_table(*chi.shape, h.shape[-1]).phase:
+        h *= f
+    return h
 
 
 def _reflect_hat(
-    rh: np.ndarray, shift: np.ndarray, out: np.ndarray, first=None, scratch=None
-) -> np.ndarray:
-    """The reflection shift - 2 gamma1(r) + r of the Eyre-Milton update, in Fourier space.
+    gh: np.ndarray, qh: np.ndarray, chi_hat: np.ndarray, pin, c: float, nx: int, coef=1.0
+):
+    """The Fourier side of the Eyre-Milton reflection, on scalar spectra, band by band.
 
-    In place on the FFT ``rh`` of r, band by band, with the multiplier of
-    gamma1; ``shift`` is a constant 2-vector, so it enters the zero mode
-    only. Returns the inverse FFT of the result in ``out``, which leaves
-    ``rh`` holding the transform of the result; a real ``out`` takes the
-    inverse of the half spectrum ``rh`` of a real r through ``scratch``,
-    a dead half spectrum shaped like ``rh`` that it overwrites, or a fresh
-    one when not given (:func:`_fft2`). ``first``, if given, is called as
-    first(rows, tmp) on each row band before it is reflected, on the
-    thread that reflects it, to form those rows of ``rh``; ``tmp`` is a
-    band buffer it may overwrite.
+    ``gh`` is the spectrum of div of a flux J_raw + delta + pin chi, for
+    constant 2-vectors delta and ``pin``, on a grid ``nx`` wide, and
+    ``chi_hat`` that of :func:`_chi_hat`. ``qh`` holds -2 scale s, for a
+    running sum s of spectra of div: each band adds c times the spectrum
+    of div J_raw to s, or on the first reflection (c = 1) starts s with
+    it, and leaves in ``gh`` the potential coef inv_d2 qh, whose grad is
+    -2 coef gamma1 of any field whose div has the spectrum s. -2 c scale
+    is a power of 2, so the scaling keeps the bits of s.
     """
-    ny, nx = out.shape[-2], out.shape[-1]
-    g = _spectrum_table(ny, nx, rh.shape[-1])
+    ny, width = gh.shape
+    g = _spectrum_table(ny, nx, width)
+    m = -2.0 * c * g.scale
+    vec = m * np.asarray(pin)
+    # a real pin forms each term of vec . d in a real buffer and its
+    # product with chi_hat in a complex one; a complex pin in one buffer
+    dtypes = (vec.dtype,) + (() if np.iscomplexobj(vec) else (np.complex128,))
 
-    def reflect(band, dot, tmp):
-        if first is not None:
-            first(band, tmp)
-        _times(dot, g.d[0], band, rh[0, band])
-        dot += _times(tmp, g.d[1], band, rh[1, band])
-        dot *= g.inv_d2[band]
-        dot *= -2.0
-        rh[0, band] += _times(tmp, g.d[0], band, dot)
-        rh[1, band] += _times(dot, g.d[1], band)
+    def reflect(band, t, pc=None):
+        h, q = gh[band], qh[band]
+        h *= m
+        pc = t if pc is None else pc
+        for k in range(2):
+            np.multiply(chi_hat[band], _d_times(g, k, vec[k], band, t), out=pc)
+            h -= pc
+        if c == 1:
+            np.copyto(q, h)
+        else:
+            q += h
+        np.multiply(q, g.inv_d2[band], out=h)
+        h *= coef
 
-    _sweep(reflect, *rh.shape[-2:], (np.complex128, np.complex128), ny * nx)
-    rh[:, 0, 0] += shift * (ny * nx)
-    return _fft2(rh, out, inverse=True, scratch=scratch)
+    _sweep(reflect, ny, width, dtypes, ny * nx)
+
+
+def _gamma1_arr(data: np.ndarray) -> np.ndarray:
+    """gamma1 of a (2, ny, nx) array: real when ``data`` is real and the table maps
+    real fields to real fields, complex otherwise."""
+    ny, nx = data.shape[-2:]
+    real = not np.iscomplexobj(data) and _green_table(ny, nx).maps_real
+    data = data.astype(np.float64 if real else np.complex128, copy=False)
+    grid = np.empty((ny, nx), dtype=data.dtype)
+    ph = _scale_hat(_div_hat(data, grid), nx, 1.0)
+    out = np.zeros_like(data)
+    _add_grad(_potential(ph, grid), out)
+    return out
 
 
 def gamma1(f: VectorField) -> VectorField:
-    """Projection onto zero-mean curl-free fields (Fourier multiplier)."""
-    return VectorField(_gamma1_arr(f.data))
+    """Projection onto zero-mean curl-free fields: grad (div grad)^+ div."""
+    return VectorField(_gamma1_arr(_real_if_allowed(f.data)))
 
 
 def gamma0(f: VectorField) -> np.ndarray:

@@ -1,10 +1,9 @@
-"""Kernels of the iteration: the two halves of gamma1 and the Parseval
-residual, the Fourier-space reflection of the accelerated update, packed
-local operators and their slot matrices, the residual the solvers
-record, the 2-D FFTs one iteration costs, the memory a solve holds, and
-the split of large-grid passes across two threads."""
+"""Kernels of the iteration: the stencils and the scalar FFT pair of
+gamma1 and the Parseval residual, the recursion of the accelerated
+update, packed local operators and their slot matrices, the residual the
+solvers record, the 2-D FFTs one iteration costs, the memory a solve
+holds, and the split of large-grid passes across two threads."""
 
-import cmath
 import importlib.util
 import multiprocessing
 import os
@@ -35,21 +34,26 @@ from fftcond import (
     equilibrium_residual,
     equilibrium_residual_aug,
     extract_sigma_star,
+    gamma1,
     invert_shifted_A,
     map_t,
     solve,
     solve_p,
 )
-from fftcond.solvers import TerminationStatus, _apply_A_arrays, _r_q_band
+from fftcond.solvers import TerminationStatus, _apply_A_arrays
 from fftcond.spectral_ops import (
+    _add_grad,
+    _chi_hat,
     _compensated_total,
+    _div_hat,
     _fft2,
     _gamma1_arr,
-    _gamma1_inverse,
     _gamma1_sqnorm,
-    _local_arrays,
+    _hat_sqnorm,
     _pack,
+    _potential,
     _reflect_hat,
+    _scale_hat,
     _shifted_inverse_coefs,
     _slot_matrix,
     _slot_sums,
@@ -70,6 +74,14 @@ def force_split(monkeypatch):
     monkeypatch.setattr(spectral_ops, "_cpus", lambda: 2)
 
 
+def _gamma1_from_hat(gh, data):
+    """gamma1 of ``data`` finished from the spectrum ``gh`` of its div, which it consumes."""
+    grid = np.empty(data.shape[1:], dtype=data.dtype)
+    out = np.zeros_like(data)
+    _add_grad(_potential(_scale_hat(gh, data.shape[-1], 1.0), grid), out)
+    return out
+
+
 class TestGamma1Sqnorm:
     @pytest.mark.parametrize("shape", [(16, 16), (16, 24)])
     def test_matches_real_space_sum(self, shape):
@@ -79,48 +91,52 @@ class TestGamma1Sqnorm:
             direct = _compensated_total(np.abs(_gamma1_arr(x)) ** 2)
             assert _gamma1_sqnorm(x) == pytest.approx(direct, rel=1e-12)
 
-    def test_work_buffer_receives_transform_only(self):
+    def test_buffers_receive_div_and_its_spectrum_only(self):
         rng = np.random.default_rng(12)
         x = random_complex(rng, (2, 16, 24))
         before = x.copy()
-        work = np.empty_like(x)
-        assert _gamma1_sqnorm(x, work) == _gamma1_sqnorm(x)
+        grid, out = np.empty((16, 24), dtype=complex), np.empty((16, 24), dtype=complex)
+        assert _gamma1_sqnorm(x, grid, out) == _gamma1_sqnorm(x)
         assert np.array_equal(x, before)
+        assert out.tobytes() == np.fft.fft2(grid).tobytes()
 
-    def test_inverse_half_finishes_gamma1_from_work(self):
-        # the basic update finishes gamma1(j) from the residual's transform
+    def test_spectrum_finishes_gamma1(self):
+        # the basic update finishes gamma1(j) from the residual's spectrum
         x = random_complex(np.random.default_rng(13), (2, 16, 24))
-        work = np.empty_like(x)
-        _gamma1_sqnorm(x, work)
-        assert np.array_equal(_gamma1_inverse(work), _gamma1_arr(x))
+        grid = np.empty((16, 24), dtype=complex)
+        _gamma1_sqnorm(x, grid, grid)
+        assert np.array_equal(_gamma1_from_hat(grid, x), _gamma1_arr(x))
 
 
 class TestBands:
-    """Band by band, the Fourier-space sums, the reflection and the projection keep their bits."""
+    """Band by band, the stencils, the Fourier-space sums, the reflection and the scaling keep their bits."""
 
-    @pytest.mark.parametrize("shape", [(16, 16), (16, 24)])
-    def test_band_size_leaves_bits(self, monkeypatch, shape):
+    @pytest.mark.parametrize("shape", [(16, 16), (16, 24), (15, 17)])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_band_size_leaves_bits(self, monkeypatch, shape, real):
         rng = np.random.default_rng(20)
-        x = random_complex(rng, (2, *shape))
-        shift = np.array([0.4 - 1.1j, 2.0 + 0.3j])
+        x = rng.standard_normal((2, *shape)) if real else random_complex(rng, (2, *shape))
+        chi = (rng.random(shape) < 0.3).astype(x.dtype)
+        pin = np.array([0.4, -1.1]) if real else np.array([0.4 - 1.1j, 2.0 + 0.3j])
         results = []
         # one band, then bands of 3 rows (the last one ragged) or of 2 rows
         for band_size in (1 << 16, 48):
             monkeypatch.setattr(spectral_ops, "_BAND_SIZE", band_size)
-            rh = np.fft.fft2(x, axes=(-2, -1))
-            reflected = _reflect_hat(rh, shift, np.empty_like(x))
-            projected = _gamma1_inverse(np.fft.fft2(x, axes=(-2, -1)))
-            results.append((_gamma1_sqnorm(x), reflected, rh, projected))
-        (s1, w1, h1, g1), (s2, w2, h2, g2) = results
+            gh = _div_hat(x)
+            qh = gh.copy()
+            reflected = gh.copy()
+            _reflect_hat(reflected, qh, _chi_hat(chi), pin, 2.0, shape[1])
+            results.append((_hat_sqnorm(gh, shape[1]), reflected, qh, _gamma1_arr(x)))
+        (s1, r1, q1, g1), (s2, r2, q2, g2) = results
         assert s1 == s2
-        assert np.array_equal(w1, w2) and np.array_equal(h1, h2)
+        assert r1.tobytes() == r2.tobytes() and q1.tobytes() == q2.tobytes()
         assert g1.tobytes() == g2.tobytes()
 
     @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
     @pytest.mark.parametrize("scheme", list(SchemeKind))
     def test_band_size_leaves_solve_bits(self, monkeypatch, scheme, split):
-        # bands of one row: the reflection forms r_Q band by band, and only
-        # the first band, which holds the zero mode, undoes the mean pin there
+        # bands of one row: the stencils wrap their first and last rows, and
+        # the reflection undoes the mean pin band by band
         if split:
             force_split(monkeypatch)
         cfg = SolverConfig(
@@ -141,99 +157,186 @@ class TestBands:
         assert rows.J_field.data.tobytes() == one_band.J_field.data.tobytes()
 
 
+def _div_stencil(f):
+    """2 D^T f written out from Willot's stencil, with np.roll: an independent reference."""
+    def shift(a, dy, dx):
+        # a(i - dx, j - dy)
+        return np.roll(a, (dy, dx), axis=(-2, -1))
+
+    fx, fy = f
+    return (
+        shift(fx, 0, 1) - fx + shift(fx, 1, 1) - shift(fx, 1, 0)
+        + shift(fy, 1, 0) - fy + shift(fy, 1, 1) - shift(fy, 0, 1)
+    )
+
+
+def _grad_stencil(phi):
+    """2 D phi from the same stencil: 2 D_x phi = phi(i+1, j) - phi + phi(i+1, j+1) - phi(i, j+1)."""
+    def ahead(a, dy, dx):
+        return np.roll(a, (-dy, -dx), axis=(-2, -1))
+
+    return np.stack([
+        ahead(phi, 0, 1) - phi + ahead(phi, 1, 1) - ahead(phi, 1, 0),
+        ahead(phi, 1, 0) - phi + ahead(phi, 1, 1) - ahead(phi, 0, 1),
+    ])
+
+
+class TestStencilOperator:
+    """gamma1 = D (D^T D)^+ D^T through the stencils and one scalar FFT pair."""
+
+    SHAPES = [(16, 16), (15, 17), (24, 40), (33, 48), (1, 8), (8, 1)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_div_is_the_stencil(self, shape):
+        f = random_complex(np.random.default_rng(50), (2, *shape))
+        grid = np.empty(shape, dtype=complex)
+        _div_hat(f, grid, np.empty_like(grid))
+        assert np.max(np.abs(grid - _div_stencil(f))) <= 1e-15 * np.max(np.abs(f))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_grad_is_the_stencil(self, shape):
+        phi = random_complex(np.random.default_rng(51), shape)
+        out = np.zeros((2, *shape), dtype=complex)
+        _add_grad(phi, out)
+        assert np.max(np.abs(out - _grad_stencil(phi))) <= 1e-15 * np.max(np.abs(phi))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_projection_identities(self, shape, real):
+        # gamma1 (D phi) = D phi and D^T gamma1 f = D^T f
+        rng = np.random.default_rng(52)
+        draw = rng.standard_normal if real else partial(random_complex, rng)
+        phi, f = draw(shape), draw((2, *shape))
+        grad = _grad_stencil(phi)
+        assert np.max(np.abs(_gamma1_arr(grad) - grad)) <= 1e-14 * np.max(np.abs(grad))
+        div = _div_stencil(f)
+        assert np.max(np.abs(_div_stencil(_gamma1_arr(f)) - div)) <= 1e-14 * np.max(np.abs(f))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_real_input_gives_real_output(self, shape):
+        x = np.random.default_rng(53).standard_normal((2, *shape))
+        got = _gamma1_arr(x)
+        assert got.dtype == np.float64
+        assert _max_rel_diff([got], [_gamma1_arr(x.astype(complex))]) <= 1e-15
+        # and through the public operator, whose field is complex
+        g = gamma1(VectorField(x)).data
+        assert not np.any(g.imag) and g.real.tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("shape", [(16, 16), (15, 17), (24, 40)])
+    def test_pin_enters_div_through_chi_hat(self, shape):
+        # div(delta chi) has the spectrum (delta . d) chi_hat, real or complex
+        rng = np.random.default_rng(54)
+        chi = rng.random(shape) < 0.3
+        for delta, dtype in ((np.array([0.3, -1.2]), float), (np.array([0.3 - 0.5j, 1.1j]), complex)):
+            field = delta[:, None, None] * chi
+            expected = _div_hat(field.astype(dtype))
+            ny, nx = shape
+            g = spectral_ops._spectrum_table(ny, nx, expected.shape[-1])
+            d = [np.multiply(*g.d[c]) for c in range(2)]
+            got = (delta[0] * d[0] + delta[1] * d[1]) * _chi_hat(chi.astype(dtype))
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("shape", [(512, 512), (512, 257), (257, 513), (33, 48), (15, 17)])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_split_passes_keep_the_bits(self, monkeypatch, shape, real):
+        # the scalar FFT pair by halves of rows and of columns, and the
+        # stencils by halves of the bands, against one thread
+        rng = np.random.default_rng(55)
+        x = rng.standard_normal((2, *shape)) if real else random_complex(rng, (2, *shape))
+        results = []
+        for split in (False, True):
+            if split:
+                force_split(monkeypatch)
+            else:
+                monkeypatch.setattr(spectral_ops, "_THREAD_PIXELS", 1 << 60)
+            grid = np.empty(shape, dtype=x.dtype)
+            gh = _div_hat(x, grid, None if real else np.empty_like(grid))
+            forward = gh.copy()
+            phi = _potential(gh, np.empty_like(grid) if real else gh)
+            out = np.zeros_like(x)
+            _add_grad(phi, out, slice(0, 1))
+            _add_grad(phi, out, slice(1, 2))
+            results.append((grid, forward, phi, out))
+        for a, b in zip(*results):
+            assert a.tobytes() == b.tobytes()
+        # numpy's own transform of the div grid, split or not
+        transform = np.fft.rfftn if real else np.fft.fftn
+        assert results[0][1].tobytes() == transform(results[0][0]).tobytes()
+
+
 class TestFourierReflection:
-    """The accelerated update in Fourier space: the reflection and its input r_Q."""
+    """The accelerated update's recursion on the spectrum of div r_Q."""
 
     PMAPS = [build_square_array(16, 0.5), build_disk_array(16, 0.35)]
     DELTA = np.array([0.3 - 0.2j, -1.1 + 0.4j])
-
-    @pytest.mark.parametrize("shape", [(16, 16), (16, 24)])
-    def test_reflection_matches_real_space(self, shape):
-        rng = np.random.default_rng(21)
-        shift = np.array([0.4 - 1.1j, 2.0 + 0.3j])
-        for _ in range(3):
-            r = random_complex(rng, (2, *shape))
-            expected = shift[:, None, None] - 2.0 * _gamma1_arr(r) + r
-            rh = np.fft.fft2(r, axes=(-2, -1))
-            out = np.empty_like(r)
-            assert _reflect_hat(rh, shift, out) is out
-            assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
-            # rh is left holding the transform of the result
-            expected_hat = np.fft.fft2(expected, axes=(-2, -1))
-            assert np.max(np.abs(rh - expected_hat)) <= 1e-13 * np.max(np.abs(expected_hat))
 
     @staticmethod
     def _problem(substituted, sigma1):
         if substituted:
             params = solve_p(BENCH)
-            p, t = (params.p1, params.p2, params.p3), map_t(sigma1, BENCH)
-        else:
-            p, t = (1.0,), complex(sigma1)
-        return p, t, cmath.sqrt(t)
-
-    def _pinned_transform(self, j_q, pmap, p, t):
-        """FFT of the flux pinned as the solver pins it, and the pin's Q coefficient."""
-        pin0 = _slot_matrix(p, t, 1.0)[0, 0]
-        jq = j_q + self.DELTA[:, None, None] * np.where(pmap.chi, pin0, 1.0)
-        return np.fft.fft2(jq, axes=(-2, -1)), pin0
-
-    @staticmethod
-    def _assert_close(got, expected):
-        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
-
-    def _check_fused(self, monkeypatch, pmap, j_q, what, r_q, p, t, sigma0, c, e0):
-        """The reflection with r_Q formed in its sweep, against r_Q built in real space.
-
-        ``j_q`` is the unpinned flux, ``what`` the FFT of w_Q and ``r_q``
-        the expected r_Q. One band, then bands of 3 rows, of which only
-        the first holds the zero mode.
-        """
-        shift = 2.0 * sigma0 * np.array(e0, dtype=np.complex128)
-        expected = shift[:, None, None] - 2.0 * _gamma1_arr(r_q) + r_q
-        for band_size in (1 << 16, 48):
-            monkeypatch.setattr(spectral_ops, "_BAND_SIZE", band_size)
-            jh, pin0 = self._pinned_transform(j_q, pmap, p, t)
-            rh = what.copy()
-            chi_hat = np.fft.fft2(pmap.chi)
-            step = partial(_r_q_band, jh, rh, chi_hat, self.DELTA, pin0, c, pmap.chi.size)
-            out = np.empty_like(jh)
-            assert _reflect_hat(rh, shift, out, step) is out
-            self._assert_close(out, expected)
+            return (params.p1, params.p2, params.p3), map_t(sigma1, BENCH)
+        return (1.0,), complex(sigma1)
 
     @pytest.mark.parametrize("pmap", PMAPS)
     @pytest.mark.parametrize("substituted", [False, True], ids=["one_slot", "three_slots"])
     @pytest.mark.parametrize("sigma1", [2.0, 0.7 + 0.4j, 10.0])
-    def test_fused_reflection_of_shifted_flux(self, monkeypatch, pmap, substituted, sigma1):
-        # r_Q = ((A - sigma0 I) F_raw)_Q with F_raw = (A + sigma0 I)^-1 D w
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "later"])
+    def test_reflection_undoes_the_pin(self, monkeypatch, pmap, substituted, sigma1, first):
+        # from the spectrum of div of the pinned flux, m times that of
+        # div J_raw joins the running sum, or starts it, and the potential
+        # of the sum, times a coefficient, is left in its place; one band,
+        # then bands of 3 rows
         rng = np.random.default_rng(22)
-        p, t, sigma0 = self._problem(substituted, sigma1)
+        p, t = self._problem(substituted, sigma1)
         chi = pmap.chi
-        shape = (2, *chi.shape)
-        w = [random_complex(rng, shape)] + [
-            np.where(chi, random_complex(rng, shape), 0.0) for _ in p[1:]
-        ]
-        d_w = [w[0]] + [-s for s in w[1:2]] + w[2:]
-        f = _local_arrays(tuple(d_w), chi, p, *_shifted_inverse_coefs(t, sigma0))
-        j = _local_arrays(f, chi, p, t, 1.0)
-        what = np.fft.fft2(w[0], axes=(-2, -1))
-        r_q = j[0] - sigma0 * f[0]
-        self._check_fused(monkeypatch, pmap, j[0], what, r_q, p, t, sigma0, 2.0, (0.6, 0.8))
+        ny, nx = chi.shape
+        j_raw = random_complex(rng, (2, ny, nx))
+        pin0 = _slot_matrix(p, t, 1.0)[0, 0]
+        jq = j_raw + self.DELTA[:, None, None] * np.where(chi, pin0, 1.0)
+        c = 1.0 if first else 2.0
+        m = -2.0 * c / 16
+        earlier = random_complex(rng, (ny, nx))
+        expected = m * np.fft.fft2(_div_stencil(j_raw)) + (0.0 if first else earlier)
+        inv = spectral_ops._green_table(ny, nx).inv_d2
+        for band_size in (1 << 16, 48):
+            monkeypatch.setattr(spectral_ops, "_BAND_SIZE", band_size)
+            gh = _div_hat(jq)
+            qh = earlier.copy()
+            pin = (pin0 - 1.0) * self.DELTA
+            _reflect_hat(gh, qh, _chi_hat(chi.astype(complex)), pin, c, nx, 0.6)
+            assert np.max(np.abs(qh - expected)) <= 1e-13 * np.max(np.abs(expected))
+            assert gh.tobytes() == (qh * inv * 0.6).tobytes()
 
-    @pytest.mark.parametrize("pmap", PMAPS)
-    @pytest.mark.parametrize("substituted", [False, True], ids=["one_slot", "three_slots"])
-    @pytest.mark.parametrize("e0", [(1.0, 0.0), (0.3, 0.8 - 0.2j)])
-    def test_fused_reflection_at_the_start(self, monkeypatch, pmap, substituted, e0):
-        # F = e0 in the Q slot: r_Q = J_raw - sigma0 e0, from the start value of w_Q
-        p, t, sigma0 = self._problem(substituted, 0.7 + 0.4j)
-        chi = pmap.chi
-        e0v = np.array(e0, dtype=np.complex128)
-        f_q = np.broadcast_to(e0v[:, None, None], (2, *chi.shape))
-        zero = np.zeros_like(f_q)
-        j = _local_arrays((f_q, *(zero for _ in p[1:])), chi, p, t, 1.0)
-        what = np.zeros((2, *chi.shape), dtype=np.complex128)
-        what[:, 0, 0] = sigma0 * e0v * chi.size
-        r_q = j[0] - sigma0 * f_q
-        self._check_fused(monkeypatch, pmap, j[0], what, r_q, p, t, sigma0, 1.0, e0)
+
+class TestExactUpdate:
+    """Below solvers._EXACT_BELOW the accelerated update transforms div r_Q
+    instead of carrying it: the two updates agree to roundoff."""
+
+    @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+    @pytest.mark.parametrize("sigma1", [2.0, 0.7 + 0.4j, 0.02], ids=["real", "complex", "low"])
+    @pytest.mark.parametrize("scheme", [SchemeKind.EYRE_MILTON, SchemeKind.EYRE_MILTON_SUB])
+    def test_exact_update_repeats_the_recursion(self, monkeypatch, scheme, sigma1, split):
+        if split:
+            force_split(monkeypatch)
+        cfg = SolverConfig(
+            scheme=scheme,
+            sigma1=sigma1,
+            interval=BENCH if scheme.substituted else None,
+            e0=(0.6, 0.8),
+            tol=1e-10,
+            max_iters=100,
+        )
+        pmap = build_disk_array(32, 0.35)
+        runs = []
+        for below in (0.0, np.inf):
+            monkeypatch.setattr(solvers, "_EXACT_BELOW", below)
+            runs.append(solve(pmap, cfg))
+        recursion, exact = runs
+        assert exact.status is recursion.status is TerminationStatus.CONVERGED
+        assert exact.iterations == recursion.iterations
+        assert abs(exact.sigma_star - recursion.sigma_star) <= 1e-12 * abs(recursion.sigma_star)
+        res, ref = np.array(exact.history.residuals()), np.array(recursion.history.residuals())
+        assert np.max(np.abs(res - ref)) <= 1e-12 * ref[0]
 
 
 def _dense_chi_u(q, s, t_arr, params, chi):
@@ -389,13 +492,15 @@ class TestCallerBuffers:
 class TestWorkingSet:
     """A solve allocates its working set once: its tracemalloc peak is the
     loop's live set, the support indices and the largest transient, plus
-    SLACK. The largest transient rises in the residual: the two band
-    buffers of its Parseval sweep, or after them its |js|^2 of one
-    component. The inverse real FFT (sigma1 = 2) runs through a dead half
+    SLACK. The largest transient is two band buffers: those of the div
+    stencil, of the reflection or of the Parseval sum, or after them the
+    residual's |js|^2 of one component; the grad stencil's two half-size
+    buffers per thread hold no more. gamma1 transforms one scalar grid,
+    div of the flux, whose inverse real FFT runs through its dead half
     spectrum, so no copy of its input counts. An accelerated solve holds
-    one real-space grid, jq, in which w_Q turns into the pinned field and
-    then the pinned flux. The result takes jq, the support, x and the mean
-    pin as they are, and builds no grid of its own."""
+    one real-space grid, jq, in which r_Q turns into w_Q, the pinned field
+    and then the pinned flux. The result takes jq, the support, x and the
+    mean pin as they are, and builds no grid of its own."""
 
     # Python objects (the history, the split's thread) and numpy's ufunc
     # buffers in the sweeps: 35-60 KiB measured at n = 256
@@ -430,33 +535,36 @@ class TestWorkingSet:
             # the two threads' half-size bands hold what one thread's bands
             # do; each split's thread is started and joined inside the peak
             force_split(monkeypatch)
-        # small bands, and a cached Green table, keep the sweeps out of the peak
+        # small bands, and a cached Green table and FFT plans, keep the sweeps
+        # and the first transforms of the process out of the peak
         band = 4096
         monkeypatch.setattr(spectral_ops, "_BAND_SIZE", band)
         spectral_ops._green_table(n, n)
+        self._peak(pmap, scheme, sigma1, 1)
         slots = 3 if scheme.substituted else 1
         m = np.count_nonzero(pmap.chi)
         if isinstance(sigma1, complex):
             grid = 2 * n * n * 16
             packed = 2 * m * 16
-            # jq, with fq when basic, and the flux transform jh, what and
-            # chi_hat when accelerated; x, y and the scratch. r_Q takes no
-            # grid of its own: the reflection forms it band by band in its
-            # own band buffers
-            loop = (7 * grid // 2 if scheme.accelerated else 2 * grid) + (2 * slots + 1) * packed
+            # jq and the scalar grid of div jq, transformed in place, with
+            # fq when basic, and the running spectrum qh and chi_hat, each
+            # half a grid, when accelerated; x, y and the scratch
+            loop = 5 * grid // 2 + (2 * slots + 1) * packed
         else:
             grid = 2 * n * n * 8
             half = 2 * n * (n // 2 + 1) * 16
             packed = 2 * m * 8
-            # jq, real, with fq when basic; the half spectra jh, and what and
-            # chi_hat when accelerated; x, y and the scratch, real
-            grids, spectra = (grid, 5 * half // 2) if scheme.accelerated else (2 * grid, half)
+            # jq, real, with fq when basic, and the real scalar grid of div
+            # jq; its half spectrum gh, and qh and chi_hat when accelerated,
+            # each half of ``half``; x, y and the scratch, real
+            grids = (3 if scheme.accelerated else 5) * grid // 2
+            spectra = (3 if scheme.accelerated else 1) * half // 2
             loop = grids + spectra + (2 * slots + 1) * packed
         # the flat int64 indices of the m inclusion pixels
         support = 8 * m
-        # the Parseval sweep's two complex band buffers hold at most
-        # _BAND_SIZE pixels each over both threads; the sweep frees them
-        # before |js|^2 takes one float64 component of m pixels
+        # two complex band buffers hold at most _BAND_SIZE pixels each over
+        # both threads; the sweeps free them before |js|^2 takes one float64
+        # component of m pixels
         transient = max(band * (16 + 16), 8 * m if scheme.substituted else 0)
         peak = self._peak(pmap, scheme, sigma1, 6)
         assert peak <= loop + support + transient + self.SLACK
@@ -728,21 +836,24 @@ class TestRealArithmetic:
 
     @pytest.mark.parametrize("shape", [(64, 64), (31, 31), (33, 48), (48, 33), (24, 40)])
     def test_half_spectrum_kernels_match_the_full_spectrum(self, shape):
-        x = np.random.default_rng(40).standard_normal((2, *shape))
+        rng = np.random.default_rng(40)
+        x = rng.standard_normal((2, *shape))
         xc = x.astype(np.complex128)
+        nx = shape[1]
         # Parseval: every column but 0 and, on even nx, nx/2 counts twice
         assert _gamma1_sqnorm(x) == pytest.approx(_gamma1_sqnorm(xc), rel=1e-13)
-        work = np.empty((2, shape[0], shape[1] // 2 + 1), dtype=np.complex128)
-        _gamma1_sqnorm(x, work)
-        assert _max_rel_diff([_gamma1_inverse(work, np.empty_like(x))], [_gamma1_arr(xc)]) <= 1e-13
-        shift = np.array([0.4, -1.1])
-        expected = shift[:, None, None] - 2.0 * _gamma1_arr(xc) + xc
-        rh = np.fft.rfftn(x, axes=(-2, -1))
-        out = np.empty_like(x)
-        assert _reflect_hat(rh, shift, out) is out
-        assert _max_rel_diff([out], [expected]) <= 1e-13
-        # rh is left holding the half spectrum of the result
-        assert _max_rel_diff([rh], [np.fft.rfftn(expected.real, axes=(-2, -1))]) <= 1e-13
+        gh, full = _div_hat(x), _div_hat(xc)
+        width = gh.shape[-1]
+        assert _max_rel_diff([gh], [full[:, :width]]) <= 1e-13
+        assert _max_rel_diff([_gamma1_from_hat(gh.copy(), x)], [_gamma1_arr(xc)]) <= 1e-13
+        # the reflection on the half spectrum is the full one cut to it
+        chi = rng.random(shape) < 0.3
+        pin = np.array([0.4, -1.1])
+        earlier = _div_hat(rng.standard_normal((2, *shape)))
+        qh, qh_full = earlier.copy(), np.fft.fft2(np.fft.irfft2(earlier, s=shape))
+        _reflect_hat(gh, qh, _chi_hat(chi.astype(float)), pin, 2.0, nx)
+        _reflect_hat(full, qh_full, _chi_hat(chi.astype(complex)), pin, 2.0, nx)
+        assert _max_rel_diff([qh, gh], [qh_full[:, :width], full[:, :width]]) <= 1e-13
 
     @pytest.mark.parametrize("scratch", ["none", "data", "distinct"])
     @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
@@ -790,10 +901,10 @@ class TestRealArithmetic:
         seen, splits = [], spectral_ops._splits
         monkeypatch.setattr(spectral_ops, "_splits", lambda npix: seen.append(npix) or splits(npix))
         x = np.random.default_rng(44).standard_normal((2, 512, 512))
-        work = np.empty((2, 512, 257), dtype=np.complex128)
-        _gamma1_sqnorm(x, work)
-        _reflect_hat(work.copy(), np.zeros(2), np.empty_like(x))
-        _gamma1_inverse(work, np.empty_like(x))
+        gh = _div_hat(x)
+        _hat_sqnorm(gh, 512)
+        _reflect_hat(gh, gh.copy(), _chi_hat(np.ones((512, 512))), np.zeros(2), 1.0, 512)
+        _potential(_scale_hat(gh, 512, 1.0), np.empty((512, 512)))
         assert seen and set(seen) == {512 * 512}
 
     def test_chooser_needs_real_parameters(self):
@@ -810,6 +921,21 @@ class TestRealArithmetic:
         assert solvers._field_dtype((32, 32), 2.0 + 0j, 1.5 + 0j, e0) is np.complex128
         with pytest.raises(ValueError, match="real fields"):
             _gamma1_sqnorm(np.ones((2, 32, 32)))
+
+    @staticmethod
+    def _solve_recording(monkeypatch, pmap, cfg):
+        """solve, with |J| / |mean J| of the flux of each residual it records."""
+        conditioning, residual = [], solvers._residual
+
+        def recording(jq, js, jmean, *args):
+            rms = np.sqrt(np.mean(np.abs(jq) ** 2) * 2)
+            conditioning.append(rms / np.linalg.norm(jmean))
+            return residual(jq, js, jmean, *args)
+
+        monkeypatch.setattr(solvers, "_residual", recording)
+        result = solve(pmap, cfg)
+        monkeypatch.setattr(solvers, "_residual", residual)
+        return result, np.array(conditioning[: result.iterations])
 
     PMAPS = {
         "square": build_square_array(32, 0.5),
@@ -854,14 +980,20 @@ class TestRealArithmetic:
         assert not np.any(real.E_field.data.imag) and not np.any(real.J_field.data.imag)
         assert real.sigma_star.imag == 0
         _force_complex_path(monkeypatch)
-        ref = solve(pmap, cfg)
+        ref, conditioning = self._solve_recording(monkeypatch, pmap, cfg)
         assert real.status is ref.status
         assert real.iterations == ref.iterations
         assert abs(real.sigma_star - ref.sigma_star) <= 1e-12 * abs(ref.sigma_star)
         # near tol the residuals are 1e-10 of the first, and roundoff in the
-        # fields moves them by 1e-16 of it: compare them on that scale
+        # fields moves them by 1e-16 of it: compare them on that scale, or,
+        # where a record is ill-conditioned, on its own: roundoff eps |J|
+        # in the mean flux moves the residual by eps |J| / |mean J| of itself
+        # (em at sigma1 = 0.02 on the disk: |J| / |mean J| = 59 at a
+        # residual of 47, where the paths differ by 1.6 eps |J| / |mean J|)
         res, ref_res = np.array(real.history.residuals()), np.array(ref.history.residuals())
-        assert np.max(np.abs(res - ref_res)) <= 1e-12 * ref_res[0]
+        eps = np.finfo(float).eps
+        bound = np.maximum(1e-12 * ref_res[0], 32 * eps * conditioning * ref_res)
+        assert np.all(np.abs(res - ref_res) <= bound)
         for field in ("E_field", "J_field"):
             assert _max_rel_diff([getattr(real, field).data], [getattr(ref, field).data]) <= 1e-12
         if scheme.substituted:
@@ -968,16 +1100,31 @@ def _load_tool(name):
 
 
 @pytest.mark.parametrize("scheme", list(SchemeKind))
-def test_four_ffts_per_iteration(scheme):
+def test_two_ffts_per_iteration(scheme):
     # counted on a 16 x 16 grid by the benchmark tool's own counter
-    assert _load_tool("bench_per_iteration").ffts_per_iteration(scheme, 16) == 4.0
+    assert _load_tool("bench_per_iteration").ffts_per_iteration(scheme, 16) == 2.0
 
 
 @pytest.mark.parametrize("scheme", list(SchemeKind))
-def test_four_ffts_per_iteration_at_complex_sigma1(scheme):
+def test_two_ffts_per_iteration_at_complex_sigma1(scheme):
     # complex sigma1 keeps the complex transforms, and the count
     tool = _load_tool("bench_per_iteration")
-    assert tool.ffts_per_iteration(scheme, 16, tool.COMPLEX_SIGMA1) == 4.0
+    assert tool.ffts_per_iteration(scheme, 16, tool.COMPLEX_SIGMA1) == 2.0
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_two_ffts_per_iteration_split(monkeypatch, scheme):
+    # a split pass counts as two halves, each half a transform's share
+    force_split(monkeypatch)
+    assert _load_tool("bench_per_iteration").ffts_per_iteration(scheme, 16) == 2.0
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_exact_update_takes_one_more_fft(scheme):
+    # below solvers._EXACT_BELOW the accelerated update transforms div r_Q
+    tool = _load_tool("bench_per_iteration")
+    expected = 3.0 if scheme.accelerated else 2.0
+    assert tool.ffts_per_iteration(scheme, 16, exact=True) == expected
 
 
 def test_green_rows_tell_the_operators_apart():

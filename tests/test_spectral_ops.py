@@ -172,7 +172,7 @@ def test_rotated_table_is_willots_multiplier(ny, nx):
     # the real d (x) d / |d|^2 of the half-angle factors is Willot's complex
     # d (x) conj(d) / |d|^2, whose phase cancels
     g = _green_table(ny, nx)
-    assert all(f.dtype == np.complex128 and not np.any(f.imag) for f in (*g.d[0], *g.d[1]))
+    assert all(f.dtype == np.float64 for f in (*g.d[0], *g.d[1]))
     M = _table_multiplier(g)
     assert np.max(np.abs(M - _willot_multiplier(ny, nx))) <= 1e-15
     if ny % 2 == 0 and nx % 2 == 0:
@@ -188,10 +188,23 @@ def test_spectral_table_has_integer_wave_numbers():
     g = _spectral_table(98, 98)
     kx, ky = g.d[0][0].ravel(), g.d[1][0].ravel()
     expected = np.r_[0:49, -49:0]
-    # stored complex, as the rotated factors are, with imaginary part exactly 0
+    # stored real, as the rotated factors are
     for k in (kx, ky):
-        assert k.dtype == np.complex128
-        assert np.array_equal(k.real, expected) and np.array_equal(k.imag, np.zeros(98))
+        assert k.dtype == np.float64 and np.array_equal(k, expected)
+
+
+@pytest.mark.parametrize("ny, nx", [(16, 16), (15, 17), (24, 40), (33, 48), (1, 8)])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_stencil_gamma1_is_willots_multiplier(ny, nx, real):
+    # gamma1 through the stencils and one scalar FFT pair, against the
+    # multiplier built from Willot's complex d, applied by full FFTs
+    rng = np.random.default_rng(6)
+    f = rng.standard_normal((2, ny, nx))
+    if not real:
+        f = f + 1j * rng.standard_normal((2, ny, nx))
+    fh = np.fft.fft2(f, axes=(-2, -1))
+    expected = np.fft.ifft2(np.einsum("ijyx,jyx->iyx", _willot_multiplier(ny, nx), fh), axes=(-2, -1))
+    assert np.max(np.abs(_gamma1_arr(f) - expected)) <= 1e-15 * np.max(np.abs(f))
 
 
 def test_only_the_rotated_operator_keeps_real_fields_real(green):

@@ -5,16 +5,24 @@ real arithmetic, with an unreachable tolerance, so every run does
 exactly ITERS = 30 iterations; the time per iteration is the median over
 ``--repeats`` runs of wall time divided by iterations. The ``_complex``
 entries repeat the timing and the peak at sigma1 = COMPLEX_SIGMA1, which
-solves in complex arithmetic. 2-D FFTs are counted by wrapping the
-``numpy.fft`` transforms, complex and real, on a small grid: the count
+solves in complex arithmetic. Every run keeps the accelerated update on
+the recursion for div r_Q (:func:`update_mode`), which a solve uses
+until its residual falls below ``solvers._EXACT_BELOW``; those runs
+would reach it within their ITERS iterations. 2-D FFTs are counted by
+wrapping the ``numpy.fft`` transforms, complex and real, on a small
+grid: the count
 per iteration is the difference between a run of ITERS and one of
-ITERS - 10 iterations, divided by 10. A 2-D or n-D call counts as one
-transform and a 1-D pass over one axis as half of one, so the inverse
-real FFT, a column ``ifft`` and then a row ``irfft``, counts as one; a
-call on a (2, ny, nx) stack counts twice. The peak is the
-``tracemalloc`` peak, in MB, of a solve of PEAK_ITERS = 5 iterations,
-taken after an untraced warm-up solve so that the cached Green table
-does not count.
+ITERS - 10 iterations, divided by 10. Each call counts the share of the
+grid it transforms: a 2-D or n-D call on one grid counts as one
+transform, on a (2, ny, nx) stack as two, and a 1-D pass over one axis
+as half of one times the share of the rows or columns it covers, so
+the inverse real FFT, a column ``ifft`` and then a row ``irfft``,
+counts as one, and so does a transform whose passes split in halves.
+``ffts_per_iteration_exact`` counts the update that forms div r_Q in
+real space instead, as a solve does below ``solvers._EXACT_BELOW``. The
+peak is the ``tracemalloc`` peak, in MB, of a solve of PEAK_ITERS = 5
+iterations, taken after an untraced warm-up solve so that the cached
+Green table does not count.
 
 ``cpus`` is the number of CPUs the process may run on; on two or more,
 passes over large grids split across two threads. The single-thread
@@ -41,6 +49,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -59,6 +68,7 @@ from fftcond import (
     predicted_rate,
     solve,
 )
+import fftcond.solvers as solvers
 import fftcond.spectral_ops as spectral_ops
 from fftcond.solvers import _tail_rate
 
@@ -85,6 +95,21 @@ def green_operator(green: str):
         spectral_ops._green_table = rotated
 
 
+@contextlib.contextmanager
+def update_mode(exact: bool):
+    """Inside the block the accelerated update forms div r_Q in real space from
+    its first iteration (``exact``) or never, whatever the residual."""
+    saved = getattr(solvers, "_EXACT_BELOW", None)
+    solvers._EXACT_BELOW = math.inf if exact else 0.0
+    try:
+        yield
+    finally:
+        if saved is None:
+            del solvers._EXACT_BELOW
+        else:
+            solvers._EXACT_BELOW = saved
+
+
 def _config(scheme: SchemeKind, iters: int = ITERS, sigma1: complex = 2.0) -> SolverConfig:
     return SolverConfig(
         scheme=scheme,
@@ -100,7 +125,8 @@ def ms_per_iteration(scheme: SchemeKind, n: int, repeats: int, sigma1: complex =
     samples = []
     for _ in range(repeats):
         start = time.perf_counter()
-        result = solve(pmap, _config(scheme, sigma1=sigma1))
+        with update_mode(exact=False):
+            result = solve(pmap, _config(scheme, sigma1=sigma1))
         elapsed = time.perf_counter() - start
         if result.iterations != ITERS:
             raise RuntimeError(f"{scheme.value} stopped early: {result.status.value}")
@@ -116,14 +142,27 @@ FFT_WEIGHTS = {
 }
 
 
-def ffts_per_iteration(scheme: SchemeKind, n: int = 16, sigma1: complex = 2.0) -> float:
-    originals = {name: getattr(np.fft, name) for name in FFT_WEIGHTS}
-    count = 0
+def ffts_per_iteration(
+    scheme: SchemeKind, n: int = 16, sigma1: complex = 2.0, exact: bool = False
+) -> float:
+    """2-D FFTs per iteration on an n x n grid, each call weighted by the share it transforms.
 
-    def counted(fn, weight):
+    A call's share is the size of its input over that of the whole array
+    of its kind: the half spectrum, n (n//2 + 1), for the inverse real
+    transforms and, in real arithmetic, for the column passes between
+    them; the grid, n n, otherwise.
+    """
+    originals = {name: getattr(np.fft, name) for name in FFT_WEIGHTS}
+    real = complex(sigma1).imag == 0
+    half = n * (n // 2 + 1)
+    shares = []
+
+    def counted(fn, name):
+        spectrum = name.startswith("irfft") or (real and name in ("fft", "ifft"))
+
         def wrapper(a, *args, **kwargs):
-            nonlocal count
-            count += weight * (a.shape[0] if a.ndim == 3 else 1)
+            # list.append is atomic, so the two threads of a split count alike
+            shares.append(FFT_WEIGHTS[name] * a.size / (half if spectrum else n * n))
             return fn(a, *args, **kwargs)
 
         return wrapper
@@ -131,16 +170,17 @@ def ffts_per_iteration(scheme: SchemeKind, n: int = 16, sigma1: complex = 2.0) -
     pmap = build_square_array(n, 0.5)
     totals = []
     for name, fn in originals.items():
-        setattr(np.fft, name, counted(fn, FFT_WEIGHTS[name]))
+        setattr(np.fft, name, counted(fn, name))
     try:
         for k in (ITERS - 10, ITERS):
-            count = 0
-            solve(pmap, _config(scheme, k, sigma1))
-            totals.append(count)
+            shares.clear()
+            with update_mode(exact):
+                solve(pmap, _config(scheme, k, sigma1))
+            totals.append(sum(shares))
     finally:
         for name, fn in originals.items():
             setattr(np.fft, name, fn)
-    return (totals[1] - totals[0]) / 10
+    return round((totals[1] - totals[0]) / 10, 6)
 
 
 def peak_mb(scheme: SchemeKind, n: int, sigma1: complex = 2.0) -> float:
@@ -148,7 +188,8 @@ def peak_mb(scheme: SchemeKind, n: int, sigma1: complex = 2.0) -> float:
     solve(pmap, _config(scheme, PEAK_ITERS, sigma1))
     tracemalloc.start()
     try:
-        solve(pmap, _config(scheme, PEAK_ITERS, sigma1))
+        with update_mode(exact=False):
+            solve(pmap, _config(scheme, PEAK_ITERS, sigma1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -261,6 +302,7 @@ def main(argv=None) -> int:
         "ffts_per_iteration_complex": {
             s.value: ffts_per_iteration(s, sigma1=COMPLEX_SIGMA1) for s in SchemeKind
         },
+        "ffts_per_iteration_exact": {s.value: ffts_per_iteration(s, exact=True) for s in SchemeKind},
         "ms_per_iteration": ms_table(args.sizes, args.repeats),
         "ms_per_iteration_complex": ms_table(args.sizes, args.repeats, COMPLEX_SIGMA1),
         "ms_per_iteration_one_cpu": one_cpu_ms_table(args.sizes, args.repeats),
