@@ -9,6 +9,7 @@ contour sampler maps those rates over a complex-conductivity window.
 from __future__ import annotations
 
 import cmath
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -103,6 +104,8 @@ def rate_contours(
     nr, ni = resolution
     if nr < 1 or ni < 1:
         raise ValueError(f"resolution must be >= 1 per axis, got {resolution}")
+    if not all(math.isfinite(b) for b in window):
+        raise ValueError(f"window bounds must be finite, got {window}")
     if re_min > re_max or im_min > im_max:
         raise ValueError(f"window bounds are not ordered: {window}")
     if scheme.substituted and interval is None:

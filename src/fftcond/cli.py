@@ -224,7 +224,7 @@ def _validate_contours(raw: dict) -> dict:
     for key in ("re_min", "re_max", "im_min", "im_max"):
         if key not in raw:
             raise ConfigError(f"[contours] needs {key}")
-        out[key] = _parse_number("contours", key, raw[key], float)
+        out[key] = _parse_finite("contours", key, raw[key])
     for key in ("nr", "ni"):
         if key not in raw:
             raise ConfigError(f"[contours] needs {key}")

@@ -53,16 +53,16 @@ p2 and p3 are imaginary. Otherwise the same loop runs in complex
 arithmetic. The public residuals take the real path on a field whose
 imaginary part is 0, so they repeat the residual a real solve records.
 
-A solve allocates its working set once, and nothing after its loop: the
-full-grid Q slot of the pinned flux; the scalar grid of div J_Q and of
-the potential, and its spectrum, a half spectrum of its own on the real
-path and the grid itself on the complex one; the indices of the
-inclusion pixels and the slot arrays x = F and y = A F on them, where
-the accelerated update also forms w; and one packed scratch of one slot.
-A basic solve adds the full-grid Q slot of the field, which persists
-across its iterations. An accelerated solve holds one real-space grid,
-in which r_Q turns into w_Q, the field and, on the inclusion pixels, the
-pinned flux, and adds the running spectrum of div r_Q and that of chi.
+A solve allocates its working set once, and nothing after its loop: one
+real-space grid, the full-grid Q slot of the pinned flux, which off the
+inclusion is the pinned field, as A is the identity on the Q slot there;
+the scalar grid of div J_Q and of the potential, and its spectrum, a half
+spectrum of its own on the real path and the grid itself on the complex
+one; the indices of the inclusion pixels and the slot arrays x = F and
+y = A F on them, where the accelerated update also forms w; and one
+packed scratch of one slot. The update turns the grid into the next
+field, from r_Q through w_Q when accelerated, and then into the pinned
+flux. An accelerated solve adds the spectrum of div r_Q and that of chi.
 The loop allocates only band-sized temporaries and the residual's |js|^2
 of one field component. The inverse real FFT of the real path runs
 through the spectrum, which is dead at that point, and which the
@@ -118,7 +118,6 @@ from .spectral_ops import (
     _grad_buffers,
     _local_arrays,
     _mean_vec,
-    _pack,
     _per_pixel,
     _potential,
     _real_if_allowed,
@@ -492,12 +491,10 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     if real:
         sigma0, e0v = sigma0.real, e0v.real
     # Slots past Q vanish off the inclusion, so the phase-1 pixels
-    # ``support`` carry all len(p) slots packed in ``x``, each (2, m); the
-    # full-grid Q slot lives in ``fq``. The basic update keeps it across
-    # iterations; the accelerated one keeps only div r_Q, in Fourier
-    # space, so its fq is the grid of the pinned flux ``jq``, in which
-    # w_Q turns into the field and then the flux. A is the identity on
-    # the Q slot of phase-2 pixels; ``y`` holds A x on phase 1. The S line
+    # ``support`` carry all len(p) slots packed in ``x``, each (2, m). A
+    # is the identity on the Q slot of phase-2 pixels, so there the pinned
+    # field is the pinned flux, and one full grid ``jq`` holds both; on
+    # phase 1 the field is x[0] + delta and ``y`` holds A x. The S line
     # of the basic update acts on slot 1, which the physical schemes
     # lack. ``scratch``, one packed slot, holds every packed temporary of
     # the loop: the slot kernel's products, r_Q and x[i] sigma0 of the
@@ -514,15 +511,14 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     pin = np.zeros((2, 1, 1), dtype=dtype)
     pin[: len(p), 0, 0] = a_mat[:2, 0]
     jq = np.empty((2, *chi.shape), dtype=dtype)
-    fq = jq if accelerated else np.empty_like(jq)
-    fq[0], fq[1] = e0v[0], e0v[1]
+    jq[0], jq[1] = e0v[0], e0v[1]
     x = np.zeros((len(p), 2, support.size), dtype=dtype)
-    _pack(fq, support, out=x[0])
+    x[0] = e0v[:, None]
     y = np.empty_like(x)
     scratch = np.empty_like(x[0])
     js = scratch if len(p) > 1 else np.empty(0)
     # the scalar grid of div jq, and later of the potential whose grad
-    # updates fq, and the spectrum ``gh`` of div jq, which the residual
+    # updates jq, and the spectrum ``gh`` of div jq, which the residual
     # takes: a half spectrum of its own when real, the grid itself,
     # transformed in place, when complex
     grid = np.empty(chi.shape, dtype=dtype)
@@ -572,61 +568,63 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     def real_space(cs, update, space, formed, buffers):
         """The real-space stretch of one iteration on the field components ``cs``.
 
-        From the last pinned flux in jq, or the field in fq when basic,
-        and the potential ``space`` of the update, to the pinned flux in
-        jq, its S slot ``js`` and its mean. When accelerated, fq is jq: r_Q
-        of the last iterate is formed in it, unless ``formed`` says it is
-        there already, and the reflection turns it into w_Q, then the
-        update into the pinned field and, on the inclusion pixels, into
-        the pinned flux; off them A is the identity on the Q slot, so
-        there the flux is the pinned field. Every step acts on each
-        component alone, and scalars stay one-component arrays, so
+        From the last pinned flux in jq, the pinned field off the
+        inclusion, and the potential ``space`` of the update, to the
+        pinned flux in jq, its S slot ``js`` and its mean. One band pass
+        adds the update's grad term to jq and gathers it on the inclusion
+        into y[0]; the update there goes into x, scattered into jq. When
+        accelerated, the pass acts on r_Q of the last iterate, formed in
+        jq unless ``formed`` says it is there already. Every step acts on
+        each component alone, and scalars stay one-component arrays, so
         ``cs`` = c:c+1 on each thread of a split gives the bits of 0:2.
         The grad stencil runs in ``buffers`` when given. Calls no
         splitting helper, and no name that perfbench wraps in this
         module.
         """
-        f, j, s, xs, ys = fq[cs], jq[cs], scratch[cs], x[:, cs], y[:, cs]
-        if update and accelerated:
-            # w = (2 sigma0 e0 + r_Q - 2 gamma1(r_Q), -r_S, r_T), whose S
-            # sign inv_mat carries, and x = (A + sigma0 I)^-1 D w. The
-            # potential carries 1/(1 + sigma0), and one band pass takes jq,
-            # or 2 sigma0 e0 + r_Q in it when ``formed``, to
-            # w_Q / (1 + sigma0), the field off the inclusion, and leaves
-            # the grad term over 1 + sigma0 on the inclusion in y[0];
-            # form_r left 2 sigma0 e0 + r_Q there in scratch
-            if formed:
+        j, s, xs, ys = jq[cs], scratch[cs], x[:, cs], y[:, cs]
+        if update:
+            if not accelerated:
+                # F -= (gamma1 J_Q, J_S) / sigma0, the potential carrying
+                # -1/sigma0
+                scale, shift = 1.0, None
+            elif formed:
                 scale, shift = inv_off, None
             else:
                 r_on_support(cs)
                 scale = inv_off * (1.0 - sigma0)
                 shift = inv_off * (two_s0_e0[cs] - (1.0 - sigma0) * delta[cs])
-            _add_grad(space, fq, cs, scale, shift, support, ys[0], buffers)
+            _add_grad(space, jq, cs, scale, shift, support, ys[0], buffers)
+        if update and accelerated:
+            # w = (2 sigma0 e0 + r_Q - 2 gamma1(r_Q), -r_S, r_T), whose S
+            # sign inv_mat carries, and x = (A + sigma0 I)^-1 D w. The
+            # potential carries 1/(1 + sigma0), and the band pass took jq,
+            # or 2 sigma0 e0 + r_Q in it when ``formed``, to
+            # w_Q / (1 + sigma0), the field off the inclusion, and left
+            # the grad term over 1 + sigma0 on the inclusion in y[0];
+            # form_r left 2 sigma0 e0 + r_Q there in scratch
             ys[0] *= 1.0 + sigma0
             ys[0] += s
             for i in range(1, len(p)):
                 np.multiply(xs[i], sigma0, out=s)
                 ys[i] -= s
             _slot_sums(inv_mat, ys, xs, s)
-            _scatter(f, support, xs[0])
         elif update:
-            # F -= (gamma1 J_Q, J_S) / sigma0, the potential carrying -1/sigma0,
-            # with J_S in scratch
-            _add_grad(space, fq, cs, buffers=buffers)
-            _pack(f, support, out=xs[0])
+            # on the inclusion: the pinned field x[0] + delta, E_field's
+            # bits, plus the grad term; J_S is in scratch
+            xs[0] += delta[cs, None]
+            xs[0] += ys[0]
             if len(p) > 1:
                 s /= sigma0
                 xs[1] -= s
+        _scatter(j, support, xs[0])
         _slot_sums(a_mat, xs, ys, s)
         # Constant Q-slot correction pins the mean field at e0 for
-        # reporting; the accelerated update keeps the raw iterate in x and
-        # in div r_Q so the map stays exact.
+        # reporting; x keeps the raw iterate, and the accelerated update
+        # keeps it in div r_Q too, so the map stays exact.
         d = delta[cs]
-        np.subtract(e0v[cs], [_per_pixel(_compensated_ctotal(c), npix) for c in f], out=d)
-        f += d[:, None, None]
+        np.subtract(e0v[cs], [_per_pixel(_compensated_ctotal(c), npix) for c in j], out=d)
+        j += d[:, None, None]
         pin_delta[:, cs] = pin * d[:, None]
-        if not accelerated:
-            j[...] = f
         _scatter(j, support, np.add(ys[0], pin_delta[0, cs], out=s))
         if len(p) > 1:
             np.add(ys[1], pin_delta[1, cs], out=s)

@@ -124,6 +124,14 @@ class TestRateContours:
         with pytest.raises(ValueError):
             rate_contours(SchemeKind.BASIC, None, (0.0, 1.0, 0.0, 1.0), (0, 3))
 
+    @pytest.mark.parametrize("bound", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", range(4))
+    def test_non_finite_window_rejected(self, index, bound):
+        window = [0.0, 1.0, 0.0, 1.0]
+        window[index] = bound
+        with pytest.raises(ValueError, match="finite"):
+            rate_contours(SchemeKind.BASIC, None, tuple(window), (3, 3))
+
 
 class TestMisestimation:
     def setup_method(self):

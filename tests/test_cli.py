@@ -269,6 +269,15 @@ class TestContoursCommand:
         cfg = write_config(tmp_path, CONTOURS_CFG.replace("nr = 3", "nr = 0"))
         assert main(["contours", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", ["re_min", "re_max", "im_min", "im_max"])
+    def test_non_finite_window_rejected(self, tmp_path, capsys, key, value):
+        # a nan bound passes the ordering check, and used to write nan rows, exit 0
+        cfg = write_config(tmp_path, CONTOURS_CFG)
+        assert main(["contours", str(cfg), "--override", f"contours.{key}={value}"]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "grid.csv").exists()
+
     def test_output_path_checked_before_the_window(self, tmp_path, monkeypatch):
         def no_window(*args, **kwargs):
             raise AssertionError("contours evaluated the window without an output path")

@@ -497,10 +497,12 @@ class TestWorkingSet:
     residual's |js|^2 of one component; the grad stencil's two half-size
     buffers per thread hold no more. gamma1 transforms one scalar grid,
     div of the flux, whose inverse real FFT runs through its dead half
-    spectrum, so no copy of its input counts. An accelerated solve holds
-    one real-space grid, jq, in which r_Q turns into w_Q, the pinned field
-    and then the pinned flux. The result takes jq, the support, x and the
-    mean pin as they are, and builds no grid of its own."""
+    spectrum, so no copy of its input counts. Every scheme holds one
+    real-space grid, jq, the pinned flux, which off the inclusion is the
+    pinned field, and in which the update forms the next field (from r_Q
+    through w_Q when accelerated) and then the next pinned flux. The
+    result takes jq, the support, x and the mean pin as they are, and
+    builds no grid of its own."""
 
     # Python objects (the history, the split's thread) and numpy's ufunc
     # buffers in the sweeps: 35-60 KiB measured at n = 256
@@ -547,17 +549,17 @@ class TestWorkingSet:
             grid = 2 * n * n * 16
             packed = 2 * m * 16
             # jq and the scalar grid of div jq, transformed in place, with
-            # fq when basic, and the running spectrum qh and chi_hat, each
-            # half a grid, when accelerated; x, y and the scratch
-            loop = 5 * grid // 2 + (2 * slots + 1) * packed
+            # the running spectrum qh and chi_hat, each half a grid, when
+            # accelerated; x, y and the scratch
+            loop = (5 if scheme.accelerated else 3) * grid // 2 + (2 * slots + 1) * packed
         else:
             grid = 2 * n * n * 8
             half = 2 * n * (n // 2 + 1) * 16
             packed = 2 * m * 8
-            # jq, real, with fq when basic, and the real scalar grid of div
-            # jq; its half spectrum gh, and qh and chi_hat when accelerated,
-            # each half of ``half``; x, y and the scratch, real
-            grids = (3 if scheme.accelerated else 5) * grid // 2
+            # jq and the scalar grid of div jq, real; its half spectrum gh,
+            # and qh and chi_hat when accelerated, each half of ``half``; x,
+            # y and the scratch, real
+            grids = 3 * grid // 2
             spectra = (3 if scheme.accelerated else 1) * half // 2
             loop = grids + spectra + (2 * slots + 1) * packed
         # the flat int64 indices of the m inclusion pixels
