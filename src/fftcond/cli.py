@@ -45,13 +45,26 @@ from .solvers import (
 )
 from .transform import SchemeKind, SpectralInterval
 
+# The type of each key's value: text, int, float, or a float that must be finite
+_FINITE = "finite"
 _SCHEMA = {
-    "geometry": {"kind", "n", "side_fraction", "radius", "path"},
-    "physics": {"sigma1_re", "sigma1_im"},
-    "scheme": {"name", "names", "alpha", "beta", "tol", "max_iters", "sigma0_re", "sigma0_im"},
-    "output": {"history_csv", "result_json", "fields_npz", "summary_csv", "grid_csv"},
-    "contours": {"re_min", "re_max", "im_min", "im_max", "nr", "ni"},
+    "geometry": {"kind": str, "n": int, "side_fraction": float, "radius": float, "path": str},
+    "physics": {"sigma1_re": _FINITE, "sigma1_im": _FINITE},
+    "scheme": {
+        "name": str, "names": str, "alpha": float, "beta": float, "tol": float,
+        "max_iters": int, "sigma0_re": _FINITE, "sigma0_im": _FINITE,
+    },
+    "output": dict.fromkeys(
+        ("history_csv", "result_json", "fields_npz", "summary_csv", "grid_csv"), str
+    ),
+    "contours": {
+        "re_min": _FINITE, "re_max": _FINITE, "im_min": _FINITE, "im_max": _FINITE,
+        "nr": int, "ni": int,
+    },
 }
+
+# The keys each geometry kind reads; it ignores the others
+_GEOMETRY_KEYS = {"square": ("n", "side_fraction"), "disk": ("n", "radius"), "raster": ("path",)}
 
 _SCHEME_NAMES = {kind.value: kind for kind in SchemeKind}
 
@@ -83,16 +96,15 @@ class RunConfig:
         }
 
 
-def _parse_number(section: str, key: str, raw: str, kind):
+def _parse(section: str, key: str, raw: str):
+    """The value of ``raw`` as the type ``_SCHEMA`` gives the key."""
+    kind = _SCHEMA[section][key]
+    number = float if kind == _FINITE else kind
     try:
-        return kind(raw)
+        value = number(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a valid {kind.__name__}") from None
-
-
-def _parse_finite(section: str, key: str, raw: str) -> float:
-    value = _parse_number(section, key, raw, float)
-    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not a valid {number.__name__}") from None
+    if kind == _FINITE and not math.isfinite(value):
         raise ConfigError(f"[{section}] {key} must be finite, got {value}")
     return value
 
@@ -129,111 +141,62 @@ def parse_config(path: Path, overrides: list[str] = ()) -> RunConfig:
         for section in _SCHEMA
     }
 
-    geometry = _validate_geometry(raw["geometry"])
-    physics = _validate_physics(raw["physics"])
-    scheme = _validate_scheme(raw["scheme"])
-    contours = _validate_contours(raw["contours"]) if raw["contours"] else {}
-    output = dict(raw["output"])
-    return RunConfig(
-        base_dir=path.parent,
-        geometry=geometry,
-        physics=physics,
-        scheme=scheme,
-        output=output,
-        contours=contours,
-    )
-
-
-def _validate_geometry(raw: dict) -> dict:
-    kind = raw.get("kind")
-    if kind not in {"square", "disk", "raster"}:
+    kind = raw["geometry"].get("kind")
+    if kind not in _GEOMETRY_KEYS:
         raise ConfigError(f"[geometry] kind must be square, disk or raster, got {kind!r}")
-    out = {"kind": kind}
-    if kind == "raster":
-        if "path" not in raw:
-            raise ConfigError("[geometry] raster needs a path")
-        out["path"] = raw["path"]
-        return out
-    if "n" not in raw:
-        raise ConfigError(f"[geometry] {kind} needs n")
-    out["n"] = _parse_number("geometry", "n", raw["n"], int)
-    if kind == "square":
-        if "side_fraction" not in raw:
-            raise ConfigError("[geometry] square needs side_fraction")
-        out["side_fraction"] = _parse_number(
-            "geometry", "side_fraction", raw["side_fraction"], float
-        )
-    else:
-        if "radius" not in raw:
-            raise ConfigError("[geometry] disk needs radius")
-        out["radius"] = _parse_number("geometry", "radius", raw["radius"], float)
-    return out
-
-
-def _validate_physics(raw: dict) -> dict:
-    if "sigma1_re" not in raw:
-        raise ConfigError("[physics] needs sigma1_re")
-    return {
-        "sigma1_re": _parse_finite("physics", "sigma1_re", raw["sigma1_re"]),
-        "sigma1_im": _parse_finite("physics", "sigma1_im", raw.get("sigma1_im", "0")),
+    required = (
+        ("geometry", f"{kind} ", _GEOMETRY_KEYS[kind]),
+        ("physics", "", ("sigma1_re",)),
+        ("contours", "", tuple(_SCHEMA["contours"]) if raw["contours"] else ()),
+    )
+    for section, what, keys in required:
+        for key in keys:
+            if key not in raw[section]:
+                raise ConfigError(f"[{section}] {what}needs {key}")
+    if ("alpha" in raw["scheme"]) != ("beta" in raw["scheme"]):
+        raise ConfigError("[scheme] alpha and beta must be given together")
+    raw["geometry"] = {key: raw["geometry"][key] for key in ("kind", *_GEOMETRY_KEYS[kind])}
+    raw["physics"].setdefault("sigma1_im", "0")
+    raw["scheme"] = {"tol": "1e-8", "max_iters": "1000", **raw["scheme"]}
+    if "sigma0_re" in raw["scheme"] or "sigma0_im" in raw["scheme"]:
+        raw["scheme"] = {"sigma0_re": "0", "sigma0_im": "0", **raw["scheme"]}
+    cfg = {
+        section: {k: _parse(section, k, raw[section][k]) for k in keys if k in raw[section]}
+        for section, keys in _SCHEMA.items()
     }
 
-
-def _validate_scheme(raw: dict) -> dict:
-    out = {}
-    if "name" in raw and "names" in raw:
+    scheme = cfg["scheme"]
+    if "name" in scheme and "names" in scheme:
         raise ConfigError("[scheme] give either name or names, not both")
-    if "name" in raw:
-        if raw["name"] not in _SCHEME_NAMES:
-            raise ConfigError(f"[scheme] unknown scheme {raw['name']!r}")
-        out["name"] = raw["name"]
-    if "names" in raw:
-        names = [n.strip() for n in raw["names"].split(",") if n.strip()]
-        unknown = [n for n in names if n not in _SCHEME_NAMES]
-        if unknown:
-            raise ConfigError(f"[scheme] unknown schemes {unknown}")
-        if len(names) < 2:
-            raise ConfigError("[scheme] names must list at least two schemes")
-        if len(set(names)) != len(names):
-            raise ConfigError("[scheme] names must be distinct")
-        out["names"] = names
-    if "alpha" in raw or "beta" in raw:
-        if not ("alpha" in raw and "beta" in raw):
-            raise ConfigError("[scheme] alpha and beta must be given together")
-        alpha = _parse_number("scheme", "alpha", raw["alpha"], float)
-        beta = _parse_number("scheme", "beta", raw["beta"], float)
+    if "names" in scheme:
+        scheme["names"] = [n.strip() for n in scheme["names"].split(",") if n.strip()]
+    listed = [scheme["name"]] if "name" in scheme else scheme.get("names", [])
+    unknown = [n for n in listed if n not in _SCHEME_NAMES]
+    if unknown:
+        raise ConfigError(f"[scheme] unknown scheme {', '.join(map(repr, unknown))}")
+    if "names" in scheme and len(listed) < 2:
+        raise ConfigError("[scheme] names must list at least two schemes")
+    if len(set(listed)) != len(listed):
+        raise ConfigError("[scheme] names must be distinct")
+    if "alpha" in scheme:
         try:
-            SpectralInterval(alpha, beta)
+            SpectralInterval(scheme["alpha"], scheme["beta"])
         except ValueError as exc:
             raise ConfigError(f"[scheme] bad interval: {exc}") from None
-        out["alpha"], out["beta"] = alpha, beta
-    out["tol"] = _parse_number("scheme", "tol", raw.get("tol", "1e-8"), float)
-    if not (out["tol"] > 0 and math.isfinite(out["tol"])):
-        raise ConfigError(f"[scheme] tol must be positive and finite, got {out['tol']}")
-    out["max_iters"] = _parse_number("scheme", "max_iters", raw.get("max_iters", "1000"), int)
-    if out["max_iters"] < 1:
+    if not (scheme["tol"] > 0 and math.isfinite(scheme["tol"])):
+        raise ConfigError(f"[scheme] tol must be positive and finite, got {scheme['tol']}")
+    if scheme["max_iters"] < 1:
         raise ConfigError("[scheme] max_iters must be >= 1")
-    if "sigma0_re" in raw or "sigma0_im" in raw:
-        out["sigma0_re"] = _parse_finite("scheme", "sigma0_re", raw.get("sigma0_re", "0"))
-        out["sigma0_im"] = _parse_finite("scheme", "sigma0_im", raw.get("sigma0_im", "0"))
-    return out
-
-
-def _validate_contours(raw: dict) -> dict:
-    out = {}
-    for key in ("re_min", "re_max", "im_min", "im_max"):
-        if key not in raw:
-            raise ConfigError(f"[contours] needs {key}")
-        out[key] = _parse_finite("contours", key, raw[key])
-    for key in ("nr", "ni"):
-        if key not in raw:
-            raise ConfigError(f"[contours] needs {key}")
-        out[key] = _parse_number("contours", key, raw[key], int)
-        if out[key] < 1:
-            raise ConfigError(f"[contours] {key} must be >= 1")
-    if out["re_min"] > out["re_max"] or out["im_min"] > out["im_max"]:
-        raise ConfigError("[contours] window bounds are not ordered")
-    return out
+    win = cfg["contours"]
+    if win:
+        for key in ("nr", "ni"):
+            if win[key] < 1:
+                raise ConfigError(f"[contours] {key} must be >= 1")
+        if win["re_min"] > win["re_max"] or win["im_min"] > win["im_max"]:
+            raise ConfigError(
+                "[contours] window bounds are not ordered: need re_min <= re_max, im_min <= im_max"
+            )
+    return RunConfig(base_dir=path.parent, **cfg)
 
 
 def build_phase_map(cfg: RunConfig) -> PhaseMap:
@@ -286,12 +249,10 @@ def _out_path(cfg: RunConfig, key: str) -> Path | None:
     return p if p.is_absolute() else cfg.base_dir / p
 
 
-def _write_history_csv(path: Path, result: SolveResult | None):
+def _write_history_csv(path: Path, history):
     with open(path, "w", newline="\n") as fh:
         fh.write("iter,sigma_star_re,sigma_star_im,residual\n")
-        if result is None:
-            return
-        for rec in result.history:
+        for rec in history:
             fh.write(
                 f"{rec.iteration},{_fmt(rec.sigma_star.real)},"
                 f"{_fmt(rec.sigma_star.imag)},{_fmt(rec.residual)}\n"
@@ -317,18 +278,26 @@ def _exact_reference(cfg: RunConfig) -> complex | None:
         return None
 
 
+def _run(cfg: RunConfig, pmap: PhaseMap, name: str, history: Path | None) -> SolveResult:
+    """Solve scheme ``name``, write its history CSV and print its summary line."""
+    result = solve(pmap, _solver_config(cfg, name))
+    if history:
+        _write_history_csv(history, result.history)
+    print(
+        f"{name}: {result.status.value} after {result.iterations} iterations, "
+        f"sigma_star = {result.sigma_star:.10g}"
+    )
+    return result
+
+
 def cmd_solve(config_path: Path, overrides: list[str]) -> int:
     cfg = parse_config(config_path, overrides)
     if "name" not in cfg.scheme:
         raise ConfigError("[scheme] solve needs a single scheme name")
     pmap = build_phase_map(cfg)
     scheme_name = cfg.scheme["name"]
-    solver_cfg = _solver_config(cfg, scheme_name)
-    result = solve(pmap, solver_cfg)
+    result = _run(cfg, pmap, scheme_name, _out_path(cfg, "history_csv"))
 
-    hist_path = _out_path(cfg, "history_csv")
-    if hist_path:
-        _write_history_csv(hist_path, result)
     json_path = _out_path(cfg, "result_json")
     if json_path:
         payload = {
@@ -345,12 +314,31 @@ def cmd_solve(config_path: Path, overrides: list[str]) -> int:
     npz_path = _out_path(cfg, "fields_npz")
     if npz_path:
         np.savez(npz_path, E=result.E_field.data, J=result.J_field.data, chi=pmap.chi)
-
-    print(
-        f"{scheme_name}: {result.status.value} after {result.iterations} iterations, "
-        f"sigma_star = {result.sigma_star:.10g}"
-    )
     return 0 if result.status is TerminationStatus.CONVERGED else 1
+
+
+def _compare_row(cfg: RunConfig, pmap: PhaseMap, name: str, exact: complex | None) -> tuple:
+    """Run scheme ``name`` for ``compare`` and return its summary CSV row.
+
+    A scheme that raises ValueError gets an ``Error`` row and a history CSV
+    with the header only. The result's fields are freed on return, before
+    the next scheme's solve.
+    """
+    history = _out_path(cfg, "history_csv")
+    if history:
+        history = history.with_name(f"{history.stem}_{name}{history.suffix}")
+    try:
+        result = _run(cfg, pmap, name, history)
+    except ValueError as exc:
+        if history:
+            _write_history_csv(history, ())
+        print(f"{name}: error: {exc}")
+        return (name, "Error", "", "", "", "")
+    err = abs(result.sigma_star - exact) if exact is not None else None
+    numbers = (err, _tail_rate(result.history, RATE_WINDOW), _predicted_rate_or_none(cfg, name))
+    return (name, result.status.value, str(result.iterations)) + tuple(
+        "" if x is None else _fmt(x) for x in numbers
+    )
 
 
 def cmd_compare(config_path: Path, overrides: list[str]) -> int:
@@ -359,57 +347,15 @@ def cmd_compare(config_path: Path, overrides: list[str]) -> int:
         raise ConfigError("[scheme] compare needs names with at least two schemes")
     pmap = build_phase_map(cfg)
     exact = _exact_reference(cfg)
-
-    rows = []
-    all_converged = True
-    for name in cfg.scheme["names"]:
-        result = None
-        error = None
-        try:
-            solver_cfg = _solver_config(cfg, name)
-            result = solve(pmap, solver_cfg)
-        except ValueError as exc:
-            error = exc
-        hist_path = _out_path(cfg, "history_csv")
-        if hist_path:
-            per_scheme = hist_path.with_name(f"{hist_path.stem}_{name}{hist_path.suffix}")
-            _write_history_csv(per_scheme, result)
-        if result is None:
-            rows.append((name, "Error", "", "", "", ""))
-            all_converged = False
-            print(f"{name}: error: {error}")
-            continue
-        status = result.status.value
-        if result.status is not TerminationStatus.CONVERGED:
-            all_converged = False
-        err_exact = abs(result.sigma_star - exact) if exact is not None else None
-        est = _tail_rate(result.history, RATE_WINDOW)
-        pred = _predicted_rate_or_none(cfg, name)
-        rows.append(
-            (
-                name,
-                status,
-                str(result.iterations),
-                _fmt(err_exact) if err_exact is not None else "",
-                _fmt(est) if est is not None else "",
-                _fmt(pred) if pred is not None else "",
-            )
-        )
-        print(
-            f"{name}: {status} after {result.iterations} iterations, "
-            f"sigma_star = {result.sigma_star:.10g}"
-        )
+    rows = [_compare_row(cfg, pmap, name, exact) for name in cfg.scheme["names"]]
 
     summary_path = _out_path(cfg, "summary_csv")
     if summary_path:
         with open(summary_path, "w", newline="\n") as fh:
-            fh.write(
-                "scheme,status,iterations,abs_err_exact,estimated_rate,"
-                "predicted_rate\n"
-            )
+            fh.write("scheme,status,iterations,abs_err_exact,estimated_rate,predicted_rate\n")
             for row in rows:
                 fh.write(",".join(row) + "\n")
-    return 0 if all_converged else 1
+    return 0 if all(row[1] == TerminationStatus.CONVERGED.value for row in rows) else 1
 
 
 def cmd_contours(config_path: Path, overrides: list[str]) -> int:

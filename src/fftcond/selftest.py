@@ -86,6 +86,12 @@ def _random_aug(rng, pmap) -> AugmentedField:
     return AugmentedField(_random_field(rng, n), masked(), masked())
 
 
+def _slotwise(op, *fields: AugmentedField) -> AugmentedField:
+    """``op`` applied to the data of the fields' Q slots, then S, then T."""
+    slots = zip(*((f.Q.data, f.S.data, f.T.data) for f in fields))
+    return AugmentedField(*(VectorField(op(*arrays)) for arrays in slots))
+
+
 def run_selftest(seed: int = SEED) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
@@ -135,11 +141,7 @@ def run_selftest(seed: int = SEED) -> list[CheckResult]:
     F = _random_aug(rng, pmap)
     G1F = gamma1_aug(F, pmap)
     G1G1F = gamma1_aug(G1F, pmap)
-    diff = AugmentedField(
-        VectorField(G1G1F.Q.data - G1F.Q.data),
-        VectorField(G1G1F.S.data - G1F.S.data),
-        VectorField(G1G1F.T.data - G1F.T.data),
-    )
+    diff = _slotwise(np.subtract, G1G1F, G1F)
     check(
         "gamma1_aug_idempotent",
         norm_aug(diff, pmap) / max(norm_aug(G1F, pmap), 1e-30),
@@ -154,11 +156,7 @@ def run_selftest(seed: int = SEED) -> list[CheckResult]:
 
     CF = apply_chi_aug(F, params, pmap)
     CCF = apply_chi_aug(CF, params, pmap)
-    dd = AugmentedField(
-        VectorField(CCF.Q.data - CF.Q.data),
-        VectorField(CCF.S.data - CF.S.data),
-        VectorField(CCF.T.data - CF.T.data),
-    )
+    dd = _slotwise(np.subtract, CCF, CF)
     check(
         "chi_aug_idempotent",
         norm_aug(dd, pmap) / max(norm_aug(CF, pmap), 1e-30),
@@ -167,11 +165,7 @@ def run_selftest(seed: int = SEED) -> list[CheckResult]:
 
     inv = invert_shifted_A(F, t, 0.7 + 0.3j, params, pmap)
     back = apply_local_A(inv, t, params, pmap)
-    resid = AugmentedField(
-        VectorField(back.Q.data + (0.7 + 0.3j) * inv.Q.data - F.Q.data),
-        VectorField(back.S.data + (0.7 + 0.3j) * inv.S.data - F.S.data),
-        VectorField(back.T.data + (0.7 + 0.3j) * inv.T.data - F.T.data),
-    )
+    resid = _slotwise(lambda b, i, f: b + (0.7 + 0.3j) * i - f, back, inv, F)
     check(
         "shifted_A_inverse_round_trip",
         norm_aug(resid, pmap) / max(norm_aug(F, pmap), 1e-30),

@@ -164,9 +164,8 @@ def solve_p(interval: SpectralInterval) -> SubstitutionParams:
     p3_sq = 1.0 - p1_sq - p2_sq
     p1 = complex(math.sqrt(p1_sq))
     p2 = 1j * math.sqrt(-p2_sq)
+    # complex(p3_sq) has imaginary part +0.0, so the principal root has imag >= 0
     p3 = cmath.sqrt(complex(p3_sq))
-    if p3.imag < 0:
-        p3 = -p3
     return SubstitutionParams(interval=interval, p1=p1, p2=p2, p3=p3)
 
 

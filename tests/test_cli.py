@@ -4,6 +4,9 @@ import csv
 import dataclasses
 import json
 import math
+import re
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,9 +78,16 @@ class TestSolveCommand:
         cfg = write_config(tmp_path, bad)
         assert main(["solve", str(cfg)]) == 2
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_duplicate_section_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BENCH_SOLVE + "\n[scheme]\nbogus = 1\n")
         assert main(["solve", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot parse ")
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BENCH_SOLVE)
+        assert main(["solve", str(cfg), "--override", "scheme.bogus=1"]) == 2
+        assert capsys.readouterr().err == "error: unknown key 'bogus' in [scheme]\n"
+        assert not (tmp_path / "result.json").exists()
 
     def test_missing_file(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.cfg")]) == 2
@@ -115,7 +125,7 @@ class TestSolveCommand:
             argv += ["--override", item]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
-        assert not (tmp_path / "result.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     def test_override(self, tmp_path):
         cfg = write_config(tmp_path, BENCH_SOLVE)
@@ -199,6 +209,21 @@ class TestCompareCommand:
         first = (tmp_path / "summary.csv").read_bytes()
         assert main(["compare", str(cfg)]) == 0
         assert (tmp_path / "summary.csv").read_bytes() == first
+
+    def test_each_result_freed_before_the_next_solve(self, tmp_path, monkeypatch):
+        # a result kept alive through the next solve adds its fields to the peak
+        solve, previous = cli.solve, []
+
+        def tracked(pmap, config):
+            assert all(ref() is None for ref in previous)
+            result = solve(pmap, config)
+            previous.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(cli, "solve", tracked)
+        cfg = write_config(tmp_path, COMPARE_CFG)
+        assert main(["compare", str(cfg)]) == 0
+        assert len(previous) == 4
 
     def test_single_scheme_rejected(self, tmp_path):
         cfg = write_config(tmp_path, COMPARE_CFG.replace(
@@ -292,6 +317,128 @@ class TestContoursCommand:
         )
         cfg = write_config(tmp_path, text)
         assert main(["contours", str(cfg)]) == 2
+
+
+def _drop(text, keys):
+    """``text`` without the lines that set any of ``keys``."""
+    return "\n".join(
+        line for line in text.splitlines() if line.split("=")[0].strip() not in keys
+    )
+
+
+# (command, base config, keys dropped from it, overrides, fragments of the message)
+REJECTIONS = {
+    "unknown_section": ("solve", BENCH_SOLVE, (), ("bogus.x=1",), ("[bogus]",)),
+    "unknown_key": ("solve", BENCH_SOLVE, (), ("geometry.bogus=1",), ("[geometry]", "bogus")),
+    "bad_int": ("solve", BENCH_SOLVE, (), ("geometry.n=12.5",), ("[geometry]", "n = '12.5'")),
+    "bad_float": ("solve", BENCH_SOLVE, (), ("scheme.tol=small",), ("[scheme]", "tol = 'small'")),
+    "override_without_value": (
+        "solve", BENCH_SOLVE, (), ("physics.sigma1_re",), ("section.key=value", "physics.sigma1_re")
+    ),
+    "override_without_section": (
+        "solve", BENCH_SOLVE, (), ("sigma1_re=1",), ("section.key=value", "sigma1_re")
+    ),
+    "bad_kind": ("solve", BENCH_SOLVE, (), ("geometry.kind=hex",), ("[geometry]", "kind", "'hex'")),
+    "raster_without_path": (
+        "solve", BENCH_SOLVE, (), ("geometry.kind=raster",), ("[geometry]", "raster", "path")
+    ),
+    "missing_n": ("solve", BENCH_SOLVE, ("n",), (), ("[geometry]", "square", "n")),
+    "square_without_side_fraction": (
+        "solve", BENCH_SOLVE, ("side_fraction",), (), ("[geometry]", "square", "side_fraction")
+    ),
+    "disk_without_radius": (
+        "solve", BENCH_SOLVE, ("side_fraction",), ("geometry.kind=disk",),
+        ("[geometry] disk", "radius"),
+    ),
+    "missing_sigma1_re": ("solve", BENCH_SOLVE, ("sigma1_re",), (), ("[physics]", "sigma1_re")),
+    "name_and_names": (
+        "solve", BENCH_SOLVE, (), ("scheme.names=basic, em",), ("[scheme]", "name", "names")
+    ),
+    "unknown_name": ("solve", BENCH_SOLVE, (), ("scheme.name=fast",), ("[scheme]", "'fast'")),
+    "unknown_names": (
+        "compare", COMPARE_CFG, (), ("scheme.names=basic, fast",), ("[scheme]", "'fast'")
+    ),
+    "duplicate_names": (
+        "compare", COMPARE_CFG, (), ("scheme.names=em, em",), ("[scheme]", "names", "distinct")
+    ),
+    "alpha_without_beta": ("solve", BENCH_SOLVE, ("beta",), (), ("[scheme]", "alpha", "beta")),
+    "beta_without_alpha": ("solve", BENCH_SOLVE, ("alpha",), (), ("[scheme]", "alpha", "beta")),
+    "substituted_without_interval": (
+        "solve", BENCH_SOLVE, ("alpha", "beta"), (), ("[scheme]", "alpha", "beta")
+    ),
+    "zero_max_iters": ("solve", BENCH_SOLVE, (), ("scheme.max_iters=0",), ("[scheme]", "max_iters")),
+    "missing_contours_bound": (
+        "contours", CONTOURS_CFG, ("im_max",), (), ("[contours]", "im_max")
+    ),
+    "missing_contours_resolution": (
+        "contours", CONTOURS_CFG, ("ni",), (), ("[contours]", "ni")
+    ),
+    "unordered_contours_bounds": (
+        "contours", CONTOURS_CFG, (), ("contours.re_min=3",), ("[contours]", "not ordered")
+    ),
+    "odd_n": ("solve", BENCH_SOLVE, (), ("geometry.n=31",), ("geometry", "even", "31")),
+    "disk_radius_too_large": (
+        "solve", BENCH_SOLVE, ("side_fraction",), ("geometry.kind=disk", "geometry.radius=0.5"),
+        ("geometry", "radius", "0.5"),
+    ),
+}
+
+
+class TestConfigRejections:
+    @pytest.mark.parametrize("case", REJECTIONS.values(), ids=REJECTIONS.keys())
+    def test_rejected_with_named_section_and_key(self, tmp_path, capsys, case):
+        command, base, dropped, overrides, fragments = case
+        cfg = write_config(tmp_path, _drop(base, dropped))
+        argv = [command, str(cfg)]
+        for item in overrides:
+            argv += ["--override", item]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        for fragment in fragments:
+            assert fragment in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    def test_disk_solve(self, tmp_path):
+        text = BENCH_SOLVE.replace("kind = square", "kind = disk").replace(
+            "side_fraction = 0.5", "radius = 0.35"
+        )
+        cfg = write_config(tmp_path, text)
+        argv = ["solve", str(cfg), "--override", "geometry.n=32", "--override", "physics.sigma1_re=2"]
+        assert main(argv) == 0
+        result = json.loads((tmp_path / "result.json").read_text())
+        assert result["status"] == "Converged"
+        assert result["config"]["geometry"] == {"kind": "disk", "n": 32, "radius": 0.35}
+        with np.load(tmp_path / "fields.npz") as data:
+            f = data["chi"].mean()
+        # the disk covers about pi 0.35^2 = 38.5% of the cell, and sigma*
+        # lies strictly inside the Wiener bounds of its volume fraction
+        assert f == pytest.approx(math.pi * 0.35 ** 2, rel=0.05)
+        assert 1 / (1 - f + f / 2) < result["sigma_star"]["re"] < 1 + f
+
+
+class TestReadmeConfig:
+    """The README's example config lists every key and is a valid config."""
+
+    @staticmethod
+    def block():
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        return section.split("```ini\n", 1)[1].split("```", 1)[0]
+
+    def test_lists_exactly_the_schema(self):
+        listed = {}
+        for line in self.block().splitlines():
+            if line.startswith("["):
+                keys = listed.setdefault(line.strip("[]"), set())
+            elif match := re.match(r";?\s*(\w+)\s*=", line):
+                keys.add(match.group(1))
+        assert listed == {section: set(keys) for section, keys in cli._SCHEMA.items()}
+
+    def test_parses(self, tmp_path):
+        cfg = cli.parse_config(write_config(tmp_path, self.block()))
+        assert cfg.scheme["name"] == "em_sub" and cfg.contours["nr"] == 41
 
 
 class TestSelftestCommand:

@@ -40,7 +40,7 @@ from fftcond import (
     solve,
     solve_p,
 )
-from fftcond.solvers import ConvergenceHistory, _tail_rate
+from fftcond.solvers import DIVERGENCE_FACTOR, ConvergenceHistory, _tail_rate
 
 BENCH = SpectralInterval(0.25, 4.0)
 
@@ -531,6 +531,24 @@ class TestStoppingAndGuards:
         r = solve(pm, cfg)
         assert r.status is TerminationStatus.DIVERGED
         assert not r.degenerate_flux
+
+    @pytest.mark.parametrize(
+        "scheme, sigma1, iterations",
+        [(SchemeKind.EYRE_MILTON_SUB, -1 + 1e-6j, 48), (SchemeKind.BASIC, -4 + 1e-9j, 101)],
+        ids=["em_sub", "basic"],
+    )
+    def test_residual_growth_guard(self, scheme, sigma1, iterations):
+        # sigma1 near the negative axis: the residual grows geometrically but
+        # stays finite, so the run stops on the growth factor, not on overflow
+        pm = build_square_array(32, 0.5)
+        r = solve(pm, cfg_for(scheme, sigma1, tol=1e-10, max_iters=300))
+        assert r.status is TerminationStatus.DIVERGED
+        assert not r.degenerate_flux
+        assert r.iterations == iterations
+        res = r.history.residuals()
+        assert len(res) == iterations and np.isfinite(res).all()
+        assert all(cmath.isfinite(rec.sigma_star) for rec in r.history)
+        assert res[-1] > DIVERGENCE_FACTOR * res[0]
 
     def test_history_monotone_iterations(self):
         pm = build_square_array(16, 0.5)

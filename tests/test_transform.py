@@ -183,6 +183,23 @@ class TestSolveP:
         assert abs(a - interval.alpha) <= 1e-12 * max(1.0, interval.alpha)
         assert abs(b - interval.beta) <= 1e-12 * max(1.0, interval.beta)
 
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(intervals)
+    def test_p3_branch(self, interval):
+        p = solve_p(interval)
+        assert p.p3.imag >= 0
+        SubstitutionParams(interval, p.p1, p.p2, p.p3)
+
+    @pytest.mark.parametrize("alpha, beta", [(1e-300, 1.0), (1e-12, 4.0)], ids=["p3_zero", "p3_tiny"])
+    def test_p3_branch_at_extreme_intervals(self, alpha, beta):
+        # p3^2 = -alpha (1 + beta) / (beta - alpha), formed as 1 - p1^2 - p2^2,
+        # cancels to 0.0 at the first interval and to within ulps of 1 at the second
+        interval = SpectralInterval(alpha, beta)
+        p = solve_p(interval)
+        assert p.p3.imag >= 0 and p.p3.real == 0
+        assert abs(p.p3 - 1j * math.sqrt(alpha * (1 + beta) / (beta - alpha))) <= 1e-9
+        SubstitutionParams(interval, p.p1, p.p2, p.p3)
+
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
             SubstitutionParams(BENCH, p1=1.0, p2=1.0, p3=1.0)
