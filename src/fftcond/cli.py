@@ -183,6 +183,10 @@ def parse_config(path: Path, overrides: list[str] = ()) -> RunConfig:
             SpectralInterval(scheme["alpha"], scheme["beta"])
         except ValueError as exc:
             raise ConfigError(f"[scheme] bad interval: {exc}") from None
+    else:
+        substituted = [n for n in listed if _SCHEME_NAMES[n].substituted]
+        if substituted:
+            raise ConfigError(f"[scheme] scheme {', '.join(substituted)} needs alpha and beta")
     if not (scheme["tol"] > 0 and math.isfinite(scheme["tol"])):
         raise ConfigError(f"[scheme] tol must be positive and finite, got {scheme['tol']}")
     if scheme["max_iters"] < 1:
@@ -212,13 +216,11 @@ def build_phase_map(cfg: RunConfig) -> PhaseMap:
         raise ConfigError(f"geometry: {exc}") from None
 
 
-def _interval(cfg: RunConfig, scheme: SchemeKind) -> SpectralInterval | None:
-    """The [scheme] spectral interval; None, when it is absent, for a physical scheme only."""
-    if "alpha" in cfg.scheme:
-        return SpectralInterval(cfg.scheme["alpha"], cfg.scheme["beta"])
-    if scheme.substituted:
-        raise ConfigError(f"scheme {scheme.value} needs [scheme] alpha and beta")
-    return None
+def _interval(cfg: RunConfig) -> SpectralInterval | None:
+    """The [scheme] spectral interval; None when absent, which parse_config allows physical schemes."""
+    if "alpha" not in cfg.scheme:
+        return None
+    return SpectralInterval(cfg.scheme["alpha"], cfg.scheme["beta"])
 
 
 def _sigma1(cfg: RunConfig) -> complex:
@@ -235,7 +237,7 @@ def _solver_config(cfg: RunConfig, scheme_name: str) -> SolverConfig:
     return SolverConfig(
         scheme=scheme,
         sigma1=_sigma1(cfg),
-        interval=_interval(cfg, scheme),
+        interval=_interval(cfg),
         tol=sch["tol"],
         max_iters=sch["max_iters"],
         sigma0_override=sigma0,
@@ -262,7 +264,7 @@ def _write_history_csv(path: Path, history):
 def _predicted_rate_or_none(cfg: RunConfig, scheme_name: str) -> float | None:
     scheme = _SCHEME_NAMES[scheme_name]
     try:
-        return predicted_rate(scheme, _sigma1(cfg), _interval(cfg, scheme))
+        return predicted_rate(scheme, _sigma1(cfg), _interval(cfg))
     except ValueError:
         return None
 
@@ -371,7 +373,7 @@ def cmd_contours(config_path: Path, overrides: list[str]) -> int:
     win = cfg.contours
     grid: RateGrid = rate_contours(
         scheme,
-        _interval(cfg, scheme),
+        _interval(cfg),
         (win["re_min"], win["re_max"], win["im_min"], win["im_max"]),
         (win["nr"], win["ni"]),
     )

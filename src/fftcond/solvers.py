@@ -7,14 +7,21 @@ kernel; ``cfg.scheme`` selects the scheme. It runs on slots coupled on the
 inclusion by a coefficient tuple p. Its local operators have the form
 on chi'' + off (I - chi'') with chi'' = chi p (x) p: A is (t, 1) and the
 shifted inverse (A + sigma0 I)^-1 is (1/(t + sigma0), 1/(1 + sigma0)).
-On the inclusion each is a len(p)-square slot matrix; the mean pin is
-column 0 of A's matrix. ``basic_sub`` and ``em_sub`` work in the
-augmented (Q, S, T) space, p = (p1, p2, p3), where the inclusion
-conductivity is replaced by the mapped parameter t = map_t(sigma1) whose
-disk coordinate is closer to the origin whenever the singularities of
-the effective conductivity are confined to the assumed interval.
-``basic`` and ``em`` are the one-slot case, p = (1,) and t = sigma1,
-whose slot is the physical electric field. The basic schemes use the
+The mean pin is column 0 of A's slot matrix. ``basic_sub`` and
+``em_sub`` work in the augmented (Q, S, T) space, p = (p1, p2, p3), where
+the inclusion conductivity is replaced by the mapped parameter
+t = map_t(sigma1) whose disk coordinate is closer to the origin whenever
+the singularities of the effective conductivity are confined to the
+assumed interval. There p . p = 1, so on the inclusion A = I + (t - 1)
+p p^T is a rank-one update of I, and so is the shifted inverse,
+inv_off I + (inv_on - inv_off) p p^T: the loop keeps the slots x and
+their one mix u = p . x, forms each flux slot y_i = x_i + (t - 1) p_i u
+where it reads it, and applies the inverse to z as inv_off z +
+(inv_on - inv_off) p v with v = p . z, after which u = inv_on v. The
+basic update never writes T, which starts at 0, so ``basic_sub`` runs on
+p = (p1, p2), where A keeps the form and needs no inverse. ``basic`` and
+``em`` are the one-slot case, p = (1,) and t = sigma1, whose slot is the
+physical electric field and whose A is t. The basic schemes use the
 reference sigma0 = (t + 1)/2; the accelerated ones iterate on the
 polarization-like variable w = (A + sigma0) F with sigma0 = sqrt(t). All
 four converge to the same discrete solution.
@@ -49,8 +56,10 @@ the spectral reference does not (``spectral_ops._field_dtype``): its
 fields, slots and scalars are float64, its transforms half spectra, and
 the slots past Q are stored divided by i. Each slot matrix M then acts
 as diag(1, -i, -i) M diag(1, i, i), which is real because p1 is real and
-p2 and p3 are imaginary. Otherwise the same loop runs in complex
-arithmetic. The public residuals take the real path on a field whose
+p2 and p3 are imaginary, and p (x) p as p_out p_in^T, with the real
+p_in = (p1, i p2, i p3), with which u = p_in . x, and
+p_out = (p1, -i p2, -i p3). Otherwise the same loop runs in complex
+arithmetic, where both are p. The public residuals take the real path on a field whose
 imaginary part is 0, so they repeat the residual a real solve records.
 
 A solve allocates its working set once, and nothing after its loop: one
@@ -58,11 +67,14 @@ real-space grid, the full-grid Q slot of the pinned flux, which off the
 inclusion is the pinned field, as A is the identity on the Q slot there;
 the scalar grid of div J_Q and of the potential, and its spectrum, a half
 spectrum of its own on the real path and the grid itself on the complex
-one; the indices of the inclusion pixels and the slot arrays x = F and
-y = A F on them, where the accelerated update also forms w; and one
-packed scratch of one slot. The update turns the grid into the next
-field, from r_Q through w_Q when accelerated, and then into the pinned
-flux. An accelerated solve adds the spectrum of div r_Q and that of chi.
+one; the indices of the inclusion pixels and the len(p) packed slots x =
+F on them, where the accelerated update also forms w; with more than one
+slot, their mix u; and one packed scratch of one slot, which receives
+each flux slot as it is read. That is 2, 2, 4 and 5 packed slots for
+``basic``, ``em``, ``basic_sub`` and ``em_sub``. The update turns the
+grid into the next field, from r_Q through w_Q when accelerated, and
+then into the pinned flux. An accelerated solve adds the spectrum of
+div r_Q and that of chi.
 The loop allocates only band-sized temporaries and the residual's |js|^2
 of one field component. The inverse real FFT of the real path runs
 through the spectrum, which is dead at that point, and which the
@@ -71,7 +83,7 @@ residual refills. The result keeps the flux, x and the mean pin delta:
 path; ``E_field`` is a copy of it whose inclusion pixels are set to
 x[0] + delta, the pinned field there, as off them A is the identity on
 the Q slot; and ``aug_field`` unpacks S and T into full grids, times i on
-the real path, on first read.
+the real path, on first read, with T zero for ``basic_sub``.
 
 On grids of at least 2^18 pixels per component, with two CPUs to run
 on, each pass of the scalar FFTs, the div stencil and the Fourier-space
@@ -79,7 +91,7 @@ sweeps (the Parseval sum, the recursion and the basic update's scaling)
 split across two threads, with the bits of one thread. So does the
 real-space stretch of each iteration, from the potential to the pinned
 flux and its mean, as one split with one field component per thread:
-the grad stencil, the gathers, the slot updates and kernels, the
+the grad stencil, the gathers, the slot updates and flux slots, the
 scatters, the mean pin and both compensated means. The monitor and the
 residual's Parseval combine and |js|^2 total stay on the calling thread.
 
@@ -126,7 +138,6 @@ from .spectral_ops import (
     _scatter,
     _shifted_inverse_coefs,
     _slot_matrix,
-    _slot_sums,
     _split,
     _splits,
     _unpack,
@@ -255,8 +266,9 @@ class SolveResult:
     full-grid Q slot of the flux, float64 on the real path, with the
     support, the packed Q slot x[0] of the raw field and the mean pin
     delta: off the support the pinned field is the flux, and on it
-    x[0] + delta. ``_packed`` holds, for a substituted run, the packed S
-    and T slots, there S/i and T/i.
+    x[0] + delta. ``_packed`` holds, for a substituted run, the packed
+    slots past Q, there divided by i: S and T for ``em_sub``, and S only
+    for ``basic_sub``, whose T stays 0.
     """
 
     sigma_star: complex
@@ -289,7 +301,10 @@ class SolveResult:
         if not np.iscomplexobj(st):
             st = st * 1j
         shape = self.E_field.grid_shape
-        return AugmentedField(self.E_field, *(VectorField(_unpack(s, support, shape)) for s in st))
+        slots = [VectorField(_unpack(s, support, shape)) for s in st]
+        if len(slots) == 1:
+            slots.append(VectorField.zeros(*shape))
+        return AugmentedField(self.E_field, *slots)
 
     @property
     def iterations(self) -> int:
@@ -468,6 +483,21 @@ def _in_slots(m: np.ndarray, real: bool) -> np.ndarray:
     return (m * scale / scale[:, None]).real
 
 
+def _mixer_in_slots(p: tuple, real: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(p_in, p_out), with which chi'' = p (x) p acts on the stored slots as p_out p_in^T.
+
+    Both are p on the complex path; on the real path p_in = (p1, i p2, i p3)
+    and p_out = (p1, -i p2, -i p3), as in :func:`_in_slots`. In either
+    case p_in . p_out = p . p = 1.
+    """
+    p = np.array(p, dtype=np.complex128)
+    if not real:
+        return p, p
+    scale = np.full(len(p), 1j)
+    scale[0] = 1.0
+    return (p * scale).real, (p / scale).real
+
+
 def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     """Run the scheme selected by ``cfg.scheme``: the one iteration kernel of all four."""
     accelerated = cfg.scheme.accelerated
@@ -475,7 +505,10 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     if cfg.scheme.substituted:
         t = map_t(sigma1, cfg.interval)
         params = solve_p(cfg.interval)
-        p, label = (params.p1, params.p2, params.p3), "t"
+        # the basic update never writes T, which starts at 0, so basic_sub
+        # runs on (Q, S) alone
+        p = (params.p1, params.p2, params.p3) if accelerated else (params.p1, params.p2)
+        label = "t"
     else:
         t, p, label = sigma1, (1.0,), "sigma1"
     sigma0 = _reference(cfg, t, label)
@@ -494,13 +527,14 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     # ``support`` carry all len(p) slots packed in ``x``, each (2, m). A
     # is the identity on the Q slot of phase-2 pixels, so there the pinned
     # field is the pinned flux, and one full grid ``jq`` holds both; on
-    # phase 1 the field is x[0] + delta and ``y`` holds A x. The S line
-    # of the basic update acts on slot 1, which the physical schemes
-    # lack. ``scratch``, one packed slot, holds every packed temporary of
-    # the loop: the slot kernel's products, r_Q and x[i] sigma0 of the
-    # accelerated update and the pinned flux on phase 1, slot by slot;
-    # its S slot ``js`` stays there for the residual and the next basic
-    # update.
+    # phase 1 the field is x[0] + delta. There A is t for one slot, and
+    # for more I + (t - 1) p_out p_in^T (:func:`_mixer_in_slots`), so the
+    # loop holds only ``u`` = p_in . x and forms each flux slot
+    # y_i = x_i + (t - 1) p_out,i u where it reads it. ``scratch``, one
+    # packed slot, holds every packed temporary of the loop: the flux
+    # slots, r_Q and the products of the accelerated update, and the
+    # pinned flux on phase 1, slot by slot; its S slot ``js`` stays there
+    # for the residual and the next basic update.
     support = np.flatnonzero(chi)
     npix = chi.size
     a_mat = _in_slots(_slot_matrix(p, t, 1.0), real)
@@ -508,15 +542,22 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     # phase 1; the pin reads slots Q and S. It has both rows even for one
     # slot: numpy rounds a one-element complex product in its scalar loop,
     # unlike a longer one, so a one-component pin would change the bits.
+    # For one slot A is a_mat[0, 0] = pin0.
     pin = np.zeros((2, 1, 1), dtype=dtype)
     pin[: len(p), 0, 0] = a_mat[:2, 0]
+    pin0 = a_mat[0, 0]
     jq = np.empty((2, *chi.shape), dtype=dtype)
     jq[0], jq[1] = e0v[0], e0v[1]
     x = np.zeros((len(p), 2, support.size), dtype=dtype)
     x[0] = e0v[:, None]
-    y = np.empty_like(x)
     scratch = np.empty_like(x[0])
     js = scratch if len(p) > 1 else np.empty(0)
+    if len(p) > 1:
+        p_in, p_out = _mixer_in_slots(p, real)
+        t_less_1 = (t - 1.0).real if real else t - 1.0
+        flux_coefs = t_less_1 * p_out
+        # x[1:] is 0
+        u = x[0] * p_in[0]
     # the scalar grid of div jq, and later of the potential whose grad
     # updates jq, and the spectrum ``gh`` of div jq, which the residual
     # takes: a half spectrum of its own when real, the grid itself,
@@ -530,27 +571,49 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     jmean = np.empty(2, dtype=dtype)
     if accelerated:
         inv_on, inv_off = _shifted_inverse_coefs(t, sigma0)
-        inv_mat = _slot_matrix(p, inv_on, inv_off)
-        # the reflection negates the S slot of r; the inverse applies that sign
-        inv_mat[:, 1:2] *= -1
-        inv_mat = _in_slots(inv_mat, real)
+        if len(p) == 1:
+            inv_one = _in_slots(_slot_matrix(p, inv_on, inv_off), real)[0, 0]
         if real:
-            inv_off = inv_off.real
+            inv_on, inv_off = inv_on.real, inv_off.real
+        if len(p) > 1:
+            # (A + sigma0 I)^-1 = inv_off I + (inv_on - inv_off) p_out p_in^T
+            # after the reflection's sign flip of the S slot of r
+            flip = np.ones(len(p))
+            flip[1] = -1.0
+            v_coefs = p_in * flip
+            off_coefs = inv_off * flip
+            jump_coefs = (inv_on - inv_off) * p_out
         two_s0_e0 = 2.0 * sigma0 * e0v
-        pin0 = a_mat[0, 0]
         # the pin of jq enters div jq through the spectrum of chi; qh
         # carries the spectrum of div r_Q, scaled (:func:`_reflect_hat`)
         chi_hat = _chi_hat(chi.astype(dtype))
         qh = np.empty_like(gh)
 
+    def flux(i, cs, out):
+        """Slot i of the flux A x on the inclusion, components ``cs``, into ``out``."""
+        if len(p) == 1:
+            np.multiply(x[0, cs], pin0, out=out)
+        else:
+            np.multiply(u[cs], flux_coefs[i], out=out)
+            out += x[i, cs]
+
+    def mix(cs, coefs):
+        """u = sum_i coefs[i] x[i] on the components ``cs``; scratch is spent."""
+        np.multiply(x[0, cs], coefs[0], out=u[cs])
+        for i in range(1, len(p)):
+            np.multiply(x[i, cs], coefs[i], out=scratch[cs])
+            u[cs] += scratch[cs]
+
     def r_on_support(cs):
         """2 sigma0 e0 + r_Q of the last iterate on the inclusion pixels, into scratch.
 
-        r_Q = ((A - sigma0 I) F_raw)_Q is y[0] - sigma0 x[0] there.
+        r_Q = ((A - sigma0 I) F_raw)_Q is y[0] - sigma0 x[0] there. x[0] is
+        spent: the grad term of the update is gathered into it next.
         """
         s = scratch[cs]
-        np.multiply(x[0, cs], sigma0, out=s)
-        np.subtract(y[0, cs], s, out=s)
+        flux(0, cs, s)
+        x[0, cs] *= sigma0
+        s -= x[0, cs]
         s += two_s0_e0[cs, None]
 
     def form_r(cs):
@@ -571,17 +634,21 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
         From the last pinned flux in jq, the pinned field off the
         inclusion, and the potential ``space`` of the update, to the
         pinned flux in jq, its S slot ``js`` and its mean. One band pass
-        adds the update's grad term to jq and gathers it on the inclusion
-        into y[0]; the update there goes into x, scattered into jq. When
-        accelerated, the pass acts on r_Q of the last iterate, formed in
-        jq unless ``formed`` says it is there already. Every step acts on
-        each component alone, and scalars stay one-component arrays, so
-        ``cs`` = c:c+1 on each thread of a split gives the bits of 0:2.
-        The grad stencil runs in ``buffers`` when given. Calls no
-        splitting helper, and no name that perfbench wraps in this
-        module.
+        adds the update's grad term to jq and gathers it on the inclusion,
+        into x[0] when accelerated, where r_Q has spent it, and into
+        scratch otherwise; the update there goes into x, scattered into
+        jq. When accelerated, the pass acts on r_Q of the last iterate,
+        formed in jq unless ``formed`` says it is there already. Every
+        step acts on each component alone, and scalars stay one-component
+        arrays, so ``cs`` = c:c+1 on each thread of a split gives the bits
+        of 0:2. The grad stencil runs in ``buffers`` when given. Calls no
+        splitting helper, and no name that perfbench wraps in this module.
         """
-        j, s, xs, ys = jq[cs], scratch[cs], x[:, cs], y[:, cs]
+        j, s, xs = jq[cs], scratch[cs], x[:, cs]
+        if update and not accelerated and len(p) > 1:
+            # F_S -= J_S / sigma0, which frees the scratch for the gather
+            s /= sigma0
+            xs[1] -= s
         if update:
             if not accelerated:
                 # F -= (gamma1 J_Q, J_S) / sigma0, the potential carrying
@@ -593,31 +660,43 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
                 r_on_support(cs)
                 scale = inv_off * (1.0 - sigma0)
                 shift = inv_off * (two_s0_e0[cs] - (1.0 - sigma0) * delta[cs])
-            _add_grad(space, jq, cs, scale, shift, support, ys[0], buffers)
+            _add_grad(space, jq, cs, scale, shift, support, xs[0] if accelerated else s, buffers)
         if update and accelerated:
-            # w = (2 sigma0 e0 + r_Q - 2 gamma1(r_Q), -r_S, r_T), whose S
-            # sign inv_mat carries, and x = (A + sigma0 I)^-1 D w. The
+            # w = (2 sigma0 e0 + r_Q - 2 gamma1(r_Q), -r_S, r_T) and
+            # x = (A + sigma0 I)^-1 D w, with D the S sign flip. The
             # potential carries 1/(1 + sigma0), and the band pass took jq,
             # or 2 sigma0 e0 + r_Q in it when ``formed``, to
             # w_Q / (1 + sigma0), the field off the inclusion, and left
-            # the grad term over 1 + sigma0 on the inclusion in y[0];
+            # the grad term over 1 + sigma0 on the inclusion in x[0];
             # form_r left 2 sigma0 e0 + r_Q there in scratch
-            ys[0] *= 1.0 + sigma0
-            ys[0] += s
-            for i in range(1, len(p)):
-                np.multiply(xs[i], sigma0, out=s)
-                ys[i] -= s
-            _slot_sums(inv_mat, ys, xs, s)
+            xs[0] *= 1.0 + sigma0
+            xs[0] += s
+            if len(p) == 1:
+                xs[0] *= inv_one
+            else:
+                # r_i = y_i - sigma0 x_i in place; then, with v = p_in . D w
+                # in u, x = inv_off D w + (inv_on - inv_off) p_out v, and
+                # u = p_in . x = inv_on v, as p_in . p_out = 1
+                for i in range(1, len(p)):
+                    flux(i, cs, s)
+                    xs[i] *= sigma0
+                    np.subtract(s, xs[i], out=xs[i])
+                mix(cs, v_coefs)
+                us = u[cs]
+                for i in range(len(p)):
+                    xs[i] *= off_coefs[i]
+                    np.multiply(us, jump_coefs[i], out=s)
+                    xs[i] += s
+                us *= inv_on
         elif update:
             # on the inclusion: the pinned field x[0] + delta, E_field's
-            # bits, plus the grad term; J_S is in scratch
+            # bits, plus the grad term
             xs[0] += delta[cs, None]
-            xs[0] += ys[0]
+            xs[0] += s
             if len(p) > 1:
-                s /= sigma0
-                xs[1] -= s
+                mix(cs, p_in)
         _scatter(j, support, xs[0])
-        _slot_sums(a_mat, xs, ys, s)
+        flux(0, cs, s)
         # Constant Q-slot correction pins the mean field at e0 for
         # reporting; x keeps the raw iterate, and the accelerated update
         # keeps it in div r_Q too, so the map stays exact.
@@ -625,9 +704,11 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
         np.subtract(e0v[cs], [_per_pixel(_compensated_ctotal(c), npix) for c in j], out=d)
         j += d[:, None, None]
         pin_delta[:, cs] = pin * d[:, None]
-        _scatter(j, support, np.add(ys[0], pin_delta[0, cs], out=s))
+        s += pin_delta[0, cs]
+        _scatter(j, support, s)
         if len(p) > 1:
-            np.add(ys[1], pin_delta[1, cs], out=s)
+            flux(1, cs, s)
+            s += pin_delta[1, cs]
         jmean[cs] = [_per_pixel(_compensated_ctotal(c), npix) for c in j]
 
     mon = _Monitor(cfg)

@@ -366,6 +366,11 @@ REJECTIONS = {
     "substituted_without_interval": (
         "solve", BENCH_SOLVE, ("alpha", "beta"), (), ("[scheme]", "alpha", "beta")
     ),
+    "compare_substituted_without_interval": (
+        "compare", COMPARE_CFG, (),
+        ("scheme.names=basic,basic_sub,em", "scheme.alpha=", "scheme.beta="),
+        ("[scheme]", "basic_sub", "alpha", "beta"),
+    ),
     "zero_max_iters": ("solve", BENCH_SOLVE, (), ("scheme.max_iters=0",), ("[scheme]", "max_iters")),
     "missing_contours_bound": (
         "contours", CONTOURS_CFG, ("im_max",), (), ("[contours]", "im_max")

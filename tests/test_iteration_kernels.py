@@ -474,7 +474,7 @@ class TestCallerBuffers:
 
     @pytest.mark.parametrize("slots", [1, 3])
     def test_slot_sums_into_caller_buffers(self, slots):
-        # the solver sums into its own arrays, one component or both
+        # into the caller's arrays, for both components or one
         params = solve_p(BENCH)
         p = (params.p1, params.p2, params.p3) if slots == 3 else (1.0,)
         m = _slot_matrix(p, 0.7 + 0.4j, 1.3)
@@ -543,25 +543,29 @@ class TestWorkingSet:
         monkeypatch.setattr(spectral_ops, "_BAND_SIZE", band)
         spectral_ops._green_table(n, n)
         self._peak(pmap, scheme, sigma1, 1)
-        slots = 3 if scheme.substituted else 1
+        # the slots the update keeps: Q for the physical schemes, (Q, S) for
+        # basic_sub, whose T stays 0, and (Q, S, T) for em_sub; and, with
+        # more than one, their mix u = p_in . x, with the scratch
+        slots = {SchemeKind.BASIC_SUB: 2, SchemeKind.EYRE_MILTON_SUB: 3}.get(scheme, 1)
+        packed_slots = slots + 1 + (slots > 1)
         m = np.count_nonzero(pmap.chi)
         if isinstance(sigma1, complex):
             grid = 2 * n * n * 16
             packed = 2 * m * 16
             # jq and the scalar grid of div jq, transformed in place, with
             # the running spectrum qh and chi_hat, each half a grid, when
-            # accelerated; x, y and the scratch
-            loop = (5 if scheme.accelerated else 3) * grid // 2 + (2 * slots + 1) * packed
+            # accelerated; the packed slots
+            loop = (5 if scheme.accelerated else 3) * grid // 2 + packed_slots * packed
         else:
             grid = 2 * n * n * 8
             half = 2 * n * (n // 2 + 1) * 16
             packed = 2 * m * 8
             # jq and the scalar grid of div jq, real; its half spectrum gh,
-            # and qh and chi_hat when accelerated, each half of ``half``; x,
-            # y and the scratch, real
+            # and qh and chi_hat when accelerated, each half of ``half``; the
+            # packed slots, real
             grids = 3 * grid // 2
             spectra = (3 if scheme.accelerated else 1) * half // 2
-            loop = grids + spectra + (2 * slots + 1) * packed
+            loop = grids + spectra + packed_slots * packed
         # the flat int64 indices of the m inclusion pixels
         support = 8 * m
         # two complex band buffers hold at most _BAND_SIZE pixels each over
@@ -772,6 +776,8 @@ class TestSplit:
         assert r.aug_field is aug
         assert aug.Q is r.E_field
         assert np.any(aug.S.data[:, pmap.chi])
+        # the basic update never writes T, which starts at 0
+        assert np.any(aug.T.data[:, pmap.chi]) == scheme.accelerated
         for slot in (aug.S, aug.T):
             assert not np.any(slot.data[:, ~pmap.chi])
 
@@ -1030,6 +1036,20 @@ class TestSlotMatrix:
             out, x = self._one_slot(*_shifted_inverse_coefs(sigma1, sigma0))
             expected = 1.0 / (sigma1 + sigma0) * x
             assert np.max(np.abs(out - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("interval", [BENCH, SpectralInterval(0.6, 4.0)], ids=str)
+    def test_mixer_is_rank_one_on_the_stored_slots(self, interval, real):
+        # solve forms A and its shifted inverse from p_out p_in^T, and takes
+        # u = p_in . x after the inverse from p_in . p_out = 1
+        params = solve_p(interval)
+        p = (params.p1, params.p2, params.p3)
+        p_in, p_out = solvers._mixer_in_slots(p, real)
+        assert np.isrealobj(p_in) == real and np.isrealobj(p_out) == real
+        stored = solvers._in_slots(np.outer(p, p), real)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(np.outer(p_out, p_in) - stored)) <= 4 * eps * np.max(np.abs(stored))
+        assert abs(np.dot(p_in, p_out) - 1.0) <= 4 * eps
 
     @pytest.mark.parametrize("sigma1", SIGMA1)
     def test_mean_pin_is_column_zero_of_A(self, sigma1):
