@@ -65,25 +65,29 @@ imaginary part is 0, so they repeat the residual a real solve records.
 A solve allocates its working set once, and nothing after its loop: one
 real-space grid, the full-grid Q slot of the pinned flux, which off the
 inclusion is the pinned field, as A is the identity on the Q slot there;
-the scalar grid of div J_Q and of the potential, and its spectrum, a half
-spectrum of its own on the real path and the grid itself on the complex
-one; the indices of the inclusion pixels and the len(p) packed slots x =
-F on them, where the accelerated update also forms w; with more than one
-slot, their mix u; and one packed scratch of one slot, which receives
-each flux slot as it is read. That is 2, 2, 4 and 5 packed slots for
-``basic``, ``em``, ``basic_sub`` and ``em_sub``. The update turns the
+one buffer for the spectrum of div J_Q and the scalar grid of the
+potential (spectral_ops._scalar_pair), the grid itself, transformed in
+place, on the complex path, and on the real path a float64 array whose
+first nx columns are the grid and whose complex view is the half
+spectrum; the indices of the inclusion pixels and the len(p) packed
+slots x = F on them, where the accelerated update also forms w; with
+more than one slot, their mix u; and one packed scratch of one slot,
+which receives each flux slot as it is read. That is 2, 2, 4 and 5
+packed slots for ``basic``, ``em``, ``basic_sub`` and ``em_sub``. The update turns the
 grid into the next field, from r_Q through w_Q when accelerated, and
 then into the pinned flux. An accelerated solve adds the spectrum of
 div r_Q and that of chi.
 The loop allocates only band-sized temporaries and the residual's |js|^2
-of one field component. The inverse real FFT of the real path runs
-through the spectrum, which is dead at that point, and which the
-residual refills. The result keeps the flux, x and the mean pin delta:
-``J_field`` wraps the flux on first read, a complex copy on the real
-path; ``E_field`` is a copy of it whose inclusion pixels are set to
-x[0] + delta, the pinned field there, as off them A is the identity on
-the Q slot; and ``aug_field`` unpacks S and T into full grids, times i on
-the real path, on first read, with T zero for ``basic_sub``.
+of one field component. On the real path the inverse FFT runs its
+column pass in the spectrum, which is dead at that point, and its row
+pass into the grid band by band; the residual's forward FFT refills the
+spectrum without writing the grid. The result keeps the flux, x and the
+mean pin delta: ``J_field`` wraps the flux on first read, a complex copy
+on the real path; ``E_field`` is a copy of it whose inclusion pixels are
+set to x[0] + delta, the pinned field there, as off them A is the
+identity on the Q slot; and ``aug_field`` unpacks S and T into full
+grids, times i on the real path, on first read, with T zero for
+``basic_sub``.
 
 On grids of at least 2^18 pixels per component, with two CPUs to run
 on, each pass of the scalar FFTs, the div stencil and the Fourier-space
@@ -134,6 +138,7 @@ from .spectral_ops import (
     _potential,
     _real_if_allowed,
     _reflect_hat,
+    _scalar_pair,
     _scale_hat,
     _scatter,
     _shifted_inverse_coefs,
@@ -348,15 +353,15 @@ def recover_physical_fields(
     return VectorField(f.Q.data.copy()), flux.Q
 
 
-def _residual(jq: np.ndarray, js: np.ndarray, jmean: np.ndarray, grid=None, gh=None) -> float:
+def _residual(jq: np.ndarray, js: np.ndarray, jmean: np.ndarray, gh=None) -> float:
     """Equilibrium residual of a flux with Q slot ``jq`` and mean ``jmean``.
 
     The gradient-type part (gamma1 jq, js) over the norm of the mean, per
     pixel, with |gamma1 jq|^2 summed by Parseval from the spectrum of
     div jq; ``js`` holds the S slot on the inclusion pixels only, and is
-    empty for a physical flux. ``grid`` and ``gh`` receive div jq and its
-    spectrum (:func:`spectral_ops._div_hat`). ContractError when the mean
-    flux vanishes, and nan when it overflows.
+    empty for a physical flux. ``gh`` receives the spectrum of div jq
+    (:func:`spectral_ops._div_hat`). ContractError when the mean flux
+    vanishes, and nan when it overflows.
     """
     den = float(np.linalg.norm(jmean))
     if den < _TINY:
@@ -365,7 +370,7 @@ def _residual(jq: np.ndarray, js: np.ndarray, jmean: np.ndarray, grid=None, gh=N
         # div cancels the constant part of a flux whose mean overflows
         return math.nan
     npix = jq.shape[-1] * jq.shape[-2]
-    total = _gamma1_sqnorm(jq, grid, gh)
+    total = _gamma1_sqnorm(jq, gh)
     # |js|^2 one component at a time, in a buffer the size of one: the
     # total of a 1-D row is the pairwise sum that of a (2, m) array takes
     # of each row, and the two combine as its rows do
@@ -558,12 +563,9 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
         flux_coefs = t_less_1 * p_out
         # x[1:] is 0
         u = x[0] * p_in[0]
-    # the scalar grid of div jq, and later of the potential whose grad
-    # updates jq, and the spectrum ``gh`` of div jq, which the residual
-    # takes: a half spectrum of its own when real, the grid itself,
-    # transformed in place, when complex
-    grid = np.empty(chi.shape, dtype=dtype)
-    gh = np.empty((chi.shape[0], chi.shape[1] // 2 + 1), dtype=np.complex128) if real else grid
+    # the scalar grid of the potential whose grad updates jq, and the
+    # spectrum ``gh`` of div jq, which the residual takes, in one buffer
+    grid, gh = _scalar_pair(chi.shape, dtype)
     # per component: the mean pin delta, A's response to it on phase 1
     # (slots Q and S), and the pinned flux's mean
     delta = np.empty(2, dtype=dtype)
@@ -721,11 +723,11 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
         for k in range(1, cfg.max_iters + 1):
             if k > 1:
                 # gh turns into the potential of the update, and the inverse
-                # FFT takes it to real space: into grid, through gh when real
+                # FFT takes it to real space, into the grid of its buffer
                 if exact:
                     if _split(npix, form_r, (slice(0, 1),), (slice(1, 2),)) is None:
                         form_r(slice(0, 2))
-                    _scale_hat(_div_hat(jq, grid, gh), nx, -2.0 * inv_off)
+                    _scale_hat(_div_hat(jq, gh), nx, -2.0 * inv_off)
                 elif accelerated:
                     c = 1.0 if k == 2 else 2.0
                     _reflect_hat(gh, qh, chi_hat, (pin0 - 1.0) * delta, c, nx, inv_off)
@@ -742,7 +744,7 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
                 real_space(slice(0, 2), k > 1, space, exact, None)
             sstar = _along(e0v, jmean)
             try:
-                res = _residual(jq, js, jmean, grid, gh)
+                res = _residual(jq, js, jmean, gh)
             except ContractError:
                 mon.flag_degenerate()
                 break

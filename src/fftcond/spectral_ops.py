@@ -22,8 +22,8 @@ phase that the multiplier does not see (one cached table per grid,
 table 1/|d|^2). On the rotated table div and grad are Willot's
 finite-difference stencils, 2 D^T and 2 D with integer weights, applied
 in real space over bands of rows (:func:`_div_rows`,
-:func:`_grad_rows`): div of a field is one scalar grid and one scalar
-FFT, whose spectrum gives the squared norm of gamma1(f) by Parseval
+:func:`_grad_rows`): div of a field takes one scalar FFT, whose
+spectrum gives the squared norm of gamma1(f) by Parseval
 (:func:`_hat_sqnorm`) and, scaled by 1/(16 |d|^2), the spectrum of a
 potential (:func:`_scale_hat`), which one inverse scalar FFT takes back
 to real space (:func:`_potential`) for the grad stencil
@@ -33,14 +33,22 @@ grad k phi before the inverse FFT of each, in the same functions. The
 Eyre-Milton update needs only the spectrum of div r, which
 :func:`_reflect_hat` carries from one iteration to the next. The
 Fourier-space sweeps and the stencils run over bands of rows, in band
-buffers made once per call, so their temporaries stay small.
+buffers made once per call, so their temporaries stay small, and none of
+their products runs through a ufunc buffer of numpy's (_UFUNC_BUFSIZE).
 
 The dtype of a field picks its transform (:func:`_fft2`): a complex
 field takes the full FFT, a real one its half spectrum, the nx//2 + 1
 columns of non-negative x index, whose other half are their conjugates.
 The sweeps then run over the half spectrum with the table cut to it
 (:func:`_spectrum_table`), and the Parseval sum counts every column but
-0 and, on even nx, nx/2 twice.
+0 and, on even nx, nx/2 twice. The scalar grid and its spectrum share
+one buffer on both (:func:`_scalar_pair`): a complex grid is transformed
+in place, and a real grid is the first nx columns of the float64 array
+whose complex view is its half spectrum. The real forward FFT then runs
+the div stencil band by band straight into its row pass, and never
+writes the grid; the real inverse FFT runs its column pass in place and
+its row pass band by band through a band buffer (:func:`_div_hat`,
+:func:`_fft2`).
 
 An AugmentedField is a (Q, S, T) triple of VectorFields whose S and T
 slots vanish off the inclusion. Every local operator has the form
@@ -77,7 +85,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,15 +96,19 @@ from .transform import SubstitutionParams
 # Pixels per row band of the Fourier-space sweeps and the stencils, which
 # bounds their temporaries
 _BAND_SIZE = 1 << 16
-# Elements of numpy's ufunc buffer in the Fourier-space sweeps. numpy
-# allocates one such buffer per operand for a mixed-type ufunc call, and
-# for a broadcast one on short rows. At 8192, numpy's default, the
-# broadcast products of a (64, 1024) band took 2.4 times as long as at
-# 1024. The two threads' buffers, coinciding or not, move a split solve's
-# memory peak: by 19 KB at 1024 and 11 KB at 512 in the reflection of a
-# real solve at n = 256 with bands of 4096 pixels, while the reflection
-# at n = 1024 took 3.4 ms at 512 against 3.5 ms at 1024.
-_UFUNC_BUFSIZE = 512
+# Elements of numpy's ufunc buffer in the band passes: the Fourier-space
+# sweeps, the stencils and the band passes of the scalar FFTs. numpy runs a
+# 2-D operation with a broadcast or strided operand through buffers of
+# this many elements per operand when its rows are shorter, and a
+# mixed-type one always; the passes hold no mixed-type product, and at
+# 16 no row of a grid of 16 columns or more takes a buffer. So a thread of
+# a split allocates none, and what a split holds does not depend on how
+# its threads interleave. At 512, the reflection of a real solve at
+# n = 256 with bands of 4096 pixels peaked between 111 and 122 KB over
+# 30 split solves; the broadcast products of d took 74 against 54 us on
+# a (1008, 65) band; and the grad stencil, reading the strided grid of
+# the real path (_scalar_pair), allocated 9.5 KB at n = 128.
+_UFUNC_BUFSIZE = 16
 # Pixels per field component from which a pass splits across two threads.
 # The measured crossover sets it: a scalar FFT at n = 512 took 1.72 ms
 # split against 2.14 ms (forward) and 1.79 against 2.41 ms (inverse), and
@@ -243,7 +255,7 @@ def norm(f: VectorField) -> float:
     return math.sqrt(total / npix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Green:
     """gamma1 = grad (div grad)^+ div on one grid, the multiplier d (x) d / |d|^2 per mode.
 
@@ -257,7 +269,8 @@ class _Green:
     either side of one scalar FFT, or as products by d in Fourier space,
     after the FFT of each component and before its inverse.
     ``maps_real`` says whether gamma1 maps real fields to real fields,
-    which its half spectrum then determines.
+    which its half spectrum then determines. Tables compare, and hash, by
+    identity (:func:`_half_table`).
     """
 
     d: tuple
@@ -348,6 +361,13 @@ def _spectrum_table(ny: int, nx: int, width: int) -> _Green:
         return g
     if not g.maps_real:
         raise ValueError("this Green table does not map real fields to real fields")
+    return _half_table(g, width)
+
+
+@lru_cache(maxsize=8)
+def _half_table(g: _Green, width: int) -> _Green:
+    """The table ``g`` cut to the first ``width`` columns of its spectrum, cached: the
+    sweeps of every real iteration read it, and cutting it took 10 us."""
     d = tuple(tuple(f[:, :width] for f in dc) for dc in g.d)
     phase = tuple(f[:, :width] for f in g.phase)
     return replace(g, d=d, inv_d2=g.inv_d2[:, :width], phase=phase)
@@ -423,6 +443,20 @@ def _pass(name: str, data: np.ndarray, out: np.ndarray, axis: int, n, lo: int, h
     getattr(np.fft, name)(data[part], n=n, axis=axis, out=out[part])
 
 
+def _passes(passes: tuple, npix: int):
+    """Each (name, data, out, axis, n) pass of :func:`_pass` over a whole 2-D array, in turn.
+
+    A pass splits by halves, of the rows or of the columns, as a pass over
+    fields of ``npix`` pixels per component does.
+    """
+    for name, src, dst, axis, n in passes:
+        length = src.shape[-2] if axis == -1 else src.shape[-1]
+        half = length // 2
+        args = (name, src, dst, axis, n)
+        if _split(npix, _pass, (*args, 0, half), (*args, half, length)) is None:
+            _pass(*args, 0, length)
+
+
 def _fft2(
     data: np.ndarray,
     out: np.ndarray | None = None,
@@ -438,14 +472,17 @@ def _fft2(
     the inverse FFT of each column into ``scratch``, shaped like
     ``data``, then the inverse real FFT of each row of it. ``scratch``
     may be ``data``, which the call then consumes; when not given, a
-    fresh one is made and ``data`` is left intact. The complex
-    transforms, fftn and ifftn, ignore ``scratch``, and ``out`` may be
-    ``data``. Every transform runs as numpy's n-D transforms do, one
-    pass of 1-D transforms over each axis, the rows first but for the
-    inverse real FFT. Each pass splits by halves, of the rows or of the
-    columns, as a pass over the grid's pixels does, not the half
-    spectrum's; the 1-D transforms are those of the unsplit pass, so the
-    bits are numpy's.
+    fresh one is made and ``data`` is left intact. ``out`` may share the
+    buffer of ``scratch`` as the pair of :func:`_scalar_pair` does, each
+    row of ``out`` on the same row of ``scratch``: numpy would copy the
+    whole overlapping operand, so the rows then go band by band through a
+    band buffer (:func:`_sweep`). The complex transforms, fftn and ifftn,
+    ignore ``scratch``, and ``out`` may be ``data``. Every transform runs
+    as numpy's n-D transforms do, one pass of 1-D transforms over each
+    axis, the rows first but for the inverse real FFT. Each pass splits
+    by halves, of the rows or of the columns, or of the row bands, as a
+    pass over the grid's pixels does, not the half spectrum's; the 1-D
+    transforms are those of the unsplit pass, so the bits are numpy's.
     """
     real = not np.iscomplexobj(out if inverse and out is not None else data)
     if out is None:
@@ -455,31 +492,55 @@ def _fft2(
         for c in range(len(data)):
             _fft2(data[c], out[c], inverse, None if scratch is None else scratch[c])
         return out
+    npix = out.shape[-2] * max(data.shape[-1], out.shape[-1])
     if real and inverse:
         scratch = np.empty_like(data) if scratch is None else scratch
-        passes = (("ifft", data, scratch, -2, None), ("irfft", scratch, out, -1, out.shape[-1]))
-    else:
-        name = "ifft" if inverse else "fft"
-        passes = (("rfft" if real else name, data, out, -1, None), (name, out, out, -2, None))
-    npix = out.shape[-2] * max(data.shape[-1], out.shape[-1])
-    for name, src, dst, axis, n in passes:
-        length = src.shape[-2] if axis == -1 else src.shape[-1]
-        half = length // 2
-        args = (name, src, dst, axis, n)
-        if _split(npix, _pass, (*args, 0, half), (*args, half, length)) is None:
-            _pass(*args, 0, length)
+        _passes((("ifft", data, scratch, -2, None),), npix)
+        if not np.may_share_memory(scratch, out):
+            _passes((("irfft", scratch, out, -1, out.shape[-1]),), npix)
+            return out
+
+        def rows(band, spectrum):
+            np.copyto(spectrum, scratch[band])
+            np.fft.irfft(spectrum, n=out.shape[-1], axis=-1, out=out[band])
+
+        _sweep(rows, *scratch.shape, (np.complex128,), npix)
+        return out
+    name = "ifft" if inverse else "fft"
+    _passes((("rfft" if real else name, data, out, -1, None), (name, out, out, -2, None)), npix)
     return out
 
 
-def _div_rows(data: np.ndarray, out: np.ndarray, band: slice, a: np.ndarray, b: np.ndarray):
-    """Rows ``band`` of 2 D^T of the (2, ny, nx) ``data`` into ``out``, through band buffers.
+def _scalar_pair(shape: tuple, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(grid, spectrum): the scalar grid of the potential and the spectrum of div, one buffer.
+
+    A complex grid is transformed in place, so it is its own spectrum. A
+    real one is the first nx columns of one float64 array of shape
+    (ny, 2 (nx//2 + 1)), whose complex view is the half spectrum: the
+    forward transform of div never writes the grid (:func:`_div_hat`),
+    and the inverse one writes it row band by row band (:func:`_fft2`).
+    """
+    ny, nx = shape
+    if np.dtype(dtype) != np.float64:
+        grid = np.empty(shape, dtype=np.complex128)
+        return grid, grid
+    pair = np.empty((ny, 2 * (nx // 2 + 1)))
+    return pair[:, :nx], pair.view(np.complex128)
+
+
+def _div_rows(data: np.ndarray, o: np.ndarray, band: slice, a: np.ndarray, b: np.ndarray):
+    """Rows ``band`` of 2 D^T of the (2, ny, nx) ``data`` into ``o``, shaped like the band.
 
     2 D^T J = p(i - 1) - m(i) on row j, with p = a + b and m = a - b for
-    a = J_x(j - 1) + J_x(j) and b = J_y(j - 1) - J_y(j); rows and columns
-    wrap. The passes run over each band as one flat row, whose shift by one
-    pixel is wrong only in column 0, which a column pass then sets: numpy
-    runs a 2-D shifted view through a buffer of its own.
+    a = J_x(j - 1) + J_x(j) and b = J_y(j - 1) - J_y(j) in the band
+    buffers ``a`` and ``b``; rows and columns wrap. The passes run over
+    each band as one flat row, whose shift by one pixel is wrong only in
+    column 0, which a column pass then sets: numpy runs a 2-D shifted view
+    through a buffer of its own. So ``o`` must be C-contiguous; a
+    ValueError says so, as its flat view would be a copy.
     """
+    if not o.flags.c_contiguous:
+        raise ValueError("the div stencil writes C-contiguous rows only")
     jx, jy = data
     lo, hi = band.start, min(band.stop, len(jx))
     if lo == 0:
@@ -490,11 +551,21 @@ def _div_rows(data: np.ndarray, out: np.ndarray, band: slice, a: np.ndarray, b: 
     else:
         np.add(jx[lo:hi], jx[lo - 1 : hi - 1], out=a)
         np.subtract(jy[lo - 1 : hi - 1], jy[lo:hi], out=b)
-    o = out[lo:hi]
     np.add(a.ravel()[:-1], b.ravel()[:-1], out=o.ravel()[1:])
     np.add(a[:, -1], b[:, -1], out=o[:, 0])
     a -= b
     o -= a
+
+
+def _div_grid(data: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """2 D^T of the (2, ny, nx) ``data`` into the C-contiguous scalar ``grid``, band by band."""
+    ny, nx = grid.shape
+
+    def rows(band, a, b):
+        _div_rows(data, grid[band], band, a, b)
+
+    _sweep(rows, ny, nx, (data.dtype, data.dtype))
+    return grid
 
 
 def _grad_rows(psi: np.ndarray, c: int, band: slice, p: np.ndarray, t: np.ndarray):
@@ -522,14 +593,16 @@ def _grad_rows(psi: np.ndarray, c: int, band: slice, p: np.ndarray, t: np.ndarra
         np.add(p[:, -1], p[:, 0], out=t[:, -1])
 
 
-def _div_hat(data: np.ndarray, grid: np.ndarray | None = None, out: np.ndarray | None = None):
+def _div_hat(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The spectrum of div of a (2, ny, nx) field, scalar: into ``out`` and returned.
 
-    On a stencil table div goes into the scalar ``grid``, of the field's
-    dtype, band by band, and one FFT takes it to ``out``: a half spectrum
-    when real, and ``grid`` itself when complex and not given. Otherwise
-    each component is transformed and d . f is formed in Fourier space.
-    ``grid`` and ``out`` are made when not given.
+    On a stencil table ``out`` is the spectrum of :func:`_scalar_pair`,
+    made when not given. A complex div goes into ``out`` itself
+    (:func:`_div_grid`), which one FFT transforms in place. A real one
+    runs band by band through a band buffer straight into the row real
+    FFT, whose rows land in the half spectrum ``out``, and then the
+    column FFT runs in place: no grid is written. Otherwise each
+    component is transformed and d . f is formed in Fourier space.
     """
     ny, nx = data.shape[-2:]
     g = _green_table(ny, nx)
@@ -537,32 +610,46 @@ def _div_hat(data: np.ndarray, grid: np.ndarray | None = None, out: np.ndarray |
         fh = _fft2(data)
         g = _spectrum_table(ny, nx, fh.shape[-1])
         out = np.empty(fh.shape[1:], dtype=np.complex128) if out is None else out
-        whole = slice(0, ny)
-        np.multiply(fh[0], _d_times(g, 0, 1.0, whole, np.empty(out.shape)), out=out)
-        out += fh[1] * _d_times(g, 1, 1.0, whole, np.empty(out.shape))
+        np.multiply(fh[0], _d_times(g, 0, 1.0, np.empty(out.shape)), out=out)
+        out += fh[1] * _d_times(g, 1, 1.0, np.empty(out.shape))
         return out
-    if grid is None:
-        grid = np.empty((ny, nx), dtype=data.dtype)
-    _sweep(partial(_div_rows, data, grid), ny, nx, (data.dtype, data.dtype))
-    if out is None and np.iscomplexobj(grid):
-        out = grid
-    return _fft2(grid, out)
+    if out is None:
+        out = _scalar_pair((ny, nx), data.dtype)[1]
+    if np.iscomplexobj(data):
+        return _fft2(_div_grid(data, out), out)
+
+    def rows(band, a, b, o):
+        _div_rows(data, o, band, a, b)
+        np.fft.rfft(o, axis=-1, out=out[band])
+
+    _sweep(rows, ny, nx, (np.float64,) * 3)
+    _passes((("fft", out, out, -2, None),), ny * nx)
+    return out
 
 
-def _d_times(g: _Green, c: int, coef, band: slice, out: np.ndarray) -> np.ndarray:
-    """``out`` = coef d_c on the rows ``band`` of a table's spectrum, from its factors."""
-    first, *rest = (f[band] if f.shape[0] > 1 else f for f in g.d[c])
-    return np.multiply(first * coef, rest[0] if rest else 1.0, out=out)
+def _d_factors(g: _Green, c: int, coef) -> tuple[np.ndarray, np.ndarray]:
+    """The two factors of coef d_c on a table's spectrum: its first factor times coef, and
+    the other, or 1, cast to the dtype of that product, so that their product has one."""
+    first, *rest = g.d[c]
+    first = first * coef
+    return first, np.asarray(rest[0] if rest else 1.0, dtype=first.dtype)
+
+
+def _d_times(g: _Green, c: int, coef, out: np.ndarray) -> np.ndarray:
+    """``out`` = coef d_c on a table's spectrum, from its factors."""
+    return np.multiply(*_d_factors(g, c, coef), out=out)
 
 
 def _potential(ph: np.ndarray, grid: np.ndarray):
     """The potential of the spectrum ``ph`` in real space, what :func:`_add_grad` reads.
 
     On a stencil table the inverse FFT of ``ph`` into the scalar
-    ``grid``: a real grid takes the inverse of the half spectrum ``ph``,
-    which it consumes as the scratch of its column pass, and a complex
-    one may be ``ph`` itself. Otherwise grad in Fourier space, d ph, and
-    the inverse FFT of each component, into a (2, ny, nx) array of its own.
+    ``grid``: a complex grid may be ``ph`` itself, and a real one takes
+    the inverse of the half spectrum ``ph``, whose column pass runs in
+    place and consumes it, and may be the grid of its
+    :func:`_scalar_pair`, whose rows then go band by band (:func:`_fft2`).
+    Otherwise grad in Fourier space, d ph, and the inverse FFT of each
+    component, into a (2, ny, nx) array of its own.
     """
     ny, nx = grid.shape
     g = _green_table(ny, nx)
@@ -570,7 +657,7 @@ def _potential(ph: np.ndarray, grid: np.ndarray):
         return _fft2(ph, grid, inverse=True, scratch=ph)
     fields = np.empty((2, ny, nx), dtype=np.complex128)
     for c in range(2):
-        np.multiply(ph, _d_times(g, c, 1.0, slice(0, ny), np.empty((ny, nx))), out=fields[c])
+        np.multiply(ph, _d_times(g, c, 1.0, np.empty((ny, nx))), out=fields[c])
     return _fft2(fields, fields, inverse=True)
 
 
@@ -605,26 +692,32 @@ def _add_grad(
         p, t = buffers or _grad_buffers(space)
     if support is not None:
         edges = np.searchsorted(support, [band.start * nx for band in bands] + [ny * nx])
-    for i, c in enumerate(range(2)[components]):
-        for k, band in enumerate(bands):
-            if stencil:
-                g = t[: len(range(ny)[band])]
-                _grad_rows(space, c, band, p[: len(g)], g)
-            else:
-                g = space[c]
-            if support is not None:
-                i0, i1 = edges[k], edges[k + 1]
-                local = support[i0:i1]
+    old = np.setbufsize(_UFUNC_BUFSIZE)
+    try:
+        for i, c in enumerate(range(2)[components]):
+            for k, band in enumerate(bands):
                 if stencil:
-                    local = np.subtract(local, band.start * nx, out=p.view(np.int64).ravel()[: i1 - i0])
-                # in range by construction; the checked mode would buffer a copy
-                g.ravel().take(local, out=taken[i][i0:i1], mode="wrap")
-            o = out[c, band]
-            if scale != 1.0:
-                o *= scale
-            if shift is not None:
-                o += shift[i]
-            o += g
+                    g = t[: len(range(ny)[band])]
+                    _grad_rows(space, c, band, p[: len(g)], g)
+                else:
+                    g = space[c]
+                if support is not None:
+                    i0, i1 = edges[k], edges[k + 1]
+                    local = support[i0:i1]
+                    if stencil:
+                        local = np.subtract(
+                            local, band.start * nx, out=p.view(np.int64).ravel()[: i1 - i0]
+                        )
+                    # in range by construction; the checked mode would buffer a copy
+                    g.ravel().take(local, out=taken[i][i0:i1], mode="wrap")
+                o = out[c, band]
+                if scale != 1.0:
+                    o *= scale
+                if shift is not None:
+                    o += shift[i]
+                o += g
+    finally:
+        np.setbufsize(old)
 
 
 def _grad_buffers(space: np.ndarray | None) -> tuple | None:
@@ -667,13 +760,12 @@ def _hat_sqnorm(gh: np.ndarray, nx: int) -> float:
     return _combine_rows(rows) * g.scale / (ny * nx)
 
 
-def _gamma1_sqnorm(data: np.ndarray, grid=None, out=None) -> float:
+def _gamma1_sqnorm(data: np.ndarray, out=None) -> float:
     """Sum over pixels of |gamma1(data)|^2, with no inverse transform.
 
-    The spectrum of div ``data`` is left in ``out`` (:func:`_div_hat`,
-    whose ``grid`` and ``out`` these are).
+    The spectrum of div ``data`` is left in ``out`` (:func:`_div_hat`).
     """
-    return _hat_sqnorm(_div_hat(data, grid, out), data.shape[-1])
+    return _hat_sqnorm(_div_hat(data, out), data.shape[-1])
 
 
 def _scale_hat(ph: np.ndarray, nx: int, coef) -> np.ndarray:
@@ -683,12 +775,14 @@ def _scale_hat(ph: np.ndarray, nx: int, coef) -> np.ndarray:
     g = _spectrum_table(ny, nx, width)
     coef = coef * g.scale
 
-    def scale(band):
+    def scale(band, inv_d2):
+        # the complex product of a mixed-type one, on 1/|d|^2 cast in a band buffer
+        np.copyto(inv_d2, g.inv_d2[band])
         h = ph[band]
-        h *= g.inv_d2[band]
+        h *= inv_d2
         h *= coef
 
-    _sweep(scale, ny, width, (), ny * nx)
+    _sweep(scale, ny, width, (np.complex128,), ny * nx)
     return ph
 
 
@@ -717,29 +811,44 @@ def _reflect_hat(
     it, and leaves in ``gh`` the potential coef inv_d2 qh, whose grad is
     -2 coef gamma1 of any field whose div has the spectrum s. -2 c scale
     is a power of 2, so the scaling keeps the bits of s.
+
+    Every product multiplies one dtype, so that numpy allocates no ufunc
+    buffer inside a thread of the sweep: the factors of vec_k d_k are
+    formed here (:func:`_d_factors`), and on the real path vec_k d_k, and
+    on both 1/|d|^2, are cast into a complex band buffer before their
+    complex products, as numpy's mixed-type products cast them.
     """
     ny, width = gh.shape
     g = _spectrum_table(ny, nx, width)
     m = -2.0 * c * g.scale
     vec = m * np.asarray(pin)
-    # a real pin forms each term of vec . d in a real buffer and its
-    # product with chi_hat in a complex one; a complex pin in one buffer
-    dtypes = (vec.dtype,) + (() if np.iscomplexobj(vec) else (np.complex128,))
+    factors = [_d_factors(g, k, vec[k]) for k in range(2)]
+
+    def rows(f, band):
+        # a factor over the y index is cut to the band; a row, or 1, is not
+        return f[band] if f.ndim and f.shape[0] > 1 else f
 
     def reflect(band, t, pc=None):
         h, q = gh[band], qh[band]
         h *= m
+        # a real pin forms each term of vec . d in t and casts it into pc;
+        # a complex pin forms it in t itself
         pc = t if pc is None else pc
-        for k in range(2):
-            np.multiply(chi_hat[band], _d_times(g, k, vec[k], band, t), out=pc)
+        for first, second in factors:
+            np.multiply(rows(first, band), rows(second, band), out=t)
+            if pc is not t:
+                np.copyto(pc, t)
+            np.multiply(chi_hat[band], pc, out=pc)
             h -= pc
         if c == 1:
             np.copyto(q, h)
         else:
             q += h
-        np.multiply(q, g.inv_d2[band], out=h)
+        np.copyto(pc, g.inv_d2[band])
+        np.multiply(q, pc, out=h)
         h *= coef
 
+    dtypes = (vec.dtype,) + (() if np.iscomplexobj(vec) else (np.complex128,))
     _sweep(reflect, ny, width, dtypes, ny * nx)
 
 
@@ -749,8 +858,8 @@ def _gamma1_arr(data: np.ndarray) -> np.ndarray:
     ny, nx = data.shape[-2:]
     real = not np.iscomplexobj(data) and _green_table(ny, nx).maps_real
     data = data.astype(np.float64 if real else np.complex128, copy=False)
-    grid = np.empty((ny, nx), dtype=data.dtype)
-    ph = _scale_hat(_div_hat(data, grid), nx, 1.0)
+    grid, ph = _scalar_pair((ny, nx), data.dtype)
+    _scale_hat(_div_hat(data, ph), nx, 1.0)
     out = np.zeros_like(data)
     _add_grad(_potential(ph, grid), out)
     return out

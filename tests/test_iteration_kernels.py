@@ -45,7 +45,9 @@ from fftcond.spectral_ops import (
     _add_grad,
     _chi_hat,
     _compensated_total,
+    _div_grid,
     _div_hat,
+    _div_rows,
     _fft2,
     _gamma1_arr,
     _gamma1_sqnorm,
@@ -53,6 +55,7 @@ from fftcond.spectral_ops import (
     _pack,
     _potential,
     _reflect_hat,
+    _scalar_pair,
     _scale_hat,
     _shifted_inverse_coefs,
     _slot_matrix,
@@ -95,16 +98,17 @@ class TestGamma1Sqnorm:
         rng = np.random.default_rng(12)
         x = random_complex(rng, (2, 16, 24))
         before = x.copy()
-        grid, out = np.empty((16, 24), dtype=complex), np.empty((16, 24), dtype=complex)
-        assert _gamma1_sqnorm(x, grid, out) == _gamma1_sqnorm(x)
+        out = np.empty((16, 24), dtype=complex)
+        assert _gamma1_sqnorm(x, out) == _gamma1_sqnorm(x)
         assert np.array_equal(x, before)
-        assert out.tobytes() == np.fft.fft2(grid).tobytes()
+        div = _div_grid(x, np.empty((16, 24), dtype=complex))
+        assert out.tobytes() == np.fft.fft2(div).tobytes()
 
     def test_spectrum_finishes_gamma1(self):
         # the basic update finishes gamma1(j) from the residual's spectrum
         x = random_complex(np.random.default_rng(13), (2, 16, 24))
         grid = np.empty((16, 24), dtype=complex)
-        _gamma1_sqnorm(x, grid, grid)
+        _gamma1_sqnorm(x, grid)
         assert np.array_equal(_gamma1_from_hat(grid, x), _gamma1_arr(x))
 
 
@@ -189,8 +193,7 @@ class TestStencilOperator:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_div_is_the_stencil(self, shape):
         f = random_complex(np.random.default_rng(50), (2, *shape))
-        grid = np.empty(shape, dtype=complex)
-        _div_hat(f, grid, np.empty_like(grid))
+        grid = _div_grid(f, np.empty(shape, dtype=complex))
         assert np.max(np.abs(grid - _div_stencil(f))) <= 1e-15 * np.max(np.abs(f))
 
     @pytest.mark.parametrize("shape", SHAPES)
@@ -240,7 +243,9 @@ class TestStencilOperator:
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     def test_split_passes_keep_the_bits(self, monkeypatch, shape, real):
         # the scalar FFT pair by halves of rows and of columns, and the
-        # stencils by halves of the bands, against one thread
+        # stencils by halves of the bands, against one thread, on the grid
+        # and spectrum of one buffer; the real forward writes no grid, so
+        # div is computed apart
         rng = np.random.default_rng(55)
         x = rng.standard_normal((2, *shape)) if real else random_complex(rng, (2, *shape))
         results = []
@@ -249,19 +254,107 @@ class TestStencilOperator:
                 force_split(monkeypatch)
             else:
                 monkeypatch.setattr(spectral_ops, "_THREAD_PIXELS", 1 << 60)
-            grid = np.empty(shape, dtype=x.dtype)
-            gh = _div_hat(x, grid, None if real else np.empty_like(grid))
-            forward = gh.copy()
-            phi = _potential(gh, np.empty_like(grid) if real else gh)
+            div = _div_grid(x, np.empty(shape, dtype=x.dtype))
+            grid, gh = _scalar_pair(shape, x.dtype)
+            forward = _div_hat(x, gh).copy()
+            phi = _potential(gh, grid)
             out = np.zeros_like(x)
             _add_grad(phi, out, slice(0, 1))
             _add_grad(phi, out, slice(1, 2))
-            results.append((grid, forward, phi, out))
+            results.append((div, forward, phi, out))
         for a, b in zip(*results):
             assert a.tobytes() == b.tobytes()
-        # numpy's own transform of the div grid, split or not
-        transform = np.fft.rfftn if real else np.fft.fftn
-        assert results[0][1].tobytes() == transform(results[0][0]).tobytes()
+        # numpy's own transforms of the div grid, split or not
+        div, forward, phi = results[0][:3]
+        if real:
+            assert forward.tobytes() == np.fft.rfftn(div).tobytes()
+            assert phi.tobytes() == np.fft.irfftn(forward, s=shape, axes=(-2, -1)).tobytes()
+        else:
+            assert forward.tobytes() == np.fft.fftn(div).tobytes()
+            assert phi.tobytes() == np.fft.ifftn(forward).tobytes()
+
+
+class TestScalarPair:
+    """The real path holds the scalar grid and its half spectrum in one
+    buffer: the grid is its first nx columns, the spectrum its complex view."""
+
+    # even and odd ny and nx; with bands of 48 pixels, ny is not a multiple
+    # of the rows of a band of the grid or of the spectrum
+    SHAPES = [(16, 16), (15, 17), (16, 17), (15, 24), (13, 9)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_layout(self, shape):
+        ny, nx = shape
+        grid, gh = _scalar_pair(shape, np.float64)
+        assert grid.shape == shape and gh.shape == (ny, nx // 2 + 1)
+        assert grid.dtype == np.float64 and gh.dtype == np.complex128
+        assert gh.flags.c_contiguous and grid.base is gh.base
+        assert grid.ctypes.data == gh.ctypes.data and grid.strides[0] == gh.strides[0]
+        grid, gh = _scalar_pair(shape, np.complex128)
+        assert grid is gh and grid.shape == shape and grid.dtype == np.complex128
+
+    @pytest.mark.parametrize("band_size", [1 << 16, 48], ids=["one_band", "bands"])
+    @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_transforms_on_the_pair_are_numpys(self, monkeypatch, shape, split, band_size):
+        if split:
+            force_split(monkeypatch)
+        monkeypatch.setattr(spectral_ops, "_BAND_SIZE", band_size)
+        x = np.random.default_rng(56).standard_normal((2, *shape))
+        div = _div_grid(x, np.empty(shape))
+        grid, gh = _scalar_pair(shape, np.float64)
+        # garbage in the buffer must not leak into either transform
+        gh.view(np.float64)[:] = np.nan
+        assert _div_hat(x, gh) is gh
+        assert gh.tobytes() == np.fft.rfftn(div).tobytes()
+        forward = gh.copy()
+        assert _potential(gh, grid) is grid
+        assert grid.tobytes() == np.fft.irfftn(forward, s=shape, axes=(-2, -1)).tobytes()
+
+    @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+    def test_in_place_inverse_holds_one_band(self, monkeypatch, split):
+        # numpy's irfft would copy its whole overlapping input, 0.53 MB here;
+        # the rows go through one band buffer, made before any thread starts
+        if split:
+            force_split(monkeypatch)
+        n, band = 256, 4096
+        monkeypatch.setattr(spectral_ops, "_BAND_SIZE", band)
+        width = n // 2 + 1
+        grid, gh = _scalar_pair((n, n), np.float64)
+        h = random_complex(np.random.default_rng(57), (n, width))
+        np.copyto(gh, h)
+        _potential(gh, grid)
+        np.copyto(gh, h)
+        tracemalloc.start()
+        try:
+            _potential(gh, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (band // width) * width * 16 + 16 * 1024
+        # and the forward transform its stencil's three real band buffers
+        x = np.random.default_rng(58).standard_normal((2, n, n))
+        _div_hat(x, gh)
+        tracemalloc.start()
+        try:
+            _div_hat(x, gh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * band * 8 + 16 * 1024
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_div_stencil_rejects_a_strided_grid(self, real):
+        # its flat views of a strided band would be copies, and the div lost
+        rng = np.random.default_rng(59)
+        x = rng.standard_normal((2, 16, 24)) if real else random_complex(rng, (2, 16, 24))
+        strided = np.zeros((16, 30), dtype=x.dtype)[:, :24]
+        a, b = np.empty((2, 16, 24), dtype=x.dtype)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _div_rows(x, strided, slice(0, 16), a, b)
+        if not real:
+            with pytest.raises(ValueError, match="C-contiguous"):
+                _div_hat(x, strided)
 
 
 class TestFourierReflection:
@@ -306,6 +399,42 @@ class TestFourierReflection:
             _reflect_hat(gh, qh, _chi_hat(chi.astype(complex)), pin, c, nx, 0.6)
             assert np.max(np.abs(qh - expected)) <= 1e-13 * np.max(np.abs(expected))
             assert gh.tobytes() == (qh * inv * 0.6).tobytes()
+
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_products_take_no_ufunc_buffer(self, monkeypatch, real):
+        # numpy gives a mixed-type product, or a broadcast one on rows
+        # shorter than its buffer size, one buffer of that size per operand,
+        # made inside each thread of a split; the reflection and the scaling
+        # run no such product, so their peak does not depend on that size
+        n = 256
+        monkeypatch.setattr(spectral_ops, "_BAND_SIZE", 4096)
+        rng = np.random.default_rng(25)
+        x = rng.standard_normal((2, n, n)) if real else random_complex(rng, (2, n, n))
+        chi_hat = _chi_hat((rng.random((n, n)) < 0.3).astype(x.dtype))
+        pin = np.array([0.4, -1.1]) if real else np.array([0.4 - 1.1j, 2.0 + 0.3j])
+        gh0 = _div_hat(x)
+        sweeps = {
+            "reflect": lambda gh, qh: _reflect_hat(gh, qh, chi_hat, pin, 2.0, n, 0.6),
+            "scale": lambda gh, qh: _scale_hat(gh, n, -0.5),
+        }
+        for name, sweep in sweeps.items():
+            peaks = {}
+            # below the 129 columns of the half spectrum, where numpy runs a
+            # same-type broadcast without a buffer; each size twice, as the
+            # first call of a size may grow Python's own structures
+            for bufsize in (32, 128, 32, 128):
+                monkeypatch.setattr(spectral_ops, "_UFUNC_BUFSIZE", bufsize)
+                gh, qh = gh0.copy(), gh0.copy()
+                tracemalloc.start()
+                try:
+                    sweep(gh, qh)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                peaks[bufsize] = min(peak, peaks.get(bufsize, peak))
+            # one buffer of 96 more complex elements would add 1536 bytes
+            assert abs(peaks[128] - peaks[32]) <= 256, name
 
 
 class TestExactUpdate:
@@ -492,20 +621,20 @@ class TestCallerBuffers:
 class TestWorkingSet:
     """A solve allocates its working set once: its tracemalloc peak is the
     loop's live set, the support indices and the largest transient, plus
-    SLACK. The largest transient is two band buffers: those of the div
-    stencil, of the reflection or of the Parseval sum, or after them the
+    SLACK. The largest transient is two complex band buffers: those of the
+    div stencil (three real ones on the real path), of the reflection, of
+    the in-place inverse FFT or of the Parseval sum, or after them the
     residual's |js|^2 of one component; the grad stencil's two half-size
-    buffers per thread hold no more. gamma1 transforms one scalar grid,
-    div of the flux, whose inverse real FFT runs through its dead half
-    spectrum, so no copy of its input counts. Every scheme holds one
-    real-space grid, jq, the pinned flux, which off the inclusion is the
+    buffers per thread hold no more. gamma1's scalar grid shares one
+    buffer with its spectrum, and neither of its transforms copies its
+    input. Every scheme holds one real-space grid, jq, the pinned flux, which off the inclusion is the
     pinned field, and in which the update forms the next field (from r_Q
     through w_Q when accelerated) and then the next pinned flux. The
     result takes jq, the support, x and the mean pin as they are, and
     builds no grid of its own."""
 
-    # Python objects (the history, the split's thread) and numpy's ufunc
-    # buffers in the sweeps: 35-60 KiB measured at n = 256
+    # Python objects (the history, the split's thread): at most 29 KiB
+    # measured at n = 256; the band passes take no numpy ufunc buffer
     SLACK = 96 * 1024
 
     @staticmethod
@@ -560,10 +689,10 @@ class TestWorkingSet:
             grid = 2 * n * n * 8
             half = 2 * n * (n // 2 + 1) * 16
             packed = 2 * m * 8
-            # jq and the scalar grid of div jq, real; its half spectrum gh,
-            # and qh and chi_hat when accelerated, each half of ``half``; the
-            # packed slots, real
-            grids = 3 * grid // 2
+            # jq, real; the half spectrum gh of div jq, whose buffer holds
+            # the scalar grid too, and qh and chi_hat when accelerated, each
+            # half of ``half``; the packed slots, real
+            grids = grid
             spectra = (3 if scheme.accelerated else 1) * half // 2
             loop = grids + spectra + packed_slots * packed
         # the flat int64 indices of the m inclusion pixels
