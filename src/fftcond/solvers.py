@@ -6,8 +6,9 @@ field. :func:`solve` is the one entry point and the one iteration
 kernel; ``cfg.scheme`` selects the scheme. It runs on slots coupled on the
 inclusion by a coefficient tuple p. Its local operators have the form
 on chi'' + off (I - chi'') with chi'' = chi p (x) p: A is (t, 1) and the
-shifted inverse (A + sigma0 I)^-1 is (1/(t + sigma0), 1/(1 + sigma0)).
-The mean pin is column 0 of A's slot matrix. ``basic_sub`` and
+shifted inverse (A + sigma0 I)^-1 is (1/(t + sigma0), 1/(1 + sigma0)),
+both applied by the rank-one kernel of spectral_ops. The mean pin is
+column 0 of A (:func:`_pin_column`). ``basic_sub`` and
 ``em_sub`` work in the augmented (Q, S, T) space, p = (p1, p2, p3), where
 the inclusion conductivity is replaced by the mapped parameter
 t = map_t(sigma1) whose disk coordinate is closer to the origin whenever
@@ -54,13 +55,13 @@ The loop runs in real arithmetic when t, sigma0 and e0 are real and the
 Green table maps real fields to real fields, as the rotated one does and
 the spectral reference does not (``spectral_ops._field_dtype``): its
 fields, slots and scalars are float64, its transforms half spectra, and
-the slots past Q are stored divided by i. Each slot matrix M then acts
-as diag(1, -i, -i) M diag(1, i, i), which is real because p1 is real and
-p2 and p3 are imaginary, and p (x) p as p_out p_in^T, with the real
-p_in = (p1, i p2, i p3), with which u = p_in . x, and
-p_out = (p1, -i p2, -i p3). Otherwise the same loop runs in complex
-arithmetic, where both are p. The public residuals take the real path on a field whose
-imaginary part is 0, so they repeat the residual a real solve records.
+the slots past Q are stored divided by i. p (x) p then acts as
+p_out p_in^T, with the real p_in = (p1, i p2, i p3), with which
+u = p_in . x, and p_out = (p1, -i p2, -i p3), real because p1 is real
+and p2 and p3 are imaginary (:func:`_mixer_in_slots`). Otherwise the
+same loop runs in complex arithmetic, where both are p. The public
+residuals take the real path on a field whose imaginary part is 0, so
+they repeat the residual a real solve records.
 
 A solve allocates its working set once, and nothing after its loop: one
 real-space grid, the full-grid Q slot of the pinned flux, which off the
@@ -134,15 +135,16 @@ from .spectral_ops import (
     _grad_buffers,
     _local_arrays,
     _mean_vec,
+    _mix,
     _per_pixel,
     _potential,
+    _rank_one,
     _real_if_allowed,
     _reflect_hat,
     _scalar_pair,
     _scale_hat,
     _scatter,
     _shifted_inverse_coefs,
-    _slot_matrix,
     _split,
     _splits,
     _unpack,
@@ -469,31 +471,21 @@ class _Monitor:
 
 
 def _apply_A_arrays(q, s, t_arr, t, params, chi):
-    """A = t chi'' + (I - chi'') on a raw full-grid (Q, S, T) array triple."""
-    return _local_arrays((q, s, t_arr), chi, (params.p1, params.p2, params.p3), t, 1.0)
+    """A = t chi'' + (I - chi'') on a raw full-grid (Q, S, T) array triple.
 
-
-def _in_slots(m: np.ndarray, real: bool) -> np.ndarray:
-    """Slot matrix ``m`` as it acts on the stored slots.
-
-    The real path stores the slots past Q divided by i, where ``m`` acts
-    as diag(1, -i, ...) m diag(1, i, ...): real, since p1 is real and p2
-    and p3 are imaginary for every interval, and t and sigma0 are real
-    there. Scaling by +-i is exact, so the real part drops only zeros.
+    No scheme calls it: perfbench's ``local_A`` hook wraps this name in
+    this module, and its smoke test names it.
     """
-    if not real:
-        return m
-    scale = np.full(len(m), 1j)
-    scale[0] = 1.0
-    return (m * scale / scale[:, None]).real
+    return _local_arrays((q, s, t_arr), chi, (params.p1, params.p2, params.p3), t, 1.0)
 
 
 def _mixer_in_slots(p: tuple, real: bool) -> tuple[np.ndarray, np.ndarray]:
     """(p_in, p_out), with which chi'' = p (x) p acts on the stored slots as p_out p_in^T.
 
-    Both are p on the complex path; on the real path p_in = (p1, i p2, i p3)
-    and p_out = (p1, -i p2, -i p3), as in :func:`_in_slots`. In either
-    case p_in . p_out = p . p = 1.
+    Both are p on the complex path. The real path stores the slots past
+    Q divided by i, so p_in = (p1, i p2, i p3) and p_out = (p1, -i p2,
+    -i p3): real, as p1 is real and p2 and p3 are imaginary, the real
+    part dropping only zeros. In either case p_in . p_out = p . p = 1.
     """
     p = np.array(p, dtype=np.complex128)
     if not real:
@@ -501,6 +493,15 @@ def _mixer_in_slots(p: tuple, real: bool) -> tuple[np.ndarray, np.ndarray]:
     scale = np.full(len(p), 1j)
     scale[0] = 1.0
     return (p * scale).real, (p / scale).real
+
+
+def _pin_column(t, p_in: np.ndarray, p_out: np.ndarray) -> np.ndarray:
+    """Column 0 of A = t chi'' + (I - chi'') on the stored slots, the mean pin's response.
+
+    t pp + (delta_i0 - pp) for pp = p_out,i p_in,0; with one slot, (t,).
+    """
+    pp = p_out * p_in[0]
+    return t * pp + (np.eye(1, len(pp))[0] - pp)
 
 
 def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
@@ -523,7 +524,7 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     # Real t, sigma0 and e0 make the whole iteration real when gamma1 maps
     # real fields to real fields: every field, slot and scalar of the loop
     # is then float64, the slots past Q are stored divided by i
-    # (:func:`_in_slots`), and the transforms are half spectra.
+    # (:func:`_mixer_in_slots`), and the transforms are half spectra.
     dtype = _field_dtype(chi.shape, t, sigma0, e0v)
     real = dtype is np.float64
     if real:
@@ -534,35 +535,35 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     # field is the pinned flux, and one full grid ``jq`` holds both; on
     # phase 1 the field is x[0] + delta. There A is t for one slot, and
     # for more I + (t - 1) p_out p_in^T (:func:`_mixer_in_slots`), so the
-    # loop holds only ``u`` = p_in . x and forms each flux slot
-    # y_i = x_i + (t - 1) p_out,i u where it reads it. ``scratch``, one
-    # packed slot, holds every packed temporary of the loop: the flux
+    # loop holds only ``u`` = p_in . x (:func:`_mix`) and forms each flux
+    # slot y_i = x_i + (t - 1) p_out,i u where it reads it
+    # (:func:`_rank_one`, with ``flux_a`` and ``flux_coefs``). ``scratch``,
+    # one packed slot, holds every packed temporary of the loop: the flux
     # slots, r_Q and the products of the accelerated update, and the
     # pinned flux on phase 1, slot by slot; its S slot ``js`` stays there
     # for the residual and the next basic update.
     support = np.flatnonzero(chi)
     npix = chi.size
-    a_mat = _in_slots(_slot_matrix(p, t, 1.0), real)
-    # A maps a constant Q-slot shift delta to a_mat[i, 0] delta in slot i on
+    mixed = len(p) > 1
+    p_in, p_out = _mixer_in_slots(p, real)
+    column = _pin_column(t.real if real else t, p_in, p_out)
+    # A maps a constant Q-slot shift delta to column[i] delta in slot i on
     # phase 1; the pin reads slots Q and S. It has both rows even for one
     # slot: numpy rounds a one-element complex product in its scalar loop,
     # unlike a longer one, so a one-component pin would change the bits.
-    # For one slot A is a_mat[0, 0] = pin0.
+    # For one slot A is column[0] = pin0.
     pin = np.zeros((2, 1, 1), dtype=dtype)
-    pin[: len(p), 0, 0] = a_mat[:2, 0]
-    pin0 = a_mat[0, 0]
+    pin[: len(p), 0, 0] = column[:2]
+    pin0 = column[0]
     jq = np.empty((2, *chi.shape), dtype=dtype)
     jq[0], jq[1] = e0v[0], e0v[1]
     x = np.zeros((len(p), 2, support.size), dtype=dtype)
     x[0] = e0v[:, None]
     scratch = np.empty_like(x[0])
-    js = scratch if len(p) > 1 else np.empty(0)
-    if len(p) > 1:
-        p_in, p_out = _mixer_in_slots(p, real)
-        t_less_1 = (t - 1.0).real if real else t - 1.0
-        flux_coefs = t_less_1 * p_out
-        # x[1:] is 0
-        u = x[0] * p_in[0]
+    js = scratch if mixed else np.empty(0)
+    flux_coefs = ((t - 1.0).real if real else t - 1.0) * p_out
+    # x[1:] is 0; one slot keeps no mix, and its flux is pin0 x[0]
+    flux_a, u = (None, x[0] * p_in[0]) if mixed else (pin0, None)
     # the scalar grid of the potential whose grad updates jq, and the
     # spectrum ``gh`` of div jq, which the residual takes, in one buffer
     grid, gh = _scalar_pair(chi.shape, dtype)
@@ -573,11 +574,9 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     jmean = np.empty(2, dtype=dtype)
     if accelerated:
         inv_on, inv_off = _shifted_inverse_coefs(t, sigma0)
-        if len(p) == 1:
-            inv_one = _in_slots(_slot_matrix(p, inv_on, inv_off), real)[0, 0]
         if real:
             inv_on, inv_off = inv_on.real, inv_off.real
-        if len(p) > 1:
+        if mixed:
             # (A + sigma0 I)^-1 = inv_off I + (inv_on - inv_off) p_out p_in^T
             # after the reflection's sign flip of the S slot of r
             flip = np.ones(len(p))
@@ -591,21 +590,6 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
         chi_hat = _chi_hat(chi.astype(dtype))
         qh = np.empty_like(gh)
 
-    def flux(i, cs, out):
-        """Slot i of the flux A x on the inclusion, components ``cs``, into ``out``."""
-        if len(p) == 1:
-            np.multiply(x[0, cs], pin0, out=out)
-        else:
-            np.multiply(u[cs], flux_coefs[i], out=out)
-            out += x[i, cs]
-
-    def mix(cs, coefs):
-        """u = sum_i coefs[i] x[i] on the components ``cs``; scratch is spent."""
-        np.multiply(x[0, cs], coefs[0], out=u[cs])
-        for i in range(1, len(p)):
-            np.multiply(x[i, cs], coefs[i], out=scratch[cs])
-            u[cs] += scratch[cs]
-
     def r_on_support(cs):
         """2 sigma0 e0 + r_Q of the last iterate on the inclusion pixels, into scratch.
 
@@ -613,7 +597,7 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
         spent: the grad term of the update is gathered into it next.
         """
         s = scratch[cs]
-        flux(0, cs, s)
+        _rank_one(s, x[0, cs], flux_a, flux_coefs[0], u[cs] if mixed else None)
         x[0, cs] *= sigma0
         s -= x[0, cs]
         s += two_s0_e0[cs, None]
@@ -647,7 +631,8 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
         splitting helper, and no name that perfbench wraps in this module.
         """
         j, s, xs = jq[cs], scratch[cs], x[:, cs]
-        if update and not accelerated and len(p) > 1:
+        us = u[cs] if mixed else None
+        if update and not accelerated and mixed:
             # F_S -= J_S / sigma0, which frees the scratch for the gather
             s /= sigma0
             xs[1] -= s
@@ -673,32 +658,29 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
             # form_r left 2 sigma0 e0 + r_Q there in scratch
             xs[0] *= 1.0 + sigma0
             xs[0] += s
-            if len(p) == 1:
-                xs[0] *= inv_one
-            else:
+            if mixed:
                 # r_i = y_i - sigma0 x_i in place; then, with v = p_in . D w
                 # in u, x = inv_off D w + (inv_on - inv_off) p_out v, and
                 # u = p_in . x = inv_on v, as p_in . p_out = 1
                 for i in range(1, len(p)):
-                    flux(i, cs, s)
+                    _rank_one(s, xs[i], None, flux_coefs[i], us)
                     xs[i] *= sigma0
                     np.subtract(s, xs[i], out=xs[i])
-                mix(cs, v_coefs)
-                us = u[cs]
+                _mix(xs, v_coefs, us, s)
                 for i in range(len(p)):
-                    xs[i] *= off_coefs[i]
-                    np.multiply(us, jump_coefs[i], out=s)
-                    xs[i] += s
+                    _rank_one(xs[i], xs[i], off_coefs[i], jump_coefs[i], us, s)
                 us *= inv_on
+            else:
+                _rank_one(xs[0], xs[0], inv_on)
         elif update:
             # on the inclusion: the pinned field x[0] + delta, E_field's
             # bits, plus the grad term
             xs[0] += delta[cs, None]
             xs[0] += s
-            if len(p) > 1:
-                mix(cs, p_in)
+            if mixed:
+                _mix(xs, p_in, us, s)
         _scatter(j, support, xs[0])
-        flux(0, cs, s)
+        _rank_one(s, xs[0], flux_a, flux_coefs[0], us)
         # Constant Q-slot correction pins the mean field at e0 for
         # reporting; x keeps the raw iterate, and the accelerated update
         # keeps it in div r_Q too, so the map stays exact.
@@ -708,8 +690,8 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
         pin_delta[:, cs] = pin * d[:, None]
         s += pin_delta[0, cs]
         _scatter(j, support, s)
-        if len(p) > 1:
-            flux(1, cs, s)
+        if mixed:
+            _rank_one(s, xs[1], None, flux_coefs[1], us)
             s += pin_delta[1, cs]
         jmean[cs] = [_per_pixel(_compensated_ctotal(c), npix) for c in j]
 

@@ -56,11 +56,12 @@ on chi'' + off (I - chi''), where chi'' is the rank-one slot mixer
 p (x) p on the inclusion for a complex triple p with p.p = 1: A is
 (t, 1), its shifted inverse (A + sigma0 I)^-1 is
 (1/(t + sigma0), 1/(1 + sigma0)) and chi'' itself is (1, 0). On a
-phase-1 pixel such an operator is a len(p)-square slot matrix, applied
-by one kernel to slots stored on the inclusion pixels only; on phase-2
-pixels it is ``off`` times the Q slot. The public operators, the sigma*
-read-out and all four solvers go through that kernel, the physical ones
-with the Q slot alone, p = (1,).
+phase-1 pixel such an operator is off I + (on - off) p (x) p, applied by
+one rank-one kernel (:func:`_mix`, :func:`_rank_one`) to slots stored
+on the inclusion pixels only; on phase-2 pixels it is ``off`` times the
+Q slot. The public operators, the sigma* read-out, ``selftest`` and all
+four solvers go through that kernel, the physical ones with the Q slot
+alone, p = (1,), where it is the product by on.
 
 Arithmetic is double precision: real where a solve's fields are real
 (:func:`_field_dtype`) and complex otherwise; VectorField and the public
@@ -73,8 +74,8 @@ of the columns), the div stencil and the Fourier-space sweeps (one half
 of the row bands) split across the calling thread and a thread started
 for the split (:func:`_split`). The solvers split the real-space stretch
 of an iteration the same way, one component per thread, with the grad
-stencil, gathers, scatters, slot sums and compensated totals here. The
-public operators and the sigma* read-out run on the calling thread
+stencil, gathers, scatters, rank-one kernel and compensated totals here.
+The public operators and the sigma* read-out run on the calling thread
 alone. Each thread does the unsplit arithmetic on its part, so the bits
 do not change.
 """
@@ -457,32 +458,25 @@ def _passes(passes: tuple, npix: int):
             _pass(*args, 0, length)
 
 
-def _fft2(
-    data: np.ndarray,
-    out: np.ndarray | None = None,
-    inverse: bool = False,
-    scratch: np.ndarray | None = None,
-) -> np.ndarray:
+def _fft2(data: np.ndarray, out: np.ndarray | None = None, inverse: bool = False) -> np.ndarray:
     """2-D FFT, or inverse FFT, of an (ny, nx) array or each component of a (2, ny, nx) one.
 
     The result goes into ``out``. This is the one place that picks the
     transform, by dtype. A real ``data`` takes rfftn to its half
     spectrum, nx//2 + 1 columns wide. A real ``out`` takes the inverse of
     the half spectrum ``data`` onto the grid of ``out`` as irfftn does:
-    the inverse FFT of each column into ``scratch``, shaped like
-    ``data``, then the inverse real FFT of each row of it. ``scratch``
-    may be ``data``, which the call then consumes; when not given, a
-    fresh one is made and ``data`` is left intact. ``out`` may share the
-    buffer of ``scratch`` as the pair of :func:`_scalar_pair` does, each
-    row of ``out`` on the same row of ``scratch``: numpy would copy the
-    whole overlapping operand, so the rows then go band by band through a
-    band buffer (:func:`_sweep`). The complex transforms, fftn and ifftn,
-    ignore ``scratch``, and ``out`` may be ``data``. Every transform runs
-    as numpy's n-D transforms do, one pass of 1-D transforms over each
-    axis, the rows first but for the inverse real FFT. Each pass splits
-    by halves, of the rows or of the columns, or of the row bands, as a
-    pass over the grid's pixels does, not the half spectrum's; the 1-D
-    transforms are those of the unsplit pass, so the bits are numpy's.
+    the inverse FFT of each column in place, which consumes ``data``,
+    then the inverse real FFT of each row into ``out``, band by band
+    through a band buffer (:func:`_sweep`). So ``out`` may share the
+    buffer of ``data`` as the pair of :func:`_scalar_pair` does, each row
+    of ``out`` on the same row of ``data``, where numpy would copy the
+    whole overlapping operand. The complex transforms, fftn and ifftn,
+    may take ``data`` as ``out``. Every transform runs as numpy's n-D
+    transforms do, one pass of 1-D transforms over each axis, the rows
+    first but for the inverse real FFT. Each pass splits by halves, of
+    the rows or of the columns, or of the row bands, as a pass over the
+    grid's pixels does, not the half spectrum's; the 1-D transforms are
+    those of the unsplit pass, so the bits are numpy's.
     """
     real = not np.iscomplexobj(out if inverse and out is not None else data)
     if out is None:
@@ -490,21 +484,17 @@ def _fft2(
         out = np.empty((*data.shape[:-1], width), dtype=np.complex128)
     if data.ndim == 3:
         for c in range(len(data)):
-            _fft2(data[c], out[c], inverse, None if scratch is None else scratch[c])
+            _fft2(data[c], out[c], inverse)
         return out
     npix = out.shape[-2] * max(data.shape[-1], out.shape[-1])
     if real and inverse:
-        scratch = np.empty_like(data) if scratch is None else scratch
-        _passes((("ifft", data, scratch, -2, None),), npix)
-        if not np.may_share_memory(scratch, out):
-            _passes((("irfft", scratch, out, -1, out.shape[-1]),), npix)
-            return out
+        _passes((("ifft", data, data, -2, None),), npix)
 
         def rows(band, spectrum):
-            np.copyto(spectrum, scratch[band])
+            np.copyto(spectrum, data[band])
             np.fft.irfft(spectrum, n=out.shape[-1], axis=-1, out=out[band])
 
-        _sweep(rows, *scratch.shape, (np.complex128,), npix)
+        _sweep(rows, *data.shape, (np.complex128,), npix)
         return out
     name = "ifft" if inverse else "fft"
     _passes((("rfft" if real else name, data, out, -1, None), (name, out, out, -2, None)), npix)
@@ -646,15 +636,15 @@ def _potential(ph: np.ndarray, grid: np.ndarray):
     On a stencil table the inverse FFT of ``ph`` into the scalar
     ``grid``: a complex grid may be ``ph`` itself, and a real one takes
     the inverse of the half spectrum ``ph``, whose column pass runs in
-    place and consumes it, and may be the grid of its
-    :func:`_scalar_pair`, whose rows then go band by band (:func:`_fft2`).
+    place and consumes it, and whose rows go band by band into ``grid``,
+    which may be the grid of its :func:`_scalar_pair` (:func:`_fft2`).
     Otherwise grad in Fourier space, d ph, and the inverse FFT of each
     component, into a (2, ny, nx) array of its own.
     """
     ny, nx = grid.shape
     g = _green_table(ny, nx)
     if g.stencil:
-        return _fft2(ph, grid, inverse=True, scratch=ph)
+        return _fft2(ph, grid, inverse=True)
     fields = np.empty((2, ny, nx), dtype=np.complex128)
     for c in range(2):
         np.multiply(ph, _d_times(g, c, 1.0, np.empty((ny, nx))), out=fields[c])
@@ -983,44 +973,61 @@ def _unpack(packed: np.ndarray, support: np.ndarray, shape) -> np.ndarray:
     return out
 
 
-def _slot_matrix(p: tuple, on, off) -> np.ndarray:
-    """The len(p)-square slot matrix of on chi'' + off (I - chi'') on a phase-1 pixel.
+def _mix(x: np.ndarray, coefs, out: np.ndarray, tmp: np.ndarray):
+    """out = sum_i coefs[i] x[i] on packed slots ``x``, the mix u = p_in . x of the kernel.
 
-    chi'' is the rank-one slot mixer p (x) p: p = (p1, p2, p3) on the
-    augmented (Q, S, T) slots, or p = (1,) on the Q slot alone, where the
-    matrix is the scalar ``on``. Written as on p (x) p + off (I - p (x) p),
-    which is off I + (on - off) p (x) p with the one-slot case exact.
+    Into the caller's ``out``; ``tmp``, shaped like one slot, is spent.
+    Neither may alias ``x``.
     """
-    pp = np.outer(p, p)
-    return on * pp + off * (np.eye(len(p)) - pp)
+    np.multiply(x[0], coefs[0], out=out)
+    for i in range(1, len(x)):
+        np.multiply(x[i], coefs[i], out=tmp)
+        out += tmp
 
 
-def _slot_sums(m, x, out, tmp):
-    """out[i] = sum_j m[i, j] x[j] on packed slots, into the caller's ``out``.
+def _rank_one(out, x_i, a, c_i=None, u=None, tmp=None):
+    """out = a x_i + c_i u, slot i of a local operator on packed slots, into ``out``.
 
-    ``tmp``, shaped like one slot, is the scratch of the sums, unused for
-    one slot; ``out`` must not alias x, and ``tmp`` neither.
+    on chi'' + off (I - chi'') is off I + (on - off) p_out p_in^T on the
+    inclusion: a = off, c_i = (on - off) p_out,i and u = p_in . x
+    (:func:`_mix`). An ``a`` of None stands for 1 and skips its product;
+    ``out`` then aliases neither x_i nor u. Otherwise ``out`` may be x_i,
+    and c_i u goes through ``tmp``. One slot, p = (1,), has no u and a = on:
+    one product, as off + (on - off) loses about 1e-16/on at small on.
     """
-    for i, row in enumerate(m):
-        np.multiply(x[0], row[0], out=out[i])
-        for j in range(1, len(row)):
-            np.multiply(x[j], row[j], out=tmp)
-            out[i] += tmp
+    if u is None:
+        np.multiply(x_i, a, out=out)
+    elif a is None:
+        np.multiply(u, c_i, out=out)
+        out += x_i
+    else:
+        np.multiply(x_i, a, out=out)
+        np.multiply(u, c_i, out=tmp)
+        out += tmp
 
 
 def _local_arrays(slots: tuple, chi, p: tuple, on, off) -> tuple:
     """on chi'' + off (I - chi'') on full-grid (2, ny, nx) slot arrays, Q first.
 
-    ``slots`` holds one array per entry of p. On phase-2 pixels, where
-    chi'' vanishes, the operator is ``off`` times the Q slot; the slots
-    past Q are read on chi only and come back zero there.
+    ``slots`` holds one array per entry of p. Packed on the inclusion,
+    they go through the solvers' kernel (:func:`_rank_one`), with
+    p_in = p_out = p. On phase-2 pixels, where chi'' vanishes, the
+    operator is ``off`` times the Q slot; the slots past Q are read on chi
+    only and come back zero there.
     """
     support = np.flatnonzero(chi)
     x = np.empty((len(slots), 2, support.size), dtype=np.result_type(*slots))
     for s, xs in zip(slots, x):
         _pack(s, support, out=xs)
     y = np.empty_like(x)
-    _slot_sums(_slot_matrix(p, on, off), x, y, np.empty_like(x[0]) if len(p) > 1 else None)
+    if len(p) == 1:
+        _rank_one(y[0], x[0], on)
+    else:
+        p = np.array(p, dtype=np.complex128)
+        u, tmp = np.empty_like(x[0]), np.empty_like(x[0])
+        _mix(x, p, u, tmp)
+        for i, c_i in enumerate((on - off) * p):
+            _rank_one(y[i], x[i], off, c_i, u, tmp)
     q_out = np.multiply(slots[0], complex(off), order="C")
     _scatter(q_out, support, y[0])
     return (q_out, *(_unpack(ys, support, chi.shape) for ys in y[1:]))

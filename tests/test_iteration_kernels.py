@@ -1,7 +1,7 @@
 """Kernels of the iteration: the stencils and the scalar FFT pair of
 gamma1 and the Parseval residual, the recursion of the accelerated
-update, packed local operators and their slot matrices, the residual the
-solvers record, the 2-D FFTs one iteration costs, the memory a solve
+update, the rank-one kernel of the packed local operators, the residual
+the solvers record, the 2-D FFTs one iteration costs, the memory a solve
 holds, and the split of large-grid passes across two threads."""
 
 import importlib.util
@@ -52,14 +52,14 @@ from fftcond.spectral_ops import (
     _gamma1_arr,
     _gamma1_sqnorm,
     _hat_sqnorm,
+    _mix,
     _pack,
     _potential,
+    _rank_one,
     _reflect_hat,
     _scalar_pair,
     _scale_hat,
     _shifted_inverse_coefs,
-    _slot_matrix,
-    _slot_sums,
     _split,
 )
 
@@ -77,9 +77,17 @@ def force_split(monkeypatch):
     monkeypatch.setattr(spectral_ops, "_cpus", lambda: 2)
 
 
+def _pair_grid(gh, nx):
+    """The scalar grid that shares the buffer of the spectrum ``gh`` as :func:`_scalar_pair`'s
+    does: a complex spectrum itself, and of a half spectrum its first nx float columns; on a
+    (2, ny, width) stack, one per component."""
+    return gh if gh.shape[-1] == nx else gh.view(np.float64)[..., :nx]
+
+
 def _gamma1_from_hat(gh, data):
-    """gamma1 of ``data`` finished from the spectrum ``gh`` of its div, which it consumes."""
-    grid = np.empty(data.shape[1:], dtype=data.dtype)
+    """gamma1 of ``data`` finished from the spectrum ``gh`` of its div, which it consumes:
+    the potential goes into the grid of its buffer, as in a solve."""
+    grid = _pair_grid(gh, data.shape[-1])
     out = np.zeros_like(data)
     _add_grad(_potential(_scale_hat(gh, data.shape[-1], 1.0), grid), out)
     return out
@@ -384,7 +392,7 @@ class TestFourierReflection:
         chi = pmap.chi
         ny, nx = chi.shape
         j_raw = random_complex(rng, (2, ny, nx))
-        pin0 = _slot_matrix(p, t, 1.0)[0, 0]
+        pin0 = solvers._pin_column(t, *solvers._mixer_in_slots(p, False))[0]
         jq = j_raw + self.DELTA[:, None, None] * np.where(chi, pin0, 1.0)
         c = 1.0 if first else 2.0
         m = -2.0 * c / 16
@@ -602,20 +610,40 @@ class TestCallerBuffers:
                 _pack(data, np.array(bad))
 
     @pytest.mark.parametrize("slots", [1, 3])
-    def test_slot_sums_into_caller_buffers(self, slots):
-        # into the caller's arrays, for both components or one
+    @pytest.mark.parametrize("identity_off", [False, True], ids=["off", "off_1"])
+    def test_rank_one_into_caller_buffers(self, slots, identity_off):
+        # the mix and each slot go into the caller's arrays, as the dense
+        # slot matrix off I + (on - off) p (x) p gives them, and a call on
+        # one component gives the bits of a call on both
         params = solve_p(BENCH)
-        p = (params.p1, params.p2, params.p3) if slots == 3 else (1.0,)
-        m = _slot_matrix(p, 0.7 + 0.4j, 1.3)
+        p = np.array((params.p1, params.p2, params.p3) if slots == 3 else (1.0,), dtype=complex)
+        on, off = 0.7 + 0.4j, 1.0 if identity_off else 1.3
+        m = off * np.eye(slots) + (on - off) * np.outer(p, p)
         x = random_complex(np.random.default_rng(23), (slots, 2, 40))
-        expected = np.empty_like(x)
-        _slot_sums(m, x, expected, np.empty_like(x[0]))
         dense = np.einsum("ij,jcm->icm", m, x)
+
+        def apply(x):
+            y = np.full_like(x, np.nan)
+            if slots == 1:
+                _rank_one(y[0], x[0], on)
+                return y
+            u, tmp = np.full_like(x[0], np.nan), np.full_like(x[0], np.nan)
+            _mix(x, p, u, tmp)
+            for i in range(slots):
+                _rank_one(y[i], x[i], None if identity_off else off, (on - off) * p[i], u, tmp)
+            return y
+
+        expected = apply(x)
         assert np.max(np.abs(expected - dense)) <= 1e-15 * np.max(np.abs(dense))
         for c in range(2):
-            out, tmp = np.empty_like(x[:, c:c + 1]), np.empty_like(x[0, c:c + 1])
-            _slot_sums(m, x[:, c:c + 1], out, tmp)
-            assert out.tobytes() == expected[:, c:c + 1].tobytes()
+            assert apply(x[:, c:c + 1]).tobytes() == expected[:, c:c + 1].tobytes()
+        # in place, as the shifted inverse of a solve runs: off x_i into x_i
+        if slots == 3 and not identity_off:
+            y, u, tmp = x.copy(), np.empty_like(x[0]), np.empty_like(x[0])
+            _mix(y, p, u, tmp)
+            for i in range(slots):
+                _rank_one(y[i], y[i], off, (on - off) * p[i], u, tmp)
+            assert y.tobytes() == expected.tobytes()
 
 
 class TestWorkingSet:
@@ -992,12 +1020,12 @@ class TestRealArithmetic:
         _reflect_hat(full, qh_full, _chi_hat(chi.astype(complex)), pin, 2.0, nx)
         assert _max_rel_diff([qh, gh], [qh_full[:, :width], full[:, :width]]) <= 1e-13
 
-    @pytest.mark.parametrize("scratch", ["none", "data", "distinct"])
+    @pytest.mark.parametrize("out", ["pair", "apart"])
     @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
     @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "2d"])
     @pytest.mark.parametrize("shape", [(16, 24), (16, 17), (15, 24), (15, 17)])
     def test_fft2_picks_the_real_transforms_by_dtype(
-        self, monkeypatch, shape, stacked, split, scratch
+        self, monkeypatch, shape, stacked, split, out
     ):
         # even and odd ny and nx; a 2-D call never splits
         if split:
@@ -1005,31 +1033,44 @@ class TestRealArithmetic:
         x = np.random.default_rng(41).standard_normal((2, *shape) if stacked else shape)
         h = _fft2(x)
         assert h.tobytes() == np.fft.rfftn(x, axes=(-2, -1)).tobytes()
-        before = h.copy()
-        buffer = {"none": None, "data": h, "distinct": np.empty_like(h)}[scratch]
-        out = np.empty_like(x)
-        # irfftn's two passes, through the scratch: irfftn's bits
-        assert _fft2(h, out, inverse=True, scratch=buffer) is out
-        assert out.tobytes() == np.fft.irfftn(before, s=shape, axes=(-2, -1)).tobytes()
-        # the input is consumed only when it is the scratch
-        if scratch != "data":
-            assert np.array_equal(h, before)
+        # the inverse: irfftn's two passes, the columns in place in the
+        # spectrum, which is consumed, and the rows into a grid that shares
+        # its buffer as in a scalar pair, or into one apart
+        if stacked:
+            # one buffer holds a pair per component, laid out as _scalar_pair's
+            spectrum = np.empty(h.shape, dtype=complex)
+            grid = _pair_grid(spectrum, shape[1])
+        else:
+            grid, spectrum = _scalar_pair(shape, np.float64)
+        if out == "apart":
+            grid = np.empty(x.shape)
+        np.copyto(spectrum, h)
+        assert _fft2(spectrum, grid, inverse=True) is grid
+        assert grid.tobytes() == np.fft.irfftn(h, s=shape, axes=(-2, -1)).tobytes()
 
-    @pytest.mark.parametrize("scratch", ["data", "distinct"])
-    def test_inverse_through_scratch_copies_nothing(self, scratch):
-        # irfftn's own peak here is a copy of its input, 1.06 MB
-        n = 256
-        h = random_complex(np.random.default_rng(46), (2, n, n // 2 + 1))
-        buffer = h if scratch == "data" else np.empty_like(h)
-        out = np.empty((2, n, n))
-        _fft2(h, out, inverse=True, scratch=buffer)
+    @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+    def test_inverse_on_stacked_pairs_copies_nothing(self, monkeypatch, split):
+        # irfftn's own peak here is a copy of its input, 1.06 MB; each
+        # component's rows go through one band buffer of its own, in turn
+        if split:
+            force_split(monkeypatch)
+        n, band = 256, 4096
+        monkeypatch.setattr(spectral_ops, "_BAND_SIZE", band)
+        width = n // 2 + 1
+        h = random_complex(np.random.default_rng(46), (2, n, width))
+        spectrum = np.empty_like(h)
+        grid = _pair_grid(spectrum, n)
+        np.copyto(spectrum, h)
+        _fft2(spectrum, grid, inverse=True)
+        np.copyto(spectrum, h)
         tracemalloc.start()
         try:
-            _fft2(h, out, inverse=True, scratch=buffer)
+            _fft2(spectrum, grid, inverse=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 1024
+        assert peak <= (band // width) * width * 16 + 16 * 1024
+        assert grid.tobytes() == np.fft.irfftn(h, s=(n, n), axes=(-2, -1)).tobytes()
 
     def test_half_spectrum_splits_on_the_grid(self, monkeypatch):
         # a 512 x 512 grid has 2^18 pixels per component, its half spectrum
@@ -1038,10 +1079,11 @@ class TestRealArithmetic:
         seen, splits = [], spectral_ops._splits
         monkeypatch.setattr(spectral_ops, "_splits", lambda npix: seen.append(npix) or splits(npix))
         x = np.random.default_rng(44).standard_normal((2, 512, 512))
-        gh = _div_hat(x)
+        grid, gh = _scalar_pair((512, 512), np.float64)
+        _div_hat(x, gh)
         _hat_sqnorm(gh, 512)
         _reflect_hat(gh, gh.copy(), _chi_hat(np.ones((512, 512))), np.zeros(2), 1.0, 512)
-        _potential(_scale_hat(gh, 512, 1.0), np.empty((512, 512)))
+        _potential(_scale_hat(gh, 512, 1.0), grid)
         assert seen and set(seen) == {512 * 512}
 
     def test_chooser_needs_real_parameters(self):
@@ -1141,28 +1183,41 @@ class TestRealArithmetic:
             assert _max_rel_diff(got, expected) <= 1e-12
 
 
-class TestSlotMatrix:
-    """The slot matrices the solvers use, checked without the full-grid wrappers."""
+def _stored(m, real):
+    """The slot matrix ``m`` as it acts on a solve's stored slots, written out densely: on
+    the real path diag(1, -i, ...) m diag(1, i, ...), whose imaginary part must vanish."""
+    if not real:
+        return m
+    scale = np.diag([1.0] + [1j] * (len(m) - 1))
+    stored = np.linalg.inv(scale) @ m @ scale
+    assert np.max(np.abs(stored.imag)) <= 4 * np.finfo(float).eps * np.max(np.abs(stored))
+    return stored.real
+
+
+class TestRankOneKernel:
+    """The rank-one kernel and the coefficients the solvers give it, checked
+    against dense slot matrices, without the full-grid wrappers, and the
+    loop's use of it."""
 
     SIGMA1 = [2.0, 0.7 + 0.4j, 0.0, 10.0]
 
     @staticmethod
-    def _one_slot(on, off):
-        x = random_complex(np.random.default_rng(17), (1, 2, 64))
+    def _one_slot(on):
+        x = random_complex(np.random.default_rng(17), (2, 64))
         out = np.empty_like(x)
-        _slot_sums(_slot_matrix((1.0,), on, off), x, out, None)
+        _rank_one(out, x, on)
         return out, x
 
     @pytest.mark.parametrize("sigma1", SIGMA1)
     def test_one_slot_A_multiplies_by_sigma1(self, sigma1):
-        out, x = self._one_slot(sigma1, 1.0)
-        expected = sigma1 * x
-        assert np.max(np.abs(out - expected)) <= 1e-15 * np.max(np.abs(expected))
+        out, x = self._one_slot(complex(sigma1))
+        # one product, sigma1 x, with its bits
+        assert out.tobytes() == (x * complex(sigma1)).tobytes()
 
     @pytest.mark.parametrize("sigma1", SIGMA1)
     def test_one_slot_shifted_inverse_divides_by_sigma1_plus_sigma0(self, sigma1):
         for sigma0 in ((sigma1 + 1.0) / 2.0, 0.3 + 0.1j):
-            out, x = self._one_slot(*_shifted_inverse_coefs(sigma1, sigma0))
+            out, x = self._one_slot(_shifted_inverse_coefs(sigma1, sigma0)[0])
             expected = 1.0 / (sigma1 + sigma0) * x
             assert np.max(np.abs(out - expected)) <= 1e-15 * np.max(np.abs(expected))
 
@@ -1175,7 +1230,7 @@ class TestSlotMatrix:
         p = (params.p1, params.p2, params.p3)
         p_in, p_out = solvers._mixer_in_slots(p, real)
         assert np.isrealobj(p_in) == real and np.isrealobj(p_out) == real
-        stored = solvers._in_slots(np.outer(p, p), real)
+        stored = _stored(np.outer(p, p), real)
         eps = np.finfo(float).eps
         assert np.max(np.abs(np.outer(p_out, p_in) - stored)) <= 4 * eps * np.max(np.abs(stored))
         assert abs(np.dot(p_in, p_out) - 1.0) <= 4 * eps
@@ -1184,15 +1239,56 @@ class TestSlotMatrix:
     def test_mean_pin_is_column_zero_of_A(self, sigma1):
         pmap = build_square_array(16, 0.5)
         params = solve_p(BENCH)
+        p = (params.p1, params.p2, params.p3)
         t = map_t(sigma1, BENCH)
         delta = np.array([0.3 - 0.2j, 1.1])
         q = np.broadcast_to(delta[:, None, None], (2, *pmap.chi.shape))
         zero = np.zeros_like(q)
         dense = _dense_A(q, zero, zero, t, params, pmap.chi)
-        pin = _slot_matrix((params.p1, params.p2, params.p3), t, 1.0)[:, 0]
+        pin = solvers._pin_column(t, *solvers._mixer_in_slots(p, False))
         for slot, got in zip(pin, dense):
             expected = slot * delta[:, None]
             assert np.max(np.abs(got[:, pmap.chi] - expected)) <= 1e-15 * np.max(np.abs(dense[0]))
+        # on the real path, column 0 of A on the stored slots
+        if t.imag == 0:
+            a_mat = np.eye(3) + (t - 1.0) * np.outer(p, p)
+            stored = _stored(a_mat, True)[:, 0]
+            real_pin = solvers._pin_column(t.real, *solvers._mixer_in_slots(p, True))
+            assert np.isrealobj(real_pin)
+            assert np.max(np.abs(real_pin - stored)) <= 4e-16 * np.max(np.abs(stored))
+
+    @pytest.mark.parametrize("sigma1", [2.0, 0.7 + 0.4j], ids=["real", "complex"])
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_solve_runs_the_shared_kernel(self, monkeypatch, scheme, sigma1):
+        # the loop applies its local operators through the kernel that the
+        # public operators run, with its bits
+        pmap = build_disk_array(16, 0.35)
+        cfg = SolverConfig(
+            scheme=scheme,
+            sigma1=sigma1,
+            interval=BENCH if scheme.substituted else None,
+            tol=1e-300,
+            max_iters=4,
+        )
+        plain = solve(pmap, cfg)
+        seen = []
+
+        def recording(name):
+            kernel = getattr(spectral_ops, name)
+
+            def call(*args):
+                seen.append(name)
+                return kernel(*args)
+
+            return call
+
+        for name in ("_rank_one", "_mix"):
+            monkeypatch.setattr(solvers, name, recording(name))
+        r = solve(pmap, cfg)
+        # one slot keeps no mix
+        assert "_rank_one" in seen and ("_mix" in seen) == scheme.substituted
+        assert r.E_field.data.tobytes() == plain.E_field.data.tobytes()
+        assert r.J_field.data.tobytes() == plain.J_field.data.tobytes()
 
 
 class TestRecordedResidual:
@@ -1276,6 +1372,15 @@ def test_exact_update_takes_one_more_fft(scheme):
     tool = _load_tool("bench_per_iteration")
     expected = 3.0 if scheme.accelerated else 2.0
     assert tool.ffts_per_iteration(scheme, 16, exact=True) == expected
+
+
+@pytest.mark.parametrize("sigma1", [2.0, 0.7 + 0.4j], ids=["real", "complex"])
+def test_calls_per_iteration_repeat(sigma1):
+    # after the warm-up solve the count is exact, so a change can be held to it
+    tool = _load_tool("bench_per_iteration")
+    counts = [tool.calls_per_iteration(SchemeKind.EYRE_MILTON_SUB, 16, sigma1) for _ in range(2)]
+    assert counts[0] == counts[1] > 0
+    assert counts[0] == int(counts[0])
 
 
 def test_green_rows_tell_the_operators_apart():

@@ -1,4 +1,4 @@
-"""Milliseconds per iteration of the four schemes, 2-D FFTs per iteration, and peak memory.
+"""Milliseconds, 2-D FFTs and Python calls per iteration of the four schemes, and peak memory.
 
 Each scheme runs the 25% square array at sigma1 = 2, which solves in
 real arithmetic, with an unreachable tolerance, so every run does
@@ -22,7 +22,15 @@ counts as one, and so does a transform whose passes split in halves.
 real space instead, as a solve does below ``solvers._EXACT_BELOW``. The
 peak is the ``tracemalloc`` peak, in MB, of a solve of PEAK_ITERS = 5
 iterations, taken after an untraced warm-up solve so that the cached
-Green table does not count.
+Green table does not count. ``calls_per_iteration`` (and
+``calls_per_iteration_complex``, at COMPLEX_SIGMA1) counts the
+Python-level calls of an iteration at n = CALLS_N, the function calls and
+the calls of built-in functions and methods that ``cProfile`` sees: its
+``total_calls`` of a solve of ITERS iterations less that of one of
+ITERS - 10, divided by 10, after an unprofiled warm-up solve, as the
+first solve of a process also builds its tables. These solves run as a
+solve does, the accelerated update switching to the exact one below
+``solvers._EXACT_BELOW``. The count repeats exactly from run to run.
 
 ``cpus`` is the number of CPUs the process may run on; on two or more,
 passes over large grids split across two threads. The single-thread
@@ -48,9 +56,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import cProfile
 import json
 import math
 import os
+import pstats
 import statistics
 import subprocess
 import sys
@@ -76,6 +86,7 @@ INTERVAL = SpectralInterval(0.25, 4.0)
 COMPLEX_SIGMA1 = 0.7 + 0.4j
 ITERS = 30
 PEAK_ITERS = 5
+CALLS_N = 128
 GREEN_SIGMA1 = (0.0, 2.0, 10.0, 0.3 + 0.5j)
 GREEN_SIZES = (64, 128, 256)
 GREEN_MAX_ITERS = 300
@@ -181,6 +192,18 @@ def ffts_per_iteration(
         for name, fn in originals.items():
             setattr(np.fft, name, fn)
     return round((totals[1] - totals[0]) / 10, 6)
+
+
+def calls_per_iteration(scheme: SchemeKind, n: int = CALLS_N, sigma1: complex = 2.0) -> float:
+    """Python-level calls per iteration on the n x n square, as cProfile counts them."""
+    pmap = build_square_array(n, 0.5)
+    solve(pmap, _config(scheme, sigma1=sigma1))
+    totals = []
+    for k in (ITERS - 10, ITERS):
+        profile = cProfile.Profile()
+        profile.runcall(solve, pmap, _config(scheme, k, sigma1))
+        totals.append(pstats.Stats(profile).total_calls)
+    return (totals[1] - totals[0]) / 10
 
 
 def peak_mb(scheme: SchemeKind, n: int, sigma1: complex = 2.0) -> float:
@@ -298,6 +321,10 @@ def main(argv=None) -> int:
     report = {
         "cpus": spectral_ops._cpus(),
         "complex_sigma1": [COMPLEX_SIGMA1.real, COMPLEX_SIGMA1.imag],
+        "calls_per_iteration": {s.value: calls_per_iteration(s) for s in SchemeKind},
+        "calls_per_iteration_complex": {
+            s.value: calls_per_iteration(s, sigma1=COMPLEX_SIGMA1) for s in SchemeKind
+        },
         "ffts_per_iteration": {s.value: ffts_per_iteration(s) for s in SchemeKind},
         "ffts_per_iteration_complex": {
             s.value: ffts_per_iteration(s, sigma1=COMPLEX_SIGMA1) for s in SchemeKind
