@@ -78,11 +78,13 @@ packed slots for ``basic``, ``em``, ``basic_sub`` and ``em_sub``. The update tur
 grid into the next field, from r_Q through w_Q when accelerated, and
 then into the pinned flux. An accelerated solve adds the spectrum of
 div r_Q and that of chi.
-The loop allocates only band-sized temporaries and the residual's |js|^2
-of one field component. On the real path the inverse FFT runs its
-column pass in the spectrum, which is dead at that point, and its row
-pass into the grid band by band; the residual's forward FFT refills the
-spectrum without writing the grid. The result keeps the flux, x and the
+The loop allocates only band-sized temporaries: the residual squares
+|js|^2, one field component at a time, in the float64 view of the
+buffer of the spectrum and the grid, both dead at that point, before
+its forward FFT writes the spectrum. On the real path the inverse FFT
+runs its column pass in the spectrum, which is dead at that point, and
+its row pass into the grid band by band; the residual's forward FFT
+refills the spectrum without writing the grid. The result keeps the flux, x and the
 mean pin delta: ``J_field`` wraps the flux on first read, a complex copy
 on the real path; ``E_field`` is a copy of it whose inclusion pixels are
 set to x[0] + delta, the pinned field there, as off them A is the
@@ -148,7 +150,6 @@ from .spectral_ops import (
     _split,
     _splits,
     _unpack,
-    apply_local_A,
 )
 from .transform import (
     SchemeKind,
@@ -338,8 +339,7 @@ def extract_sigma_star_aug(
 ) -> complex:
     """Effective conductivity from an augmented iterate: mean flux Q-slot."""
     e0v = _e0_vector(e0)
-    flux = apply_local_A(f, t, params, pmap)
-    return _along(e0v, flux.Q.mean())
+    return _along(e0v, _mean_vec(_flux_q(f, t, params, pmap)))
 
 
 def recover_physical_fields(
@@ -351,8 +351,17 @@ def recover_physical_fields(
     No division by the inclusion conductivity occurs, so an insulating
     inclusion (sigma1 = 0) is handled without special casing.
     """
-    flux = apply_local_A(f, t, params, pmap)
-    return VectorField(f.Q.data.copy()), flux.Q
+    # the flux first: its packed slots are freed before the copy of E is made
+    j = _flux_q(f, t, params, pmap)
+    return VectorField(f.Q.data.copy()), VectorField(j)
+
+
+def _flux_q(f: AugmentedField, t: complex, params: SubstitutionParams, pmap: PhaseMap):
+    """The Q slot of the flux A F of an augmented field, the one slot the read-outs use:
+    that of :func:`spectral_ops.apply_local_A`, with no S or T grid formed."""
+    slots, p = (f.Q.data, f.S.data, f.T.data), (params.p1, params.p2, params.p3)
+    (q,) = _local_arrays(slots, _chi_of(pmap, f), p, complex(t), 1.0, q_only=True)
+    return q
 
 
 def _residual(jq: np.ndarray, js: np.ndarray, jmean: np.ndarray, gh=None) -> float:
@@ -362,8 +371,12 @@ def _residual(jq: np.ndarray, js: np.ndarray, jmean: np.ndarray, gh=None) -> flo
     pixel, with |gamma1 jq|^2 summed by Parseval from the spectrum of
     div jq; ``js`` holds the S slot on the inclusion pixels only, and is
     empty for a physical flux. ``gh`` receives the spectrum of div jq
-    (:func:`spectral_ops._div_hat`). ContractError when the mean flux
-    vanishes, and nan when it overflows.
+    (:func:`spectral_ops._div_hat`); it is the spectrum of a
+    :func:`spectral_ops._scalar_pair`, made here when not given. Before
+    the transform writes it, its float64 view, which holds at least the
+    pixels of one grid, squares |js|^2 one component at a time: the
+    residual allocates no buffer of its own. ContractError when the mean
+    flux vanishes, and nan when it overflows.
     """
     den = float(np.linalg.norm(jmean))
     if den < _TINY:
@@ -372,13 +385,15 @@ def _residual(jq: np.ndarray, js: np.ndarray, jmean: np.ndarray, gh=None) -> flo
         # div cancels the constant part of a flux whose mean overflows
         return math.nan
     npix = jq.shape[-1] * jq.shape[-2]
-    total = _gamma1_sqnorm(jq, gh)
-    # |js|^2 one component at a time, in a buffer the size of one: the
-    # total of a 1-D row is the pairwise sum that of a (2, m) array takes
-    # of each row, and the two combine as its rows do
-    power = np.empty(js.shape[-1])
+    if gh is None:
+        gh = _scalar_pair(jq.shape[-2:], jq.dtype)[1]
+    # the total of a 1-D row is the pairwise sum that of a (2, m) array
+    # takes of each row, and the two combine as its rows do
+    power = gh.view(np.float64).reshape(-1)[: js.shape[-1]]
     rows = [_compensated_total(np.square(np.abs(c, out=power), out=power)) for c in js]
-    total += _combine_rows(np.array(rows))
+    js_total = _combine_rows(np.array(rows))
+    total = _gamma1_sqnorm(jq, gh)
+    total += js_total
     return math.sqrt(total / npix) / den
 
 

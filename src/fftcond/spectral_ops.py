@@ -44,11 +44,14 @@ The sweeps then run over the half spectrum with the table cut to it
 0 and, on even nx, nx/2 twice. The scalar grid and its spectrum share
 one buffer on both (:func:`_scalar_pair`): a complex grid is transformed
 in place, and a real grid is the first nx columns of the float64 array
-whose complex view is its half spectrum. The real forward FFT then runs
-the div stencil band by band straight into its row pass, and never
-writes the grid; the real inverse FFT runs its column pass in place and
-its row pass band by band through a band buffer (:func:`_div_hat`,
-:func:`_fft2`).
+whose complex view is its half spectrum. The forward FFT of div runs
+the div stencil band by band straight into its row pass, into the rows
+of the complex grid itself or, on the real path, through a band buffer,
+and never writes the real grid; the real inverse FFT runs its column
+pass in place and its row pass band by band through a band buffer
+(:func:`_div_hat`, :func:`_fft2`). The public gamma1 reads a real-valued
+field through a view of its real part (:func:`_real_if_allowed`) and
+adds the gradient into the real part of its complex result.
 
 An AugmentedField is a (Q, S, T) triple of VectorFields whose S and T
 slots vanish off the inclusion. Every local operator has the form
@@ -386,14 +389,17 @@ def _field_dtype(shape: tuple, *values) -> type:
 
 
 def _real_if_allowed(data: np.ndarray) -> np.ndarray:
-    """A (2, ny, nx) ``data``, as a real copy when :func:`_field_dtype` allows real arithmetic.
+    """A (2, ny, nx) ``data``, as a view of its real part when :func:`_field_dtype` allows
+    real arithmetic.
 
     The public operators read a field through it, so that on the flux of
     a solve that ran in real arithmetic the residual repeats its residual
-    bit for bit, and gamma1 of a real field is real.
+    bit for bit, and gamma1 of a real field is real. The view is strided;
+    the stencils and the means read it as they read a contiguous array,
+    with the same bits, and no grid is copied.
     """
     if np.iscomplexobj(data) and _field_dtype(data.shape[-2:], data) is np.float64:
-        return np.ascontiguousarray(data.real)
+        return data.real
     return data
 
 
@@ -547,17 +553,6 @@ def _div_rows(data: np.ndarray, o: np.ndarray, band: slice, a: np.ndarray, b: np
     o -= a
 
 
-def _div_grid(data: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """2 D^T of the (2, ny, nx) ``data`` into the C-contiguous scalar ``grid``, band by band."""
-    ny, nx = grid.shape
-
-    def rows(band, a, b):
-        _div_rows(data, grid[band], band, a, b)
-
-    _sweep(rows, ny, nx, (data.dtype, data.dtype))
-    return grid
-
-
 def _grad_rows(psi: np.ndarray, c: int, band: slice, p: np.ndarray, t: np.ndarray):
     """Rows ``band`` of component c of 2 D psi into the band buffer ``t``, through ``p``.
 
@@ -587,12 +582,13 @@ def _div_hat(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The spectrum of div of a (2, ny, nx) field, scalar: into ``out`` and returned.
 
     On a stencil table ``out`` is the spectrum of :func:`_scalar_pair`,
-    made when not given. A complex div goes into ``out`` itself
-    (:func:`_div_grid`), which one FFT transforms in place. A real one
-    runs band by band through a band buffer straight into the row real
-    FFT, whose rows land in the half spectrum ``out``, and then the
-    column FFT runs in place: no grid is written. Otherwise each
-    component is transformed and d . f is formed in Fourier space.
+    made when not given, and one band pass runs the div stencil and the
+    row FFT, then the column FFT runs in place. A complex div goes band
+    by band into the rows of ``out`` itself, each band transformed in
+    place. A real one goes through a band buffer straight into the row
+    real FFT, whose rows land in the half spectrum ``out``: no grid is
+    written. Otherwise each component is transformed and d . f is
+    formed in Fourier space.
     """
     ny, nx = data.shape[-2:]
     g = _green_table(ny, nx)
@@ -605,14 +601,14 @@ def _div_hat(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return out
     if out is None:
         out = _scalar_pair((ny, nx), data.dtype)[1]
-    if np.iscomplexobj(data):
-        return _fft2(_div_grid(data, out), out)
+    real = not np.iscomplexobj(data)
 
-    def rows(band, a, b, o):
+    def rows(band, a, b, o=None):
+        o = out[band] if o is None else o
         _div_rows(data, o, band, a, b)
-        np.fft.rfft(o, axis=-1, out=out[band])
+        (np.fft.rfft if real else np.fft.fft)(o, axis=-1, out=out[band])
 
-    _sweep(rows, ny, nx, (np.float64,) * 3)
+    _sweep(rows, ny, nx, (np.float64,) * 3 if real else (data.dtype,) * 2)
     _passes((("fft", out, out, -2, None),), ny * nx)
     return out
 
@@ -781,10 +777,20 @@ def _chi_hat(chi: np.ndarray) -> np.ndarray:
 
     For a constant 2-vector delta, div(delta chi) has the spectrum
     (delta . d) times it: the mean pin of a solve enters div through it.
+    The phase goes on band by band, so that its broadcast factors take no
+    ufunc buffer of numpy's (_UFUNC_BUFSIZE), which at numpy's default
+    size would take 131 KB.
     """
     h = _fft2(chi)
-    for f in _spectrum_table(*chi.shape, h.shape[-1]).phase:
-        h *= f
+    phase = _spectrum_table(*chi.shape, h.shape[-1]).phase
+
+    def rows(band):
+        hb = h[band]
+        for f in phase:
+            # a factor over the y index is cut to the band; a row is not
+            hb *= f[band] if f.shape[0] > 1 else f
+
+    _sweep(rows, *h.shape, npix=chi.size)
     return h
 
 
@@ -842,22 +848,29 @@ def _reflect_hat(
     _sweep(reflect, ny, width, dtypes, ny * nx)
 
 
-def _gamma1_arr(data: np.ndarray) -> np.ndarray:
+def _gamma1_arr(data: np.ndarray, dtype=None) -> np.ndarray:
     """gamma1 of a (2, ny, nx) array: real when ``data`` is real and the table maps
-    real fields to real fields, complex otherwise."""
+    real fields to real fields, complex otherwise.
+
+    A ``dtype`` of complex128 returns a real gamma1 as the real part of a
+    complex array, into which the grad stencil adds it. The result is
+    made after both transforms, whose band buffers are freed by then, so
+    it is held only beside the scalar pair and the grad stencil's band
+    buffers.
+    """
     ny, nx = data.shape[-2:]
     real = not np.iscomplexobj(data) and _green_table(ny, nx).maps_real
     data = data.astype(np.float64 if real else np.complex128, copy=False)
     grid, ph = _scalar_pair((ny, nx), data.dtype)
-    _scale_hat(_div_hat(data, ph), nx, 1.0)
-    out = np.zeros_like(data)
-    _add_grad(_potential(ph, grid), out)
+    space = _potential(_scale_hat(_div_hat(data, ph), nx, 1.0), grid)
+    out = np.zeros(data.shape, dtype=dtype or data.dtype)
+    _add_grad(space, out.real if real else out)
     return out
 
 
 def gamma1(f: VectorField) -> VectorField:
     """Projection onto zero-mean curl-free fields: grad (div grad)^+ div."""
-    return VectorField(_gamma1_arr(_real_if_allowed(f.data)))
+    return VectorField(_gamma1_arr(_real_if_allowed(f.data), np.complex128))
 
 
 def gamma0(f: VectorField) -> np.ndarray:
@@ -1006,27 +1019,29 @@ def _rank_one(out, x_i, a, c_i=None, u=None, tmp=None):
         out += tmp
 
 
-def _local_arrays(slots: tuple, chi, p: tuple, on, off) -> tuple:
+def _local_arrays(slots: tuple, chi, p: tuple, on, off, q_only: bool = False) -> tuple:
     """on chi'' + off (I - chi'') on full-grid (2, ny, nx) slot arrays, Q first.
 
     ``slots`` holds one array per entry of p. Packed on the inclusion,
     they go through the solvers' kernel (:func:`_rank_one`), with
     p_in = p_out = p. On phase-2 pixels, where chi'' vanishes, the
     operator is ``off`` times the Q slot; the slots past Q are read on chi
-    only and come back zero there.
+    only and come back zero there. With ``q_only`` the kernel forms the
+    Q slot alone, which is all the tuple then holds: the mix still reads
+    every slot, but no other slot is formed or unpacked.
     """
     support = np.flatnonzero(chi)
     x = np.empty((len(slots), 2, support.size), dtype=np.result_type(*slots))
     for s, xs in zip(slots, x):
         _pack(s, support, out=xs)
-    y = np.empty_like(x)
+    y = np.empty((1 if q_only else len(x), *x.shape[1:]), dtype=x.dtype)
     if len(p) == 1:
         _rank_one(y[0], x[0], on)
     else:
         p = np.array(p, dtype=np.complex128)
         u, tmp = np.empty_like(x[0]), np.empty_like(x[0])
         _mix(x, p, u, tmp)
-        for i, c_i in enumerate((on - off) * p):
+        for i, c_i in enumerate(((on - off) * p)[: len(y)]):
             _rank_one(y[i], x[i], off, c_i, u, tmp)
     q_out = np.multiply(slots[0], complex(off), order="C")
     _scatter(q_out, support, y[0])

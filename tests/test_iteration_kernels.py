@@ -5,8 +5,10 @@ the solvers record, the 2-D FFTs one iteration costs, the memory a solve
 holds, and the split of large-grid passes across two threads."""
 
 import importlib.util
+import json
 import multiprocessing
 import os
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -45,7 +47,6 @@ from fftcond.spectral_ops import (
     _add_grad,
     _chi_hat,
     _compensated_total,
-    _div_grid,
     _div_hat,
     _div_rows,
     _fft2,
@@ -109,7 +110,7 @@ class TestGamma1Sqnorm:
         out = np.empty((16, 24), dtype=complex)
         assert _gamma1_sqnorm(x, out) == _gamma1_sqnorm(x)
         assert np.array_equal(x, before)
-        div = _div_grid(x, np.empty((16, 24), dtype=complex))
+        div = _div_rolled(x)
         assert out.tobytes() == np.fft.fft2(div).tobytes()
 
     def test_spectrum_finishes_gamma1(self):
@@ -182,6 +183,16 @@ def _div_stencil(f):
     )
 
 
+def _div_rolled(f):
+    """2 D^T f with np.roll, in the stencil's order of operations and so with its bits:
+    p(i - 1) - m(i) for p = a + b and m = a - b, a = f_x(j - 1) + f_x(j) and
+    b = f_y(j - 1) - f_y(j)."""
+    fx, fy = f
+    a = fx + np.roll(fx, 1, axis=-2)
+    b = np.roll(fy, 1, axis=-2) - fy
+    return np.roll(a + b, 1, axis=-1) - (a - b)
+
+
 def _grad_stencil(phi):
     """2 D phi from the same stencil: 2 D_x phi = phi(i+1, j) - phi + phi(i+1, j+1) - phi(i, j+1)."""
     def ahead(a, dy, dx):
@@ -200,9 +211,12 @@ class TestStencilOperator:
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_div_is_the_stencil(self, shape):
+        # the kernel of _div_hat's band pass, over one band of the whole grid
         f = random_complex(np.random.default_rng(50), (2, *shape))
-        grid = _div_grid(f, np.empty(shape, dtype=complex))
+        grid, a, b = np.empty((3, *shape), dtype=complex)
+        _div_rows(f, grid, slice(0, shape[0]), a, b)
         assert np.max(np.abs(grid - _div_stencil(f))) <= 1e-15 * np.max(np.abs(f))
+        assert grid.tobytes() == _div_rolled(f).tobytes()
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_grad_is_the_stencil(self, shape):
@@ -262,7 +276,7 @@ class TestStencilOperator:
                 force_split(monkeypatch)
             else:
                 monkeypatch.setattr(spectral_ops, "_THREAD_PIXELS", 1 << 60)
-            div = _div_grid(x, np.empty(shape, dtype=x.dtype))
+            div = _div_rolled(x)
             grid, gh = _scalar_pair(shape, x.dtype)
             forward = _div_hat(x, gh).copy()
             phi = _potential(gh, grid)
@@ -309,7 +323,7 @@ class TestScalarPair:
             force_split(monkeypatch)
         monkeypatch.setattr(spectral_ops, "_BAND_SIZE", band_size)
         x = np.random.default_rng(56).standard_normal((2, *shape))
-        div = _div_grid(x, np.empty(shape))
+        div = _div_rolled(x)
         grid, gh = _scalar_pair(shape, np.float64)
         # garbage in the buffer must not leak into either transform
         gh.view(np.float64)[:] = np.nan
@@ -651,18 +665,20 @@ class TestWorkingSet:
     loop's live set, the support indices and the largest transient, plus
     SLACK. The largest transient is two complex band buffers: those of the
     div stencil (three real ones on the real path), of the reflection, of
-    the in-place inverse FFT or of the Parseval sum, or after them the
-    residual's |js|^2 of one component; the grad stencil's two half-size
-    buffers per thread hold no more. gamma1's scalar grid shares one
-    buffer with its spectrum, and neither of its transforms copies its
-    input. Every scheme holds one real-space grid, jq, the pinned flux, which off the inclusion is the
-    pinned field, and in which the update forms the next field (from r_Q
-    through w_Q when accelerated) and then the next pinned flux. The
-    result takes jq, the support, x and the mean pin as they are, and
-    builds no grid of its own."""
+    the in-place inverse FFT or of the Parseval sum; the grad stencil's two
+    half-size buffers per thread hold no more, and the residual squares
+    |js|^2 in the scalar pair before its transform. gamma1's scalar grid
+    shares one buffer with its spectrum, and neither of its transforms
+    copies its input. Every scheme holds one real-space grid, jq, the
+    pinned flux, which off the inclusion is the pinned field, and in
+    which the update forms the next field (from r_Q through w_Q when
+    accelerated) and then the next pinned flux. The result takes jq, the
+    support, x and the mean pin as they are, and builds no grid of its
+    own."""
 
-    # Python objects (the history, the split's thread): at most 29 KiB
-    # measured at n = 256; the band passes take no numpy ufunc buffer
+    # Python objects (the history, the split's thread, the per-band lists
+    # of the sweeps): at most 47 KiB measured at n = 256 with bands of 1024
+    # pixels, split; the band passes and chi_hat take no numpy ufunc buffer
     SLACK = 96 * 1024
 
     @staticmethod
@@ -688,6 +704,19 @@ class TestWorkingSet:
     @pytest.mark.parametrize("scheme", list(SchemeKind))
     @pytest.mark.parametrize("sigma1", [2.0, 0.7 + 0.4j], ids=["real", "complex"])
     def test_peak_is_the_working_set(self, monkeypatch, sigma1, scheme, geometry, split):
+        self._check(monkeypatch, sigma1, scheme, geometry, split, 4096)
+
+    @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+    @pytest.mark.parametrize("geometry", ["square", "disk"])
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    @pytest.mark.parametrize("sigma1", [2.0, 0.7 + 0.4j], ids=["real", "complex"])
+    def test_peak_is_the_working_set_at_small_bands(self, monkeypatch, sigma1, scheme, geometry, split):
+        # two complex buffers of a band of 1024 pixels take 32 KiB, less than
+        # one packed component of |js|^2, 8 m bytes, so the bound would catch
+        # a buffer of the residual's own
+        self._check(monkeypatch, sigma1, scheme, geometry, split, 1024)
+
+    def _check(self, monkeypatch, sigma1, scheme, geometry, split, band):
         n = 256
         pmap = build_square_array(n, 0.5) if geometry == "square" else build_disk_array(n, 0.25)
         if split:
@@ -696,7 +725,6 @@ class TestWorkingSet:
             force_split(monkeypatch)
         # small bands, and a cached Green table and FFT plans, keep the sweeps
         # and the first transforms of the process out of the peak
-        band = 4096
         monkeypatch.setattr(spectral_ops, "_BAND_SIZE", band)
         spectral_ops._green_table(n, n)
         self._peak(pmap, scheme, sigma1, 1)
@@ -726,13 +754,91 @@ class TestWorkingSet:
         # the flat int64 indices of the m inclusion pixels
         support = 8 * m
         # two complex band buffers hold at most _BAND_SIZE pixels each over
-        # both threads; the sweeps free them before |js|^2 takes one float64
-        # component of m pixels
-        transient = max(band * (16 + 16), 8 * m if scheme.substituted else 0)
+        # both threads
+        transient = band * (16 + 16)
         peak = self._peak(pmap, scheme, sigma1, 6)
         assert peak <= loop + support + transient + self.SLACK
         # nothing accumulates per iteration; 16 KiB covers six more history records
         assert self._peak(pmap, scheme, sigma1, 12) <= peak + 16 * 1024
+
+
+class TestPublicOperatorPeaks:
+    """The public operators hold their result, the scalar pair and band
+    buffers, and no grid that they throw away: gamma1 reads a real-valued
+    field through a view and makes its result after both transforms, the
+    residual copies no grid, and the Q read-outs form the Q slot alone."""
+
+    # Python objects; the band passes take no numpy ufunc buffer
+    SLACK = 16 * 1024
+
+    @staticmethod
+    def _peak(fn, *args):
+        fn(*args)  # the cached tables and the FFT plans stay out of the peak
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def _band_bytes(n, band, width, itemsize):
+        """Bytes of one band buffer of _sweep's bands of ``band`` pixels over n rows ``width`` wide."""
+        return min(n, max(1, band // width)) * width * itemsize
+
+    @pytest.mark.parametrize("n, band", [(256, 4096), (128, 1 << 16)])
+    def test_gamma1_of_a_real_field(self, monkeypatch, n, band):
+        monkeypatch.setattr(spectral_ops, "_BAND_SIZE", band)
+        f = VectorField(np.random.default_rng(60).standard_normal((2, n, n)))
+        width = n // 2 + 1
+        result, pair = 2 * n * n * 16, n * 2 * width * 8
+        # the forward transform's three real band buffers and the inverse
+        # one's complex one come and go before the result is made; beside
+        # it, the grad stencil's two real ones of half a band
+        transient = max(
+            3 * self._band_bytes(n, band, n, 8),
+            self._band_bytes(n, band, width, 16),
+            result + 2 * self._band_bytes(n, band // 2, n, 8),
+        )
+        # 0.92 MB at n = 128; a result made before the forward transform
+        # would hold 1.05 MB there, beside the stencil's three band buffers
+        assert self._peak(gamma1, f) <= pair + transient + self.SLACK
+
+    def test_equilibrium_residual_copies_no_grid(self, monkeypatch):
+        n, band = 256, 4096
+        monkeypatch.setattr(spectral_ops, "_BAND_SIZE", band)
+        j = VectorField(np.random.default_rng(61).standard_normal((2, n, n)))
+        pair = n * 2 * (n // 2 + 1) * 8
+        # the scalar pair and the div stencil's three real band buffers; a
+        # copy of the real part would add 2 n n 8 bytes
+        peak = self._peak(equilibrium_residual, j)
+        assert peak <= pair + 3 * self._band_bytes(n, band, n, 8) + self.SLACK
+
+    @pytest.mark.parametrize("readout", ["recover_physical_fields", "extract_sigma_star_aug"])
+    def test_q_readouts_form_the_q_slot_alone(self, readout):
+        # n = 512, the 25% square: 8.4 MB per complex field, 2.1 MB per
+        # packed slot; the three packed slots, the flux slot, the mix and
+        # its scratch, and the Q grid of the flux peak at 21.5 MB; forming
+        # and unpacking S and T as well would hold 42.5 MB
+        n = 512
+        pmap = build_square_array(n, 0.5)
+        params, t = solve_p(BENCH), map_t(2.0, BENCH)
+        rng = np.random.default_rng(62)
+        q, s, t_arr = (
+            VectorField(np.where(mask, random_complex(rng, (2, n, n)), 0.0))
+            for mask in (True, pmap.chi, pmap.chi)
+        )
+        f = AugmentedField(q, s, t_arr)
+        fn = getattr(solvers, readout)
+        assert self._peak(fn, f, t, params, pmap) <= 26e6
+        # the Q slot of apply_local_A, to the bit
+        flux = apply_local_A(f, t, params, pmap).Q
+        if readout == "recover_physical_fields":
+            e, j = fn(f, t, params, pmap)
+            assert e.data.tobytes() == q.data.tobytes()
+            assert j.data.tobytes() == flux.data.tobytes()
+        else:
+            assert fn(f, t, params, pmap) == solvers._along(np.array([1.0 + 0j, 0j]), flux.mean())
 
 
 class TestResultFields:
@@ -1381,6 +1487,27 @@ def test_calls_per_iteration_repeat(sigma1):
     counts = [tool.calls_per_iteration(SchemeKind.EYRE_MILTON_SUB, 16, sigma1) for _ in range(2)]
     assert counts[0] == counts[1] > 0
     assert counts[0] == int(counts[0])
+
+
+def test_ab_trees_finds_a_tree_equal_to_itself(capsys):
+    # the tree against itself: equal calls per iteration and equal bits, and
+    # each tree runs under a name of its own
+    tool = _load_tool("ab_trees")
+    root = Path(__file__).resolve().parents[1]
+    try:
+        assert tool.main([str(root), str(root), "--sizes", "32", "--rounds", "2"]) == 0
+        a, b = (sys.modules[alias] for alias in tool.ALIASES)
+        assert a is not b and a.solve is not b.solve and a.solve is not solve
+    finally:
+        for name in [k for k in sys.modules if k.partition(".")[0] in tool.ALIASES]:
+            del sys.modules[name]
+    report = json.loads(capsys.readouterr().out)
+    assert report["differences"] == []
+    assert len(report["cases"]) == 8
+    for case in report["cases"]:
+        calls = case["calls_per_iteration"]
+        assert calls["a"] == calls["b"] > 0
+        assert case["a_wins"] + case["b_wins"] <= 1 and case["ratio_min"] > 0
 
 
 def test_green_rows_tell_the_operators_apart():

@@ -25,9 +25,9 @@ iterations, taken after an untraced warm-up solve so that the cached
 Green table does not count. ``calls_per_iteration`` (and
 ``calls_per_iteration_complex``, at COMPLEX_SIGMA1) counts the
 Python-level calls of an iteration at n = CALLS_N, the function calls and
-the calls of built-in functions and methods that ``cProfile`` sees: its
-``total_calls`` of a solve of ITERS iterations less that of one of
-ITERS - 10, divided by 10, after an unprofiled warm-up solve, as the
+the calls of built-in functions and methods that ``cProfile`` sees: the
+calls of a solve of ITERS iterations less those of one of ITERS - 10,
+divided by 10, after an unprofiled warm-up solve, as the
 first solve of a process also builds its tables. These solves run as a
 solve does, the accelerated update switching to the exact one below
 ``solvers._EXACT_BELOW``. The count repeats exactly from run to run.
@@ -60,7 +60,6 @@ import cProfile
 import json
 import math
 import os
-import pstats
 import statistics
 import subprocess
 import sys
@@ -202,7 +201,9 @@ def calls_per_iteration(scheme: SchemeKind, n: int = CALLS_N, sigma1: complex = 
     for k in (ITERS - 10, ITERS):
         profile = cProfile.Profile()
         profile.runcall(solve, pmap, _config(scheme, k, sigma1))
-        totals.append(pstats.Stats(profile).total_calls)
+        # per function object: pstats keys by file, line and name, and keeps
+        # one of the dataclass __init__s that all read "<string>:2"
+        totals.append(sum(entry.callcount for entry in profile.getstats()))
     return (totals[1] - totals[0]) / 10
 
 
