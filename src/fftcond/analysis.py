@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BranchCutError, IntervalError, PoleError
+from .errors import BranchCutError, PoleError
 from .geometry import PhaseMap
 from .solvers import SolveResult, SolverConfig, TerminationStatus, _tail_rate, solve
 from .transform import SchemeKind, SpectralInterval, map_z
@@ -108,8 +108,6 @@ def rate_contours(
         raise ValueError(f"window bounds must be finite, got {window}")
     if re_min > re_max or im_min > im_max:
         raise ValueError(f"window bounds are not ordered: {window}")
-    if scheme.substituted and interval is None:
-        raise IntervalError(f"scheme {scheme.value} requires an interval")
     values = np.empty((ni, nr), dtype=float)
     flags = np.zeros((ni, nr), dtype=bool)
     re_ax = np.linspace(re_min, re_max, nr)

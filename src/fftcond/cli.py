@@ -27,12 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    RateGrid,
-    obnosov,
-    predicted_rate,
-    rate_contours,
-)
+from .analysis import obnosov, predicted_rate, rate_contours
 from .errors import BranchCutError, ConfigError, DegenerateParamError, PoleError
 from .geometry import PhaseMap, build_disk_array, build_square_array, load_raster
 from .selftest import format_report, run_selftest
@@ -70,6 +65,11 @@ _SCHEME_NAMES = {kind.value: kind for kind in SchemeKind}
 
 RATE_WINDOW = 10
 
+# The summary CSV of ``compare``; a scheme whose solve raised fills the first two
+_SUMMARY_COLUMNS = (
+    "scheme", "status", "iterations", "abs_err_exact", "estimated_rate", "predicted_rate"
+)
+
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -77,7 +77,7 @@ def _fmt(x: float) -> str:
 
 @dataclass
 class RunConfig:
-    """Validated contents of a configuration file."""
+    """Validated contents of a configuration file, and the set-up of each named scheme."""
 
     base_dir: Path
     geometry: dict
@@ -85,6 +85,7 @@ class RunConfig:
     scheme: dict
     output: dict
     contours: dict
+    runs: dict[str, SolverConfig]
 
     def echo(self) -> dict:
         return {
@@ -178,29 +179,32 @@ def parse_config(path: Path, overrides: list[str] = ()) -> RunConfig:
         raise ConfigError("[scheme] names must list at least two schemes")
     if len(set(listed)) != len(listed):
         raise ConfigError("[scheme] names must be distinct")
-    if "alpha" in scheme:
-        try:
-            SpectralInterval(scheme["alpha"], scheme["beta"])
-        except ValueError as exc:
-            raise ConfigError(f"[scheme] bad interval: {exc}") from None
-    else:
-        substituted = [n for n in listed if _SCHEME_NAMES[n].substituted]
-        if substituted:
-            raise ConfigError(f"[scheme] scheme {', '.join(substituted)} needs alpha and beta")
-    if not (scheme["tol"] > 0 and math.isfinite(scheme["tol"])):
-        raise ConfigError(f"[scheme] tol must be positive and finite, got {scheme['tol']}")
-    if scheme["max_iters"] < 1:
-        raise ConfigError("[scheme] max_iters must be >= 1")
-    win = cfg["contours"]
-    if win:
-        for key in ("nr", "ni"):
-            if win[key] < 1:
-                raise ConfigError(f"[contours] {key} must be >= 1")
-        if win["re_min"] > win["re_max"] or win["im_min"] > win["im_max"]:
-            raise ConfigError(
-                "[contours] window bounds are not ordered: need re_min <= re_max, im_min <= im_max"
+    substituted = [n for n in listed if _SCHEME_NAMES[n].substituted]
+    if substituted and "alpha" not in scheme:
+        raise ConfigError(f"[scheme] scheme {', '.join(substituted)} needs alpha and beta")
+    sigma1 = complex(cfg["physics"]["sigma1_re"], cfg["physics"]["sigma1_im"])
+    sigma0 = complex(scheme["sigma0_re"], scheme["sigma0_im"]) if "sigma0_re" in scheme else None
+    try:
+        interval = SpectralInterval(scheme["alpha"], scheme["beta"]) if "alpha" in scheme else None
+        runs = {
+            name: SolverConfig(
+                scheme=_SCHEME_NAMES[name],
+                sigma1=sigma1,
+                interval=interval,
+                tol=scheme["tol"],
+                max_iters=scheme["max_iters"],
+                sigma0_override=sigma0,
             )
-    return RunConfig(base_dir=path.parent, **cfg)
+            for name in listed
+        }
+    except ValueError as exc:
+        raise ConfigError(f"[scheme] {exc}") from None
+    run = RunConfig(base_dir=path.parent, **cfg, runs=runs)
+    for key in run.output:
+        folder = _out_path(run, key).parent
+        if not folder.is_dir():
+            raise ConfigError(f"[output] {key}: directory {folder} does not exist")
+    return run
 
 
 def build_phase_map(cfg: RunConfig) -> PhaseMap:
@@ -214,34 +218,6 @@ def build_phase_map(cfg: RunConfig) -> PhaseMap:
         return load_raster(raster_path.read_text())
     except (ValueError, OSError) as exc:
         raise ConfigError(f"geometry: {exc}") from None
-
-
-def _interval(cfg: RunConfig) -> SpectralInterval | None:
-    """The [scheme] spectral interval; None when absent, which parse_config allows physical schemes."""
-    if "alpha" not in cfg.scheme:
-        return None
-    return SpectralInterval(cfg.scheme["alpha"], cfg.scheme["beta"])
-
-
-def _sigma1(cfg: RunConfig) -> complex:
-    """The inclusion conductivity of the [physics] section."""
-    return complex(cfg.physics["sigma1_re"], cfg.physics["sigma1_im"])
-
-
-def _solver_config(cfg: RunConfig, scheme_name: str) -> SolverConfig:
-    scheme = _SCHEME_NAMES[scheme_name]
-    sch = cfg.scheme
-    sigma0 = None
-    if "sigma0_re" in sch:
-        sigma0 = complex(sch["sigma0_re"], sch.get("sigma0_im", 0.0))
-    return SolverConfig(
-        scheme=scheme,
-        sigma1=_sigma1(cfg),
-        interval=_interval(cfg),
-        tol=sch["tol"],
-        max_iters=sch["max_iters"],
-        sigma0_override=sigma0,
-    )
 
 
 def _out_path(cfg: RunConfig, key: str) -> Path | None:
@@ -261,28 +237,33 @@ def _write_history_csv(path: Path, history):
             )
 
 
-def _predicted_rate_or_none(cfg: RunConfig, scheme_name: str) -> float | None:
-    scheme = _SCHEME_NAMES[scheme_name]
+def _report(run: SolverConfig, result: SolveResult) -> dict:
+    """What ``solve``'s result JSON and ``compare``'s summary CSV report of one solve."""
     try:
-        return predicted_rate(scheme, _sigma1(cfg), _interval(cfg))
+        predicted = predicted_rate(run.scheme, run.sigma1, run.interval)
     except ValueError:
-        return None
+        predicted = None
+    return {
+        "status": result.status.value,
+        "iterations": result.iterations,
+        "estimated_rate": _tail_rate(result.history, RATE_WINDOW),
+        "predicted_rate": predicted,
+    }
 
 
-def _exact_reference(cfg: RunConfig) -> complex | None:
+def _exact_reference(geo: dict, sigma1: complex) -> complex | None:
     """Exact effective conductivity when the geometry is the benchmark array."""
-    geo = cfg.geometry
     if geo["kind"] != "square" or geo.get("side_fraction") != 0.5:
         return None
     try:
-        return obnosov(_sigma1(cfg))
+        return obnosov(sigma1)
     except PoleError:
         return None
 
 
 def _run(cfg: RunConfig, pmap: PhaseMap, name: str, history: Path | None) -> SolveResult:
     """Solve scheme ``name``, write its history CSV and print its summary line."""
-    result = solve(pmap, _solver_config(cfg, name))
+    result = solve(pmap, cfg.runs[name])
     if history:
         _write_history_csv(history, result.history)
     print(
@@ -297,17 +278,14 @@ def cmd_solve(config_path: Path, overrides: list[str]) -> int:
     if "name" not in cfg.scheme:
         raise ConfigError("[scheme] solve needs a single scheme name")
     pmap = build_phase_map(cfg)
-    scheme_name = cfg.scheme["name"]
-    result = _run(cfg, pmap, scheme_name, _out_path(cfg, "history_csv"))
+    name = cfg.scheme["name"]
+    result = _run(cfg, pmap, name, _out_path(cfg, "history_csv"))
 
     json_path = _out_path(cfg, "result_json")
     if json_path:
         payload = {
             "sigma_star": {"re": result.sigma_star.real, "im": result.sigma_star.imag},
-            "status": result.status.value,
-            "iterations": result.iterations,
-            "estimated_rate": _tail_rate(result.history, RATE_WINDOW),
-            "predicted_rate": _predicted_rate_or_none(cfg, scheme_name),
+            **_report(cfg.runs[name], result),
             "config": cfg.echo(),
         }
         with open(json_path, "w", newline="\n") as fh:
@@ -315,12 +293,14 @@ def cmd_solve(config_path: Path, overrides: list[str]) -> int:
             fh.write("\n")
     npz_path = _out_path(cfg, "fields_npz")
     if npz_path:
-        np.savez(npz_path, E=result.E_field.data, J=result.J_field.data, chi=pmap.chi)
+        # through an open file, which np.savez does not give an ".npz" suffix
+        with open(npz_path, "wb") as fh:
+            np.savez(fh, E=result.E_field.data, J=result.J_field.data, chi=pmap.chi)
     return 0 if result.status is TerminationStatus.CONVERGED else 1
 
 
-def _compare_row(cfg: RunConfig, pmap: PhaseMap, name: str, exact: complex | None) -> tuple:
-    """Run scheme ``name`` for ``compare`` and return its summary CSV row.
+def _compare_row(cfg: RunConfig, pmap: PhaseMap, name: str) -> dict:
+    """Run scheme ``name`` for ``compare`` and return its summary CSV row by column.
 
     A scheme that raises ValueError gets an ``Error`` row and a history CSV
     with the header only. The result's fields are freed on return, before
@@ -335,12 +315,18 @@ def _compare_row(cfg: RunConfig, pmap: PhaseMap, name: str, exact: complex | Non
         if history:
             _write_history_csv(history, ())
         print(f"{name}: error: {exc}")
-        return (name, "Error", "", "", "", "")
+        return {"scheme": name, "status": "Error"}
+    run = cfg.runs[name]
+    exact = _exact_reference(cfg.geometry, run.sigma1)
     err = abs(result.sigma_star - exact) if exact is not None else None
-    numbers = (err, _tail_rate(result.history, RATE_WINDOW), _predicted_rate_or_none(cfg, name))
-    return (name, result.status.value, str(result.iterations)) + tuple(
-        "" if x is None else _fmt(x) for x in numbers
-    )
+    return {"scheme": name, "abs_err_exact": err, **_report(run, result)}
+
+
+def _cell(value) -> str:
+    """A summary CSV cell: empty for None, 17 digits for a float."""
+    if value is None:
+        return ""
+    return _fmt(value) if isinstance(value, float) else str(value)
 
 
 def cmd_compare(config_path: Path, overrides: list[str]) -> int:
@@ -348,16 +334,15 @@ def cmd_compare(config_path: Path, overrides: list[str]) -> int:
     if "names" not in cfg.scheme:
         raise ConfigError("[scheme] compare needs names with at least two schemes")
     pmap = build_phase_map(cfg)
-    exact = _exact_reference(cfg)
-    rows = [_compare_row(cfg, pmap, name, exact) for name in cfg.scheme["names"]]
+    rows = [_compare_row(cfg, pmap, name) for name in cfg.scheme["names"]]
 
     summary_path = _out_path(cfg, "summary_csv")
     if summary_path:
         with open(summary_path, "w", newline="\n") as fh:
-            fh.write("scheme,status,iterations,abs_err_exact,estimated_rate,predicted_rate\n")
+            fh.write(",".join(_SUMMARY_COLUMNS) + "\n")
             for row in rows:
-                fh.write(",".join(row) + "\n")
-    return 0 if all(row[1] == TerminationStatus.CONVERGED.value for row in rows) else 1
+                fh.write(",".join(_cell(row.get(column)) for column in _SUMMARY_COLUMNS) + "\n")
+    return 0 if all(row["status"] == TerminationStatus.CONVERGED.value for row in rows) else 1
 
 
 def cmd_contours(config_path: Path, overrides: list[str]) -> int:
@@ -369,14 +354,17 @@ def cmd_contours(config_path: Path, overrides: list[str]) -> int:
     path = _out_path(cfg, "grid_csv")
     if path is None:
         raise ConfigError("[output] contours needs grid_csv")
-    scheme = _SCHEME_NAMES[cfg.scheme["name"]]
+    run = cfg.runs[cfg.scheme["name"]]
     win = cfg.contours
-    grid: RateGrid = rate_contours(
-        scheme,
-        _interval(cfg),
-        (win["re_min"], win["re_max"], win["im_min"], win["im_max"]),
-        (win["nr"], win["ni"]),
-    )
+    try:
+        grid = rate_contours(
+            run.scheme,
+            run.interval,
+            (win["re_min"], win["re_max"], win["im_min"], win["im_max"]),
+            (win["nr"], win["ni"]),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"[contours] {exc}") from None
     with open(path, "w", newline="\n") as fh:
         fh.write("re,im,abs_z,flag\n")
         for re, im, value, flagged in grid.iter_samples():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fftcond import (
+    IntervalError,
     PoleError,
     SchemeKind,
     SolverConfig,
@@ -119,6 +120,11 @@ class TestRateContours:
         for re, im, value, flagged in grid.iter_samples():
             assert not flagged
             assert value == predicted_rate(SchemeKind.EYRE_MILTON_SUB, complex(re, im), BENCH)
+
+    def test_substituted_scheme_needs_an_interval(self):
+        # map_z's own check, at the first sample
+        with pytest.raises(IntervalError, match="em_sub requires an interval"):
+            rate_contours(SchemeKind.EYRE_MILTON_SUB, None, (0.5, 3.0, -1.0, 1.0), (2, 2))
 
     def test_bad_resolution_rejected(self):
         with pytest.raises(ValueError):

@@ -127,6 +127,14 @@ class TestSolveCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
+    def test_fields_written_at_the_configured_path(self, tmp_path):
+        # np.savez given a path would write fields.dat.npz
+        cfg = write_config(tmp_path, BENCH_SOLVE.replace("fields.npz", "fields.dat"))
+        assert main(["solve", str(cfg), "--override", "geometry.n=16"]) == 0
+        assert not (tmp_path / "fields.dat.npz").exists()
+        with np.load(tmp_path / "fields.dat") as data:
+            assert data["E"].shape == (2, 16, 16)
+
     def test_override(self, tmp_path):
         cfg = write_config(tmp_path, BENCH_SOLVE)
         assert main(["solve", str(cfg), "--override", "physics.sigma1_re=1.0"]) == 0
@@ -371,7 +379,15 @@ REJECTIONS = {
         ("scheme.names=basic,basic_sub,em", "scheme.alpha=", "scheme.beta="),
         ("[scheme]", "basic_sub", "alpha", "beta"),
     ),
-    "zero_max_iters": ("solve", BENCH_SOLVE, (), ("scheme.max_iters=0",), ("[scheme]", "max_iters")),
+    # a value rule: the library's whole message, after the section
+    "zero_max_iters": (
+        "solve", BENCH_SOLVE, (), ("scheme.max_iters=0",),
+        ("[scheme] max_iters must be an integer >= 1, got 0\n",),
+    ),
+    "bad_interval": (
+        "solve", BENCH_SOLVE, (), ("scheme.alpha=5.0",),
+        ("[scheme] need 0 < alpha < beta < inf, got alpha=5.0, beta=4.0\n",),
+    ),
     "missing_contours_bound": (
         "contours", CONTOURS_CFG, ("im_max",), (), ("[contours]", "im_max")
     ),
@@ -379,7 +395,12 @@ REJECTIONS = {
         "contours", CONTOURS_CFG, ("ni",), (), ("[contours]", "ni")
     ),
     "unordered_contours_bounds": (
-        "contours", CONTOURS_CFG, (), ("contours.re_min=3",), ("[contours]", "not ordered")
+        "contours", CONTOURS_CFG, (), ("contours.re_min=3",),
+        ("[contours] window bounds are not ordered: (3.0, 2.0, -1.0, 1.0)\n",),
+    ),
+    "zero_contours_resolution": (
+        "contours", CONTOURS_CFG, (), ("contours.nr=0",),
+        ("[contours] resolution must be >= 1 per axis, got (0, 3)\n",),
     ),
     "odd_n": ("solve", BENCH_SOLVE, (), ("geometry.n=31",), ("geometry", "even", "31")),
     "disk_radius_too_large": (
@@ -421,6 +442,78 @@ class TestConfigRejections:
         # lies strictly inside the Wiener bounds of its volume fraction
         assert f == pytest.approx(math.pi * 0.35 ** 2, rel=0.05)
         assert 1 / (1 - f + f / 2) < result["sigma_star"]["re"] < 1 + f
+
+
+class TestRunRules:
+    def test_contours_values_apply_to_contours_only(self, tmp_path):
+        # solve type-checks the section and requires its keys, but reads no value
+        window = CONTOURS_CFG[CONTOURS_CFG.index("[contours]"):CONTOURS_CFG.index("[output]")]
+        cfg = write_config(tmp_path, BENCH_SOLVE + window.replace("nr = 3", "nr = 0"))
+        argv = ["solve", str(cfg), "--override", "geometry.n=16"]
+        assert main(argv) == 0
+        assert main([*argv, "--override", "contours.nr=x"]) == 2
+        assert main([*argv, "--override", "contours.ni="]) == 2
+
+    @pytest.mark.parametrize(
+        "command, base, key",
+        [("solve", BENCH_SOLVE, "result_json"), ("compare", COMPARE_CFG, "summary_csv")],
+        ids=["solve", "compare"],
+    )
+    def test_missing_output_directory_rejected_before_any_solve(
+        self, tmp_path, capsys, command, base, key
+    ):
+        cfg = write_config(tmp_path, base)
+        argv = [command, str(cfg), "--override", "geometry.n=16"]
+        assert main([*argv, "--override", f"output.{key}=missing/out"]) == 2
+        captured = capsys.readouterr()
+        folder = tmp_path / "missing"
+        assert captured.err == f"error: [output] {key}: directory {folder} does not exist\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    @pytest.mark.parametrize(
+        "command, base", [("solve", BENCH_SOLVE), ("compare", COMPARE_CFG)], ids=["solve", "compare"]
+    )
+    def test_each_run_solves_the_config_parse_config_built(
+        self, tmp_path, monkeypatch, command, base
+    ):
+        # perfbench replaces cli.solve and reads the SolverConfig it is given
+        parsed, given = [], []
+        parse, solve = cli.parse_config, cli.solve
+
+        def parse_once(*args):
+            parsed.append(parse(*args))
+            return parsed[-1]
+
+        def recorded(pmap, config):
+            given.append(config)
+            return solve(pmap, config)
+
+        monkeypatch.setattr(cli, "parse_config", parse_once)
+        monkeypatch.setattr(cli, "solve", recorded)
+        cfg = write_config(tmp_path, base)
+        main([command, str(cfg), "--override", "geometry.n=16"])
+        (run,) = parsed
+        assert len(given) == len(run.runs) and all(
+            config is run.runs[name] for config, name in zip(given, run.runs)
+        )
+
+    def test_solve_and_compare_report_alike(self, tmp_path):
+        cfg = write_config(tmp_path, COMPARE_CFG)
+        names = ("basic", "em")
+        assert main(["compare", str(cfg), "--override", f"scheme.names={', '.join(names)}"]) == 0
+        with open(tmp_path / "summary.csv") as fh:
+            rows = {r["scheme"]: r for r in csv.DictReader(fh)}
+        for name in names:
+            argv = ["solve", str(cfg), "--override", "scheme.names=",
+                    "--override", f"scheme.name={name}", "--override", "output.result_json=r.json"]
+            assert main(argv) == 0
+            result = json.loads((tmp_path / "r.json").read_text())
+            row = rows[name]
+            assert row["status"] == result["status"]
+            assert int(row["iterations"]) == result["iterations"]
+            for key in ("estimated_rate", "predicted_rate"):
+                assert result[key] is not None and float(row[key]) == result[key]
 
 
 class TestReadmeConfig:

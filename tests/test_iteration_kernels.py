@@ -1510,6 +1510,23 @@ def test_ab_trees_finds_a_tree_equal_to_itself(capsys):
         assert case["a_wins"] + case["b_wins"] <= 1 and case["ratio_min"] > 0
 
 
+def test_ab_trees_command_lines_equal_to_themselves():
+    # a config fault, a contours grid and an npz artifact, each run once per tree
+    tool = _load_tool("ab_trees")
+    root = Path(__file__).resolve().parents[1]
+    by_name = {case[0]: case for case in tool.CLI_CASES}
+    cases = [by_name[name] for name in ("reject_interval", "contours_basic", "solve_fields")]
+    try:
+        trees = tuple(tool.load_tree(root, alias) for alias in tool.ALIASES)
+        outcomes = [tool.cli_outcome(trees[0], case) for case in cases]
+        assert tool.cli_differences(trees, cases) == []
+    finally:
+        for name in [k for k in sys.modules if k.partition(".")[0] in tool.ALIASES]:
+            del sys.modules[name]
+    assert [o["exit"] for o in outcomes] == [2, 0, 0]
+    assert "sha256:contours.csv" in outcomes[1] and "sha256:fields.npz" in outcomes[2]
+
+
 def test_green_rows_tell_the_operators_apart():
     # the insulating point on the 25% square: the rotated operator converges
     # at its predicted rate; the spectral one stalls on its residual floor

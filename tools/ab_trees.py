@@ -28,7 +28,13 @@ across two threads and not: the same fields of each solve, an exception
 by its type and message, and the bytes of the public operators on its
 result (``gamma1`` of E and J, ``equilibrium_residual`` of J and, for a
 substituted scheme, ``equilibrium_residual_aug`` of the augmented flux,
-``extract_sigma_star_aug`` and ``recover_physical_fields``).
+``extract_sigma_star_aug`` and ``recover_physical_fields``). It then runs
+each command line of CLI_CASES as ``python -m fftcond.cli`` once per
+tree, in a fresh directory that holds a copy of the case's shipped
+config from the tree's ``configs`` and the raster ``cell.txt``, with
+``PYTHONPATH`` set to the tree's ``src`` alone, and compares the exit
+code, stdout, stderr and the SHA-256 of each file the run wrote; the
+tree's path and the run's directory are masked in the text.
 
     python tools/ab_trees.py PARENT_TREE CHANGED_TREE --rounds 10
     python tools/ab_trees.py PARENT_TREE CHANGED_TREE --bits
@@ -46,8 +52,12 @@ import cProfile
 import hashlib
 import importlib.util
 import json
+import os
+import shutil
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -62,6 +72,40 @@ BITS_SIZES = (32, 128)
 BITS_SIGMA1 = (2.0, 0.7 + 0.4j, 0.0, 1e3, 0.02, 5 - 3j, 1e-3)
 BITS_TOLS = (1e-10, 1e-13)
 BITS_MAX_ITERS = 600
+
+# (name, command, shipped config, overrides) run in both trees by --bits
+_N32 = ("geometry.n=32",)
+_DISK = ("geometry.kind=disk", "geometry.radius=0.35")
+CLI_CASES = (
+    ("compare_square", "compare", "compare.cfg", _N32),
+    ("compare_disk_complex", "compare", "compare.cfg", _N32 + _DISK + ("physics.sigma1_im=0.4",)),
+    ("compare_insulating_em_error", "compare", "compare.cfg",
+     _N32 + ("physics.sigma1_re=0", "scheme.max_iters=50")),
+    ("compare_negative", "compare", "compare.cfg",
+     _N32 + ("physics.sigma1_re=-2", "scheme.max_iters=50")),
+    ("solve_fields", "solve", "benchmark.cfg", _N32 + ("output.fields_npz=fields.npz",)),
+    ("contours_em_sub", "contours", "contours.cfg", ()),
+    ("contours_basic", "contours", "contours.cfg", ("scheme.name=basic",)),
+    ("selftest", "selftest", None, ()),
+    ("solve_max_iters", "solve", "benchmark.cfg", _N32 + ("scheme.max_iters=3",)),
+    ("solve_sigma0_im", "solve", "benchmark.cfg",
+     _N32 + ("scheme.name=em", "physics.sigma1_re=2", "scheme.sigma0_im=0.5")),
+    ("solve_degenerate", "solve", "benchmark.cfg",
+     _N32 + ("scheme.name=basic", "physics.sigma1_re=-1")),
+    ("solve_disk", "solve", "benchmark.cfg", _N32 + _DISK + ("physics.sigma1_re=2",)),
+    ("solve_raster", "solve", "benchmark.cfg",
+     ("geometry.kind=raster", "geometry.path=cell.txt", "scheme.name=basic", "physics.sigma1_re=2")),
+    ("reject_max_iters", "solve", "benchmark.cfg", ("scheme.max_iters=0",)),
+    ("reject_interval", "solve", "benchmark.cfg", ("scheme.alpha=5",)),
+    ("reject_window_order", "contours", "contours.cfg", ("contours.re_min=5",)),
+    ("reject_resolution", "contours", "contours.cfg", ("contours.nr=0",)),
+    ("solve_missing_output_dir", "solve", "benchmark.cfg",
+     _N32 + ("output.result_json=missing/r.json",)),
+    ("compare_missing_output_dir", "compare", "compare.cfg",
+     _N32 + ("output.summary_csv=missing/s.csv",)),
+    ("solve_fields_dat", "solve", "benchmark.cfg", _N32 + ("output.fields_npz=fields.dat",)),
+)
+CLI_RASTER = "P-PHASE 8 8\n" + "0 0 0 0 0 0 0 0\n" * 2 + "0 0 1 1 1 0 0 0\n" * 3 + "0 0 0 0 0 0 0 0\n" * 3
 
 
 def load_tree(tree: str | Path, alias: str):
@@ -235,6 +279,42 @@ def bits_cases(trees: tuple, sizes, geometries) -> tuple[dict, list]:
     return statuses, differences
 
 
+def cli_outcome(pkg, case) -> dict:
+    """What one command line of CLI_CASES gave with ``pkg``'s tree, flattened for ``_differences``."""
+    name, command, config, overrides = case
+    src = Path(pkg.__file__).resolve().parent.parent
+    argv = [sys.executable, "-m", "fftcond.cli", command]
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = Path(tmp)
+        if config:
+            shutil.copy(src.parent / "configs" / config, run_dir / config)
+            argv.append(config)
+        for item in overrides:
+            argv += ["--override", item]
+        (run_dir / "cell.txt").write_text(CLI_RASTER)
+        inputs = set(run_dir.iterdir())
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run(argv, cwd=run_dir, env=env, capture_output=True, text=True)
+
+        def masked(text: str) -> str:
+            return text.replace(str(src.parent), "<tree>").replace(str(run_dir), "<run>")
+
+        row = {"exit": proc.returncode, "stdout": masked(proc.stdout), "stderr": masked(proc.stderr)}
+        for path in sorted(run_dir.rglob("*")):
+            if path.is_file() and path not in inputs:
+                relative = path.relative_to(run_dir).as_posix()
+                row[f"sha256:{relative}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return row
+
+
+def cli_differences(trees: tuple, cases=CLI_CASES) -> list:
+    """The differences of each command line of ``cases`` between the two trees."""
+    return [
+        d for case in cases
+        for d in _differences({"cli": case[0]}, tuple(cli_outcome(pkg, case) for pkg in trees))
+    ]
+
+
 def _json_number(z: complex):
     z = complex(z)
     return z.real if z.imag == 0 else [z.real, z.imag]
@@ -252,7 +332,12 @@ def main(argv=None) -> int:
     report = {"a": str(Path(args.a).resolve()), "b": str(Path(args.b).resolve())}
     if args.bits:
         statuses, differences = bits_cases(trees, args.sizes or BITS_SIZES, BITS_GEOMETRIES)
-        report.update(solves=sum(statuses.values()), statuses=statuses, differences=differences)
+        report.update(
+            solves=sum(statuses.values()),
+            statuses=statuses,
+            cli_cases=len(CLI_CASES),
+            differences=differences + cli_differences(trees),
+        )
     else:
         cases = [
             timing_case(trees, kind.value, n, sigma1, args.rounds)
