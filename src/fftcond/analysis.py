@@ -51,7 +51,7 @@ def predicted_rate(
     sigma1: complex,
     interval: SpectralInterval | None = None,
 ) -> float:
-    """Magnitude of the scheme's disk coordinate: the asymptotic rate."""
+    """Magnitude of the scheme's disk coordinate: the asymptotic rate at its own sigma0."""
     return abs(map_z(scheme, sigma1, interval))
 
 

@@ -240,7 +240,9 @@ def _write_history_csv(path: Path, history):
 def _report(run: SolverConfig, result: SolveResult) -> dict:
     """What ``solve``'s result JSON and ``compare``'s summary CSV report of one solve."""
     try:
-        predicted = predicted_rate(run.scheme, run.sigma1, run.interval)
+        # the rate at the scheme's own sigma0, so none under an override
+        own = run.sigma0_override is None
+        predicted = predicted_rate(run.scheme, run.sigma1, run.interval) if own else None
     except ValueError:
         predicted = None
     return {

@@ -181,11 +181,7 @@ def run_selftest(seed: int = SEED) -> list[CheckResult]:
         VectorField.zeros(GRID, GRID),
         G.T.copy(),
     )
-    u_part = AugmentedField(
-        VectorField.constant(mean_g, GRID, GRID),
-        VectorField.zeros(GRID, GRID),
-        VectorField.zeros(GRID, GRID),
-    )
+    u_part = AugmentedField.from_mean(mean_g, GRID, GRID)
     scale = max(norm_aug(e_part, pmap) * norm_aug(j_part, pmap), 1e-30)
     ortho = max(
         abs(inner_aug(e_part, j_part, pmap)) / scale,

@@ -41,11 +41,12 @@ r_Q = 2 J_raw - w_Q, so the spectrum of div r_Q follows from that of
 div J_raw, the residual's less its mean pin, and the last one
 (spectral_ops._reflect_hat). The pin J_Q - J_raw =
 delta (1 + (pin0 - 1) chi) enters through the spectrum of chi, taken
-once per solve. r_Q itself is formed in real space from the pinned flux,
-(1 - sigma0)(J_Q - delta) off the inclusion and y[0] - sigma0 x[0] on
-it, and one band pass adds the grad term of the reflection and scales
-the result by 1/(1 + sigma0), the local inverse off the inclusion. The
-recursion carries its roundoff from iteration to iteration, a random
+once per solve. r is formed in real space by one formula: on the
+inclusion A - sigma0 I = (1 - sigma0) I + (t - 1) p (x) p, one rank-one
+product per slot, and off it r_Q = (1 - sigma0)(J_Q - delta). One band
+pass adds the grad term of the reflection and scales the result by
+1/(1 + sigma0), the local inverse off the inclusion. The recursion
+carries its roundoff from iteration to iteration, a random
 walk that leaves a residual floor near 1e-13; below _EXACT_BELOW the
 update transforms div r_Q itself instead, one more forward FFT per
 iteration. sigma* is read off the flux of the local operator A in every
@@ -599,33 +600,35 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
             v_coefs = p_in * flip
             off_coefs = inv_off * flip
             jump_coefs = (inv_on - inv_off) * p_out
+        # off the inclusion 2 sigma0 e0 + r_Q = r_off jq + r_shift, set with delta
+        r_off = 1.0 - sigma0
+        r_a = r_off if mixed else pin0 - sigma0
         two_s0_e0 = 2.0 * sigma0 * e0v
+        r_shift = np.empty(2, dtype=dtype)
         # the pin of jq enters div jq through the spectrum of chi; qh
         # carries the spectrum of div r_Q, scaled (:func:`_reflect_hat`)
         chi_hat = _chi_hat(chi.astype(dtype))
         qh = np.empty_like(gh)
 
     def r_on_support(cs):
-        """2 sigma0 e0 + r_Q of the last iterate on the inclusion pixels, into scratch.
+        """r = (A - sigma0 I) F_raw of the last iterate on the inclusion: r_i = r_a x_i + c_i u.
 
-        r_Q = ((A - sigma0 I) F_raw)_Q is y[0] - sigma0 x[0] there. x[0] is
-        spent: the grad term of the update is gathered into it next.
+        A - sigma0 I is r_a I + (t - 1) p_out p_in^T there, r_a = 1 - sigma0,
+        or t - sigma0 for one slot. Past Q r goes into x through scratch, and
+        2 sigma0 e0 + r_Q into scratch through x[0], which is spent: the
+        update gathers its grad term there.
         """
-        s = scratch[cs]
-        _rank_one(s, x[0, cs], flux_a, flux_coefs[0], u[cs] if mixed else None)
-        x[0, cs] *= sigma0
-        s -= x[0, cs]
+        s, xs, us = scratch[cs], x[:, cs], u[cs] if mixed else None
+        for i in range(1, len(p)):
+            _rank_one(xs[i], xs[i], r_a, flux_coefs[i], us, s)
+        _rank_one(s, xs[0], r_a, flux_coefs[0], us, xs[0])
         s += two_s0_e0[cs, None]
 
     def form_r(cs):
-        """2 sigma0 e0 + r_Q of the last iterate in jq, on the components ``cs``.
-
-        Off the inclusion A is the identity on the Q slot, so there
-        r_Q = (1 - sigma0)(jq - delta); div drops the constant.
-        """
+        """2 sigma0 e0 + r_Q of the last iterate in jq, and r past Q in x, on the components ``cs``."""
         f = jq[cs]
-        f *= 1.0 - sigma0
-        f += (two_s0_e0[cs] - (1.0 - sigma0) * delta[cs])[:, None, None]
+        f *= r_off
+        f += r_shift[cs, None, None]
         r_on_support(cs)
         _scatter(f, support, scratch[cs])
 
@@ -660,8 +663,7 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
                 scale, shift = inv_off, None
             else:
                 r_on_support(cs)
-                scale = inv_off * (1.0 - sigma0)
-                shift = inv_off * (two_s0_e0[cs] - (1.0 - sigma0) * delta[cs])
+                scale, shift = inv_off * r_off, inv_off * r_shift[cs]
             _add_grad(space, jq, cs, scale, shift, support, xs[0] if accelerated else s, buffers)
         if update and accelerated:
             # w = (2 sigma0 e0 + r_Q - 2 gamma1(r_Q), -r_S, r_T) and
@@ -670,17 +672,13 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
             # or 2 sigma0 e0 + r_Q in it when ``formed``, to
             # w_Q / (1 + sigma0), the field off the inclusion, and left
             # the grad term over 1 + sigma0 on the inclusion in x[0];
-            # form_r left 2 sigma0 e0 + r_Q there in scratch
+            # r_on_support left 2 sigma0 e0 + r_Q there in scratch
             xs[0] *= 1.0 + sigma0
             xs[0] += s
             if mixed:
-                # r_i = y_i - sigma0 x_i in place; then, with v = p_in . D w
-                # in u, x = inv_off D w + (inv_on - inv_off) p_out v, and
-                # u = p_in . x = inv_on v, as p_in . p_out = 1
-                for i in range(1, len(p)):
-                    _rank_one(s, xs[i], None, flux_coefs[i], us)
-                    xs[i] *= sigma0
-                    np.subtract(s, xs[i], out=xs[i])
+                # with v = p_in . D w in u, x = inv_off D w + (inv_on -
+                # inv_off) p_out v, and u = p_in . x = inv_on v, as
+                # p_in . p_out = 1
                 _mix(xs, v_coefs, us, s)
                 for i in range(len(p)):
                     _rank_one(xs[i], xs[i], off_coefs[i], jump_coefs[i], us, s)
@@ -703,6 +701,8 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
         np.subtract(e0v[cs], [_per_pixel(_compensated_ctotal(c), npix) for c in j], out=d)
         j += d[:, None, None]
         pin_delta[:, cs] = pin * d[:, None]
+        if accelerated:
+            r_shift[cs] = two_s0_e0[cs] - r_off * d
         s += pin_delta[0, cs]
         _scatter(j, support, s)
         if mixed:

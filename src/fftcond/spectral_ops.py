@@ -403,14 +403,13 @@ def _real_if_allowed(data: np.ndarray) -> np.ndarray:
     return data
 
 
-def _bands(ny: int, nx: int, size: int) -> list:
-    """Row slices of an ny-by-nx grid, each of about ``size`` pixels."""
-    step = max(1, size // nx)
-    return [slice(lo, lo + step) for lo in range(0, ny, step)]
+def _bands(ny: int, nx: int, size: int) -> range:
+    """Row bands of an ny-by-nx grid of about ``size`` pixels: rows lo:lo + step per lo."""
+    return range(0, ny, max(1, size // nx))
 
 
-def _sweep(band_fn, ny: int, nx: int, dtypes: tuple = (), npix: int | None = None) -> list:
-    """[band_fn(rows, *buffers) for each row band of an ny-by-nx array], in band order.
+def _sweep(band_fn, ny: int, nx: int, dtypes: tuple = (), npix: int | None = None):
+    """band_fn(rows, *buffers) for each row band of an ny-by-nx array, in band order.
 
     Bands of about _BAND_SIZE pixels bound the temporaries of band_fn,
     which works in ``buffers``: one band-sized array of each of
@@ -419,28 +418,29 @@ def _sweep(band_fn, ny: int, nx: int, dtypes: tuple = (), npix: int | None = Non
     given: a half spectrum passes the pixels of its grid. On a split each
     thread sweeps one half of the bands, and the bands are half that
     size, so the two threads hold what one does unsplit. Every thread's
-    buffers are made here, before any thread starts, so what a sweep holds
-    does not depend on how the threads interleave.
+    buffers are made here, before any thread starts, and band_fn returns
+    nothing, so what a sweep holds does not depend on how they interleave.
     """
     npix = ny * nx if npix is None else npix
 
     def part(bands):
-        rows = len(range(ny)[bands[0]]) if bands else 0
+        rows = min(bands.step, ny - bands[0]) if bands else 0
         return bands, [np.empty((rows, nx), dtype) for dtype in dtypes]
 
     def run(bands, buffers):
         old = np.setbufsize(_UFUNC_BUFSIZE)
         try:
-            return [band_fn(band, *(b[: len(range(ny)[band])] for b in buffers)) for band in bands]
+            for lo in bands:
+                band_fn(slice(lo, lo + bands.step), *(b[: ny - lo] for b in buffers))
         finally:
             np.setbufsize(old)
 
-    if not _splits(npix):
-        return run(*part(_bands(ny, nx, _BAND_SIZE)))
-    bands = _bands(ny, nx, _BAND_SIZE // 2)
-    half = len(bands) // 2
-    first, second = _split(npix, run, part(bands[:half]), part(bands[half:]))
-    return first + second
+    if _splits(npix):
+        bands = _bands(ny, nx, _BAND_SIZE // 2)
+        half = len(bands) // 2
+        _split(npix, run, part(bands[:half]), part(bands[half:]))
+    else:
+        run(*part(_bands(ny, nx, _BAND_SIZE)))
 
 
 def _pass(name: str, data: np.ndarray, out: np.ndarray, axis: int, n, lo: int, hi: int):
@@ -673,17 +673,18 @@ def _add_grad(
     """
     ny, nx = out.shape[-2:]
     stencil = space.ndim == 2
-    bands = _bands(ny, nx, _BAND_SIZE // 2) if stencil else [slice(0, ny)]
+    bands = _bands(ny, nx, _BAND_SIZE // 2) if stencil else range(0, ny, ny)
     if stencil:
         p, t = buffers or _grad_buffers(space)
     if support is not None:
-        edges = np.searchsorted(support, [band.start * nx for band in bands] + [ny * nx])
+        edges = np.searchsorted(support, [lo * nx for lo in bands] + [ny * nx])
     old = np.setbufsize(_UFUNC_BUFSIZE)
     try:
         for i, c in enumerate(range(2)[components]):
-            for k, band in enumerate(bands):
+            for k, lo in enumerate(bands):
+                band = slice(lo, lo + bands.step)
                 if stencil:
-                    g = t[: len(range(ny)[band])]
+                    g = t[: ny - lo]
                     _grad_rows(space, c, band, p[: len(g)], g)
                 else:
                     g = space[c]
@@ -692,7 +693,7 @@ def _add_grad(
                     local = support[i0:i1]
                     if stencil:
                         local = np.subtract(
-                            local, band.start * nx, out=p.view(np.int64).ravel()[: i1 - i0]
+                            local, lo * nx, out=p.view(np.int64).ravel()[: i1 - i0]
                         )
                     # in range by construction; the checked mode would buffer a copy
                     g.ravel().take(local, out=taken[i][i0:i1], mode="wrap")
@@ -711,7 +712,7 @@ def _grad_buffers(space: np.ndarray | None) -> tuple | None:
     if space is None or space.ndim != 2:
         return None
     ny, nx = space.shape
-    rows = len(range(ny)[_bands(ny, nx, _BAND_SIZE // 2)[0]])
+    rows = min(ny, _bands(ny, nx, _BAND_SIZE // 2).step)
     return tuple(np.empty((rows, nx), dtype=space.dtype) for _ in range(2))
 
 
@@ -725,6 +726,7 @@ def _hat_sqnorm(gh: np.ndarray, nx: int) -> float:
     """
     ny, width = gh.shape
     g = _spectrum_table(ny, nx, width)
+    sums = np.empty(ny)
 
     def band_power(band, tmp):
         # the two halves of the floats of tmp, each contiguous like a band
@@ -734,16 +736,15 @@ def _hat_sqnorm(gh: np.ndarray, nx: int) -> float:
         np.multiply(h.real, h.real, out=power)
         power += np.multiply(h.imag, h.imag, out=sq)
         power *= g.inv_d2[band]
-        rows = np.sum(power, axis=-1)
+        rows = np.sum(power, axis=-1, out=sums[band])
         if width < nx:
             rows *= 2.0
             rows -= power[:, 0]
             if nx % 2 == 0:
                 rows -= power[:, -1]
-        return rows
 
-    rows = np.concatenate(_sweep(band_power, ny, width, (np.complex128,), ny * nx))
-    return _combine_rows(rows) * g.scale / (ny * nx)
+    _sweep(band_power, ny, width, (np.complex128,), ny * nx)
+    return _combine_rows(sums) * g.scale / (ny * nx)
 
 
 def _gamma1_sqnorm(data: np.ndarray, out=None) -> float:

@@ -515,6 +515,25 @@ class TestRunRules:
             for key in ("estimated_rate", "predicted_rate"):
                 assert result[key] is not None and float(row[key]) == result[key]
 
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_no_predicted_rate_under_a_sigma0_override(self, tmp_path, command):
+        # predicted_rate is the rate at the scheme's own sigma0: basic at
+        # sigma1 = 2 predicts 1/3 there, and diverges at sigma0 = 0.5
+        cfg = write_config(tmp_path, COMPARE_CFG)
+        argv = [command, str(cfg), "--override", "scheme.sigma0_re=0.5"]
+        if command == "solve":
+            argv += ["--override", "scheme.names=", "--override", "scheme.name=basic",
+                     "--override", "output.result_json=r.json"]
+        main(argv)
+        if command == "solve":
+            reports = [json.loads((tmp_path / "r.json").read_text())]
+        else:
+            with open(tmp_path / "summary.csv") as fh:
+                reports = list(csv.DictReader(fh))
+        assert reports[0]["status"] == "Diverged"
+        assert len(reports) == (1 if command == "solve" else 4)
+        assert all(r["predicted_rate"] in (None, "") for r in reports)
+
 
 class TestReadmeConfig:
     """The README's example config lists every key and is a valid config."""

@@ -18,8 +18,8 @@ they add sigma1 = 0, where every scheme but em converges on it.
 Each row: geometry, sigma1, scheme, status, iterations, sigma_star, for
 n = 64, tol = 1e-8, max_iters = 200 and the interval (1/4, 4).
 
-FROZEN_DIGESTS pins the bits, not just the numbers, of the physical
-schemes' fields on the rotated operator (``TestPinnedDigests``).
+FROZEN_DIGESTS pins the bits, not just the numbers, of every scheme's
+fields on the rotated operator (``TestPinnedDigests``).
 """
 
 import hashlib
@@ -202,21 +202,40 @@ def test_applied_field_direction(scheme, geometry, sigma1):
 # SHA-256 of the rotated Green table at n = 32, with one real FFT of its
 # 1/|d|^2: the platform the digests below were recorded on
 TABLE_DIGEST = "a71943f563edec0bfff266cba6f3a4998abe6384bc865ae28466f4e250c940bf"
-# scheme, sigma1, iterations, SHA-256 of E_field and of J_field, for the
-# n = 32 square of side 1/2 at tol 1e-10
+# scheme, sigma1, iterations, SHA-256 of E_field, of J_field and, for a
+# substituted scheme, of the S and T slots of aug_field, for the n = 32
+# square of side 1/2 at tol 1e-10 and, substituted, the interval (1/4, 4).
+# The em and em_sub rows were recorded when r = (A - sigma0 I) F became
+# one rank-one product per slot on the inclusion.
 FROZEN_DIGESTS = [
     ("basic", 2.0, 13,
      "eabcd7a2a29394fd6120143b5dbae228f977d4f692dd27e719c6e61429ab3cb9",
-     "a5f6c442e2d06f5ac6f5063b958cbc3583ede5ffe7a5441afef6e363662c4770"),
+     "a5f6c442e2d06f5ac6f5063b958cbc3583ede5ffe7a5441afef6e363662c4770", None),
     ("basic", 0.7 + 0.4j, 12,
      "f220498f28e81ae6715aa6a727b681f465c298e47842ef7f7574bc07d303097a",
-     "24fa65da524d5a283b7c27cdfe1a5af2f99cc53d525e1548d134b013723df716"),
+     "24fa65da524d5a283b7c27cdfe1a5af2f99cc53d525e1548d134b013723df716", None),
     ("em", 2.0, 14,
-     "94d00603e5e45fe751a9a5239d8e4653a68f42a8b5af05c818efa51c93f72a70",
-     "373466ae9b02b1b1396379d28f8658a29cb6a9af5b46c41ec4d7f262bd885dfe"),
+     "c78590c874b961a6ff27ad3e0e574849f03f3316c81b1767c10d91436a37778e",
+     "2abc0200d4fb280f4b09782b58c8bffc7eacdb50b21206b940f94d3675dd5f42", None),
     ("em", 0.7 + 0.4j, 12,
-     "633ac7168d4adacb09a6672030ee7ca53b74dc5cf49631863486b309b1c99991",
-     "409657f79a332514ef483172477684f42c28452fddc9dd5d5514ee1117fdf5fe"),
+     "c42ef19020d8ea2897a29a43781de9e0814b3507c19350b9348fa52e1fa7e06f",
+     "59391c6c744266359ce439e864ceeb56d8354bbe8ea5fe1d92587f918cd23dd0", None),
+    ("basic_sub", 2.0, 13,
+     "f5fe63c9d46aed8877fda6cf73980a47c381b991f91d8e6098aa7373c1c88f76",
+     "34063fe737d2322fabfb08ff577ac0b2917b15a26f62a9d246cef919933ec154",
+     "62fa62a495d498241529cd49b2e025bdf71d796bd03ef04ae57412f430b263c2"),
+    ("basic_sub", 0.7 + 0.4j, 12,
+     "bdaf39c5f4f118ffec8eb70e5bd51a1f908b969414e9d9b23b354eb5bcb97eed",
+     "ab17ad19af87d4d0447cdff78ecf9a1f4fb587df32a4ad875baa48ecc2f38d98",
+     "5c3503cecb704245ce0f5178cf27b0e6d93d3eb5c82c8076bcd5f41c8877b0ad"),
+    ("em_sub", 2.0, 11,
+     "2d182f9f2f0d2afc657b5f2dcb75568035cd2069cd008f250b7dc1e738ba5c66",
+     "cd2930a36bd0fb4803f01eb03c40c2f2976b352e27f98c7631e497e47c2a2f8d",
+     "553f8bf277ee8530702a3d69745dd059c5d438536f5828d51769b698bcc78d82"),
+    ("em_sub", 0.7 + 0.4j, 10,
+     "f1bd45a4c91c22c773167edcf0a09782516f3b58d42b74619b9fbdef4b52ffca",
+     "10d8ed50f169abf447aeb3b3412ffef1cbd2f8a4a042fc5d99f748b869050349",
+     "3794431ac19362309986ec7f055b77bf20047ee4c802efb142a1a2f466338a5b"),
 ]
 
 
@@ -228,7 +247,7 @@ def _sha256(*arrays) -> str:
 
 
 class TestPinnedDigests:
-    """``basic`` and ``em`` keep their fields' bits from change to change.
+    """Every scheme keeps its fields' bits from change to change.
 
     The numbers the other tests compare hide changes at roundoff: for the
     basic schemes the mean pin delta is itself roundoff-sized, because
@@ -245,13 +264,19 @@ class TestPinnedDigests:
             pytest.skip("the Green table or its FFT has other bits here (libm sin or numpy FFT)")
 
     @pytest.mark.parametrize(
-        "scheme, sigma1, iterations, e_digest, j_digest",
+        "scheme, sigma1, iterations, e_digest, j_digest, st_digest",
         FROZEN_DIGESTS,
         ids=[f"{row[0]}-{row[1]}" for row in FROZEN_DIGESTS],
     )
-    def test_fields_keep_their_bits(self, scheme, sigma1, iterations, e_digest, j_digest):
-        cfg = SolverConfig(scheme=SchemeKind(scheme), sigma1=sigma1, tol=1e-10)
+    def test_fields_keep_their_bits(
+        self, scheme, sigma1, iterations, e_digest, j_digest, st_digest
+    ):
+        kind = SchemeKind(scheme)
+        interval = BENCH if kind.substituted else None
+        cfg = SolverConfig(scheme=kind, sigma1=sigma1, interval=interval, tol=1e-10)
         r = solve(build_square_array(32, 0.5), cfg)
         assert r.converged and r.iterations == iterations
         assert _sha256(r.E_field.data) == e_digest
         assert _sha256(r.J_field.data) == j_digest
+        if st_digest is not None:
+            assert _sha256(r.aug_field.S.data, r.aug_field.T.data) == st_digest

@@ -120,6 +120,27 @@ class TestGamma1Sqnorm:
         _gamma1_sqnorm(x, grid)
         assert np.array_equal(_gamma1_from_hat(grid, x), _gamma1_arr(x))
 
+    @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+    def test_parseval_sum_holds_its_band_buffers_and_one_row_sum(self, monkeypatch, split):
+        # bands of two rows, or of one on a split: 256 bands, none of which
+        # may leave an array of its own, as a list of them would make the
+        # split's peak depend on how its threads interleave
+        if split:
+            force_split(monkeypatch)
+        n = 256
+        width = n // 2 + 1
+        monkeypatch.setattr(spectral_ops, "_BAND_SIZE", 2 * width)
+        gh = random_complex(np.random.default_rng(14), (n, width))
+        total = _hat_sqnorm(gh, n)
+        tracemalloc.start()
+        try:
+            assert _hat_sqnorm(gh, n) == total
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one complex band buffer of two rows, or one of one row per thread
+        assert peak <= 2 * width * 16 + n * 8 + 12 * 1024
+
 
 class TestBands:
     """Band by band, the stencils, the Fourier-space sums, the reflection and the scaling keep their bits."""
@@ -1508,6 +1529,33 @@ def test_ab_trees_finds_a_tree_equal_to_itself(capsys):
         calls = case["calls_per_iteration"]
         assert calls["a"] == calls["b"] > 0
         assert case["a_wins"] + case["b_wins"] <= 1 and case["ratio_min"] > 0
+
+
+def test_ab_trees_summary_lists_moves_and_the_largest_sigma_star_change():
+    tool = _load_tool("ab_trees")
+    summary = {"moved": [], "sigma_star_rel_change": {}}
+
+    def row(status, iterations, sigma_star):
+        return {"status": status, "iterations": iterations, "sigma_star": tool._hex(sigma_star)}
+
+    cases = [
+        ({"n": 1}, row("Converged", 9, 2.0), row("Converged", 9, 2.0 + 2e-12)),
+        ({"n": 2}, row("Converged", 9, 2.0), row("Converged", 9, 2.0 + 6e-12)),
+        ({"n": 3}, row("MaxIters", 600, 1.0), row("Converged", 566, 1.0)),
+        ({"n": 4}, row("MaxIters", 600, 1.0 + 1j), row("MaxIters", 600, 1.0 + 1.1j)),
+        ({"n": 5}, {"error": "BranchCutError: x"}, {"error": "BranchCutError: x"}),
+        ({"n": 6}, {"error": "BranchCutError: x"}, row("Converged", 3, 1.0)),
+    ]
+    for case, a, b in cases:
+        tool._record_moves(summary, case, (a, b))
+    assert summary["moved"] == [
+        {"n": 3, "a": "MaxIters 600", "b": "Converged 566"},
+        {"n": 6, "a": "BranchCutError: x", "b": "Converged 3"},
+    ]
+    changes = summary["sigma_star_rel_change"]
+    assert changes["Converged"]["case"] == {"n": 2}
+    assert changes["Converged"]["max"] == pytest.approx(3e-12, rel=1e-3)
+    assert changes["MaxIters"]["max"] == pytest.approx(0.1 / abs(1 + 1j))
 
 
 def test_ab_trees_command_lines_equal_to_themselves():

@@ -41,7 +41,10 @@ tree's path and the run's directory are masked in the text.
 
 prints one JSON object to stdout, with every difference of bits, status
 or iterations listed under ``differences``, and exits 1 when there is
-one.
+one. With ``--bits`` its ``summary`` lists under ``moved`` the solves
+whose status or iteration count differs, and under
+``sigma_star_rel_change``, per status, the largest relative change of
+sigma* among the solves that keep their status and count, with its case.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ import cProfile
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import shutil
 import statistics
@@ -253,10 +257,27 @@ def timing_case(trees: tuple, scheme: str, n: int, sigma1: complex, rounds: int)
     }
 
 
-def bits_cases(trees: tuple, sizes, geometries) -> tuple[dict, list]:
+def _record_moves(summary: dict, case: dict, rows: tuple):
+    """Adds one case of the bits grid to ``summary``: to ``moved`` when its status and
+    iteration count, or its error, differ between the trees, and otherwise its relative
+    sigma* change to the largest one of its status in ``sigma_star_rel_change``."""
+    ends = [f"{r['status']} {r['iterations']}" if "status" in r else r["error"] for r in rows]
+    if ends[0] != ends[1]:
+        summary["moved"].append({**case, "a": ends[0], "b": ends[1]})
+    elif "status" in rows[0]:
+        sa, sb = (complex(*map(float.fromhex, r["sigma_star"].split())) for r in rows)
+        change = abs(sb - sa) / (abs(sa) or 1.0)
+        status = rows[0]["status"]
+        worst = summary["sigma_star_rel_change"].get(status)
+        if math.isfinite(change) and (worst is None or change > worst["max"]):
+            summary["sigma_star_rel_change"][status] = {"max": change, "case": case}
+
+
+def bits_cases(trees: tuple, sizes, geometries) -> tuple[dict, list, dict]:
     """Every case of the bits grid in both trees: how many solves of the first tree ended
-    in each status or error, and the differences."""
+    in each status or error, the differences, and their summary (:func:`_record_moves`)."""
     statuses, differences = {}, []
+    summary = {"moved": [], "sigma_star_rel_change": {}}
     for scheme in (kind.value for kind in trees[0].SchemeKind):
         for geometry in geometries:
             for n in sizes:
@@ -276,7 +297,8 @@ def bits_cases(trees: tuple, sizes, geometries) -> tuple[dict, list]:
                             ended = rows[0].get("status", rows[0].get("error"))
                             statuses[ended] = statuses.get(ended, 0) + 1
                             differences += _differences(case, tuple(rows))
-    return statuses, differences
+                            _record_moves(summary, case, tuple(rows))
+    return statuses, differences, summary
 
 
 def cli_outcome(pkg, case) -> dict:
@@ -331,10 +353,13 @@ def main(argv=None) -> int:
     trees = tuple(load_tree(tree, alias) for tree, alias in zip((args.a, args.b), ALIASES))
     report = {"a": str(Path(args.a).resolve()), "b": str(Path(args.b).resolve())}
     if args.bits:
-        statuses, differences = bits_cases(trees, args.sizes or BITS_SIZES, BITS_GEOMETRIES)
+        statuses, differences, summary = bits_cases(
+            trees, args.sizes or BITS_SIZES, BITS_GEOMETRIES
+        )
         report.update(
             solves=sum(statuses.values()),
             statuses=statuses,
+            summary=summary,
             cli_cases=len(CLI_CASES),
             differences=differences + cli_differences(trees),
         )
