@@ -357,6 +357,8 @@ def cmd_contours(config_path: Path, overrides: list[str]) -> int:
     if path is None:
         raise ConfigError("[output] contours needs grid_csv")
     run = cfg.runs[cfg.scheme["name"]]
+    if run.sigma0_override is not None:
+        raise ConfigError("[scheme] contours rates each scheme at its own sigma0: no sigma0_re/_im")
     win = cfg.contours
     try:
         grid = rate_contours(

@@ -94,19 +94,20 @@ grids, times i on the real path, on first read, with T zero for
 ``basic_sub``.
 
 On grids of at least 2^18 pixels per component, with two CPUs to run
-on, each pass of the scalar FFTs, the div stencil and the Fourier-space
-sweeps (the Parseval sum, the recursion and the basic update's scaling)
-split across two threads, with the bits of one thread. So does the
-real-space stretch of each iteration, from the potential to the pinned
-flux and its mean, as one split with one field component per thread:
-the grad stencil, the gathers, the slot updates and flux slots, the
-scatters, the mean pin and both compensated means. The monitor and the
-residual's Parseval combine and |js|^2 total stay on the calling thread.
+on, read once per pass (spectral_ops._split), each pass of the scalar
+FFTs, the div stencil and the Fourier-space sweeps (the Parseval sum,
+the recursion and the basic update's scaling) split across two threads,
+with the bits of one thread. So does the real-space stretch of each
+iteration, from the potential to the pinned flux and its mean, as one
+split with one field component per thread: the grad stencil, the
+gathers, the slot updates and flux slots, the scatters, the mean pin and
+both compensated means. The monitor and the residual's Parseval combine
+and |js|^2 total stay on the calling thread.
 
 Stopping: equilibrium residual <= tol and a relative change in the
 effective-conductivity estimate <= tol, with a divergence guard at 1e6
 times the initial residual. Runs are deterministic for a fixed
-configuration, whatever the CPU count.
+configuration, whatever the CPU count, even one that changes mid-run.
 """
 
 from __future__ import annotations
@@ -149,7 +150,6 @@ from .spectral_ops import (
     _scatter,
     _shifted_inverse_coefs,
     _split,
-    _splits,
     _unpack,
 )
 from .transform import (
@@ -722,8 +722,9 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
                 # gh turns into the potential of the update, and the inverse
                 # FFT takes it to real space, into the grid of its buffer
                 if exact:
-                    if _split(npix, form_r, (slice(0, 1),), (slice(1, 2),)) is None:
-                        form_r(slice(0, 2))
+                    _split(
+                        npix, form_r, lambda: ((slice(0, 1),), (slice(1, 2),)), lambda: (slice(0, 2),)
+                    )
                     _scale_hat(_div_hat(jq, gh), nx, -2.0 * inv_off)
                 elif accelerated:
                     c = 1.0 if k == 2 else 2.0
@@ -731,14 +732,14 @@ def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
                 else:
                     _scale_hat(gh, nx, -1.0 / sigma0)
                 space = _potential(gh, grid)
-            # on a split each thread's grad buffers are made before either
-            # starts, so what the split holds does not depend on how the
-            # threads interleave; one thread makes its own in _add_grad
-            if _splits(npix):
-                halves = ((slice(i, i + 1), k > 1, space, exact, _grad_buffers(space)) for i in (0, 1))
-                _split(npix, real_space, *halves)
-            else:
-                real_space(slice(0, 2), k > 1, space, exact, None)
+            # grad buffers per thread, made before either starts: what a split holds is fixed
+            args = (k > 1, space, exact)
+            _split(
+                npix,
+                real_space,
+                lambda: tuple((slice(i, i + 1), *args, _grad_buffers(space)) for i in (0, 1)),
+                lambda: (slice(0, 2), *args, None),
+            )
             sstar = _along(e0v, jmean)
             try:
                 res = _residual(jq, js, jmean, gh)

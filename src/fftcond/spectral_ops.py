@@ -72,15 +72,16 @@ operators are complex. Reductions (means, norms) run row-wise with a
 pairwise sum and combine rows with an exactly rounded sum, so results
 are deterministic for a fixed grid, whatever the CPU count. When a field
 component has at least _THREAD_PIXELS pixels and the process may run on
-two CPUs, each pass of a scalar FFT (one half of the rows, then one half
-of the columns), the div stencil and the Fourier-space sweeps (one half
-of the row bands) split across the calling thread and a thread started
-for the split (:func:`_split`). The solvers split the real-space stretch
-of an iteration the same way, one component per thread, with the grad
-stencil, gathers, scatters, rank-one kernel and compensated totals here.
-The public operators and the sigma* read-out run on the calling thread
-alone. Each thread does the unsplit arithmetic on its part, so the bits
-do not change.
+two CPUs, read once per pass (:func:`_split`), each pass of a scalar FFT
+(one half of the rows, then one half of the columns), the div stencil
+and the Fourier-space sweeps (one half of the row bands) split across
+the calling thread and a thread started for the split. The solvers split
+the real-space stretch of an iteration the same way, one component per
+thread, with the grad stencil, gathers, scatters, rank-one kernel and
+compensated totals here. The public operators and the sigma* read-out
+run on the calling thread alone. Each thread does the unsplit arithmetic
+on its part, so a CPU count that changes mid-run changes only which
+passes split, never the bits.
 """
 
 from __future__ import annotations
@@ -133,39 +134,38 @@ def _splits(npix: int) -> bool:
     return npix >= _THREAD_PIXELS and _cpus() >= 2
 
 
-def _split(npix: int, fn, args0: tuple, args1: tuple):
-    """(fn(*args0), fn(*args1)) on two threads, or None when the pass is not split.
+def _split(npix: int, fn, halves, whole):
+    """One pass of fn: fn(*whole()) on the calling thread, or its halves on two threads.
 
-    A pass splits when a field component has at least _THREAD_PIXELS
-    pixels (``npix``) and the process may run on two CPUs; on None the
-    caller runs its whole pass itself. fn(*args1) runs on a thread
-    started here and joined before return, under the caller's numpy
-    error state, which is thread-local, and fn(*args0) on the calling
-    thread. The two calls must write disjoint data. An exception of
-    either call is raised here, after both ended.
-    """
+    The one place that decides a split, once per pass: when a field
+    component has at least _THREAD_PIXELS pixels (``npix``) and the
+    process may run on two CPUs. Only then is ``halves()`` called, for
+    (args0, args1): fn(*args1) runs on a thread started here and joined
+    before return, under the caller's numpy error state, which is
+    thread-local, and fn(*args0) on the calling thread. The two calls must
+    write disjoint data. An exception of either is raised here, after both
+    ended."""
     if not _splits(npix):
-        return None
-    err = np.geterr()
-    second, error = [], []
+        return fn(*whole())
+    args0, args1 = halves()
+    err, error = np.geterr(), []
 
     def run():
         try:
             with np.errstate(**err):
-                second.append(fn(*args1))
+                fn(*args1)
         except BaseException as exc:
             error.append(exc)
 
     worker = threading.Thread(target=run, name="fftcond")
     worker.start()
     try:
-        first = fn(*args0)
+        fn(*args0)
     finally:
         # wait even when this thread raised: the worker writes the caller's arrays
         worker.join()
     if error:
         raise error.pop()
-    return first, second[0]
 
 
 def _compensated_total(values: np.ndarray) -> float:
@@ -418,12 +418,15 @@ def _sweep(band_fn, ny: int, nx: int, dtypes: tuple = (), npix: int | None = Non
     given: a half spectrum passes the pixels of its grid. On a split each
     thread sweeps one half of the bands, and the bands are half that
     size, so the two threads hold what one does unsplit. Every thread's
-    buffers are made here, before any thread starts, and band_fn returns
+    buffers are made before any thread starts, and band_fn returns
     nothing, so what a sweep holds does not depend on how they interleave.
     """
-    npix = ny * nx if npix is None else npix
 
-    def part(bands):
+    def part(k=None):
+        """The bands of the whole sweep, or of half k of a split one, and their buffers."""
+        bands = _bands(ny, nx, _BAND_SIZE if k is None else _BAND_SIZE // 2)
+        if k is not None:
+            bands = bands[len(bands) // 2 :] if k else bands[: len(bands) // 2]
         rows = min(bands.step, ny - bands[0]) if bands else 0
         return bands, [np.empty((rows, nx), dtype) for dtype in dtypes]
 
@@ -435,12 +438,7 @@ def _sweep(band_fn, ny: int, nx: int, dtypes: tuple = (), npix: int | None = Non
         finally:
             np.setbufsize(old)
 
-    if _splits(npix):
-        bands = _bands(ny, nx, _BAND_SIZE // 2)
-        half = len(bands) // 2
-        _split(npix, run, part(bands[:half]), part(bands[half:]))
-    else:
-        run(*part(_bands(ny, nx, _BAND_SIZE)))
+    _split(ny * nx if npix is None else npix, run, lambda: (part(0), part(1)), part)
 
 
 def _pass(name: str, data: np.ndarray, out: np.ndarray, axis: int, n, lo: int, hi: int):
@@ -458,10 +456,8 @@ def _passes(passes: tuple, npix: int):
     """
     for name, src, dst, axis, n in passes:
         length = src.shape[-2] if axis == -1 else src.shape[-1]
-        half = length // 2
-        args = (name, src, dst, axis, n)
-        if _split(npix, _pass, (*args, 0, half), (*args, half, length)) is None:
-            _pass(*args, 0, length)
+        a, half = (name, src, dst, axis, n), length // 2
+        _split(npix, _pass, lambda: ((*a, 0, half), (*a, half, length)), lambda: (*a, 0, length))
 
 
 def _fft2(data: np.ndarray, out: np.ndarray | None = None, inverse: bool = False) -> np.ndarray:
@@ -712,8 +708,8 @@ def _grad_buffers(space: np.ndarray | None) -> tuple | None:
     if space is None or space.ndim != 2:
         return None
     ny, nx = space.shape
-    rows = min(ny, _bands(ny, nx, _BAND_SIZE // 2).step)
-    return tuple(np.empty((rows, nx), dtype=space.dtype) for _ in range(2))
+    shape = (min(ny, _bands(ny, nx, _BAND_SIZE // 2).step), nx)
+    return np.empty(shape, dtype=space.dtype), np.empty(shape, dtype=space.dtype)
 
 
 def _hat_sqnorm(gh: np.ndarray, nx: int) -> float:

@@ -311,6 +311,15 @@ class TestContoursCommand:
         assert f"{key} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "grid.csv").exists()
 
+    @pytest.mark.parametrize("key", ["sigma0_re", "sigma0_im"])
+    def test_sigma0_override_rejected(self, tmp_path, capsys, key):
+        # the grid samples each scheme's rate at its own sigma0, which an
+        # override would leave unreported
+        cfg = write_config(tmp_path, CONTOURS_CFG)
+        assert main(["contours", str(cfg), "--override", f"scheme.{key}=0.5"]) == 2
+        assert "own sigma0" in capsys.readouterr().err
+        assert not (tmp_path / "grid.csv").exists()
+
     def test_output_path_checked_before_the_window(self, tmp_path, monkeypatch):
         def no_window(*args, **kwargs):
             raise AssertionError("contours evaluated the window without an output path")

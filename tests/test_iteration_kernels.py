@@ -5,7 +5,9 @@ the solvers record, the 2-D FFTs one iteration costs, the memory a solve
 holds, and the split of large-grid passes across two threads."""
 
 import importlib.util
+import itertools
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -909,8 +911,34 @@ class TestResultFields:
         assert np.max(np.abs(local - j)) <= 1e-14 * np.max(np.abs(j))
 
 
+def _record_split(npix):
+    """Which builders and calls of one _split of ``npix`` pixels ran: the builder names in
+    order, and per call its arguments, divmod of them and whether it ran on the main thread."""
+    built, calls = [], []
+
+    def fn(a, b):
+        calls.append(((a, b), divmod(a, b), threading.current_thread() is threading.main_thread()))
+
+    def halves():
+        built.append("halves")
+        return (7, 2), (9, 4)
+
+    def whole():
+        built.append("whole")
+        return (16, 5)
+
+    _split(npix, fn, halves, whole)
+    return built, sorted(calls)
+
+
 def _split_into(queue):
-    queue.put(_split(1, divmod, (7, 2), (9, 4)))
+    queue.put(_record_split(1))
+
+
+# a split pass: both halves, the first on the calling thread, the second on a worker
+SPLIT = (["halves"], [((7, 2), (3, 1), True), ((9, 4), (2, 1), False)])
+# an unsplit pass: the whole of it, on the calling thread
+WHOLE = (["whole"], [((16, 5), (3, 1), True)])
 
 
 class TestSplit:
@@ -919,10 +947,10 @@ class TestSplit:
     def test_split_needs_the_threshold_and_two_cpus(self, monkeypatch):
         npix = spectral_ops._THREAD_PIXELS
         monkeypatch.setattr(spectral_ops, "_cpus", lambda: 2)
-        assert _split(npix - 1, divmod, (7, 2), (9, 4)) is None
-        assert _split(npix, divmod, (7, 2), (9, 4)) == ((3, 1), (2, 1))
+        assert _record_split(npix - 1) == WHOLE
+        assert _record_split(npix) == SPLIT
         monkeypatch.setattr(spectral_ops, "_cpus", lambda: 1)
-        assert _split(npix, divmod, (7, 2), (9, 4)) is None
+        assert _record_split(npix) == WHOLE
 
     @pytest.mark.parametrize("raising", [0, 1])
     def test_split_raises_either_half(self, monkeypatch, raising):
@@ -935,7 +963,7 @@ class TestSplit:
             done.append(i)
 
         with pytest.raises(ValueError):
-            _split(1, half, (0,), (1,))
+            _split(1, half, lambda: ((0,), (1,)), lambda: pytest.fail("the pass did not split"))
         # the other half ran to its end before the exception reached the caller
         assert done == [1 - raising]
 
@@ -972,13 +1000,13 @@ class TestSplit:
     def test_split_in_a_forked_child(self, monkeypatch):
         # the child inherits none of the parent's threads
         force_split(monkeypatch)
-        assert _split(1, divmod, (7, 2), (9, 4)) == ((3, 1), (2, 1))
+        assert _record_split(1) == SPLIT
         ctx = multiprocessing.get_context("fork")
         queue = ctx.Queue()
         child = ctx.Process(target=_split_into, args=(queue,))
         child.start()
         try:
-            assert queue.get(timeout=30) == ((3, 1), (2, 1))
+            assert queue.get(timeout=30) == SPLIT
         finally:
             child.join(timeout=30)
             if child.is_alive():
@@ -1047,6 +1075,74 @@ class TestSplit:
                 (split.aug_field.S, split.aug_field.T), (unsplit.aug_field.S, unsplit.aug_field.T)
             ):
                 assert a.data.tobytes() == b.data.tobytes()
+
+    @pytest.mark.parametrize("sigma1", [2.0, 0.7 + 0.4j], ids=["real", "complex"])
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_a_cpu_count_that_changes_mid_run_keeps_the_bits(self, monkeypatch, scheme, sigma1):
+        # the affinity mask shrinks and grows from one read to the next: each
+        # pass splits or not as its one read says, and runs either way
+        pmap = build_square_array(32, 0.5)
+        cfg = SolverConfig(
+            scheme=scheme,
+            sigma1=sigma1,
+            interval=BENCH if scheme.substituted else None,
+            tol=1e-10,
+            max_iters=200,
+        )
+        monkeypatch.setattr(spectral_ops, "_THREAD_PIXELS", 1 << 60)
+        unsplit = solve(pmap, cfg)
+        monkeypatch.setattr(spectral_ops, "_THREAD_PIXELS", 1)
+        monkeypatch.setattr(spectral_ops, "_cpus", itertools.cycle((2, 1)).__next__)
+        cycled = solve(pmap, cfg)
+        assert unsplit.status is TerminationStatus.CONVERGED
+        assert cycled.status is unsplit.status
+        assert cycled.iterations == unsplit.iterations
+        sigma_stars = (np.complex128(r.sigma_star).tobytes() for r in (cycled, unsplit))
+        assert len(set(sigma_stars)) == 1
+        assert cycled.E_field.data.tobytes() == unsplit.E_field.data.tobytes()
+        assert cycled.J_field.data.tobytes() == unsplit.J_field.data.tobytes()
+
+    def test_each_split_pass_reads_the_cpu_count_once(self, monkeypatch):
+        # every pass splits here, so each starts one thread and reads _cpus once
+        force_split(monkeypatch)
+        reads, started = [], []
+        monkeypatch.setattr(spectral_ops, "_cpus", lambda: reads.append(1) or 2)
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(spectral_ops.threading, "Thread", Counted)
+
+        def counted(run):
+            reads.clear()
+            started.clear()
+            run()
+            return len(reads), len(started)
+
+        data = np.random.default_rng(47).standard_normal((16, 24))
+        assert counted(lambda: spectral_ops._sweep(lambda band: None, 16, 24)) == (1, 1)
+        passes = (("fft", data, data.astype(complex), -2, None),)
+        assert counted(lambda: spectral_ops._passes(passes, data.size)) == (1, 1)
+        # one iteration of each scheme: the difference of solves of 4 and 3, on
+        # the recursion and, from the second iteration on, on the exact update
+        pmap = build_square_array(32, 0.5)
+        for scheme, exact_below in itertools.product(SchemeKind, (0.0, math.inf)):
+            monkeypatch.setattr(solvers, "_EXACT_BELOW", exact_below)
+            per_solve = []
+            for iters in (3, 4):
+                cfg = SolverConfig(
+                    scheme=scheme,
+                    sigma1=2.0,
+                    interval=BENCH if scheme.substituted else None,
+                    tol=1e-300,
+                    max_iters=iters,
+                )
+                per_solve.append(counted(lambda: solve(pmap, cfg)))
+            (reads3, started3), (reads4, started4) = per_solve
+            assert reads4 - reads3 == started4 - started3 > 0, scheme
+            assert reads4 == started4, scheme
 
     @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
     @pytest.mark.parametrize("scheme", [SchemeKind.BASIC_SUB, SchemeKind.EYRE_MILTON_SUB])

@@ -14,10 +14,10 @@ solve of ITERS iterations (an unreachable tolerance) in each tree,
 the tree that goes first alternating from round to round. It reports,
 per case, the minimum and median of the ratio b/a of the two solves'
 wall times in a round, the share of rounds each side was faster, and
-the Python-level calls per iteration of each tree, counted as
-``tools/bench_per_iteration.py`` counts them: the calls ``cProfile``
+the Python-level calls per iteration of each tree: the calls ``cProfile``
 counts in a solve of ITERS iterations less those of one of ITERS - 10,
-divided by 10, after the warm-up solve. One more solve of each case is
+divided by 10, after the warm-up solve (:func:`calls_per_iteration`, the
+counter ``tools/bench_per_iteration.py`` imports). One more solve of each case is
 compared across the trees: status, iterations, sigma*, and the SHA-256
 of the residual history, of ``E_field`` and ``J_field`` and, for a
 substituted scheme, of the S and T slots of ``aug_field``.
@@ -103,6 +103,7 @@ CLI_CASES = (
     ("reject_interval", "solve", "benchmark.cfg", ("scheme.alpha=5",)),
     ("reject_window_order", "contours", "contours.cfg", ("contours.re_min=5",)),
     ("reject_resolution", "contours", "contours.cfg", ("contours.nr=0",)),
+    ("reject_contours_sigma0", "contours", "contours.cfg", ("scheme.sigma0_re=0.5",)),
     ("solve_missing_output_dir", "solve", "benchmark.cfg",
      _N32 + ("output.result_json=missing/r.json",)),
     ("compare_missing_output_dir", "compare", "compare.cfg",

@@ -28,7 +28,8 @@ Python-level calls of an iteration at n = CALLS_N, the function calls and
 the calls of built-in functions and methods that ``cProfile`` sees: the
 calls of a solve of ITERS iterations less those of one of ITERS - 10,
 divided by 10, after an unprofiled warm-up solve, as the
-first solve of a process also builds its tables. These solves run as a
+first solve of a process also builds its tables. The counter is
+``tools/ab_trees.py``'s, so the two tools count alike. These solves run as a
 solve does, the accelerated update switching to the exact one below
 ``solvers._EXACT_BELOW``. The count repeats exactly from run to run.
 
@@ -56,7 +57,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import cProfile
 import json
 import math
 import os
@@ -65,9 +65,11 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
+import fftcond
 from fftcond import (
     SchemeKind,
     SolverConfig,
@@ -80,6 +82,10 @@ from fftcond import (
 import fftcond.solvers as solvers
 import fftcond.spectral_ops as spectral_ops
 from fftcond.solvers import _tail_rate
+
+# the one calls-per-iteration counter, shared with tools/ab_trees.py
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import ab_trees  # noqa: E402
 
 INTERVAL = SpectralInterval(0.25, 4.0)
 COMPLEX_SIGMA1 = 0.7 + 0.4j
@@ -194,17 +200,10 @@ def ffts_per_iteration(
 
 
 def calls_per_iteration(scheme: SchemeKind, n: int = CALLS_N, sigma1: complex = 2.0) -> float:
-    """Python-level calls per iteration on the n x n square, as cProfile counts them."""
+    """Python-level calls per iteration on the n x n square, as cProfile counts them: the
+    counter of ``tools/ab_trees.py``, on this package."""
     pmap = build_square_array(n, 0.5)
-    solve(pmap, _config(scheme, sigma1=sigma1))
-    totals = []
-    for k in (ITERS - 10, ITERS):
-        profile = cProfile.Profile()
-        profile.runcall(solve, pmap, _config(scheme, k, sigma1))
-        # per function object: pstats keys by file, line and name, and keeps
-        # one of the dataclass __init__s that all read "<string>:2"
-        totals.append(sum(entry.callcount for entry in profile.getstats()))
-    return (totals[1] - totals[0]) / 10
+    return ab_trees.calls_per_iteration(fftcond, pmap, scheme.value, sigma1)
 
 
 def peak_mb(scheme: SchemeKind, n: int, sigma1: complex = 2.0) -> float:
