@@ -384,7 +384,7 @@ def cmd_selftest() -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+def _arguments(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="fftcond",
         description="FFT fixed-point homogenization for two-phase periodic conductivity",
@@ -401,8 +401,11 @@ def main(argv: list[str] | None = None) -> int:
             help="patch a config value (repeatable)",
         )
     sub.add_parser("selftest")
+    return parser.parse_args(argv)
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _arguments(argv)
     try:
         if args.command == "solve":
             return cmd_solve(args.config, args.override)
@@ -414,6 +417,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, BranchCutError, PoleError, DegenerateParamError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        # the argument and config parsers die in reference cycles; unless the call ran
+        # long they are young, and this frees them in ~0.1 ms (a full collection: ~10 ms)
+        import gc
+        gc.collect(1)
 
 
 if __name__ == "__main__":

@@ -22,10 +22,11 @@ where it reads it, and applies the inverse to z as inv_off z +
 basic update never writes T, which starts at 0, so ``basic_sub`` runs on
 p = (p1, p2), where A keeps the form and needs no inverse. ``basic`` and
 ``em`` are the one-slot case, p = (1,) and t = sigma1, whose slot is the
-physical electric field and whose A is t. The basic schemes use the
-reference sigma0 = (t + 1)/2; the accelerated ones iterate on the
-polarization-like variable w = (A + sigma0) F with sigma0 = sqrt(t). All
-four converge to the same discrete solution.
+physical electric field and whose A is t. t and the reference sigma0,
+(t + 1)/2 for the basic schemes and sqrt(t) for the accelerated ones,
+which iterate on the polarization-like variable w = (A + sigma0) F, come
+from transform.iteration_point, as map_z's do. All four converge to the
+same discrete solution.
 
 All four record the same residual, the one :func:`equilibrium_residual`
 and :func:`equilibrium_residual_aug` compute: |gamma1 J_Q|^2 is summed by
@@ -156,8 +157,7 @@ from .transform import (
     SchemeKind,
     SpectralInterval,
     SubstitutionParams,
-    _require_off_cut,
-    map_t,
+    iteration_point,
     solve_p,
 )
 
@@ -431,24 +431,6 @@ def _tail_rate(history: ConvergenceHistory, window: int) -> float | None:
     return estimate_rate(history, window)
 
 
-def _reference(cfg: SolverConfig, t: complex, label: str) -> complex:
-    """Reference conductivity at inclusion value ``t``, called ``label`` in errors.
-
-    A vanishing A + sigma0 I is caught by :func:`_shifted_inverse_coefs`.
-    """
-    if cfg.sigma0_override is not None:
-        sigma0 = complex(cfg.sigma0_override)
-    elif cfg.scheme.accelerated:
-        sigma0 = cmath.sqrt(_require_off_cut(t, label))
-    else:
-        sigma0 = (t + 1.0) / 2.0
-    if sigma0 == 0:
-        raise DegenerateParamError(
-            f"reference sigma0 vanishes ({label} = {t}, sigma0_override = {cfg.sigma0_override})"
-        )
-    return sigma0
-
-
 class _Monitor:
     """Shared stopping logic: record, test convergence, guard divergence."""
 
@@ -523,17 +505,19 @@ def _pin_column(t, p_in: np.ndarray, p_out: np.ndarray) -> np.ndarray:
 def solve(pmap: PhaseMap, cfg: SolverConfig) -> SolveResult:
     """Run the scheme selected by ``cfg.scheme``: the one iteration kernel of all four."""
     accelerated = cfg.scheme.accelerated
-    sigma1 = complex(cfg.sigma1)
+    t, label, sigma0 = iteration_point(cfg.scheme, cfg.sigma1, cfg.interval, cfg.sigma0_override)
+    # a vanishing A + sigma0 I is caught by _shifted_inverse_coefs
+    if sigma0 == 0:
+        raise DegenerateParamError(
+            f"reference sigma0 vanishes ({label} = {t}, sigma0_override = {cfg.sigma0_override})"
+        )
     if cfg.scheme.substituted:
-        t = map_t(sigma1, cfg.interval)
         params = solve_p(cfg.interval)
         # the basic update never writes T, which starts at 0, so basic_sub
         # runs on (Q, S) alone
         p = (params.p1, params.p2, params.p3) if accelerated else (params.p1, params.p2)
-        label = "t"
     else:
-        t, p, label = sigma1, (1.0,), "sigma1"
-    sigma0 = _reference(cfg, t, label)
+        p = (1.0,)
     chi = pmap.chi
     nx = chi.shape[1]
     e0v = _e0_vector(cfg.e0)

@@ -1,7 +1,9 @@
 """Scalar algebra of the acceleration.
 
 Fractional-linear and square-root maps between the conductivity plane
-and the unit disk, the solver that converts an assumed singularity
+and the unit disk, the one definition of where each scheme iterates
+(:func:`iteration_point`: t and the reference sigma0, which the solver
+and :func:`map_z` read), the solver that converts an assumed singularity
 interval [-beta, -alpha] into the complex parameters (p1, p2, p3) of the
 augmented field space, the auxiliary coupling constants, and a discrete
 resistor-substitution oracle. The matrix phase conductivity is fixed at
@@ -47,11 +49,8 @@ class SpectralInterval:
     beta: float
 
     def __post_init__(self):
-        if not (
-            math.isfinite(self.alpha)
-            and math.isfinite(self.beta)
-            and 0.0 < self.alpha < self.beta
-        ):
+        finite = math.isfinite(self.alpha) and math.isfinite(self.beta)
+        if not (finite and 0.0 < self.alpha < self.beta):
             raise IntervalError(
                 f"need 0 < alpha < beta < inf, got alpha={self.alpha}, beta={self.beta}"
             )
@@ -81,21 +80,8 @@ class SubstitutionParams:
         a_rec = -1.0 - sq1 / (sq2 - 1.0)
         b_rec = -1.0 - sq1 / sq2
         a, b = self.interval.alpha, self.interval.beta
-        if abs(a_rec - a) > _REL_TOL * max(1.0, abs(a)) or abs(
-            b_rec - b
-        ) > _REL_TOL * max(1.0, abs(b)):
-            raise ValueError(
-                f"params recover ({a_rec}, {b_rec}), expected ({a}, {b})"
-            )
-
-
-def _require_off_cut(value: complex, label: str) -> complex:
-    z = complex(value)
-    if z.imag == 0.0 and z.real <= 0.0:
-        raise BranchCutError(
-            f"{label} = {z} lies on the closed negative real axis"
-        )
-    return z
+        if any(abs(rec - v) > _REL_TOL * max(1.0, abs(v)) for rec, v in ((a_rec, a), (b_rec, b))):
+            raise ValueError(f"params recover ({a_rec}, {b_rec}), expected ({a}, {b})")
 
 
 def map_t(sigma1: complex, interval: SpectralInterval) -> complex:
@@ -118,10 +104,37 @@ def inverse_map_t(t: complex, interval: SpectralInterval) -> complex:
     a, b = interval.alpha, interval.beta
     den = tt * (1.0 + a) - (1.0 + b)
     if den == 0:
-        raise PoleError(
-            f"inverse_map_t has a pole at t = {(1.0 + b) / (1.0 + a)}"
-        )
+        raise PoleError(f"inverse_map_t has a pole at t = {(1.0 + b) / (1.0 + a)}")
     return (a * (1.0 + b) - b * tt * (1.0 + a)) / den
+
+
+def iteration_point(
+    scheme: SchemeKind,
+    sigma1: complex,
+    interval: SpectralInterval | None = None,
+    sigma0: complex | None = None,
+) -> tuple[complex, str, complex]:
+    """The one definition of where a scheme iterates: (t, label, sigma0).
+
+    t is sigma1, or map_t(sigma1) for the substituted schemes, which need
+    ``interval``; ``label``, "sigma1" or "t", names it in errors. The
+    scheme's own reference is (t + 1)/2, or the principal sqrt(t) for the
+    accelerated schemes, BranchCutError on the closed negative real axis.
+    A given ``sigma0`` replaces it before that check. :func:`map_z` and
+    ``solvers.solve`` both read this.
+    """
+    t, label = complex(sigma1), "sigma1"
+    if scheme.substituted:
+        if interval is None:
+            raise IntervalError(f"scheme {scheme.value} requires an interval")
+        t, label = map_t(t, interval), "t"
+    if sigma0 is not None:
+        return t, label, complex(sigma0)
+    if not scheme.accelerated:
+        return t, label, (t + 1.0) / 2.0
+    if t.imag == 0.0 and t.real <= 0.0:
+        raise BranchCutError(f"{label} = {t} lies on the closed negative real axis")
+    return t, label, cmath.sqrt(t)
 
 
 def map_z(
@@ -136,16 +149,11 @@ def map_z(
     basic_sub: z = (t - 1)/(t + 1)          with t = map_t(sigma1)
     em_sub:    z = (sqrt(t) - 1)/(sqrt(t) + 1)
 
-    Square roots use the principal branch; arguments on the closed
-    negative real axis raise :class:`BranchCutError`.
+    t and sqrt(t), the accelerated schemes' sigma0, come from
+    :func:`iteration_point`, which raises :class:`BranchCutError` on the cut.
     """
-    s = complex(sigma1)
-    if scheme.substituted:
-        if interval is None:
-            raise IntervalError(f"scheme {scheme.value} requires an interval")
-        s = map_t(s, interval)
-    if scheme.accelerated:
-        s = cmath.sqrt(_require_off_cut(s, "t" if scheme.substituted else "sigma1"))
+    t, _, sigma0 = iteration_point(scheme, sigma1, interval)
+    s = sigma0 if scheme.accelerated else t
     if s == -1.0:
         raise PoleError(f"map_z pole: argument {s} gives a zero denominator")
     return (s - 1.0) / (s + 1.0)
@@ -172,9 +180,7 @@ def solve_p(interval: SpectralInterval) -> SubstitutionParams:
 def _coupling_denominator(t: complex, params: SubstitutionParams) -> complex:
     den = (t - 1.0) * params.p2 ** 2 + 1.0
     if den == 0:
-        raise DegenerateParamError(
-            f"(t-1)*p2^2 + 1 vanishes at t = {t}; coupling is degenerate"
-        )
+        raise DegenerateParamError(f"(t-1)*p2^2 + 1 vanishes at t = {t}; coupling is degenerate")
     return den
 
 

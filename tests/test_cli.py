@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import json
 import math
 import re
@@ -565,6 +566,27 @@ class TestReadmeConfig:
     def test_parses(self, tmp_path):
         cfg = cli.parse_config(write_config(tmp_path, self.block()))
         assert cfg.scheme["name"] == "em_sub" and cfg.contours["nr"] == 41
+
+
+class TestCyclicGarbage:
+    @pytest.mark.parametrize(
+        "command, base, extra",
+        [
+            ("solve", BENCH_SOLVE, []),
+            ("compare", COMPARE_CFG, []),
+            ("contours", CONTOURS_CFG, []),
+            ("solve", BENCH_SOLVE, ["--override", "scheme.tol=0"]),
+        ],
+        ids=["solve", "compare", "contours", "config_error"],
+    )
+    def test_main_leaves_no_cyclic_garbage(self, tmp_path, command, base, extra):
+        # argparse and configparser build their parsers in reference cycles;
+        # left to a later collection, they moved the benchmark's peak memory
+        cfg = write_config(tmp_path, base)
+        argv = [command, str(cfg), "--override", "geometry.n=16", *extra]
+        gc.collect()
+        assert main(argv) == (2 if extra else 0)
+        assert gc.collect() == 0
 
 
 class TestSelftestCommand:

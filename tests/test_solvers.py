@@ -6,13 +6,17 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fftcond import (
     AugmentedField,
     BranchCutError,
     ContractError,
+    DegenerateParamError,
     IntervalError,
     PhaseMap,
+    PoleError,
     SchemeKind,
     SolverConfig,
     SpectralInterval,
@@ -36,6 +40,7 @@ from fftcond import (
     norm,
     norm_aug,
     obnosov,
+    predicted_rate,
     recover_physical_fields,
     solve,
     solve_p,
@@ -718,3 +723,86 @@ class TestDeterminism:
             assert a.iteration == b.iteration
             assert a.sigma_star == b.sigma_star
             assert a.residual == b.residual
+
+
+# the ValueError subclasses that solve and predicted_rate document for a point they refuse
+SET_UP_ERRORS = (BranchCutError, PoleError, DegenerateParamError)
+
+
+class TestSetUpParity:
+    """predicted_rate and solve read one iteration point, so each refuses where the other does.
+
+    The one documented mismatch is t = -1 for the basic-type schemes, at
+    sigma1 = -1 for both (map_t(-1) = -1 on BENCH): the pole of z for
+    predicted_rate, a vanishing sigma0 = (t + 1)/2 for solve.
+    """
+
+    REFUSED = {
+        SchemeKind.BASIC: {-1.0: PoleError},
+        SchemeKind.EYRE_MILTON: dict.fromkeys((0.0, -0.5, -1.0, -4.0), BranchCutError),
+        SchemeKind.BASIC_SUB: {-1.0: PoleError, -4.0: PoleError},
+        SchemeKind.EYRE_MILTON_SUB: {-0.5: BranchCutError, -1.0: BranchCutError, -4.0: PoleError},
+    }
+
+    @staticmethod
+    def _raised(run):
+        try:
+            run()
+        except ValueError as exc:
+            assert isinstance(exc, SET_UP_ERRORS), repr(exc)
+            return type(exc)
+        return None
+
+    @pytest.mark.parametrize("sigma1", [2.0, 0.7 + 0.4j, 1e-6, 0.0, -0.5, -1.0, -4.0, -1 + 1e-9j])
+    @pytest.mark.parametrize("scheme", list(SchemeKind), ids=lambda s: s.value)
+    def test_predicted_rate_raises_where_solve_refuses(self, scheme, sigma1):
+        cfg = cfg_for(scheme, sigma1, max_iters=1)
+        rate_error = self._raised(lambda: predicted_rate(scheme, sigma1, cfg.interval))
+        solve_error = self._raised(lambda: solve(build_square_array(8, 0.5), cfg))
+        assert rate_error is self.REFUSED[scheme].get(sigma1)
+        if not scheme.accelerated and sigma1 == -1.0:
+            assert solve_error is DegenerateParamError
+        else:
+            assert solve_error is rate_error
+
+
+def _near(center, radius):
+    """Points within ``radius`` of ``center``, the centre itself included."""
+    return st.builds(cmath.rect, st.floats(0.0, radius), st.floats(-math.pi, math.pi)).map(
+        lambda d: center + d
+    )
+
+
+class TestHardInputsEndExplicitly:
+    """Near the pole, just off the cut, at extreme contrast and below the roundoff
+    floor, every scheme raises a documented error at set-up or ends with an
+    explicit status and a finite history."""
+
+    PMAP = build_square_array(16, 0.5)
+    SIGMA1 = st.one_of(
+        _near(-BENCH.beta, 1e-6),
+        # -x +- 1e-12i for x in [1e-3, 1e3]: just off the negative axis, where em and em_sub cut
+        st.builds(
+            complex,
+            st.floats(-3.0, 3.0).map(lambda e: -(10.0 ** e)),
+            st.sampled_from([1e-12, -1e-12]),
+        ),
+        # contrast from 1e-8 to 1e8, at any phase
+        st.builds(cmath.rect, st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e), st.floats(-math.pi, math.pi)),
+    )
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(sigma1=SIGMA1, tol=st.sampled_from([1e-8, 1e-15]))
+    def test_every_scheme_raises_or_reports_a_status(self, sigma1, tol):
+        # 60 examples reach all three statuses and both set-up errors
+        for scheme in SchemeKind:
+            try:
+                r = solve(self.PMAP, cfg_for(scheme, sigma1, tol=tol, max_iters=40))
+            except SET_UP_ERRORS:
+                continue
+            assert isinstance(r.status, TerminationStatus)
+            assert 1 <= r.iterations <= 40 or r.status is TerminationStatus.DIVERGED
+            residuals = r.history.residuals()
+            assert np.isfinite(residuals).all()
+            if r.converged:
+                assert residuals[-1] <= tol

@@ -24,6 +24,7 @@ from fftcond import (
     solve_p,
     verify_sigma1,
 )
+from fftcond.transform import iteration_point
 
 BENCH = SpectralInterval(0.25, 4.0)
 
@@ -156,6 +157,33 @@ class TestMapZ:
     )
     def test_em_sub_contracts_right_half_plane(self, interval, sigma1):
         assert abs(map_z(SchemeKind.EYRE_MILTON_SUB, sigma1, interval)) < 1.0
+
+
+class TestIterationPoint:
+    @pytest.mark.parametrize(
+        "scheme, sigma1, point",
+        [
+            (SchemeKind.BASIC, 3.0, (3.0, "sigma1", 2.0)),
+            (SchemeKind.EYRE_MILTON, 9.0, (9.0, "sigma1", 3.0)),
+            (SchemeKind.BASIC_SUB, 0.0, (0.25, "t", 0.625)),
+            (SchemeKind.EYRE_MILTON_SUB, 0.0, (0.25, "t", 0.5)),
+        ],
+        ids=lambda v: v.value if isinstance(v, SchemeKind) else None,
+    )
+    def test_t_label_and_own_sigma0(self, scheme, sigma1, point):
+        # map_t(0) = 0.25 on BENCH; every value here is exact in binary
+        assert iteration_point(scheme, sigma1, BENCH) == point
+
+    def test_given_sigma0_replaces_the_own_one_before_the_cut(self):
+        assert iteration_point(SchemeKind.EYRE_MILTON, -0.5, sigma0=1.0) == (-0.5, "sigma1", 1.0)
+        with pytest.raises(BranchCutError, match="^sigma1 = "):
+            iteration_point(SchemeKind.EYRE_MILTON, -0.5)
+        with pytest.raises(BranchCutError, match="^t = "):
+            iteration_point(SchemeKind.EYRE_MILTON_SUB, -1.0, BENCH)
+
+    def test_sub_needs_interval(self):
+        with pytest.raises(IntervalError, match="requires an interval"):
+            iteration_point(SchemeKind.EYRE_MILTON_SUB, 2.0)
 
 
 class TestSolveP:
